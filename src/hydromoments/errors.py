@@ -33,6 +33,12 @@ class CancellationOverflow(HydromomentsError):
     pass
 
 
+class FloatOverflow(HydromomentsError):
+    """A float result or prefactor exceeds the double range.  Unlike
+    CancellationOverflow it triggers no quadrature retry: the quadrature
+    value would overflow too."""
+
+
 class NotCircular(HydromomentsError):
     pass
 
@@ -49,7 +55,7 @@ class NonpositiveArgument(HydromomentsError):
     pass
 
 
-class UnsupportedArgument(HydromomentsError):
+class UnsupportedArgument(HydromomentsError, ValueError):
     pass
 
 

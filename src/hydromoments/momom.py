@@ -2,10 +2,14 @@
 
 Four mutually checking routes: the default single finite sum (k+1 terms),
 the raw terminating-5F4 form, the double-sum rewriting, and the reflection
-identity.  Closed forms cover even orders, circular states, the mean
-momentum and the average inverse momentum.  Integer orders evaluate
-exactly; real orders use compensated float summation with a cancellation
-bound and fall back to the quadrature oracle when the bound trips.
+identity.  For integer orders the single sum is the 5F4 series itself, so
+`single` and `hyp5f4` share the exact kernel `specfun.hyp_sum` and differ
+only in how their gamma prefactors are written; `double` is the
+independent exact cross-check.  Closed forms cover even orders, circular
+states, the mean momentum and the average inverse momentum.  Integer orders
+evaluate exactly; real orders use compensated float summation with a
+cancellation bound and fall back to the quadrature oracle when the bound
+trips.
 """
 
 from __future__ import annotations
@@ -19,19 +23,21 @@ from .errors import (
     NotCircular,
     OrderOutOfDomain,
     SingularDenominator,
+    UnsupportedArgument,
 )
 from .specfun import (
     SQRT_PI,
     ExactValue,
     HypSumSpec,
     digamma_half_exact,
+    exp_sum,
     gamma_exact,
     hyp_sum,
     is_integral,
     log_gamma,
     pochhammer,
 )
-from .posmom import CANCELLATION_LIMIT, Method, MomentResult
+from .posmom import CANCELLATION_LIMIT, Method, MomentResult, resolve_mode
 from .states import HydrogenicState, MomentOrder, Space, check_order
 
 _EPS = 2.0 ** -53
@@ -50,14 +56,19 @@ def _zeta_pow(state: HydrogenicState, a: int) -> ExactValue:
     return ExactValue((state.Z_exact / state.eta) ** a)
 
 
-def _gamma_quotient_float(nu: float, alpha: float) -> float:
-    """log of Gamma(nu+(a+1)/2) Gamma(nu+(3-a)/2) / (Gamma(nu+1/2) Gamma(nu+3/2))."""
-    return (
-        log_gamma(nu + (alpha + 1) / 2)
-        + log_gamma(nu + (3 - alpha) / 2)
-        - log_gamma(nu + 0.5)
-        - log_gamma(nu + 1.5)
-    )
+def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
+    """The log terms of Gamma(nu+(a+1)/2) Gamma(nu+(3-a)/2) / (Gamma(nu+1/2) Gamma(nu+3/2))."""
+    return [
+        log_gamma(nu + (alpha + 1) / 2),
+        log_gamma(nu + (3 - alpha) / 2),
+        -log_gamma(nu + 0.5),
+        -log_gamma(nu + 1.5),
+    ]
+
+
+def _zeta_logs(state: HydrogenicState, alpha: float) -> list[float]:
+    """The log terms of (Z/eta)^alpha."""
+    return [alpha * math.log(state.Z), -alpha * math.log(float(state.eta))]
 
 
 def _single_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
@@ -73,35 +84,25 @@ def _single_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
         * gamma_exact(nu + Fraction(3 - a, 2))
         / (gamma_exact(nu + Fraction(1, 2)) * gamma_exact(nu + Fraction(3, 2)))
     )
-    fk = _f_sum_exact(k, nu, a)
-    return _zeta_pow(state, a) * ExactValue(pref_rat) * gq * ExactValue(fk)
-
-
-def _f_sum_exact(k: int, nu: Fraction, a: int) -> Fraction:
-    total = Fraction(0)
-    for j in range(k + 1):
-        dj = (
-            Fraction(nu, nu + j)
-            * pochhammer(nu + Fraction(a + 1, 2), j)
-            * pochhammer(nu + Fraction(3 - a, 2), j)
-            / (pochhammer(nu + Fraction(1, 2), j) * pochhammer(nu + Fraction(3, 2), j))
-        )
-        total += (-1) ** j * math.comb(k, j) * pochhammer(2 * nu + j, k) * dj
-    return total / pochhammer(2 * nu, k)
+    # The single sum over j of (-1)^j C(k,j) (2nu+j)_k / (2nu)_k * nu/(nu+j)
+    # * (nu+(a+1)/2)_j (nu+(3-a)/2)_j / ((nu+1/2)_j (nu+3/2)_j) is, term
+    # for term, the 5F4 series of _hyp5f4_spec.
+    series = hyp_sum(_hyp5f4_spec(state, a), "exact")
+    return _zeta_pow(state, a) * ExactValue(pref_rat) * gq * series
 
 
 def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
     k = state.k
     nu = float(state.nu)
-    lpref = (
-        math.log(2.0)
-        - log_gamma(k + 1)
-        + math.log(k + nu)
-        + log_gamma(k + 2 * nu)
-        - log_gamma(2 * nu + 1)
-        + _gamma_quotient_float(nu, alpha)
-        + alpha * (math.log(state.Z) - math.log(float(state.eta)))
-    )
+    pref, pref_rel = exp_sum([
+        math.log(2.0),
+        -log_gamma(k + 1),
+        math.log(k + nu),
+        log_gamma(k + 2 * nu),
+        -log_gamma(2 * nu + 1),
+        *_gamma_quotient_logs(nu, alpha),
+        *_zeta_logs(state, alpha),
+    ])
     terms = []
     bounds = []
     dj = 1.0
@@ -121,9 +122,8 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
     denom = pochhammer(2 * nu, k, "float")
     s = math.fsum(terms) / denom
     bound = (math.fsum(bounds) + _EPS * abs(s) * denom) / denom
-    pref = math.exp(lpref)
     value = pref * s
-    err = pref * bound + 20 * abs(value) * _EPS
+    err = pref * bound + (pref_rel + 20 * _EPS) * abs(value)
     return value, err
 
 
@@ -166,23 +166,20 @@ def _hyp5f4_exact(state: HydrogenicState, a: int) -> ExactValue:
 def _hyp5f4_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
     k = state.k
     nu = float(state.nu)
-    lpref = (
-        (1 - 2 * nu) * math.log(2.0)
-        + 0.5 * math.log(math.pi)
-        - log_gamma(k + 1)
-        + math.log(k + nu)
-        + log_gamma(k + 2 * nu)
-        + log_gamma(nu + (alpha + 1) / 2)
-        + log_gamma(nu + (3 - alpha) / 2)
-        - 2 * log_gamma(nu + 0.5)
-        - log_gamma(nu + 1)
-        - log_gamma(nu + 1.5)
-        + alpha * (math.log(state.Z) - math.log(float(state.eta)))
-    )
+    pref, pref_rel = exp_sum([
+        (1 - 2 * nu) * math.log(2.0),
+        0.5 * math.log(math.pi),
+        -log_gamma(k + 1),
+        math.log(k + nu),
+        log_gamma(k + 2 * nu),
+        *_gamma_quotient_logs(nu, alpha),
+        -log_gamma(nu + 0.5),
+        -log_gamma(nu + 1),
+        *_zeta_logs(state, alpha),
+    ])
     s, bound = hyp_sum(_hyp5f4_spec(state, alpha), "float")
-    pref = math.exp(lpref)
     value = pref * s
-    err = pref * bound + 20 * abs(value) * _EPS
+    err = pref * bound + (pref_rel + 20 * _EPS) * abs(value)
     return value, err
 
 
@@ -254,7 +251,7 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
     x = l + (D + alpha) / 2
     # shared gamma recurrence: errors correlate across terms and factor out,
     # so cancellation only amplifies the per-term rounding below
-    g = math.exp(log_gamma(x) - lscale + pi_pow * math.log(math.pi))
+    g, g_rel = exp_sum([log_gamma(x), -lscale, pi_pow * math.log(math.pi)])
     terms = []
     bounds = []
     for s, part in enumerate(parts):
@@ -271,16 +268,24 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
         g *= x + s
     total = math.fsum(terms)
     bound = math.fsum(bounds) + 40 * _EPS * math.fsum(abs(t) for t in terms)
-    lpref = (
-        math.log(4 * float(state.eta))
-        + alpha * (math.log(state.Z) - math.log(float(state.eta)))
-        + log_gamma(l + (D - alpha) / 2 + 1)
-        - log_gamma(n + l + D - 2)
-        - log_gamma(n - l)
-        + lscale
-    )
-    pref = math.exp(lpref)
-    return pref * total, pref * bound + 20 * abs(pref * total) * _EPS
+    pref, pref_rel = exp_sum([
+        math.log(4 * float(state.eta)),
+        *_zeta_logs(state, alpha),
+        log_gamma(l + (D - alpha) / 2 + 1),
+        -log_gamma(n + l + D - 2),
+        -log_gamma(n - l),
+        lscale,
+    ])
+    value = pref * total
+    return value, pref * bound + (g_rel + pref_rel + 20 * _EPS) * abs(value)
+
+
+# route -> (exact evaluator, float evaluator, method)
+_ROUTES = {
+    "single": (_single_sum_exact, _single_sum_float, Method.SINGLE_SUM),
+    "hyp5f4": (_hyp5f4_exact, _hyp5f4_float, Method.HYP5F4),
+    "double": (_double_sum_exact, _double_sum_float, Method.DOUBLE_SUM),
+}
 
 
 def p_moment(
@@ -288,36 +293,20 @@ def p_moment(
 ) -> MomentResult:
     """<p^alpha> for a generic state.  Routes: single (default), hyp5f4, double."""
     alpha_f = float(alpha)
+    mode = resolve_mode(alpha, mode)
+    if route not in _ROUTES:
+        raise UnsupportedArgument(f"route must be one of {', '.join(_ROUTES)}, got {route!r}")
     _require_momentum_order(state, alpha_f)
-    if mode == "auto":
-        mode = "exact" if is_integral(alpha) else "float"
+    exact_route, float_route, method = _ROUTES[route]
 
     if mode == "exact":
-        a = int(round(alpha_f))
-        if route == "single":
-            value, method = _single_sum_exact(state, a), Method.SINGLE_SUM
-        elif route == "hyp5f4":
-            value, method = _hyp5f4_exact(state, a), Method.HYP5F4
-        elif route == "double":
-            value, method = _double_sum_exact(state, a), Method.DOUBLE_SUM
-        else:
-            raise ValueError(f"unknown route {route!r}")
+        value = exact_route(state, int(round(alpha_f)))
         return MomentResult(value, 0.0, method, Space.MOMENTUM, alpha_f, state)
 
     try:
-        if route == "single":
-            value, err = _single_sum_float(state, alpha_f)
-            method = Method.SINGLE_SUM
-        elif route == "hyp5f4":
-            value, err = _hyp5f4_float(state, alpha_f)
-            method = Method.HYP5F4
-        elif route == "double":
-            value, err = _double_sum_float(state, alpha_f)
-            method = Method.DOUBLE_SUM
-        else:
-            raise ValueError(f"unknown route {route!r}")
+        value, err = float_route(state, alpha_f)
     except CancellationOverflow:
-        value, err, method = math.nan, math.inf, None
+        value, err = math.nan, math.inf
     if err > CANCELLATION_LIMIT * abs(value) or value <= 0 or not math.isfinite(value):
         from . import oracle
 
@@ -364,10 +353,11 @@ def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """<p^{2-alpha}> computed from <p^alpha> via the inversion identity
     (eta/Z)^{2-alpha} <p^{2-alpha}> = (eta/Z)^alpha <p^alpha>."""
     alpha_f = float(alpha)
+    mode = resolve_mode(alpha, mode)
     _require_momentum_order(state, alpha_f)
     _require_momentum_order(state, 2 - alpha_f)
     base = p_moment(state, alpha, mode=mode)
-    if base.is_exact and is_integral(alpha):
+    if base.is_exact:
         a = int(round(alpha_f))
         factor = ExactValue((state.eta / state.Z_exact) ** (2 * a - 2))
         value = base.value * factor
@@ -384,9 +374,8 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
     if not state.is_circular:
         raise NotCircular(f"state has l={state.l}, n={state.n}")
     alpha_f = float(alpha)
+    mode = resolve_mode(alpha, mode)
     _require_momentum_order(state, alpha_f)
-    if mode == "auto":
-        mode = "exact" if is_integral(alpha) else "float"
     eta = state.eta
     if mode == "exact":
         a = int(round(alpha_f))
@@ -397,12 +386,9 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
             / (gamma_exact(eta + Fraction(1, 2)) * gamma_exact(eta + Fraction(3, 2)))
         )
         return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state)
-    value = math.exp(
-        alpha_f * (math.log(state.Z) - math.log(float(eta)))
-        + _gamma_quotient_float(float(eta), alpha_f)
-    )
+    value, rel = exp_sum([*_zeta_logs(state, alpha_f), *_gamma_quotient_logs(float(eta), alpha_f)])
     return MomentResult(
-        value, 8 * abs(value) * _EPS, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state
+        value, (rel + 8 * _EPS) * value, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state
     )
 
 

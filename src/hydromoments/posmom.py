@@ -12,10 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CancellationOverflow, OrderOutOfDomain, SingularDenominator
+from .errors import CancellationOverflow, OrderOutOfDomain, SingularDenominator, UnsupportedArgument
 from .specfun import (
     ExactValue,
     HypSumSpec,
+    exp_sum,
     gamma_ratio_exact,
     hyp_sum,
     is_integral,
@@ -58,6 +59,19 @@ class MomentResult:
         return self.value
 
 
+def resolve_mode(alpha, mode: str) -> str:
+    """The evaluation mode, "exact" or "float", for a mode argument of
+    "auto", "exact" or "float".  "auto" picks exact for integer orders;
+    exact needs an integer order."""
+    if mode == "auto":
+        return "exact" if is_integral(alpha) else "float"
+    if mode not in ("exact", "float"):
+        raise UnsupportedArgument(f"mode must be 'auto', 'exact' or 'float', got {mode!r}")
+    if mode == "exact" and not is_integral(alpha):
+        raise UnsupportedArgument(f"exact mode needs an integer order, got {alpha!r}")
+    return mode
+
+
 def _require_position_order(state: HydrogenicState, alpha: float):
     if not check_order(state, MomentOrder(alpha, Space.POSITION)):
         raise OrderOutOfDomain(
@@ -69,8 +83,7 @@ def _require_position_order(state: HydrogenicState, alpha: float):
 def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """<r^alpha> via the hypergeometric-3F2 formula."""
     _require_position_order(state, float(alpha))
-    if mode == "auto":
-        mode = "exact" if is_integral(alpha) else "float"
+    mode = resolve_mode(alpha, mode)
     k = state.k
     L = state.L
     eta = state.eta
@@ -91,13 +104,13 @@ def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
         return MomentResult(value, 0.0, Method.HYP3F2, Space.POSITION, float(alpha), state)
 
     alpha = float(alpha)
-    lpref = (
-        (alpha - 1) * math.log(float(eta))
-        - (alpha + 1) * math.log(2.0)
-        - alpha * math.log(state.Z)
-        + log_gamma(float(2 * L) + alpha + 3)
-        - log_gamma(float(2 * L + 2))
-    )
+    pref, pref_rel = exp_sum([
+        (alpha - 1) * math.log(float(eta)),
+        -(alpha + 1) * math.log(2.0),
+        -alpha * math.log(state.Z),
+        log_gamma(float(2 * L) + alpha + 3),
+        -log_gamma(float(2 * L + 2)),
+    ])
     spec = HypSumSpec(
         top=(-k, -alpha - 1, alpha + 2),
         bottom=(float(2 * L + 2), 1.0),
@@ -105,9 +118,8 @@ def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     )
     try:
         s, bound = hyp_sum(spec, "float")
-        pref = math.exp(lpref)
         value = pref * s
-        err = pref * bound + 4 * abs(value) * 2.0 ** -52
+        err = pref * bound + (pref_rel + 4 * 2.0 ** -52) * abs(value)
     except CancellationOverflow:
         value, err = math.nan, math.inf
     if err > CANCELLATION_LIMIT * abs(value) or value <= 0 or not math.isfinite(value):
@@ -176,17 +188,15 @@ def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult
     state = make_state(D, 1, 0, Z)
     if not float(alpha) > -D:
         raise OrderOutOfDomain(f"ground-state position order must exceed {-D}")
-    if mode == "auto":
-        mode = "exact" if is_integral(alpha) else "float"
-    if mode == "exact":
+    if resolve_mode(alpha, mode) == "exact":
         a = int(round(float(alpha)))
         scale = Fraction(D - 1, 4) / state.Z_exact
         value = ExactValue(scale ** a) * gamma_ratio_exact(D + a, D)
         return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.POSITION, float(alpha), state)
     alpha = float(alpha)
-    value = math.exp(
-        alpha * math.log((D - 1) / (4.0 * Z)) + log_gamma(D + alpha) - log_gamma(D)
-    )
+    value, rel = exp_sum([
+        alpha * math.log(D - 1), -alpha * math.log(4.0 * Z), log_gamma(D + alpha), -log_gamma(D)
+    ])
     return MomentResult(
-        value, 8 * abs(value) * 2.0 ** -52, Method.CLOSED_FORM, Space.POSITION, alpha, state
+        value, (rel + 8 * 2.0 ** -52) * value, Method.CLOSED_FORM, Space.POSITION, alpha, state
     )

@@ -2,8 +2,9 @@
 
 Exact rational-times-pi arithmetic (ExactValue), gamma-family evaluation for
 integer and half-integer arguments, digamma with an exact half-integer
-decomposition, and numerically safe summation of terminating hypergeometric
-series in both exact and compensated-float modes.
+decomposition, summation of terminating hypergeometric series (one integer
+term-ratio kernel in exact mode, compensated summation in float mode), and
+float prefactors evaluated from their logarithms with a rounding bound.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from numbers import Rational
 
 from .errors import (
     CancellationOverflow,
+    FloatOverflow,
     NonpositiveArgument,
     NonTerminating,
     PoleInBottomParameter,
@@ -29,10 +31,11 @@ EULER_GAMMA = 0.5772156649015328606
 
 
 def as_fraction(x) -> Fraction:
-    """Exact Fraction from an int, Fraction, or float (binary-exact)."""
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, float):
+    """Exact Fraction from an int, Fraction, or float (binary-exact).  A
+    Fraction is returned as is: it is already in lowest terms."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (Rational, float)):
         return Fraction(x)
     raise UnsupportedArgument(f"cannot represent {x!r} exactly")
 
@@ -121,6 +124,22 @@ def _coerce(x) -> ExactValue:
 
 EXACT_ONE = ExactValue(Fraction(1))
 SQRT_PI = ExactValue(Fraction(1), Fraction(1, 2))
+
+
+def exp_sum(terms) -> tuple[float, float]:
+    """exp(sum(terms)) and a bound on its relative rounding error.
+
+    Each term is a computed logarithm (log_gamma, log, or a multiple of one)
+    off by a few units in its last place, so the exponent carries an
+    absolute error of about eps * sum |term|, which exp turns into a
+    relative error.  Raises FloatOverflow when the result exceeds the
+    double range."""
+    exponent = math.fsum(terms)
+    try:
+        value = math.exp(exponent)
+    except OverflowError:
+        raise FloatOverflow(f"exp({exponent:.6g}) exceeds the double range") from None
+    return value, 4 * _EPS * (sum(map(abs, terms)) + 1)
 
 
 def log_gamma(x: float) -> float:
@@ -221,6 +240,37 @@ class HypSumSpec:
                 raise PoleInBottomParameter(f"bottom parameter {b} hits a pole")
 
 
+def _hyp_sum_exact(spec: HypSumSpec) -> Fraction:
+    """The sum as a Fraction, on integers only.
+
+    With every parameter written over the common denominator d as A/d, the
+    term ratio is r_j = prod(A_i + d j) d^(q-p) / ((j+1) prod(B_i + d j))
+    for p top and q bottom parameters.  The sum
+    1 + r_0 (1 + r_1 (1 + ... (1 + r_{k-1}))) runs backwards on one integer
+    numerator and denominator, and Fraction takes the single gcd at the end
+    (as in Haible & Papanikolaou, "Fast multiprecision evaluation of series
+    of rational numbers", 1998), so each step costs O(1) integer products."""
+    params = [as_fraction(p) for p in (*spec.top, *spec.bottom)]
+    if any(p.denominator not in (1, 2) for p in params):
+        raise UnsupportedArgument("exact hyp_sum needs half-integer parameters")
+    d = max(p.denominator for p in params)
+    ints = [int(p * d) for p in params]
+    top, bottom = ints[: len(spec.top)], ints[len(spec.top):]
+    shift = len(bottom) - len(top)
+    num_scale, den_scale = d ** max(shift, 0), d ** max(-shift, 0)
+    num = den = 1
+    for j in range(spec.terms - 2, -1, -1):
+        rn = num_scale
+        for a in top:
+            rn *= a + d * j
+        rd = den_scale * (j + 1)
+        for b in bottom:
+            rd *= b + d * j
+        num = rd * den + rn * num
+        den *= rd
+    return Fraction(num, den)
+
+
 def hyp_sum(spec: HypSumSpec, mode: str = "exact"):
     """Evaluate a terminating hypergeometric sum.
 
@@ -228,24 +278,10 @@ def hyp_sum(spec: HypSumSpec, mode: str = "exact"):
     (value, error_bound) using exactly rounded summation of the signed terms
     plus a per-term rounding bound, so cancellation is visible to callers.
     """
-    k = spec.terms - 1
     if mode == "exact":
-        top = [as_fraction(a) for a in spec.top]
-        bottom = [as_fraction(b) for b in spec.bottom]
-        for p in top + bottom:
-            if p.denominator not in (1, 2):
-                raise UnsupportedArgument("exact hyp_sum needs half-integer parameters")
-        term = Fraction(1)
-        total = Fraction(1)
-        for j in range(k):
-            for a in top:
-                term *= a + j
-            for b in bottom:
-                term /= b + j
-            term /= j + 1
-            total += term
-        return ExactValue(total)
+        return ExactValue(_hyp_sum_exact(spec))
 
+    k = spec.terms - 1
     top = [float(a) for a in spec.top]
     bottom = [float(b) for b in spec.bottom]
     nops = len(top) + len(bottom) + 1

@@ -95,6 +95,16 @@ def test_table_marks_out_of_domain_rows_and_continues(capsys):
     assert len(rows) - 1 == 3 * 2  # (n,l) in {(1,0),(2,0),(2,1)} x 2 alphas
 
 
+def test_table_marks_overflowing_cell_and_continues(capsys):
+    code, out, _ = run(capsys, [
+        "table", "--space", "r", "--D-range", "3:3", "--n-range", "100:100", "--l", "0",
+        "--alpha-list=1.5,150.5", "--mode", "float",
+    ])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[-1] for r in rows[1:]] == ["ok", "numerical-failure"]
+
+
 def test_table_parallel_matches_serial(capsys, monkeypatch):
     argv = [
         "table", "--space", "r", "--D-range", "2:4", "--n-range", "1:3", "--l", "all",

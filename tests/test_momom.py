@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hydromoments import (
@@ -21,7 +22,13 @@ from hydromoments import (
     quad_p_moment,
     reflect,
 )
-from hydromoments.errors import NotCircular, OrderOutOfDomain, SingularDenominator
+from hydromoments import momom, specfun
+from hydromoments.errors import (
+    NotCircular,
+    OrderOutOfDomain,
+    SingularDenominator,
+    UnsupportedArgument,
+)
 from hydromoments.momom import (
     breit_pauli_moment,
     dirac_slater_exchange_moment,
@@ -53,6 +60,70 @@ def test_unknown_route_rejected():
         p_moment(s, 1, route="nope")
     with pytest.raises(ValueError):
         p_moment(s, 0.5, route="nope")
+
+
+def test_unknown_mode_rejected():
+    s = make_state(3, 2, 0, 1.0)
+    for call in (p_moment, reflect):
+        with pytest.raises(UnsupportedArgument):
+            call(s, 1, mode="bogus")
+    with pytest.raises(UnsupportedArgument):
+        p_moment_circular(make_state(3, 2, 1, 1.0), 1, mode="bogus")
+    # exact mode never rounds a real order to a neighbouring integer
+    with pytest.raises(UnsupportedArgument):
+        p_moment(s, 0.5, mode="exact")
+
+
+def _single_sum_quadratic(state, a):
+    """The single-sum route as a direct O(k^2) Fraction sum: every term
+    rebuilds its Pochhammer symbols."""
+    k, nu = state.k, state.nu
+    poch = specfun.pochhammer
+    total = Fraction(0)
+    for j in range(k + 1):
+        dj = (
+            Fraction(nu, nu + j)
+            * poch(nu + Fraction(a + 1, 2), j)
+            * poch(nu + Fraction(3 - a, 2), j)
+            / (poch(nu + Fraction(1, 2), j) * poch(nu + Fraction(3, 2), j))
+        )
+        total += (-1) ** j * math.comb(k, j) * poch(2 * nu + j, k) * dj
+    fk = total / poch(2 * nu, k)
+    pref = (
+        Fraction(2, math.factorial(k))
+        * (k + nu)
+        * specfun.gamma_exact(k + 2 * nu).coeff
+        / specfun.gamma_exact(2 * nu + 1).coeff
+    )
+    gq = (
+        specfun.gamma_exact(nu + Fraction(a + 1, 2))
+        * specfun.gamma_exact(nu + Fraction(3 - a, 2))
+        / (specfun.gamma_exact(nu + Fraction(1, 2)) * specfun.gamma_exact(nu + Fraction(3, 2)))
+    )
+    return ExactValue((state.Z_exact / state.eta) ** a * pref * fk) * gq
+
+
+@pytest.mark.parametrize("D", [2, 3, 5])
+def test_single_route_matches_direct_sum(D):
+    states = [(n, 0) for n in (1, 2, 3, 7, 20, 60)] + [(6, 2), (9, 4), (12, 1)]
+    if D == 3:
+        states.append((160, 0))
+    for n, l in states:
+        s = make_state(D, n, l, 1.5)
+        lo, hi = s.momentum_interval()
+        for alpha in (-3, -1, 1, 3, 5):
+            if lo < alpha < hi:
+                assert p_moment(s, alpha, route="single").value == _single_sum_quadratic(s, alpha)
+
+
+def test_exact_single_route_builds_no_pochhammer(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("pochhammer called on the exact single route")
+
+    monkeypatch.setattr(specfun, "pochhammer", forbidden)
+    monkeypatch.setattr(momom, "pochhammer", forbidden)
+    s = make_state(3, 40, 3, 1.0)
+    assert p_moment(s, 3, mode="exact", route="single").value == p_moment(s, 3, route="hyp5f4").value
 
 
 def test_second_moment_is_squared_energy_scale():
@@ -184,6 +255,34 @@ def test_float_routes_match_quadrature_oracle():
             v = p_moment(s, 1.3, mode="float", route=route).as_float()
             assert v == pytest.approx(q, rel=1e-11)
         assert p_moment_double_sum(s, 1.3).as_float() == pytest.approx(q, rel=1e-11)
+
+
+def _momentum_reference(s, alpha):
+    """<p^alpha> from the 5F4 form in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        k, nu, a = s.k, mpmath.mpf(float(s.nu)), mpmath.mpf(alpha)
+        g = mpmath.gamma
+        series = mpmath.hyper(
+            [-k, k + 2 * nu, nu, nu + (a + 1) / 2, nu + (3 - a) / 2],
+            [2 * nu, nu + 0.5, nu + 1, nu + 1.5], 1,
+        )
+        return (
+            (s.Z / mpmath.mpf(float(s.eta))) ** a * 2 ** (1 - 2 * nu) * mpmath.sqrt(mpmath.pi) * (k + nu)
+            * g(k + 2 * nu) * g(nu + (a + 1) / 2) * g(nu + (3 - a) / 2)
+            / (mpmath.factorial(k) * g(nu + 0.5) ** 2 * g(nu + 1) * g(nu + 1.5))
+            * series
+        )
+
+
+@pytest.mark.parametrize("route", ["single", "hyp5f4", "double"])
+def test_float_error_bound_covers_prefactor_rounding(route):
+    # large log-prefactors whose rounding the bound used to leave out
+    for D, n, l, alpha in [(6, 12, 11, 10.71), (9, 11, 10, 14.93), (9, 8, 7, -14.06), (9, 12, 11, -17.1)]:
+        s = make_state(D, n, l, 1.0)
+        res = p_moment(s, alpha, mode="float", route=route)
+        assert res.method is not Method.QUADRATURE
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(res.value) - _momentum_reference(s, alpha)) <= res.error_estimate
 
 
 def test_large_n_falls_back_to_quadrature():

@@ -3,10 +3,11 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hydromoments import ExactValue, Method, make_state, r_moment, r_moment_closed, r_moment_ground
-from hydromoments.errors import OrderOutOfDomain, SingularDenominator
+from hydromoments.errors import FloatOverflow, OrderOutOfDomain, SingularDenominator, UnsupportedArgument
 
 GRID = [
     (D, n, l)
@@ -121,3 +122,40 @@ def test_large_n_float_falls_back_to_quadrature():
     res = r_moment(s, 0.5)
     assert res.method is Method.QUADRATURE
     assert math.isfinite(res.as_float()) and res.as_float() > 0
+
+
+def test_unknown_mode_rejected():
+    s = make_state(3, 2, 0, 1.0)
+    with pytest.raises(UnsupportedArgument):
+        r_moment(s, 2, mode="bogus")
+    with pytest.raises(UnsupportedArgument):
+        r_moment(s, 1.5, mode="exact")
+    with pytest.raises(UnsupportedArgument):
+        r_moment_ground(3, 1.0, 2, mode="bogus")
+
+
+def _position_reference(s, alpha):
+    """<r^alpha> from the 3F2 form in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        k, a = s.k, mpmath.mpf(alpha)
+        eta, L = mpmath.mpf(float(s.eta)), mpmath.mpf(float(s.L))
+        series = mpmath.hyper([-k, -a - 1, a + 2], [2 * L + 2, 1], 1)
+        return (
+            eta ** (a - 1) / (2 ** (a + 1) * mpmath.mpf(s.Z) ** a)
+            * mpmath.gamma(2 * L + a + 3) / mpmath.gamma(2 * L + 2) * series
+        )
+
+
+def test_float_error_bound_covers_prefactor_rounding():
+    # large log-prefactors whose rounding the bound used to leave out
+    for D, n, l, alpha in [(6, 12, 11, 11.57), (2, 16, 12, 26.84), (9, 12, 11, -17.1), (3, 15, 14, -10.22)]:
+        s = make_state(D, n, l, 1.0)
+        res = r_moment(s, alpha)
+        assert res.method is Method.HYP3F2
+        with mpmath.workdps(40):
+            assert abs(mpmath.mpf(res.value) - _position_reference(s, alpha)) <= res.error_estimate
+
+
+def test_double_overflow_is_a_library_error():
+    with pytest.raises(FloatOverflow):
+        r_moment(make_state(3, 100, 0, 1.0), 150.5)

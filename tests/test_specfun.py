@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hydromoments.errors import (
+    FloatOverflow,
     NonpositiveArgument,
     NonTerminating,
     PoleInBottomParameter,
@@ -21,6 +22,7 @@ from hydromoments.specfun import (
     HypSumSpec,
     digamma,
     digamma_half_exact,
+    exp_sum,
     gamma_exact,
     gamma_ratio_exact,
     hyp_sum,
@@ -147,3 +149,69 @@ class TestHypSum:
         exact = hyp_sum(spec, "exact").to_float()
         value, bound = hyp_sum(spec, "float")
         assert abs(value - exact) <= bound + 1e-14 * abs(exact) + 1e-300
+
+
+def _hyp_sum_reference(top, bottom, terms):
+    """Term-by-term Fraction sum: each term is the previous times the ratio."""
+    term = total = Fraction(1)
+    for j in range(terms - 1):
+        for a in top:
+            term *= a + j
+        for b in bottom:
+            term /= b + j
+        term /= j + 1
+        total += term
+    return total
+
+
+def _half_integer(lo, hi):
+    return st.integers(2 * lo, 2 * hi).map(lambda m: Fraction(m, 2))
+
+
+@st.composite
+def _exact_specs(draw):
+    k = draw(st.integers(0, 30))
+    n_top = draw(st.sampled_from((2, 3, 5)))
+    n_bottom = draw(st.sampled_from((1, 2, 4)))
+    top = [Fraction(-k)] + draw(st.lists(_half_integer(-20, 40), min_size=n_top - 1, max_size=n_top - 1))
+    # integral bottom parameters in (-k, 0] are poles; half-odd ones never are
+    pole_free = _half_integer(-20, 40).filter(lambda b: not (b.denominator == 1 and -k < b <= 0))
+    bottom = draw(st.lists(pole_free, min_size=n_bottom, max_size=n_bottom))
+    return top, bottom, k + 1
+
+
+class TestHypSumExactKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_exact_specs())
+    def test_matches_term_by_term_fractions(self, spec):
+        top, bottom, terms = spec
+        got = hyp_sum(HypSumSpec(top=tuple(top), bottom=tuple(bottom), terms=terms), "exact")
+        assert got == ExactValue(_hyp_sum_reference(top, bottom, terms))
+
+    @pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (5, 4), (2, 4), (5, 1), (3, 1)])
+    def test_top_and_bottom_of_different_lengths(self, p, q):
+        # the common denominator enters the term ratio as d^(q-p)
+        top = (-7,) + tuple(Fraction(2 * i + 3, 2) for i in range(p - 1))
+        bottom = tuple(Fraction(2 * i + 5, 2) for i in range(q))
+        got = hyp_sum(HypSumSpec(top=top, bottom=bottom, terms=8), "exact")
+        assert got == ExactValue(_hyp_sum_reference(top, bottom, 8))
+
+    def test_rejects_non_half_integer_parameters(self):
+        with pytest.raises(UnsupportedArgument):
+            hyp_sum(HypSumSpec(top=(-2, Fraction(1, 3)), bottom=(1,), terms=3), "exact")
+
+
+class TestExpSum:
+    def test_value_and_relative_bound(self):
+        terms = [math.lgamma(200.5), -math.lgamma(150.0), 30 * math.log(0.7)]
+        value, rel = exp_sum(terms)
+        with mpmath.workdps(40):
+            ref = mpmath.exp(
+                mpmath.loggamma(mpmath.mpf(401) / 2) - mpmath.loggamma(150) + 30 * mpmath.log(mpmath.mpf(0.7))
+            )
+            assert abs(value - ref) <= rel * abs(ref)
+        assert rel == pytest.approx(4 * 2.0 ** -53 * (sum(abs(t) for t in terms) + 1))
+
+    def test_overflow_is_a_library_error(self):
+        with pytest.raises(FloatOverflow):
+            exp_sum([400.0, 400.0])
