@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import asympt, momom, oracle, posmom, uncertainty
-from .errors import HydromomentsError, OrderOutOfDomain, OrderOutOfRegime
+from .errors import HydromomentsError, OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument
 from .posmom import MomentResult
 from .specfun import ExactValue
 from .states import HydrogenicState, Space, make_state
@@ -97,10 +97,8 @@ def cmd_compute(args) -> int:
     try:
         state = make_state(args.D, args.n, args.l, args.Z)
         space = Space(args.space)
-        mode = args.mode
-        if mode == "auto":
-            mode = "exact" if float(args.alpha).is_integer() else "float"
-        alpha = int(args.alpha) if float(args.alpha).is_integer() and mode == "exact" else float(args.alpha)
+        mode = args.mode if args.mode == "oracle" else posmom.resolve_mode(args.alpha, args.mode)
+        alpha = int(args.alpha) if mode == "exact" else float(args.alpha)
         res = _compute_one(state, space, alpha, mode)
     except (OrderOutOfDomain, OrderOutOfRegime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -156,13 +154,11 @@ def cmd_table(args) -> int:
         row_id = [D, n, l, fmt_float(args.Z), space.value, fmt_float(alpha), args.mode]
         try:
             state = make_state(D, n, l, args.Z)
-            mode = args.mode
-            if mode == "auto":
-                mode = "exact" if alpha.is_integer() else "float"
-            a = int(alpha) if alpha.is_integer() and mode == "exact" else alpha
+            mode = args.mode if args.mode == "oracle" else posmom.resolve_mode(alpha, args.mode)
+            a = int(alpha) if mode == "exact" else alpha
             res = _compute_one(state, space, a, mode)
             return task, result_to_csv_row(res, mode), result_to_dict(res)
-        except (OrderOutOfDomain, OrderOutOfRegime) as exc:
+        except (OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument) as exc:
             return task, row_id + ["", "", "", "", "out-of-domain"], {
                 "schemaVersion": SCHEMA_VERSION,
                 "state": {"D": D, "n": n, "l": l, "Z": fmt_float(args.Z)},

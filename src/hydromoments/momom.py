@@ -3,9 +3,11 @@
 Four mutually checking routes: the default single finite sum (k+1 terms),
 the raw terminating-5F4 form, the double-sum rewriting, and the reflection
 identity.  For integer orders the single sum is the 5F4 series itself, so
-`single` and `hyp5f4` share the exact kernel `specfun.hyp_sum` and differ
-only in how their gamma prefactors are written; `double` is the
-independent exact cross-check.  Closed forms cover even orders, circular
+`single` and `hyp5f4` share the exact integer kernel
+`specfun.hyp_sum_fraction` (`single` calls it directly and keeps its
+prefactor rational; `hyp5f4` goes through `hyp_sum`) and differ only in how
+their gamma prefactors are written; `double` is the independent exact
+cross-check.  Closed forms cover even orders, circular
 states, the mean momentum and the average inverse momentum.  Integer orders
 evaluate exactly; real orders use compensated float summation with a
 cancellation bound and fall back to the quadrature oracle when the bound
@@ -33,6 +35,7 @@ from .specfun import (
     exp_sum,
     gamma_exact,
     hyp_sum,
+    hyp_sum_fraction,
     is_integral,
     log_gamma,
     pochhammer,
@@ -87,8 +90,8 @@ def _single_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
     # The single sum over j of (-1)^j C(k,j) (2nu+j)_k / (2nu)_k * nu/(nu+j)
     # * (nu+(a+1)/2)_j (nu+(3-a)/2)_j / ((nu+1/2)_j (nu+3/2)_j) is, term
     # for term, the 5F4 series of _hyp5f4_spec.
-    series = hyp_sum(_hyp5f4_spec(state, a), "exact")
-    return _zeta_pow(state, a) * ExactValue(pref_rat) * gq * series
+    series = hyp_sum_fraction(_hyp5f4_spec(state, a))
+    return _zeta_pow(state, a) * ExactValue(pref_rat * series) * gq
 
 
 def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from .specfun import (
     hyp_sum,
     is_integral,
     log_gamma,
+    pochhammer,
 )
 from .states import HydrogenicState, MomentOrder, Space, check_order, make_state
 
@@ -90,11 +91,13 @@ def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
 
     if mode == "exact":
         a = int(round(float(alpha)))
-        pref = (
-            ExactValue(eta ** (a - 1))
-            / ExactValue(Fraction(2) ** (a + 1) * state.Z_exact ** a)
-            * gamma_ratio_exact(2 * L + a + 3, 2 * L + 2)
-        )
+        # Gamma(2L+a+3)/Gamma(2L+2) as a Pochhammer symbol of |a+1| factors;
+        # 2L+2 = 2l+D-1 is an integer and the order check keeps 2L+a+3 >= 1
+        if a >= -1:
+            ratio = pochhammer(2 * L + 2, a + 1)
+        else:
+            ratio = 1 / pochhammer(2 * L + a + 3, -a - 1)
+        pref = ExactValue(eta ** (a - 1) / (Fraction(2) ** (a + 1) * state.Z_exact ** a) * ratio)
         spec = HypSumSpec(
             top=(-k, Fraction(-a - 1), Fraction(a + 2)),
             bottom=(2 * L + 2, Fraction(1)),

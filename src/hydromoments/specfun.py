@@ -240,8 +240,8 @@ class HypSumSpec:
                 raise PoleInBottomParameter(f"bottom parameter {b} hits a pole")
 
 
-def _hyp_sum_exact(spec: HypSumSpec) -> Fraction:
-    """The sum as a Fraction, on integers only.
+def hyp_sum_fraction(spec: HypSumSpec) -> Fraction:
+    """The exact sum as a Fraction, on integers only.
 
     With every parameter written over the common denominator d as A/d, the
     term ratio is r_j = prod(A_i + d j) d^(q-p) / ((j+1) prod(B_i + d j))
@@ -279,7 +279,7 @@ def hyp_sum(spec: HypSumSpec, mode: str = "exact"):
     plus a per-term rounding bound, so cancellation is visible to callers.
     """
     if mode == "exact":
-        return ExactValue(_hyp_sum_exact(spec))
+        return ExactValue(hyp_sum_fraction(spec))
 
     k = spec.terms - 1
     top = [float(a) for a in spec.top]

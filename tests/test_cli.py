@@ -105,6 +105,21 @@ def test_table_marks_overflowing_cell_and_continues(capsys):
     assert [r[-1] for r in rows[1:]] == ["ok", "numerical-failure"]
 
 
+def test_exact_mode_with_real_order_is_an_input_error(capsys):
+    code, out, _ = run(capsys, [
+        "table", "--space", "p", "--D-range", "3", "--n-range", "2", "--l", "0",
+        "--alpha-list=1,1.5", "--mode", "exact",
+    ])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[-1] for r in rows[1:]] == ["ok", "out-of-domain"]
+    code, _, err = run(capsys, [
+        "compute", "--space", "p", "--alpha", "1.5", "--D", "3", "--n", "2", "--l", "0", "--mode", "exact",
+    ])
+    assert code == cli.EXIT_DOMAIN
+    assert "integer order" in err
+
+
 def test_table_parallel_matches_serial(capsys, monkeypatch):
     argv = [
         "table", "--space", "r", "--D-range", "2:4", "--n-range", "1:3", "--l", "all",
