@@ -3,11 +3,12 @@
 Four mutually checking routes: the default single finite sum (k+1 terms),
 the raw terminating-5F4 form, the double-sum rewriting, and the reflection
 identity.  For integer orders the single sum is the 5F4 series itself, so
-`single` and `hyp5f4` share the exact integer kernel
-`specfun.hyp_sum_fraction` (`single` calls it directly and keeps its
-prefactor rational; `hyp5f4` goes through `hyp_sum`) and differ only in how
-their gamma prefactors are written; `double` is the independent exact
-cross-check.  Closed forms cover even orders, circular
+`single` and `hyp5f4` share one integer prefactor (`_momentum_prefactor`)
+and one integer kernel, and each builds one Fraction at the end: `single`
+calls the kernel `specfun.hyp_sum_doubled` directly, `hyp5f4` goes through
+`specfun.hyp_sum`.  Comparing the two therefore checks only one kernel call
+against the other; `double` is the independent exact cross-check.  Closed
+forms cover even orders, circular
 states, the mean momentum and the average inverse momentum.  Integer orders
 evaluate exactly; real orders use compensated float summation with a
 cancellation bound and fall back to the quadrature oracle when the bound
@@ -28,17 +29,18 @@ from .errors import (
     UnsupportedArgument,
 )
 from .specfun import (
-    SQRT_PI,
     ExactValue,
     HypSumSpec,
     digamma_half_exact,
     exp_sum,
     gamma_exact,
+    gamma_ratio_doubled,
     hyp_sum,
-    hyp_sum_fraction,
+    hyp_sum_doubled,
     is_integral,
     log_gamma,
     pochhammer,
+    ratio_power,
 )
 from .posmom import CANCELLATION_LIMIT, Method, MomentResult, resolve_mode
 from .states import HydrogenicState, MomentOrder, Space, check_order
@@ -74,24 +76,41 @@ def _zeta_logs(state: HydrogenicState, alpha: float) -> list[float]:
     return [alpha * math.log(state.Z), -alpha * math.log(float(state.eta))]
 
 
+def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
+    """The exact prefactor of the 5F4 series at integer order a,
+    (Z/eta)^a 2(k+nu)/k! Gamma(k+2nu)/Gamma(2nu+1)
+    * Gamma(nu+(a+1)/2) Gamma(nu+(3-a)/2) / (Gamma(nu+1/2) Gamma(nu+3/2)),
+    as an unreduced (numerator, denominator, twice the pi power).
+
+    By Legendre's duplication formula,
+    Gamma(2nu+1) = 2^(2nu) Gamma(nu+1/2) Gamma(nu+1) / sqrt(pi), this is the
+    paper's 2^(1-2nu) sqrt(pi) (k+nu)/k! Gamma(k+2nu) Gamma(nu+(a+1)/2)
+    Gamma(nu+(3-a)/2) / (Gamma(nu+1/2)^2 Gamma(nu+1) Gamma(nu+3/2))."""
+    k, t = state.k, state.two_nu
+    num, den, two_pi = gamma_ratio_doubled(
+        (2 * k + 2 * t, t + a + 1, t + 3 - a), (2 * t + 2, t + 1, t + 3)
+    )
+    # Z/eta = 2 Z_num / (Z_den * 2eta), and 2(k+nu) = 2k + 2nu
+    z_num, z_den = state.Z.as_integer_ratio()
+    zn, zd = ratio_power(2 * z_num, z_den * state.two_eta, a)
+    return num * (2 * k + t) * zn, den * math.factorial(k) * zd, two_pi
+
+
+def _hyp5f4_doubled(state: HydrogenicState, a: int) -> tuple[tuple, tuple]:
+    """Twice the top and bottom parameters of the 5F4 series at integer order a:
+    (-k, k+2nu, nu, nu+(a+1)/2, nu+(3-a)/2) over (2nu, nu+1/2, nu+1, nu+3/2)."""
+    k, t = state.k, state.two_nu
+    return (-2 * k, 2 * k + 2 * t, t, t + a + 1, t + 3 - a), (2 * t, t + 1, t + 2, t + 3)
+
+
 def _single_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
-    k, nu = state.k, state.nu
-    pref_rat = (
-        Fraction(2, math.factorial(k))
-        * (k + nu)
-        * gamma_exact(k + 2 * nu).coeff
-        / gamma_exact(2 * nu + 1).coeff
-    )
-    gq = (
-        gamma_exact(nu + Fraction(a + 1, 2))
-        * gamma_exact(nu + Fraction(3 - a, 2))
-        / (gamma_exact(nu + Fraction(1, 2)) * gamma_exact(nu + Fraction(3, 2)))
-    )
     # The single sum over j of (-1)^j C(k,j) (2nu+j)_k / (2nu)_k * nu/(nu+j)
     # * (nu+(a+1)/2)_j (nu+(3-a)/2)_j / ((nu+1/2)_j (nu+3/2)_j) is, term
-    # for term, the 5F4 series of _hyp5f4_spec.
-    series = hyp_sum_fraction(_hyp5f4_spec(state, a))
-    return _zeta_pow(state, a) * ExactValue(pref_rat * series) * gq
+    # for term, the 5F4 series; this route calls the integer kernel directly,
+    # hyp5f4 reaches it through hyp_sum.
+    num, den, two_pi = _momentum_prefactor(state, a)
+    s_num, s_den = hyp_sum_doubled(*_hyp5f4_doubled(state, a), state.k + 1)
+    return ExactValue(Fraction(num * s_num, den * s_den), Fraction(two_pi, 2))
 
 
 def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
@@ -131,39 +150,23 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
 
 
 def _hyp5f4_spec(state: HydrogenicState, alpha) -> HypSumSpec:
-    k, nu = state.k, state.nu
     if is_integral(alpha):
-        a = int(round(float(alpha)))
-        top = (
-            -k, k + 2 * nu, nu,
-            nu + Fraction(a + 1, 2), nu + Fraction(3 - a, 2),
-        )
-        bottom = (2 * nu, nu + Fraction(1, 2), nu + 1, nu + Fraction(3, 2))
+        top2, bottom2 = _hyp5f4_doubled(state, int(round(float(alpha))))
+        top = tuple(Fraction(x, 2) for x in top2)
+        bottom = tuple(Fraction(x, 2) for x in bottom2)
     else:
-        nu_f = float(nu)
+        k, nu_f = state.k, float(state.nu)
         top = (-k, k + 2 * nu_f, nu_f, nu_f + (alpha + 1) / 2, nu_f + (3 - alpha) / 2)
         bottom = (2 * nu_f, nu_f + 0.5, nu_f + 1, nu_f + 1.5)
-    return HypSumSpec(top=top, bottom=bottom, terms=k + 1)
+    return HypSumSpec(top=top, bottom=bottom, terms=state.k + 1)
 
 
 def _hyp5f4_exact(state: HydrogenicState, a: int) -> ExactValue:
-    k, nu = state.k, state.nu
-    two_nu = int(2 * nu)
-    pref = (
-        ExactValue(Fraction(2) ** (1 - two_nu) / math.factorial(k))
-        * SQRT_PI
-        * ExactValue(k + nu)
-        * gamma_exact(k + 2 * nu)
-        * gamma_exact(nu + Fraction(a + 1, 2))
-        * gamma_exact(nu + Fraction(3 - a, 2))
-        / (
-            gamma_exact(nu + Fraction(1, 2)) ** 2
-            * gamma_exact(nu + 1)
-            * gamma_exact(nu + Fraction(3, 2))
-        )
+    num, den, two_pi = _momentum_prefactor(state, a)
+    series = hyp_sum(_hyp5f4_spec(state, a), "exact").coeff
+    return ExactValue(
+        Fraction(num * series.numerator, den * series.denominator), Fraction(two_pi, 2)
     )
-    series = hyp_sum(_hyp5f4_spec(state, a), "exact")
-    return _zeta_pow(state, a) * pref * series
 
 
 def _hyp5f4_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:

@@ -262,16 +262,27 @@ def momentum_norm_sq(state: HydrogenicState) -> ExactValue:
     )
 
 
-def radial_position(state: HydrogenicState, r):
-    """Radial position wavefunction R_{n,l}(r)."""
-    r = np.asarray(r, dtype=float)
-    x = 2 * state.Z * r / float(state.eta)
+def _position_amplitude(state: HydrogenicState) -> float:
+    """The constant factor of R_{n,l}(r) in front of the orthonormal Laguerre
+    polynomial."""
     b = 2 * state.l + state.D - 2
     logk2 = math.log(position_norm_sq(state).to_float())
     # orthonormal Laguerre carries 1/||L||; restore the conventional scale
     lognorm = 0.5 * (log_gamma(state.k + b + 1) - log_gamma(state.k + 1))
-    amp = math.exp(0.5 * logk2 + lognorm)
+    return math.exp(0.5 * logk2 + lognorm)
+
+
+def _radial_position(state: HydrogenicState, r, amp: float):
+    """R_{n,l}(r) given its amplitude from _position_amplitude."""
+    r = np.asarray(r, dtype=float)
+    x = 2 * state.Z * r / (state.two_eta / 2)  # float(eta), without building the Fraction
+    b = 2 * state.l + state.D - 2
     return amp * x ** state.l * np.exp(-x / 2) * laguerre_orthonormal(state.k, b, x)
+
+
+def radial_position(state: HydrogenicState, r):
+    """Radial position wavefunction R_{n,l}(r)."""
+    return _radial_position(state, r, _position_amplitude(state))
 
 
 def radial_momentum(state: HydrogenicState, p):
@@ -296,10 +307,11 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
 
     omega = solid_angle(state.D).to_float()
     scale = float(state.eta) / (2 * state.Z)
+    amp = _position_amplitude(state)  # exact norm, once per call rather than per point
 
     def integrand(u):
         r = u * scale
-        rr = radial_position(state, r) ** 2
+        rr = _radial_position(state, r, amp) ** 2
         return float(rr ** q * r ** (state.D - 1)) * scale
 
     total = 0.0

@@ -22,6 +22,7 @@ from .specfun import (
     is_integral,
     log_gamma,
     pochhammer,
+    ratio_power,
 )
 from .states import HydrogenicState, MomentOrder, Space, check_order, make_state
 
@@ -86,27 +87,31 @@ def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     _require_position_order(state, float(alpha))
     mode = resolve_mode(alpha, mode)
     k = state.k
-    L = state.L
-    eta = state.eta
 
     if mode == "exact":
         a = int(round(float(alpha)))
+        t = state.two_nu  # 2L+2, an integer
         # Gamma(2L+a+3)/Gamma(2L+2) as a Pochhammer symbol of |a+1| factors;
-        # 2L+2 = 2l+D-1 is an integer and the order check keeps 2L+a+3 >= 1
+        # the order check keeps 2L+a+3 >= 1
         if a >= -1:
-            ratio = pochhammer(2 * L + 2, a + 1)
+            ratio = pochhammer(t, a + 1)
+            num, den = ratio.numerator, ratio.denominator
         else:
-            ratio = 1 / pochhammer(2 * L + a + 3, -a - 1)
-        pref = ExactValue(eta ** (a - 1) / (Fraction(2) ** (a + 1) * state.Z_exact ** a) * ratio)
-        spec = HypSumSpec(
-            top=(-k, Fraction(-a - 1), Fraction(a + 2)),
-            bottom=(2 * L + 2, Fraction(1)),
-            terms=k + 1,
-        )
-        value = pref * hyp_sum(spec, "exact")
+            ratio = pochhammer(t + a + 1, -a - 1)
+            num, den = ratio.denominator, ratio.numerator
+        spec = HypSumSpec(top=(-k, -a - 1, a + 2), bottom=(t, 1), terms=k + 1)
+        series = hyp_sum(spec, "exact").coeff
+        # eta^(a-1) / (2^(a+1) Z^a) = (2eta)^(a-1) / (4 Z)^a, with Z = z_num / z_den
+        z_num, z_den = state.Z.as_integer_ratio()
+        en, ed = ratio_power(state.two_eta, 1, a - 1)
+        zn, zd = ratio_power(z_den, 4 * z_num, a)
+        value = ExactValue(Fraction(
+            num * series.numerator * en * zn, den * series.denominator * ed * zd
+        ))
         return MomentResult(value, 0.0, Method.HYP3F2, Space.POSITION, float(alpha), state)
 
     alpha = float(alpha)
+    L, eta = state.L, state.eta
     pref, pref_rel = exp_sum([
         (alpha - 1) * math.log(float(eta)),
         -(alpha + 1) * math.log(2.0),
@@ -189,8 +194,7 @@ def _over(numerator: Fraction, factors) -> Fraction:
 def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult:
     """Ground-state <r^alpha> = ((D-1)/4Z)^alpha Gamma(D+alpha)/Gamma(D)."""
     state = make_state(D, 1, 0, Z)
-    if not float(alpha) > -D:
-        raise OrderOutOfDomain(f"ground-state position order must exceed {-D}")
+    _require_position_order(state, float(alpha))
     if resolve_mode(alpha, mode) == "exact":
         a = int(round(float(alpha)))
         scale = Fraction(D - 1, 4) / state.Z_exact

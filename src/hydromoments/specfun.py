@@ -35,7 +35,7 @@ def as_fraction(x) -> Fraction:
     Fraction is returned as is: it is already in lowest terms."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (Rational, float)):
+    if isinstance(x, (int, float, Rational)):
         return Fraction(x)
     raise UnsupportedArgument(f"cannot represent {x!r} exactly")
 
@@ -122,6 +122,11 @@ def _coerce(x) -> ExactValue:
     return ExactValue(as_fraction(x))
 
 
+def ratio_power(p: int, q: int, e: int) -> tuple[int, int]:
+    """(p/q)^e as an unreduced (numerator, denominator) pair of integers."""
+    return (p ** e, q ** e) if e >= 0 else (q ** -e, p ** -e)
+
+
 EXACT_ONE = ExactValue(Fraction(1))
 SQRT_PI = ExactValue(Fraction(1), Fraction(1, 2))
 
@@ -163,11 +168,12 @@ def _gamma_exact_cached(num: int, den: int) -> ExactValue:
 def gamma_exact(x) -> ExactValue:
     """Gamma(x) for positive integer or half-integer rational x."""
     x = as_fraction(x)
-    if x <= 0:
+    num, den = x.numerator, x.denominator
+    if num <= 0:
         raise NonpositiveArgument(f"gamma_exact requires x > 0, got {x}")
-    if x.denominator not in (1, 2):
+    if den not in (1, 2):
         raise UnsupportedArgument(f"gamma_exact needs denominator 1 or 2, got {x}")
-    return _gamma_exact_cached(x.numerator, x.denominator)
+    return _gamma_exact_cached(num, den)
 
 
 def gamma_ratio_exact(x, y) -> ExactValue:
@@ -175,11 +181,32 @@ def gamma_ratio_exact(x, y) -> ExactValue:
     return gamma_exact(x) / gamma_exact(y)
 
 
+def gamma_ratio_doubled(top2, bottom2) -> tuple[int, int, int]:
+    """prod Gamma(x/2) over top2 divided by prod Gamma(x/2) over bottom2,
+    for positive integers x, as an unreduced (numerator, denominator, twice
+    the pi power).  Each factor is read off gamma_exact's coefficient."""
+    num = den = 1
+    two_pi = 0
+    for two_x in top2:
+        c = gamma_exact(Fraction(two_x, 2)).coeff
+        num *= c.numerator
+        den *= c.denominator
+        two_pi += two_x & 1
+    for two_x in bottom2:
+        c = gamma_exact(Fraction(two_x, 2)).coeff
+        num *= c.denominator
+        den *= c.numerator
+        two_pi -= two_x & 1
+    return num, den, two_pi
+
+
 def pochhammer(a, j: int, mode: str = "exact"):
     """(a)_j = a (a+1) ... (a+j-1), with (a)_0 = 1."""
     if j < 0:
         raise UnsupportedArgument("pochhammer needs j >= 0")
     if mode == "exact":
+        if isinstance(a, int):
+            return Fraction(math.prod(range(a, a + j)))
         a = as_fraction(a)
         if a.denominator not in (1, 2):
             raise UnsupportedArgument("exact pochhammer needs denominator 1 or 2")
@@ -240,26 +267,28 @@ class HypSumSpec:
                 raise PoleInBottomParameter(f"bottom parameter {b} hits a pole")
 
 
-def hyp_sum_fraction(spec: HypSumSpec) -> Fraction:
-    """The exact sum as a Fraction, on integers only.
+def hyp_sum_doubled(top2, bottom2, terms: int) -> tuple[int, int]:
+    """The exact sum of `terms` terms of a terminating series whose top and
+    bottom parameters are given doubled, as the integers 2 a_i and 2 b_i,
+    returned as an unreduced (numerator, denominator) pair.  The caller
+    checks that the series terminates and has no pole.
 
-    With every parameter written over the common denominator d as A/d, the
-    term ratio is r_j = prod(A_i + d j) d^(q-p) / ((j+1) prod(B_i + d j))
-    for p top and q bottom parameters.  The sum
-    1 + r_0 (1 + r_1 (1 + ... (1 + r_{k-1}))) runs backwards on one integer
-    numerator and denominator, and Fraction takes the single gcd at the end
-    (as in Haible & Papanikolaou, "Fast multiprecision evaluation of series
-    of rational numbers", 1998), so each step costs O(1) integer products."""
-    params = [as_fraction(p) for p in (*spec.top, *spec.bottom)]
-    if any(p.denominator not in (1, 2) for p in params):
-        raise UnsupportedArgument("exact hyp_sum needs half-integer parameters")
-    d = max(p.denominator for p in params)
-    ints = [int(p * d) for p in params]
-    top, bottom = ints[: len(spec.top)], ints[len(spec.top):]
+    With every parameter written as A/d over the common denominator d (1
+    when every doubled parameter is even, else 2), the term ratio is
+    r_j = prod(A_i + d j) d^(q-p) / ((j+1) prod(B_i + d j)) for p top and q
+    bottom parameters.  The sum 1 + r_0 (1 + r_1 (1 + ... (1 + r_{k-1})))
+    runs backwards on one integer numerator and denominator, so each step
+    costs O(1) integer products, and the caller reduces once at the end (as
+    in Haible & Papanikolaou, "Fast multiprecision evaluation of series of
+    rational numbers", 1998)."""
+    if all(x % 2 == 0 for x in (*top2, *bottom2)):
+        d, top, bottom = 1, [x // 2 for x in top2], [x // 2 for x in bottom2]
+    else:
+        d, top, bottom = 2, top2, bottom2
     shift = len(bottom) - len(top)
     num_scale, den_scale = d ** max(shift, 0), d ** max(-shift, 0)
     num = den = 1
-    for j in range(spec.terms - 2, -1, -1):
+    for j in range(terms - 2, -1, -1):
         rn = num_scale
         for a in top:
             rn *= a + d * j
@@ -268,7 +297,20 @@ def hyp_sum_fraction(spec: HypSumSpec) -> Fraction:
             rd *= b + d * j
         num = rd * den + rn * num
         den *= rd
-    return Fraction(num, den)
+    return num, den
+
+
+def hyp_sum_fraction(spec: HypSumSpec) -> Fraction:
+    """The exact sum as a Fraction: `hyp_sum_doubled` on the doubled
+    half-integer parameters, reduced once."""
+    doubled = []
+    for p in (*spec.top, *spec.bottom):
+        p = as_fraction(p)
+        if p.denominator not in (1, 2):
+            raise UnsupportedArgument("exact hyp_sum needs half-integer parameters")
+        doubled.append(2 * p.numerator // p.denominator)
+    ntop = len(spec.top)
+    return Fraction(*hyp_sum_doubled(doubled[:ntop], doubled[ntop:], spec.terms))
 
 
 def hyp_sum(spec: HypSumSpec, mode: str = "exact"):

@@ -3,19 +3,24 @@
 A bound state of the D-dimensional hydrogenic system is labeled by
 (D, n, l, Z).  All downstream formulas depend only on the derived symbols
 eta = n + (D-3)/2, L = l + (D-3)/2, nu = L + 1 and k = n - l - 1, which are
-kept as exact rationals so half-integer cases (even D) stay exact.
+kept as exact rationals so half-integer cases (even D) stay exact.  The
+integer kernels take 2 nu and 2 eta, which are integers for every D.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import (
     DimensionTooSmall,
     NonpositiveCharge,
+    ParameterOutOfRange,
     QuantumNumberOutOfRange,
+    UnsupportedArgument,
 )
 from .specfun import as_fraction
 
@@ -33,6 +38,13 @@ class HydrogenicState:
     Z: float
 
     def __post_init__(self):
+        for name in ("D", "n", "l"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise UnsupportedArgument(f"{name} must be an int, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if isinstance(self.Z, bool) or not isinstance(self.Z, (int, float, Fraction)):
+            raise UnsupportedArgument(f"Z must be an int, float or Fraction, got {self.Z!r}")
         if self.D < 2:
             raise DimensionTooSmall(f"D must be >= 2, got {self.D}")
         if self.n < 1 or self.l < 0 or self.l >= self.n:
@@ -41,6 +53,8 @@ class HydrogenicState:
             )
         if not self.Z > 0:
             raise NonpositiveCharge(f"Z must be positive, got {self.Z}")
+        if isinstance(self.Z, float) and not math.isfinite(self.Z):
+            raise ParameterOutOfRange(f"Z must be finite, got {self.Z}")
 
     @property
     def eta(self) -> Fraction:
@@ -53,6 +67,16 @@ class HydrogenicState:
     @property
     def nu(self) -> Fraction:
         return self.L + 1
+
+    @property
+    def two_eta(self) -> int:
+        """2 eta = 2n + D - 3."""
+        return 2 * self.n + self.D - 3
+
+    @property
+    def two_nu(self) -> int:
+        """2 nu = 2l + D - 1."""
+        return 2 * self.l + self.D - 1
 
     @property
     def k(self) -> int:
@@ -86,8 +110,11 @@ def make_state(D: int, n: int, l: int, Z: float) -> HydrogenicState:
 
 
 def check_order(state: HydrogenicState, order: MomentOrder) -> bool:
-    """True iff the order lies in the open validity interval for its space."""
+    """True iff the order is finite and lies in the open validity interval
+    for its space."""
     alpha = order.alpha
+    if not math.isfinite(alpha):
+        return False
     if order.space is Space.POSITION:
         return alpha > state.position_lower_bound()
     lo, hi = state.momentum_interval()

@@ -133,3 +133,21 @@ def test_entropic_moments_ground_state():
     for q in (1.5, 2.0, 3.0):
         expect = math.pi ** (1 - q) / q ** 3
         assert entropic_moment(s, q) == pytest.approx(expect, rel=1e-9)
+
+
+def test_entropic_moment_takes_the_exact_norm_once(monkeypatch):
+    from hydromoments import oracle
+
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return position_norm_sq(state)
+
+    s = make_state(4, 3, 0, 1.0)
+    want = entropic_moment(s, 1.5)
+    monkeypatch.setattr(oracle, "position_norm_sq", counting)
+    assert entropic_moment(s, 1.5) == want
+    assert calls == [s]
+    r = np.array([0.5, 2.0, 9.0])
+    assert np.array_equal(radial_position(s, r), oracle._radial_position(s, r, oracle._position_amplitude(s)))

@@ -6,7 +6,17 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from hydromoments import ExactValue, Method, make_state, r_moment, r_moment_closed, r_moment_ground
+from hydromoments import (
+    ExactValue,
+    Method,
+    MomentOrder,
+    Space,
+    check_order,
+    make_state,
+    r_moment,
+    r_moment_closed,
+    r_moment_ground,
+)
 from hydromoments.errors import FloatOverflow, OrderOutOfDomain, SingularDenominator, UnsupportedArgument
 
 GRID = [
@@ -159,3 +169,14 @@ def test_float_error_bound_covers_prefactor_rounding():
 def test_double_overflow_is_a_library_error():
     with pytest.raises(FloatOverflow):
         r_moment(make_state(3, 100, 0, 1.0), 150.5)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_non_finite_order_is_out_of_domain(alpha):
+    s = make_state(3, 4, 1, 1.0)
+    with pytest.raises(OrderOutOfDomain):
+        r_moment(s, alpha)
+    with pytest.raises(OrderOutOfDomain):
+        r_moment_ground(3, 1.0, alpha)
+    assert not check_order(s, MomentOrder(alpha, Space.POSITION))
+    assert not check_order(s, MomentOrder(alpha, Space.MOMENTUM))

@@ -24,9 +24,12 @@ from hydromoments.specfun import (
     digamma_half_exact,
     exp_sum,
     gamma_exact,
+    gamma_ratio_doubled,
     gamma_ratio_exact,
     hyp_sum,
+    hyp_sum_doubled,
     pochhammer,
+    ratio_power,
 )
 
 
@@ -82,9 +85,28 @@ class TestGamma:
             Fraction(35, 4)
         )
 
+    def test_ratio_of_doubled_arguments(self):
+        # Gamma(7/2) Gamma(2) / Gamma(3/2) = 15/4; Gamma(1/2) / Gamma(3) = sqrt(pi) / 2
+        num, den, two_pi = gamma_ratio_doubled((7, 4), (3,))
+        assert (Fraction(num, den), two_pi) == (Fraction(15, 4), 0)
+        num, den, two_pi = gamma_ratio_doubled((1,), (6,))
+        assert (Fraction(num, den), two_pi) == (Fraction(1, 2), 1)
+        for top, bottom in [((9, 2, 5), (5, 8)), ((1, 3), (4,)), ((), (7, 1))]:
+            num, den, two_pi = gamma_ratio_doubled(top, bottom)
+            want = EXACT_ONE
+            for x in top:
+                want = want * gamma_exact(Fraction(x, 2))
+            for x in bottom:
+                want = want / gamma_exact(Fraction(x, 2))
+            assert ExactValue(Fraction(num, den), Fraction(two_pi, 2)) == want
+        with pytest.raises(NonpositiveArgument):
+            gamma_ratio_doubled((3,), (0,))
+
     def test_nonpositive_rejected(self):
         with pytest.raises(NonpositiveArgument):
             gamma_exact(0)
+        with pytest.raises(NonpositiveArgument):
+            gamma_exact(Fraction(-1, 2))
         with pytest.raises(UnsupportedArgument):
             gamma_exact(Fraction(1, 3))
 
@@ -110,6 +132,21 @@ def test_pochhammer():
     assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
     assert pochhammer(5, 0) == 1
     assert pochhammer(2.5, 2, "float") == pytest.approx(8.75)
+
+
+def test_pochhammer_of_an_int_is_the_same_fraction():
+    for a in range(-6, 12):
+        for j in range(8):
+            got = pochhammer(a, j)
+            assert type(got) is Fraction and got == pochhammer(Fraction(a), j)
+    assert pochhammer(7, 3) == Fraction(504)
+    assert pochhammer(-3, 5) == 0
+
+
+def test_ratio_power():
+    assert ratio_power(2, 3, 4) == (16, 81)
+    assert ratio_power(2, 3, 0) == (1, 1)
+    assert ratio_power(2, 3, -2) == (9, 4)
 
 
 class TestHypSum:
@@ -187,6 +224,13 @@ class TestHypSumExactKernel:
         top, bottom, terms = spec
         got = hyp_sum(HypSumSpec(top=tuple(top), bottom=tuple(bottom), terms=terms), "exact")
         assert got == ExactValue(_hyp_sum_reference(top, bottom, terms))
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_exact_specs())
+    def test_doubled_core_matches_term_by_term_fractions(self, spec):
+        top, bottom, terms = spec
+        num, den = hyp_sum_doubled([int(2 * a) for a in top], [int(2 * b) for b in bottom], terms)
+        assert Fraction(num, den) == _hyp_sum_reference(top, bottom, terms)
 
     @pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (5, 4), (2, 4), (5, 1), (3, 1)])
     def test_top_and_bottom_of_different_lengths(self, p, q):
