@@ -13,10 +13,8 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import asympt, momom, oracle, posmom, uncertainty
 from .errors import HydromomentsError, OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument
@@ -76,30 +74,24 @@ def result_to_csv_row(res: MomentResult, mode: str) -> list:
     ]
 
 
-def _compute_one(state: HydrogenicState, space: Space, alpha: float, mode: str) -> MomentResult:
+def _compute_one(state: HydrogenicState, space: Space, alpha: float, mode: str) -> tuple[str, MomentResult]:
+    """The resolved mode ("exact", "float" or "oracle") and the result of
+    one cell; an exact order is passed on as an int."""
     if mode == "oracle":
         if space is Space.POSITION:
-            return oracle.quad_r_moment(state, alpha)
-        return oracle.quad_p_moment(state, alpha)
+            return mode, oracle.quad_r_moment(state, alpha)
+        return mode, oracle.quad_p_moment(state, alpha)
+    mode = posmom.resolve_mode(alpha, mode)
+    alpha = int(alpha) if mode == "exact" else float(alpha)
     if space is Space.POSITION:
-        return posmom.r_moment(state, alpha, mode=mode)
-    return momom.p_moment(state, alpha, mode=mode)
-
-
-def _n_workers() -> int:
-    env = os.environ.get("HYDROMOMENTS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+        return mode, posmom.r_moment(state, alpha, mode=mode)
+    return mode, momom.p_moment(state, alpha, mode=mode)
 
 
 def cmd_compute(args) -> int:
     try:
         state = make_state(args.D, args.n, args.l, args.Z)
-        space = Space(args.space)
-        mode = args.mode if args.mode == "oracle" else posmom.resolve_mode(args.alpha, args.mode)
-        alpha = int(args.alpha) if mode == "exact" else float(args.alpha)
-        res = _compute_one(state, space, alpha, mode)
+        mode, res = _compute_one(state, Space(args.space), args.alpha, args.mode)
     except (OrderOutOfDomain, OrderOutOfRegime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -134,59 +126,46 @@ def _parse_range(spec: str) -> list[int]:
     return [int(x) for x in spec.split(",") if x]
 
 
+def _table_cell(D, n, l, Z, space: Space, alpha: float, mode: str) -> tuple[list, dict]:
+    """The CSV row and JSON record of one cell; a cell that raises gets a
+    status instead of a value."""
+    try:
+        mode_used, res = _compute_one(make_state(D, n, l, Z), space, alpha, mode)
+        return result_to_csv_row(res, mode_used), result_to_dict(res)
+    except (OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument) as exc:
+        status, message = "out-of-domain", str(exc)
+    except HydromomentsError as exc:
+        status, message = "numerical-failure", str(exc)
+    row = [D, n, l, fmt_float(Z), space.value, fmt_float(alpha), mode, "", "", "", "", status]
+    return row, {
+        "schemaVersion": SCHEMA_VERSION,
+        "state": {"D": D, "n": n, "l": l, "Z": fmt_float(Z)},
+        "space": space.value, "alpha": fmt_float(alpha),
+        "status": status, "message": message,
+    }
+
+
 def cmd_table(args) -> int:
-    Ds = _parse_range(args.D_range)
-    ns = _parse_range(args.n_range)
-    alphas = [float(x) for x in args.alpha_list.split(",") if x]
+    """Sweep the grid cell by cell; `--parallel` is accepted and ignored."""
+    Ds = sorted(_parse_range(args.D_range))
+    ns = sorted(_parse_range(args.n_range))
+    alphas = sorted(float(x) for x in args.alpha_list.split(",") if x)
     space = Space(args.space)
-    tasks = []
-    for D in sorted(Ds):
-        for n in sorted(ns):
-            ls = range(n) if args.l == "all" else [int(args.l)]
-            for l in ls:
-                if l >= n:
-                    continue
-                for alpha in sorted(alphas):
-                    tasks.append((D, n, l, alpha))
-
-    def work(task):
-        D, n, l, alpha = task
-        row_id = [D, n, l, fmt_float(args.Z), space.value, fmt_float(alpha), args.mode]
-        try:
-            state = make_state(D, n, l, args.Z)
-            mode = args.mode if args.mode == "oracle" else posmom.resolve_mode(alpha, args.mode)
-            a = int(alpha) if mode == "exact" else alpha
-            res = _compute_one(state, space, a, mode)
-            return task, result_to_csv_row(res, mode), result_to_dict(res)
-        except (OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument) as exc:
-            return task, row_id + ["", "", "", "", "out-of-domain"], {
-                "schemaVersion": SCHEMA_VERSION,
-                "state": {"D": D, "n": n, "l": l, "Z": fmt_float(args.Z)},
-                "space": space.value, "alpha": fmt_float(alpha),
-                "status": "out-of-domain", "message": str(exc),
-            }
-        except HydromomentsError as exc:
-            return task, row_id + ["", "", "", "", "numerical-failure"], {
-                "schemaVersion": SCHEMA_VERSION,
-                "state": {"D": D, "n": n, "l": l, "Z": fmt_float(args.Z)},
-                "space": space.value, "alpha": fmt_float(alpha),
-                "status": "numerical-failure", "message": str(exc),
-            }
-
-    if args.parallel:
-        with ThreadPoolExecutor(max_workers=_n_workers()) as pool:
-            results = list(pool.map(work, tasks))
-    else:
-        results = [work(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-
+    cells = [
+        _table_cell(D, n, l, args.Z, space, alpha, args.mode)
+        for D in Ds
+        for n in ns
+        for l in (range(n) if args.l == "all" else [int(args.l)])
+        if l < n
+        for alpha in alphas
+    ]
     if args.format == "json":
-        for _, _, rec in results:
+        for _, rec in cells:
             print(json.dumps(rec))
     else:
         w = csv.writer(sys.stdout)
         w.writerow(CSV_COLUMNS)
-        for _, row, _ in results:
+        for row, _ in cells:
             w.writerow(row)
     return 0
 
@@ -397,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--Z", type=float, default=1.0)
     t.add_argument("--mode", choices=["auto", "exact", "float", "oracle"], default="auto")
     t.add_argument("--format", choices=["json", "csv"], default="csv")
-    t.add_argument("--parallel", action="store_true")
+    t.add_argument("--parallel", action="store_true", help="accepted and ignored")
     t.set_defaults(func=cmd_table)
 
     v = sub.add_parser("verify", help="run cross-checking suites")

@@ -42,18 +42,10 @@ from .specfun import (
     pochhammer,
     ratio_power,
 )
-from .posmom import CANCELLATION_LIMIT, Method, MomentResult, resolve_mode
-from .states import HydrogenicState, MomentOrder, Space, check_order
+from .posmom import Method, MomentResult, resolve_mode, series_or_quadrature
+from .states import HydrogenicState, Space, require_order
 
 _EPS = 2.0 ** -53
-
-
-def _require_momentum_order(state: HydrogenicState, alpha: float):
-    lo, hi = state.momentum_interval()
-    if not lo < alpha < hi:
-        raise OrderOutOfDomain(
-            f"momentum order {alpha} outside ({lo}, {hi}) for D={state.D}, l={state.l}"
-        )
 
 
 def _zeta_pow(state: HydrogenicState, a: int) -> ExactValue:
@@ -302,22 +294,14 @@ def p_moment(
     mode = resolve_mode(alpha, mode)
     if route not in _ROUTES:
         raise UnsupportedArgument(f"route must be one of {', '.join(_ROUTES)}, got {route!r}")
-    _require_momentum_order(state, alpha_f)
+    require_order(state, alpha_f, Space.MOMENTUM)
     exact_route, float_route, method = _ROUTES[route]
 
     if mode == "exact":
         value = exact_route(state, int(round(alpha_f)))
         return MomentResult(value, 0.0, method, Space.MOMENTUM, alpha_f, state)
 
-    try:
-        value, err = float_route(state, alpha_f)
-    except CancellationOverflow:
-        value, err = math.nan, math.inf
-    if err > CANCELLATION_LIMIT * abs(value) or value <= 0 or not math.isfinite(value):
-        from . import oracle
-
-        return oracle.quad_p_moment(state, alpha_f)
-    return MomentResult(value, err, method, Space.MOMENTUM, alpha_f, state)
+    return series_or_quadrature(float_route, state, alpha_f, method, Space.MOMENTUM)
 
 
 def p_moment_double_sum(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
@@ -331,7 +315,7 @@ def p_moment_even_closed(state: HydrogenicState, alpha: int) -> MomentResult:
     """Tabulated even-order closed forms: alpha in {0, 2, -2, 4, 6}."""
     if alpha not in _EVEN_CLOSED:
         raise OrderOutOfDomain(f"no closed form for momentum order {alpha}")
-    _require_momentum_order(state, alpha)
+    require_order(state, alpha, Space.MOMENTUM)
     eta, L, nu, k = state.eta, state.L, state.nu, state.k
     Z = state.Z_exact
     if alpha == 0:
@@ -360,8 +344,8 @@ def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     (eta/Z)^{2-alpha} <p^{2-alpha}> = (eta/Z)^alpha <p^alpha>."""
     alpha_f = float(alpha)
     mode = resolve_mode(alpha, mode)
-    _require_momentum_order(state, alpha_f)
-    _require_momentum_order(state, 2 - alpha_f)
+    require_order(state, alpha_f, Space.MOMENTUM)
+    require_order(state, 2 - alpha_f, Space.MOMENTUM)
     base = p_moment(state, alpha, mode=mode)
     if base.is_exact:
         a = int(round(alpha_f))
@@ -381,7 +365,7 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
         raise NotCircular(f"state has l={state.l}, n={state.n}")
     alpha_f = float(alpha)
     mode = resolve_mode(alpha, mode)
-    _require_momentum_order(state, alpha_f)
+    require_order(state, alpha_f, Space.MOMENTUM)
     eta = state.eta
     if mode == "exact":
         a = int(round(alpha_f))

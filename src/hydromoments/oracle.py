@@ -11,9 +11,8 @@ magnitudes bounded at large n.  Entropic moments use adaptive quadrature.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -24,7 +23,6 @@ from .specfun import ExactValue, gamma_exact, log_gamma
 from .states import HydrogenicState, Space
 
 _EPS = 2.0 ** -53
-_rule_lock = threading.Lock()
 
 
 def _laguerre_recurrence(m: int, b: float):
@@ -67,58 +65,39 @@ def _golub_welsch(alphas, betas, log_mu0: float):
     return nodes, weights
 
 
-@lru_cache(maxsize=256)
-def _gauss_laguerre_cached(m: int, b: float):
-    alphas, betas = _laguerre_recurrence(m, b)
-    return _golub_welsch(alphas, betas, log_gamma(b + 1))
-
-
-def _laguerre_log_values(k: int, b: float, x):
-    """log |p_k(x)| for the orthonormal Laguerre p_k, with per-node rescaling
-    so values far outside the oscillatory region do not overflow."""
-    x = np.asarray(x, dtype=float)
-    p_prev = np.zeros_like(x)
-    p = np.full_like(x, 1.0)
+def _laguerre_scaled(k: int, b: float, x):
+    """The orthonormal Laguerre polynomials p_0..p_k against x^b e^{-x} at
+    the nodes x, yielded as pairs (q_j, s_j) with p_j(x) = q_j e^{s_j}.  Each
+    node is rescaled on its own, so values far outside the oscillatory
+    region do not overflow."""
+    alphas, betas = _laguerre_recurrence(k + 1, b)
+    alphas, roots = alphas.tolist(), np.sqrt(betas).tolist()
+    q_prev = np.zeros_like(x)
+    q = np.ones_like(x)
     scale = np.full_like(x, -0.5 * log_gamma(b + 1))
+    yield q, scale
     for j in range(k):
-        beta_next = math.sqrt((j + 1) * (j + 1 + b))
-        beta_this = math.sqrt(j * (j + b)) if j else 0.0
-        p, p_prev = ((x - (2 * j + b + 1)) * p - beta_this * p_prev) / beta_next, p
-        big = np.abs(p) > 1e120
+        beta_this = roots[j - 1] if j else 0.0
+        q, q_prev = ((x - alphas[j]) * q - beta_this * q_prev) / roots[j], q
+        big = np.abs(q) > 1e120
         if big.any():
-            c = np.where(big, np.abs(p), 1.0)
-            scale += np.log(c)
-            p = p / c
-            p_prev = p_prev / c
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(p)) + scale
+            f = np.where(big, np.abs(q), 1.0)
+            scale = scale + np.log(f)
+            q = q / f
+            q_prev = q_prev / f
+        yield q, scale
 
 
 @lru_cache(maxsize=256)
 def _gauss_laguerre_log_cached(m: int, c: float):
     """Nodes and log-weights for weight x^c e^{-x}, weights via the
-    Christoffel function 1/sum_j q_j(x_i)^2 for tail-robust relative
+    Christoffel function 1/sum_j p_j(x_i)^2 for tail-robust relative
     accuracy."""
     alphas, betas = _laguerre_recurrence(m, c)
-    nodes = eigh_tridiagonal(alphas, np.sqrt(betas), eigvals_only=True)
-    x = np.asarray(nodes, dtype=float)
-    q_prev = np.zeros_like(x)
-    q = np.ones_like(x)
-    scale = np.full_like(x, -0.5 * log_gamma(c + 1))
-    log_s = 2 * (np.log(np.abs(q)) + scale)
-    for j in range(m - 1):
-        beta_next = math.sqrt((j + 1) * (j + 1 + c))
-        beta_this = math.sqrt(j * (j + c)) if j else 0.0
-        q, q_prev = ((x - (2 * j + c + 1)) * q - beta_this * q_prev) / beta_next, q
-        big = np.abs(q) > 1e120
-        if big.any():
-            f = np.where(big, np.abs(q), 1.0)
-            scale += np.log(f)
-            q = q / f
-            q_prev = q_prev / f
-        with np.errstate(divide="ignore"):
-            log_s = np.logaddexp(log_s, 2 * (np.log(np.abs(q)) + scale))
-    return x, -log_s
+    x = eigh_tridiagonal(alphas, np.sqrt(betas), eigvals_only=True)
+    with np.errstate(divide="ignore"):
+        log_q2 = [2 * (np.log(np.abs(q)) + scale) for q, scale in _laguerre_scaled(m - 1, c, x)]
+    return x, -reduce(np.logaddexp, log_q2)
 
 
 @lru_cache(maxsize=256)
@@ -134,13 +113,13 @@ def _gauss_jacobi_cached(m: int, a: float, b: float):
 
 
 def gauss_laguerre(m: int, b: float):
-    with _rule_lock:
-        return _gauss_laguerre_cached(m, float(b))
+    """Nodes and weights of the m-point Gauss rule for x^b e^{-x} on (0, inf)."""
+    x, log_w = _gauss_laguerre_log_cached(m, float(b))
+    return x, np.exp(log_w)
 
 
 def gauss_jacobi(m: int, a: float, b: float):
-    with _rule_lock:
-        return _gauss_jacobi_cached(m, float(a), float(b))
+    return _gauss_jacobi_cached(m, float(a), float(b))
 
 
 def laguerre_orthonormal(k: int, b: float, x):
@@ -159,30 +138,17 @@ def gegenbauer_orthonormal(k: int, nu: float, x):
     """C~_k(x), orthonormal against (1-x^2)^(nu-1/2) on (-1, 1)."""
     x = np.asarray(x, dtype=float)
     a = nu - 0.5
+    # the symmetric Jacobi table has zero diagonal, so only the betas enter
+    _, betas = _jacobi_recurrence(k + 1, a, a)
+    roots = np.sqrt(betas).tolist()
     log_mu0 = (
         (2 * a + 1) * math.log(2.0) + 2 * log_gamma(a + 1) - log_gamma(2 * a + 2)
     )
     p_prev = np.zeros_like(x)
     p = np.full_like(x, math.exp(-0.5 * log_mu0))
     for j in range(k):
-        ab = 2 * a
-        s = 2 * j + ab
-        if j == 0:
-            beta_next = 4 * (1 + a) ** 2 / ((ab + 2) ** 2 * (ab + 3))
-        else:
-            beta_next = (
-                4 * (j + 1) * (j + 1 + a) ** 2 * (j + 1 + ab)
-                / ((s + 2) ** 2 * (s + 3) * (s + 1))
-            )
-        if j == 0:
-            beta_this = 0.0
-        elif j == 1:
-            beta_this = 4 * (1 + a) ** 2 / ((ab + 2) ** 2 * (ab + 3))
-        else:
-            beta_this = (
-                4 * j * (j + a) ** 2 * (j + ab) / (s * s * (s + 1) * (s - 1))
-            )
-        p, p_prev = (x * p - math.sqrt(beta_this) * p_prev) / math.sqrt(beta_next), p
+        beta_this = roots[j - 1] if j else 0.0
+        p, p_prev = (x * p - beta_this * p_prev) / roots[j], p
     return p
 
 
@@ -203,17 +169,18 @@ def _rule_size(k: int, extra: int = 6) -> int:
     return k + 1 + extra
 
 
-def quad_r_moment(state: HydrogenicState, alpha: float, nodes: int | None = None) -> MomentResult:
+def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     """<r^alpha> from the position density by generalized Gauss-Laguerre."""
     alpha = float(alpha)
     b = 2 * state.l + state.D - 2  # Laguerre index of the radial polynomial
-    m = nodes or _rule_size(state.k)
+    m = _rule_size(state.k)
     scale = math.exp(alpha * (math.log(float(state.eta)) - math.log(2 * state.Z)))
 
     def run(mm):
-        with _rule_lock:
-            x, logw = _gauss_laguerre_log_cached(mm, b + 1 + alpha)
-        logp = _laguerre_log_values(state.k, b, x)
+        x, logw = _gauss_laguerre_log_cached(mm, b + 1 + alpha)
+        *_, (q, q_scale) = _laguerre_scaled(state.k, b, x)
+        with np.errstate(divide="ignore"):
+            logp = np.log(np.abs(q)) + q_scale
         return scale * float(np.exp(2 * logp + logw).sum()) / (2 * float(state.eta))
 
     value = run(m)
@@ -222,11 +189,11 @@ def quad_r_moment(state: HydrogenicState, alpha: float, nodes: int | None = None
     return MomentResult(value, err, Method.QUADRATURE, Space.POSITION, alpha, state)
 
 
-def quad_p_moment(state: HydrogenicState, alpha: float, nodes: int | None = None) -> MomentResult:
+def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     """<p^alpha> from the momentum density by Gauss-Jacobi."""
     alpha = float(alpha)
     nu = float(state.nu)
-    m = nodes or _rule_size(state.k)
+    m = _rule_size(state.k)
     a, b = nu + (alpha - 1) / 2, nu - (alpha - 1) / 2
     x, w = gauss_jacobi(m, a, b)
     vals = gegenbauer_orthonormal(state.k, nu, x)
@@ -275,7 +242,7 @@ def _position_amplitude(state: HydrogenicState) -> float:
 def _radial_position(state: HydrogenicState, r, amp: float):
     """R_{n,l}(r) given its amplitude from _position_amplitude."""
     r = np.asarray(r, dtype=float)
-    x = 2 * state.Z * r / (state.two_eta / 2)  # float(eta), without building the Fraction
+    x = 2 * float(state.Z) * r / (state.two_eta / 2)  # float(eta), without building the Fraction
     b = 2 * state.l + state.D - 2
     return amp * x ** state.l * np.exp(-x / 2) * laguerre_orthonormal(state.k, b, x)
 
@@ -288,7 +255,7 @@ def radial_position(state: HydrogenicState, r):
 def radial_momentum(state: HydrogenicState, p):
     """Radial momentum wavefunction M_{n,l}(p)."""
     p = np.asarray(p, dtype=float)
-    t = float(state.eta) * p / state.Z
+    t = float(state.eta) * p / float(state.Z)
     y = (1 - t * t) / (1 + t * t)
     nu = float(state.nu)
     amp = math.exp(0.5 * math.log(momentum_norm_sq(state).to_float()))

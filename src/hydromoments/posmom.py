@@ -24,7 +24,7 @@ from .specfun import (
     pochhammer,
     ratio_power,
 )
-from .states import HydrogenicState, MomentOrder, Space, check_order, make_state
+from .states import HydrogenicState, Space, make_state, require_order
 
 
 # Relative error-bound threshold above which float routes defer to quadrature.
@@ -74,22 +74,54 @@ def resolve_mode(alpha, mode: str) -> str:
     return mode
 
 
-def _require_position_order(state: HydrogenicState, alpha: float):
-    if not check_order(state, MomentOrder(alpha, Space.POSITION)):
-        raise OrderOutOfDomain(
-            f"position order {alpha} outside "
-            f"({state.position_lower_bound()}, inf) for D={state.D}, l={state.l}"
-        )
+def series_or_quadrature(
+    evaluate, state: HydrogenicState, alpha: float, method: Method, space: Space
+) -> MomentResult:
+    """The float series `evaluate(state, alpha) -> (value, err)` as a result,
+    or the quadrature oracle's when the series overflows, its bound exceeds
+    CANCELLATION_LIMIT relative to its value, or its value is not positive
+    and finite.  FloatOverflow from a prefactor propagates."""
+    try:
+        value, err = evaluate(state, alpha)
+    except CancellationOverflow:
+        value, err = math.nan, math.inf
+    if err > CANCELLATION_LIMIT * abs(value) or value <= 0 or not math.isfinite(value):
+        from . import oracle  # oracle imports this module
+
+        if space is Space.POSITION:
+            return oracle.quad_r_moment(state, alpha)
+        return oracle.quad_p_moment(state, alpha)
+    return MomentResult(value, err, method, space, alpha, state)
+
+
+def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
+    """The float 3F2 value of <r^alpha> and its error bound."""
+    k, L, eta = state.k, state.L, state.eta
+    pref, pref_rel = exp_sum([
+        (alpha - 1) * math.log(float(eta)),
+        -(alpha + 1) * math.log(2.0),
+        -alpha * math.log(state.Z),
+        log_gamma(float(2 * L) + alpha + 3),
+        -log_gamma(float(2 * L + 2)),
+    ])
+    spec = HypSumSpec(
+        top=(-k, -alpha - 1, alpha + 2),
+        bottom=(float(2 * L + 2), 1.0),
+        terms=k + 1,
+    )
+    s, bound = hyp_sum(spec, "float")
+    value = pref * s
+    return value, pref * bound + (pref_rel + 4 * 2.0 ** -52) * abs(value)
 
 
 def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """<r^alpha> via the hypergeometric-3F2 formula."""
-    _require_position_order(state, float(alpha))
+    require_order(state, float(alpha), Space.POSITION)
     mode = resolve_mode(alpha, mode)
-    k = state.k
 
     if mode == "exact":
         a = int(round(float(alpha)))
+        k = state.k
         t = state.two_nu  # 2L+2, an integer
         # Gamma(2L+a+3)/Gamma(2L+2) as a Pochhammer symbol of |a+1| factors;
         # the order check keeps 2L+a+3 >= 1
@@ -110,31 +142,7 @@ def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
         ))
         return MomentResult(value, 0.0, Method.HYP3F2, Space.POSITION, float(alpha), state)
 
-    alpha = float(alpha)
-    L, eta = state.L, state.eta
-    pref, pref_rel = exp_sum([
-        (alpha - 1) * math.log(float(eta)),
-        -(alpha + 1) * math.log(2.0),
-        -alpha * math.log(state.Z),
-        log_gamma(float(2 * L) + alpha + 3),
-        -log_gamma(float(2 * L + 2)),
-    ])
-    spec = HypSumSpec(
-        top=(-k, -alpha - 1, alpha + 2),
-        bottom=(float(2 * L + 2), 1.0),
-        terms=k + 1,
-    )
-    try:
-        s, bound = hyp_sum(spec, "float")
-        value = pref * s
-        err = pref * bound + (pref_rel + 4 * 2.0 ** -52) * abs(value)
-    except CancellationOverflow:
-        value, err = math.nan, math.inf
-    if err > CANCELLATION_LIMIT * abs(value) or value <= 0 or not math.isfinite(value):
-        from . import oracle
-
-        return oracle.quad_r_moment(state, alpha)
-    return MomentResult(value, err, Method.HYP3F2, Space.POSITION, alpha, state)
+    return series_or_quadrature(_r_series_float, state, float(alpha), Method.HYP3F2, Space.POSITION)
 
 
 _CLOSED_ALPHAS = (1, 2, -1, -2, -3, -4, -6)
@@ -144,7 +152,7 @@ def r_moment_closed(state: HydrogenicState, alpha: int) -> MomentResult:
     """Tabulated exact closed forms for alpha in {1, 2, -1, -2, -3, -4, -6}."""
     if alpha not in _CLOSED_ALPHAS:
         raise OrderOutOfDomain(f"no closed form for position order {alpha}")
-    _require_position_order(state, alpha)
+    require_order(state, alpha, Space.POSITION)
     eta = state.eta
     L = state.L
     Z = state.Z_exact
@@ -194,7 +202,7 @@ def _over(numerator: Fraction, factors) -> Fraction:
 def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult:
     """Ground-state <r^alpha> = ((D-1)/4Z)^alpha Gamma(D+alpha)/Gamma(D)."""
     state = make_state(D, 1, 0, Z)
-    _require_position_order(state, float(alpha))
+    require_order(state, float(alpha), Space.POSITION)
     if resolve_mode(alpha, mode) == "exact":
         a = int(round(float(alpha)))
         scale = Fraction(D - 1, 4) / state.Z_exact

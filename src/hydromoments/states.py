@@ -18,6 +18,7 @@ from numbers import Integral
 from .errors import (
     DimensionTooSmall,
     NonpositiveCharge,
+    OrderOutOfDomain,
     ParameterOutOfRange,
     QuantumNumberOutOfRange,
     UnsupportedArgument,
@@ -119,3 +120,18 @@ def check_order(state: HydrogenicState, order: MomentOrder) -> bool:
         return alpha > state.position_lower_bound()
     lo, hi = state.momentum_interval()
     return lo < alpha < hi
+
+
+def require_order(state: HydrogenicState, alpha: float, space: Space) -> None:
+    """Raise OrderOutOfDomain unless `check_order` accepts alpha in space."""
+    if check_order(state, MomentOrder(alpha, space)):
+        return
+    if space is Space.POSITION:
+        raise OrderOutOfDomain(
+            f"position order {alpha} outside "
+            f"({state.position_lower_bound()}, inf) for D={state.D}, l={state.l}"
+        )
+    lo, hi = state.momentum_interval()
+    raise OrderOutOfDomain(
+        f"momentum order {alpha} outside ({lo}, {hi}) for D={state.D}, l={state.l}"
+    )

@@ -17,7 +17,7 @@ from .errors import NonpositiveParameters, NotSWave, OrderOutOfDomain
 from .momom import p_moment
 from .posmom import r_moment
 from .specfun import log_gamma
-from .states import HydrogenicState, MomentOrder, Space, check_order
+from .states import HydrogenicState, Space, require_order
 
 
 class InequalityName(enum.Enum):
@@ -66,14 +66,6 @@ def _report(name, lhs, rhs, params, orientation_ge=True, rigorous=True, siblings
     )
 
 
-def _require_orders(state: HydrogenicState, *orders: MomentOrder):
-    for o in orders:
-        if not check_order(state, o):
-            raise OrderOutOfDomain(
-                f"order {o.alpha} ({o.space.value}) out of domain for the state"
-            )
-
-
 def _dim_factor(D: int, c: float) -> float:
     """One bracket of the general Heisenberg product: the c-dependent
     dimensional constant e D^{2/c} Gamma(1+D/2)^{2/D} / ((ce)^{2/c}
@@ -91,9 +83,8 @@ def heisenberg_general(state: HydrogenicState, a: float, b: float) -> Inequality
     the classic D^2/4, (l+D/2)^2 and 3D variants attached as siblings."""
     if a <= 0 or b <= 0:
         raise NonpositiveParameters("both orders must be positive")
-    _require_orders(
-        state, MomentOrder(a, Space.POSITION), MomentOrder(b, Space.MOMENTUM)
-    )
+    require_order(state, a, Space.POSITION)
+    require_order(state, b, Space.MOMENTUM)
     D = state.D
     ra = r_moment(state, a, mode="float").as_float()
     pb = p_moment(state, b, mode="float").as_float()
@@ -139,11 +130,8 @@ def pitt_beckner(state: HydrogenicState, alpha: float) -> InequalityReport:
     D = state.D
     if not 0 <= alpha < D:
         raise OrderOutOfDomain(f"need 0 <= alpha < D = {D}, got {alpha}")
-    _require_orders(
-        state,
-        MomentOrder(alpha, Space.MOMENTUM),
-        MomentOrder(-alpha, Space.POSITION),
-    )
+    require_order(state, alpha, Space.MOMENTUM)
+    require_order(state, -alpha, Space.POSITION)
     pa = p_moment(state, alpha, mode="float").as_float()
     rma = r_moment(state, -alpha, mode="float").as_float()
     rhs = (
@@ -183,8 +171,9 @@ def daubechies_thakkar(
 
     if state.l != 0:
         raise NotSWave(f"entropic moments implemented for l = 0, got l={state.l}")
-    if k == 0 or not check_order(state, MomentOrder(k, Space.MOMENTUM)):
+    if k == 0:
         raise OrderOutOfDomain(f"momentum order {k} invalid for the state")
+    require_order(state, k, Space.MOMENTUM)
     D = state.D
     pk = p_moment(state, k, mode="float").as_float()
     w = oracle.entropic_moment(state, 1 + k / D)
@@ -229,9 +218,8 @@ def fermion_product(
     N^{1+k(1/alpha+1/D)}."""
     if N < 1 or q < 1:
         raise NonpositiveParameters("q and N must be positive integers")
-    _require_orders(
-        state, MomentOrder(alpha, Space.POSITION), MomentOrder(k, Space.MOMENTUM)
-    )
+    require_order(state, alpha, Space.POSITION)
+    require_order(state, k, Space.MOMENTUM)
     D = state.D
     ra = r_moment(state, alpha, mode="float").as_float()
     pk = p_moment(state, k, mode="float").as_float()

@@ -120,13 +120,12 @@ def test_exact_mode_with_real_order_is_an_input_error(capsys):
     assert "integer order" in err
 
 
-def test_table_parallel_matches_serial(capsys, monkeypatch):
+def test_table_parallel_matches_serial(capsys):
     argv = [
         "table", "--space", "r", "--D-range", "2:4", "--n-range", "1:3", "--l", "all",
         "--alpha-list=-1,1,2",
     ]
     _, serial, _ = run(capsys, argv)
-    monkeypatch.setenv("HYDROMOMENTS_THREADS", "4")
     _, parallel, _ = run(capsys, argv + ["--parallel"])
     assert serial == parallel
 

@@ -310,3 +310,14 @@ def test_appendix_circular_integral():
     assert appendix_integral_circular_exact(s) == ExactValue(Fraction(4, 3))
     with pytest.raises(NotCircular):
         appendix_integral_circular_exact(make_state(3, 2, 0, 1.0))
+
+
+def test_argument_checks_keep_their_order():
+    # p_moment checks the mode, then the route, then the order's domain
+    s = make_state(3, 2, 0, 1.0)
+    with pytest.raises(UnsupportedArgument, match="mode"):
+        p_moment(s, 99, mode="bogus", route="nope")
+    with pytest.raises(UnsupportedArgument, match="route"):
+        p_moment(s, 99, route="nope")
+    with pytest.raises(OrderOutOfDomain):
+        p_moment(s, 99)

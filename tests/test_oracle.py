@@ -1,6 +1,7 @@
 """Quadrature oracle: rules, wavefunctions, norms, and entropic moments."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,3 +152,12 @@ def test_entropic_moment_takes_the_exact_norm_once(monkeypatch):
     assert calls == [s]
     r = np.array([0.5, 2.0, 9.0])
     assert np.array_equal(radial_position(s, r), oracle._radial_position(s, r, oracle._position_amplitude(s)))
+
+
+def test_wavefunctions_take_a_fraction_charge():
+    r = p = np.array([1.0, 2.0])
+    s, s_float = make_state(3, 2, 0, Fraction(3, 2)), make_state(3, 2, 0, 1.5)
+    for fn, x in ((radial_position, r), (radial_momentum, p)):
+        got = fn(s, x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, fn(s_float, x))

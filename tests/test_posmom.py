@@ -17,7 +17,15 @@ from hydromoments import (
     r_moment_closed,
     r_moment_ground,
 )
-from hydromoments.errors import FloatOverflow, OrderOutOfDomain, SingularDenominator, UnsupportedArgument
+from hydromoments import oracle
+from hydromoments.errors import (
+    CancellationOverflow,
+    FloatOverflow,
+    OrderOutOfDomain,
+    SingularDenominator,
+    UnsupportedArgument,
+)
+from hydromoments.posmom import CANCELLATION_LIMIT, series_or_quadrature
 
 GRID = [
     (D, n, l)
@@ -180,3 +188,52 @@ def test_non_finite_order_is_out_of_domain(alpha):
         r_moment_ground(3, 1.0, alpha)
     assert not check_order(s, MomentOrder(alpha, Space.POSITION))
     assert not check_order(s, MomentOrder(alpha, Space.MOMENTUM))
+
+
+def _raise(exc):
+    def evaluate(state, alpha):
+        raise exc
+    return evaluate
+
+
+@pytest.mark.parametrize("space", list(Space))
+@pytest.mark.parametrize(
+    "evaluate, falls_back",
+    [
+        (lambda s, a: (2.0, 2.0 * CANCELLATION_LIMIT), False),
+        (lambda s, a: (2.0, 2.0 * CANCELLATION_LIMIT * 1.5), True),
+        (lambda s, a: (0.0, 0.0), True),
+        (lambda s, a: (-1.0, 0.0), True),
+        (lambda s, a: (math.inf, 0.0), True),
+        (lambda s, a: (math.nan, 0.0), True),
+        (_raise(CancellationOverflow("term overflowed")), True),
+    ],
+)
+def test_one_fallback_rule_for_both_spaces(monkeypatch, space, evaluate, falls_back):
+    # the oracle is looked up at call time, so a replaced quad_* is the one used
+    s = make_state(3, 4, 1, 1.0)
+    calls = []
+    for name in ("quad_r_moment", "quad_p_moment"):
+        monkeypatch.setattr(oracle, name, lambda st, a, name=name: calls.append((name, st, a)) or "quad")
+    res = series_or_quadrature(evaluate, s, 1.5, Method.SINGLE_SUM, space)
+    if falls_back:
+        quad = "quad_r_moment" if space is Space.POSITION else "quad_p_moment"
+        assert res == "quad" and calls == [(quad, s, 1.5)]
+    else:
+        assert calls == [] and (res.value, res.method, res.space) == (2.0, Method.SINGLE_SUM, space)
+
+
+def test_prefactor_overflow_is_not_a_fallback():
+    with pytest.raises(FloatOverflow):
+        series_or_quadrature(
+            _raise(FloatOverflow("prefactor")), make_state(3, 4, 1, 1.0), 1.5,
+            Method.HYP3F2, Space.POSITION,
+        )
+
+
+def test_position_domain_is_checked_before_the_mode():
+    s = make_state(3, 2, 0, 1.0)
+    with pytest.raises(OrderOutOfDomain):
+        r_moment(s, -99, mode="bogus")
+    with pytest.raises(UnsupportedArgument):
+        r_moment(s, 2, mode="bogus")

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from hydromoments import HydrogenicState, MomentOrder, Space, check_order, make_state
+from hydromoments.states import require_order
 from hydromoments.errors import (
     DimensionTooSmall,
     NonpositiveCharge,
+    OrderOutOfDomain,
     ParameterOutOfRange,
     QuantumNumberOutOfRange,
     UnsupportedArgument,
@@ -67,6 +69,17 @@ def test_position_domain():
     assert not check_order(s, MomentOrder(-5, Space.POSITION))
     assert check_order(s, MomentOrder(-4.5, Space.POSITION))
     assert check_order(s, MomentOrder(100.0, Space.POSITION))
+
+
+@pytest.mark.parametrize("alpha", [-5, 7, -4.5, 6.5, 100.0, math.inf, math.nan])
+@pytest.mark.parametrize("space", list(Space))
+def test_require_order_raises_exactly_where_check_order_fails(space, alpha):
+    s = make_state(3, 2, 1, 1.0)
+    if check_order(s, MomentOrder(alpha, space)):
+        assert require_order(s, alpha, space) is None
+    else:
+        with pytest.raises(OrderOutOfDomain, match=f"{'position' if space is Space.POSITION else 'momentum'} order"):
+            require_order(s, alpha, space)
 
 
 def test_z_exact_is_binary_exact():
