@@ -12,11 +12,9 @@ import argparse
 import csv
 import io
 import json
-import math
-import random
 import sys
 
-from . import asympt, momom, oracle, posmom, uncertainty
+from . import asympt, momom, oracle, posmom, verify
 from .errors import HydromomentsError, OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument
 from .posmom import MomentResult
 from .specfun import ExactValue
@@ -170,139 +168,17 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _grid(size: str):
-    if size == "small":
-        return [(D, n, l) for D in (2, 3, 4, 6) for n in range(1, 4) for l in range(n)]
-    return [(D, n, l) for D in range(2, 9) for n in range(1, 6) for l in range(n)]
-
-
-def _suite_routes(states, findings):
-    worst = 0.0
-    fails = 0
-    checks = 0
-    for D, n, l in states:
-        state = make_state(D, n, l, 1.0)
-        lo, hi = state.momentum_interval()
-        for alpha in range(lo + 1, hi):
-            base = momom.p_moment(state, alpha, mode="exact", route="single").value
-            for route in ("hyp5f4", "double"):
-                other = momom.p_moment(state, alpha, mode="exact", route=route).value
-                checks += 1
-                if base != other:
-                    fails += 1
-    return checks, fails, worst
-
-
-def _suite_reflection(states, findings):
-    fails = 0
-    checks = 0
-    for D, n, l in states:
-        state = make_state(D, n, l, 1.0)
-        lo, hi = state.momentum_interval()
-        for alpha in range(lo + 1, hi):
-            if not lo < 2 - alpha < hi:
-                continue
-            checks += 1
-            refl = momom.reflect(state, alpha, mode="exact").value
-            direct = momom.p_moment(state, 2 - alpha, mode="exact").value
-            if refl != direct:
-                fails += 1
-    return checks, fails, 0.0
-
-
-def _suite_oracle(states, findings):
-    rng = random.Random(20240817)
-    worst = 0.0
-    fails = 0
-    checks = 0
-    for D, n, l in states:
-        state = make_state(D, n, l, 1.0)
-        lo, hi = state.momentum_interval()
-        for _ in range(3):
-            alpha = rng.uniform(lo + 0.25, hi - 0.25)
-            ex = momom.p_moment(state, alpha, mode="float").as_float()
-            qv = oracle.quad_p_moment(state, alpha).value
-            dev = abs(ex / qv - 1)
-            worst = max(worst, dev)
-            checks += 1
-            if dev > 1e-10:
-                fails += 1
-            alpha_r = rng.uniform(lo + 0.25, lo + 6.0)
-            ex = posmom.r_moment(state, alpha_r, mode="float").as_float()
-            qv = oracle.quad_r_moment(state, alpha_r).value
-            dev = abs(ex / qv - 1)
-            worst = max(worst, dev)
-            checks += 1
-            if dev > 1e-10:
-                fails += 1
-    return checks, fails, worst
-
-
-def _suite_asymptotics(states, findings):
-    fails = 0
-    checks = 0
-    worst = 0.0
-    for alpha in (0.5, 1.5, 2.5):
-        prev = None
-        for n in (20, 40, 80):
-            state = make_state(3, n, 0, 1.0)
-            ex = momom.p_moment(state, alpha, mode="float").as_float()
-            dev = abs(ex / asympt.rydberg_p(state, alpha).corrected - 1)
-            checks += 1
-            if prev is not None and dev >= prev:
-                fails += 1
-            prev = dev
-        worst = max(worst, prev)
-    return checks, fails, worst
-
-
-def _suite_uncertainty(states, findings):
-    fails = 0
-    checks = 0
-    for D, n, l in states:
-        state = make_state(D, n, l, 1.0)
-        reports = []
-        hg = uncertainty.heisenberg_general(state, 2, 2)
-        reports += [hg, *hg.siblings]
-        if D > 2:
-            pb = uncertainty.pitt_beckner(state, 2)
-            reports += [pb, *pb.siblings]
-        fp = uncertainty.fermion_product(state, 2, 2)
-        reports += [fp, *fp.siblings]
-        if l == 0:
-            dt = uncertainty.daubechies_thakkar(state, 2)
-            reports += [dt, *dt.siblings]
-        for rep in reports:
-            checks += 1
-            if not rep.satisfied:
-                if rep.rigorous:
-                    fails += 1
-                else:
-                    findings.append(
-                        f"soft violation: {rep.name.value} at D={D} n={n} l={l}"
-                        f" ratio={rep.ratio:.6g}"
-                    )
-    return checks, fails, 0.0
-
-
 def cmd_verify(args) -> int:
-    suites = {
-        "routes": _suite_routes,
-        "reflection": _suite_reflection,
-        "oracle": _suite_oracle,
-        "asymptotics": _suite_asymptotics,
-        "uncertainty": _suite_uncertainty,
-    }
-    wanted = list(suites) if args.suite == "all" else [args.suite]
-    states = _grid(args.grid)
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    states = verify.grid(args.grid)
     findings: list[str] = []
     hard_fail = False
-    for name in wanted:
-        checks, fails, worst = suites[name](states, findings)
-        status = "PASS" if fails == 0 else "FAIL"
-        print(f"{name}: {status} ({checks} checks, {fails} failures, worst deviation {worst:.3g})")
-        if fails:
-            hard_fail = True
+    for name in names:
+        res = verify.SUITES[name](states)
+        status = "PASS" if res.fails == 0 else "FAIL"
+        print(f"{name}: {status} ({res.checks} checks, {res.fails} failures, worst deviation {res.worst:.3g})")
+        findings += res.findings
+        hard_fail = hard_fail or res.fails > 0
     for f in findings:
         print(f"finding: {f}")
     return 1 if hard_fail else 0
@@ -382,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run cross-checking suites")
     v.add_argument(
         "--suite",
-        choices=["routes", "reflection", "oracle", "asymptotics", "uncertainty", "all"],
+        choices=[*verify.SUITES, "all"],
         default="all",
     )
     v.add_argument("--grid", choices=["small", "full"], default="small")

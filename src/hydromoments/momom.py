@@ -7,7 +7,8 @@ identity.  For integer orders the single sum is the 5F4 series itself, so
 and one integer kernel, and each builds one Fraction at the end: `single`
 calls the kernel `specfun.hyp_sum_doubled` directly, `hyp5f4` goes through
 `specfun.hyp_sum`.  Comparing the two therefore checks only one kernel call
-against the other; `double` is the independent exact cross-check.  Closed
+against the other; `double` is the independent exact cross-check.  In float
+mode `hyp5f4` is `single`: both sum the series in `_single_sum_float`.  Closed
 forms cover even orders, circular
 states, the mean momentum and the average inverse momentum.  Integer orders
 evaluate exactly; real orders use compensated float summation with a
@@ -37,7 +38,6 @@ from .specfun import (
     gamma_ratio_doubled,
     hyp_sum,
     hyp_sum_doubled,
-    is_integral,
     log_gamma,
     pochhammer,
     ratio_power,
@@ -141,44 +141,18 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
     return value, err
 
 
-def _hyp5f4_spec(state: HydrogenicState, alpha) -> HypSumSpec:
-    if is_integral(alpha):
-        top2, bottom2 = _hyp5f4_doubled(state, int(round(float(alpha))))
-        top = tuple(Fraction(x, 2) for x in top2)
-        bottom = tuple(Fraction(x, 2) for x in bottom2)
-    else:
-        k, nu_f = state.k, float(state.nu)
-        top = (-k, k + 2 * nu_f, nu_f, nu_f + (alpha + 1) / 2, nu_f + (3 - alpha) / 2)
-        bottom = (2 * nu_f, nu_f + 0.5, nu_f + 1, nu_f + 1.5)
-    return HypSumSpec(top=top, bottom=bottom, terms=state.k + 1)
-
-
 def _hyp5f4_exact(state: HydrogenicState, a: int) -> ExactValue:
     num, den, two_pi = _momentum_prefactor(state, a)
-    series = hyp_sum(_hyp5f4_spec(state, a), "exact").coeff
+    top2, bottom2 = _hyp5f4_doubled(state, a)
+    spec = HypSumSpec(
+        top=tuple(Fraction(x, 2) for x in top2),
+        bottom=tuple(Fraction(x, 2) for x in bottom2),
+        terms=state.k + 1,
+    )
+    series = hyp_sum(spec, "exact").coeff
     return ExactValue(
         Fraction(num * series.numerator, den * series.denominator), Fraction(two_pi, 2)
     )
-
-
-def _hyp5f4_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
-    k = state.k
-    nu = float(state.nu)
-    pref, pref_rel = exp_sum([
-        (1 - 2 * nu) * math.log(2.0),
-        0.5 * math.log(math.pi),
-        -log_gamma(k + 1),
-        math.log(k + nu),
-        log_gamma(k + 2 * nu),
-        *_gamma_quotient_logs(nu, alpha),
-        -log_gamma(nu + 0.5),
-        -log_gamma(nu + 1),
-        *_zeta_logs(state, alpha),
-    ])
-    s, bound = hyp_sum(_hyp5f4_spec(state, alpha), "float")
-    value = pref * s
-    err = pref * bound + (pref_rel + 20 * _EPS) * abs(value)
-    return value, err
 
 
 @lru_cache(maxsize=512)
@@ -278,10 +252,11 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
     return value, pref * bound + (g_rel + pref_rel + 20 * _EPS) * abs(value)
 
 
-# route -> (exact evaluator, float evaluator, method)
+# route -> (exact evaluator, float evaluator, method); in float mode the
+# 5F4 series is the single sum
 _ROUTES = {
     "single": (_single_sum_exact, _single_sum_float, Method.SINGLE_SUM),
-    "hyp5f4": (_hyp5f4_exact, _hyp5f4_float, Method.HYP5F4),
+    "hyp5f4": (_hyp5f4_exact, _single_sum_float, Method.HYP5F4),
     "double": (_double_sum_exact, _double_sum_float, Method.DOUBLE_SUM),
 }
 
@@ -384,6 +359,7 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
 
 def mean_momentum(state: HydrogenicState, mode: str = "exact") -> MomentResult:
     """<p>, picking the cheapest applicable closed form."""
+    mode = resolve_mode(1, mode)
     if state.is_circular:
         return p_moment_circular(state, 1, mode=mode)
     if state.D == 3 and state.l == 0:
@@ -402,17 +378,9 @@ def mean_momentum(state: HydrogenicState, mode: str = "exact") -> MomentResult:
 def inverse_momentum(state: HydrogenicState, mode: str = "exact") -> MomentResult:
     """<p^{-1}>; for 3D nS states the exact digamma decomposition keeps the
     value rational over pi."""
+    mode = resolve_mode(-1, mode)
     if state.is_circular:
-        eta = state.eta
-        if mode == "exact":
-            value = (
-                _zeta_pow(state, -1)
-                * gamma_exact(eta)
-                * gamma_exact(eta + 2)
-                / (gamma_exact(eta + Fraction(1, 2)) * gamma_exact(eta + Fraction(3, 2)))
-            )
-            return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, -1.0, state)
-        return p_moment_circular(state, -1.0, mode="float")
+        return p_moment_circular(state, -1, mode=mode)
     if state.D == 3 and state.l == 0:
         n = state.n
         bracket = digamma_half_exact(n) - Fraction(2 * n * n, 4 * n * n - 1)

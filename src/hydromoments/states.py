@@ -123,15 +123,19 @@ def check_order(state: HydrogenicState, order: MomentOrder) -> bool:
 
 
 def require_order(state: HydrogenicState, alpha: float, space: Space) -> None:
-    """Raise OrderOutOfDomain unless `check_order` accepts alpha in space."""
-    if check_order(state, MomentOrder(alpha, space)):
-        return
+    """Raise OrderOutOfDomain unless `check_order` would accept alpha in
+    space.  Compared inline: a MomentOrder per call costs more than the
+    comparison, and every exact moment calls this."""
     if space is Space.POSITION:
+        if math.isfinite(alpha) and alpha > state.position_lower_bound():
+            return
         raise OrderOutOfDomain(
             f"position order {alpha} outside "
             f"({state.position_lower_bound()}, inf) for D={state.D}, l={state.l}"
         )
     lo, hi = state.momentum_interval()
+    if lo < alpha < hi:  # false for inf and nan
+        return
     raise OrderOutOfDomain(
         f"momentum order {alpha} outside ({lo}, {hi}) for D={state.D}, l={state.l}"
     )

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import hydromoments as hm
-from hydromoments import ExactValue, Space, make_state
-from hydromoments import momom, oracle, posmom, uncertainty
+from hydromoments import ExactValue, Method, Space, make_state
+from hydromoments import oracle, uncertainty, verify
 
 
 GRID = [
@@ -67,52 +67,48 @@ def test_criterion_2_ground_state_benchmarks():
 
 def test_criterion_3_route_equivalence():
     t0 = time.perf_counter()
-    # exact mode: all integer orders in domain, three routes identical
-    exact_checks = 0
-    for D, n, l in GRID:
-        s = make_state(D, n, l, 1.0)
-        lo, hi = s.momentum_interval()
-        for alpha in range(lo + 1, hi):
-            base = hm.p_moment(s, alpha, route="single").value
-            assert hm.p_moment(s, alpha, route="hyp5f4").value == base
-            assert hm.p_moment(s, alpha, route="double").value == base
-            exact_checks += 1
+    # exact mode: all integer orders in domain, hyp5f4 and double equal single
+    exact = verify.routes(GRID)
+    assert exact.fails == 0
+    assert exact.checks == 19272
 
-    # float mode: 500 random real orders, each route vs the quadrature oracle
+    # float mode: 500 random real orders, each route vs the quadrature oracle;
+    # a route that falls back compares the oracle with itself
     rng = random.Random(20250824)
     worst = 0.0
+    routes = ("single", "hyp5f4", "double")
+    self_checks = dict.fromkeys(routes, 0)
     for _ in range(500):
         D, n, l = GRID[rng.randrange(len(GRID))]
         s = make_state(D, n, l, 1.0)
         lo, hi = s.momentum_interval()
         alpha = rng.uniform(lo + 0.25, hi - 0.25)
         ref = oracle.quad_p_moment(s, alpha).value
-        for route in ("single", "hyp5f4", "double"):
-            v = hm.p_moment(s, alpha, mode="float", route=route).as_float()
-            dev = abs(v / ref - 1)
+        for route in routes:
+            res = hm.p_moment(s, alpha, mode="float", route=route)
+            self_checks[route] += res.method is Method.QUADRATURE
+            dev = abs(res.as_float() / ref - 1)
             worst = max(worst, dev)
             assert dev <= 1e-10
+    assert self_checks["single"] <= 66
+    assert self_checks["hyp5f4"] <= 66
+    assert self_checks["double"] <= 156
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
+    independent = "/".join(f"{500 - self_checks[r]} {r}" for r in routes)
     print(
-        f"\ncriterion 3: PASS - {exact_checks} integer orders agree exactly across "
+        f"\ncriterion 3: PASS - {exact.checks // 2} integer orders agree exactly across "
         f"3 routes; 500 random real orders within 1e-10 of the oracle "
-        f"(worst {worst:.2e}) in {elapsed:.1f}s (< 60s)"
+        f"(worst {worst:.2e}; independent of it: {independent}) in {elapsed:.1f}s (< 60s)"
     )
 
 
 def test_criterion_4_reflection_identity():
-    checks = 0
-    for D, n, l in GRID:
-        s = make_state(D, n, l, 1.0)
-        lo, hi = s.momentum_interval()
-        for alpha in range(lo + 1, hi):
-            if not lo < 2 - alpha < hi:
-                continue
-            assert hm.reflect(s, alpha).value == hm.p_moment(s, 2 - alpha).value
-            checks += 1
+    res = verify.reflection(GRID)
+    assert res.fails == 0
+    assert res.checks == 9636
     print(
-        f"\ncriterion 4: PASS - reflection identity exact for {checks} "
+        f"\ncriterion 4: PASS - reflection identity exact for {res.checks} "
         "(state, order) pairs over the full grid"
     )
 
@@ -233,32 +229,9 @@ def test_criterion_8_highd_convergence():
 
 
 def test_criterion_9_uncertainty_suite():
-    findings = []
-    rigorous_checks = 0
-    states = [
-        (D, n, l) for D in range(2, 9) for n in range(1, 6) for l in range(n)
-    ]
-    for D, n, l in states:
-        s = make_state(D, n, l, 1.0)
-        reports = []
-        hg = uncertainty.heisenberg_general(s, 2, 2)
-        reports += [hg, *hg.siblings]
-        if D > 2:
-            pb = uncertainty.pitt_beckner(s, 2)
-            reports += [pb, *pb.siblings]
-        fp = uncertainty.fermion_product(s, 2, 2)
-        reports += [fp, *fp.siblings]
-        if l == 0:
-            dt = uncertainty.daubechies_thakkar(s, 2)
-            reports += [dt, *dt.siblings]
-        for rep in reports:
-            if rep.rigorous:
-                rigorous_checks += 1
-                assert rep.satisfied, (D, n, l, rep.name, rep.lhs, rep.rhs)
-            elif not rep.satisfied:
-                findings.append(
-                    f"{rep.name.value} D={D} n={n} l={l} ratio={rep.ratio:.6g}"
-                )
+    res = verify.uncertainty(verify.grid("full"))
+    assert res.fails == 0
+    assert res.checks == 685
     # reference constant for the order-2 product bound in 3D
     fp = uncertainty.fermion_product(make_state(3, 1, 0, 1.0), 2.0, 2.0)
     assert fp.rhs == pytest.approx(1.17005, rel=1e-5)
@@ -267,10 +240,10 @@ def test_criterion_9_uncertainty_suite():
     assert dt.satisfied
     assert dt.rhs / dt.lhs == pytest.approx(0.578, abs=0.01)
     print(
-        f"\ncriterion 9: PASS - {rigorous_checks} rigorous bounds satisfied on the "
-        f"full grid; product-bound constant 1.17005 reproduced to 5 significant "
-        f"figures; semiclassical rhs/lhs = {dt.rhs / dt.lhs:.4f} (0.578 +- 0.01); "
-        f"{len(findings)} soft findings: {findings or 'none'}"
+        f"\ncriterion 9: PASS - {res.checks} inequality checks on the full grid, "
+        f"every rigorous bound satisfied; product-bound constant 1.17005 reproduced "
+        f"to 5 significant figures; semiclassical rhs/lhs = {dt.rhs / dt.lhs:.4f} "
+        f"(0.578 +- 0.01); {len(res.findings)} soft findings: {list(res.findings) or 'none'}"
     )
 
 

@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from hydromoments import cli
+from hydromoments import ExactValue, cli, momom, verify
 
 
 def run(capsys, argv):
@@ -148,6 +149,32 @@ def test_verify_small_grid_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--suite", "reflection", "--grid", "small"])
     assert code == 0
     assert "reflection: PASS" in out
+
+
+def test_verify_prints_what_each_suite_returns(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--grid", "small"])
+    assert code == 0
+    states = verify.grid("small")
+    lines = []
+    for name, suite in verify.SUITES.items():
+        res = suite(states)
+        assert res.fails == 0
+        lines.append(f"{name}: PASS ({res.checks} checks, 0 failures, worst deviation {res.worst:.3g})")
+    assert out.splitlines() == lines
+    counts = [int(line.split("(")[1].split()[0]) for line in lines]
+    assert counts == [536, 268, 144, 9, 165]
+
+
+def test_verify_reports_a_wrong_route(capsys, monkeypatch):
+    exact, float_route, method = momom._ROUTES["double"]
+
+    def wrong(state, a):
+        return exact(state, a) * ExactValue(Fraction(2)) if state.D == 3 else exact(state, a)
+
+    monkeypatch.setitem(momom._ROUTES, "double", (wrong, float_route, method))
+    code, out, _ = run(capsys, ["verify", "--suite", "routes", "--grid", "small"])
+    assert code == 1
+    assert out == "routes: FAIL (536 checks, 58 failures, worst deviation 0)\n"
 
 
 def test_limits_rydberg(capsys):

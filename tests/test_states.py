@@ -71,7 +71,7 @@ def test_position_domain():
     assert check_order(s, MomentOrder(100.0, Space.POSITION))
 
 
-@pytest.mark.parametrize("alpha", [-5, 7, -4.5, 6.5, 100.0, math.inf, math.nan])
+@pytest.mark.parametrize("alpha", [-5, 7, -4.5, 6.5, 100.0, math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("space", list(Space))
 def test_require_order_raises_exactly_where_check_order_fails(space, alpha):
     s = make_state(3, 2, 1, 1.0)
