@@ -185,36 +185,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_limits(args) -> int:
+    """Each row compares the float moment with its asymptotic estimate.  A
+    row takes its estimate before its moment, so an order outside the
+    regime exits before a moment is computed."""
+    space = Space(args.space)
+    if args.regime == "rydberg":
+        circular = args.family == "circular"
+        cases = [(n, make_state(3, n, n - 1 if circular else 0, args.Z)) for n in _parse_range(args.n_seq)]
+    else:
+        cases = [(D, make_state(D, args.n, args.l, args.Z)) for D in _parse_range(args.D_seq)]
     try:
         rows = []
-        if args.regime == "rydberg":
-            seq = _parse_range(args.n_seq)
-            for n in seq:
-                l = n - 1 if args.family == "circular" else 0
-                state = make_state(3, n, l, args.Z)
-                if args.space == "p":
-                    est = (
-                        asympt.rydberg_circular_p(state, args.alpha)
-                        if args.family == "circular"
-                        else asympt.rydberg_p(state, args.alpha)
-                    )
-                    ex = momom.p_moment(state, args.alpha, mode="float").as_float()
-                else:
-                    est = asympt.rydberg_r(state, args.alpha)
-                    ex = posmom.r_moment(state, args.alpha, mode="float").as_float()
-                rows.append((n, ex, est.leading, est.corrected, ex / est.corrected - 1))
-        else:
-            seq = _parse_range(args.D_seq)
-            for D in seq:
-                state = make_state(D, args.n, args.l, args.Z)
-                space = Space(args.space)
+        for param, state in cases:
+            if args.regime == "highd":
                 est = asympt.highD(state, args.alpha, space)
-                ex = (
-                    posmom.r_moment(state, args.alpha, mode="float")
-                    if space is Space.POSITION
-                    else momom.p_moment(state, args.alpha, mode="float")
-                ).as_float()
-                rows.append((D, ex, est.leading, est.corrected, ex / est.corrected - 1))
+            elif space is Space.POSITION:
+                est = asympt.rydberg_r(state, args.alpha)
+            elif args.family == "circular":
+                est = asympt.rydberg_circular_p(state, args.alpha)
+            else:
+                est = asympt.rydberg_p(state, args.alpha)
+            ex = _compute_one(state, space, args.alpha, "float")[1].as_float()
+            rows.append((param, ex, est.leading, est.corrected, ex / est.corrected - 1))
     except (OrderOutOfDomain, OrderOutOfRegime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

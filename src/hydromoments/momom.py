@@ -449,7 +449,7 @@ def appendix_integrals(state: HydrogenicState) -> tuple[float, float]:
     k = state.k
     nodes = max(k + 2, 8)
     x_i, w_i = oracle.gauss_jacobi(nodes, nu, nu)
-    I = math.fsum(w * oracle.gegenbauer(k, float(state.nu), x) ** 2 for x, w in zip(x_i, w_i))
+    I = math.fsum(w_i * oracle.gegenbauer(k, nu, x_i) ** 2)
     x_j, w_j = oracle.gauss_jacobi(nodes, nu - 1, nu + 1)
-    J = math.fsum(w * oracle.gegenbauer(k, float(state.nu), x) ** 2 for x, w in zip(x_j, w_j))
+    J = math.fsum(w_j * oracle.gegenbauer(k, nu, x_j) ** 2)
     return I, J

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -88,8 +88,7 @@ def _laguerre_scaled(k: int, b: float, x):
         yield q, scale
 
 
-@lru_cache(maxsize=256)
-def _gauss_laguerre_log_cached(m: int, c: float):
+def _gauss_laguerre_log(m: int, c: float):
     """Nodes and log-weights for weight x^c e^{-x}, weights via the
     Christoffel function 1/sum_j p_j(x_i)^2 for tail-robust relative
     accuracy."""
@@ -100,8 +99,15 @@ def _gauss_laguerre_log_cached(m: int, c: float):
     return x, -reduce(np.logaddexp, log_q2)
 
 
-@lru_cache(maxsize=256)
-def _gauss_jacobi_cached(m: int, a: float, b: float):
+def gauss_laguerre(m: int, b: float):
+    """Nodes and weights of the m-point Gauss rule for x^b e^{-x} on (0, inf)."""
+    x, log_w = _gauss_laguerre_log(m, float(b))
+    return x, np.exp(log_w)
+
+
+def gauss_jacobi(m: int, a: float, b: float):
+    """Nodes and weights of the m-point Gauss rule for (1-x)^a (1+x)^b on (-1, 1)."""
+    a, b = float(a), float(b)
     alphas, betas = _jacobi_recurrence(m, a, b)
     log_mu0 = (
         (a + b + 1) * math.log(2.0)
@@ -110,16 +116,6 @@ def _gauss_jacobi_cached(m: int, a: float, b: float):
         - log_gamma(a + b + 2)
     )
     return _golub_welsch(alphas, betas, log_mu0)
-
-
-def gauss_laguerre(m: int, b: float):
-    """Nodes and weights of the m-point Gauss rule for x^b e^{-x} on (0, inf)."""
-    x, log_w = _gauss_laguerre_log_cached(m, float(b))
-    return x, np.exp(log_w)
-
-
-def gauss_jacobi(m: int, a: float, b: float):
-    return _gauss_jacobi_cached(m, float(a), float(b))
 
 
 def laguerre_orthonormal(k: int, b: float, x):
@@ -153,15 +149,14 @@ def gegenbauer_orthonormal(k: int, nu: float, x):
 
 
 def gegenbauer(k: int, nu: float, x):
-    """Plain Gegenbauer polynomial C_k^(nu)(x)."""
-    x = np.asarray(x, dtype=float)
-    if k == 0:
-        return np.ones_like(x)
-    c_prev = np.ones_like(x)
-    c = 2 * nu * x
-    for j in range(1, k):
-        c, c_prev = (2 * (j + nu) * x * c - (j + 2 * nu - 1) * c_prev) / (j + 1), c
-    return c
+    """Plain Gegenbauer polynomial C_k^(nu)(x) = sqrt(h_k) C~_k(x), where
+    h_k = pi 2^(1-2nu) Gamma(k+2nu) / (k! (k+nu) Gamma(nu)^2) is its
+    squared norm."""
+    log_h = (
+        math.log(math.pi) + (1 - 2 * nu) * math.log(2.0) + log_gamma(k + 2 * nu)
+        - log_gamma(k + 1) - math.log(k + nu) - 2 * log_gamma(nu)
+    )
+    return math.exp(0.5 * log_h) * gegenbauer_orthonormal(k, nu, x)
 
 
 def _rule_size(k: int, extra: int = 6) -> int:
@@ -177,7 +172,7 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     scale = math.exp(alpha * (math.log(float(state.eta)) - math.log(2 * state.Z)))
 
     def run(mm):
-        x, logw = _gauss_laguerre_log_cached(mm, b + 1 + alpha)
+        x, logw = _gauss_laguerre_log(mm, b + 1 + alpha)
         *_, (q, q_scale) = _laguerre_scaled(state.k, b, x)
         with np.errstate(divide="ignore"):
             logp = np.log(np.abs(q)) + q_scale

@@ -64,7 +64,9 @@ class MomentResult:
 def resolve_mode(alpha, mode: str) -> str:
     """The evaluation mode, "exact" or "float", for a mode argument of
     "auto", "exact" or "float".  "auto" picks exact for integer orders;
-    exact needs an integer order."""
+    exact needs an integer order.  A bool is not an order."""
+    if isinstance(alpha, bool):
+        raise UnsupportedArgument(f"a bool is not an order, got {alpha!r}")
     if mode == "auto":
         return "exact" if is_integral(alpha) else "float"
     if mode not in ("exact", "float"):

@@ -1,8 +1,8 @@
 """Special-function kernels.
 
 Exact rational-times-pi arithmetic (ExactValue), gamma-family evaluation for
-integer and half-integer arguments, digamma with an exact half-integer
-decomposition, summation of terminating hypergeometric series (one integer
+integer and half-integer arguments, the exact rational part of digamma at
+half-integers, summation of terminating hypergeometric series (one integer
 term-ratio kernel in exact mode, compensated summation in float mode), and
 float prefactors evaluated from their logarithms with a rounding bound.
 """
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
+from numbers import Integral, Rational
 
 from .errors import (
     CancellationOverflow,
@@ -41,13 +41,15 @@ def as_fraction(x) -> Fraction:
 
 
 def is_integral(x) -> bool:
+    """True for an integer-valued int, Fraction or float and for any other
+    Integral, numpy's integers among them; a bool is not an integer here."""
     if isinstance(x, int):
-        return True
+        return not isinstance(x, bool)
     if isinstance(x, Fraction):
         return x.denominator == 1
     if isinstance(x, float):
         return x.is_integer()
-    return False
+    return isinstance(x, Integral)
 
 
 @dataclass(frozen=True)
@@ -219,20 +221,6 @@ def pochhammer(a, j: int, mode: str = "exact"):
     for i in range(j):
         prod *= a + i
     return prod
-
-
-def digamma(x: float) -> float:
-    """psi(x) for x > 0, via upward recurrence and the asymptotic series."""
-    if x <= 0:
-        raise NonpositiveArgument(f"digamma requires x > 0, got {x}")
-    result = 0.0
-    while x < 12.0:
-        result -= 1.0 / x
-        x += 1.0
-    # psi(x) ~ ln x - 1/(2x) - sum B_{2n} / (2n x^{2n})
-    inv2 = 1.0 / (x * x)
-    series = inv2 * (1.0 / 12 - inv2 * (1.0 / 120 - inv2 * (1.0 / 252 - inv2 * (1.0 / 240 - inv2 / 132))))
-    return result + math.log(x) - 0.5 / x - series
 
 
 def digamma_half_exact(n: int) -> Fraction:

@@ -111,21 +111,20 @@ def make_state(D: int, n: int, l: int, Z: float) -> HydrogenicState:
 
 
 def check_order(state: HydrogenicState, order: MomentOrder) -> bool:
-    """True iff the order is finite and lies in the open validity interval
-    for its space."""
-    alpha = order.alpha
-    if not math.isfinite(alpha):
+    """True iff `require_order` accepts the order: it is finite and lies in
+    the open validity interval for its space."""
+    try:
+        require_order(state, order.alpha, order.space)
+    except OrderOutOfDomain:
         return False
-    if order.space is Space.POSITION:
-        return alpha > state.position_lower_bound()
-    lo, hi = state.momentum_interval()
-    return lo < alpha < hi
+    return True
 
 
 def require_order(state: HydrogenicState, alpha: float, space: Space) -> None:
-    """Raise OrderOutOfDomain unless `check_order` would accept alpha in
-    space.  Compared inline: a MomentOrder per call costs more than the
-    comparison, and every exact moment calls this."""
+    """Raise OrderOutOfDomain unless alpha is finite and lies in the open
+    validity interval for space.  The one domain rule: it takes alpha and
+    space rather than a MomentOrder, which costs more to build than the
+    comparison, and every exact moment calls it."""
     if space is Space.POSITION:
         if math.isfinite(alpha) and alpha > state.position_lower_bound():
             return

@@ -141,12 +141,10 @@ def pitt_beckner(state: HydrogenicState, alpha: float) -> InequalityReport:
     )
     params = {"state": state, "alpha": alpha}
     sib = []
-    if alpha == 2 and D > 2:
-        rm2 = r_moment(state, -2, mode="float").as_float()
-        p2 = p_moment(state, 2, mode="float").as_float()
+    if alpha == 2:  # then pa = <p^2> and rma = <r^-2>
         sib.append(
             _report(
-                InequalityName.KINETIC_BOUND, p2 / 2, (D - 2) ** 2 / 8 * rm2, params
+                InequalityName.KINETIC_BOUND, pa / 2, (D - 2) ** 2 / 8 * rma, params
             )
         )
     return _report(InequalityName.PITT_BECKNER, pa, rhs, params, siblings=sib)

@@ -165,6 +165,14 @@ def test_verify_prints_what_each_suite_returns(capsys):
     assert counts == [536, 268, 144, 9, 165]
 
 
+def test_oracle_suite_counts_only_independent_comparisons():
+    res = verify.oracle(verify.grid("full"))
+    assert (res.checks, res.fails) == (629, 0)
+    assert res.findings == (
+        "not compared: p at D=7 n=5 l=0 alpha=0.06077899690615052 fell back to the quadrature oracle",
+    )
+
+
 def test_verify_reports_a_wrong_route(capsys, monkeypatch):
     exact, float_route, method = momom._ROUTES["double"]
 

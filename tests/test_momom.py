@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from hydromoments import (
@@ -67,6 +68,24 @@ def test_unknown_mode_rejected():
     # exact mode never rounds a real order to a neighbouring integer
     with pytest.raises(UnsupportedArgument):
         p_moment(s, 0.5, mode="exact")
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.int32])
+def test_numpy_integer_orders_are_integers(np_int):
+    s = make_state(3, 5, 1, 1.0)
+    for call in (p_moment, reflect):
+        for mode in ("auto", "exact"):
+            res = call(s, np_int(3), mode=mode)
+            assert res.is_exact
+            assert res == call(s, 3, mode=mode)
+
+
+def test_bool_order_rejected():
+    s = make_state(3, 2, 0, 1.0)
+    for call in (p_moment, reflect):
+        for order in (True, False):
+            with pytest.raises(UnsupportedArgument, match="bool"):
+                call(s, order)
 
 
 def _single_sum_quadratic(state, a):

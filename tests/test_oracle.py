@@ -88,6 +88,16 @@ def test_plain_gegenbauer_matches_scipy():
             )
 
 
+@pytest.mark.parametrize("nu", [7.5, 20.5])
+def test_plain_gegenbauer_matches_scipy_at_high_order(nu):
+    from scipy.special import eval_gegenbauer
+
+    x = np.linspace(-0.99, 0.99, 41)
+    for k in range(31):
+        want = eval_gegenbauer(k, nu, x)
+        assert np.max(np.abs(gegenbauer(k, nu, x) - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+
 def test_quadrature_matches_exact_routes():
     for D, n, l in [(2, 3, 1), (3, 4, 0), (5, 3, 2), (8, 2, 1)]:
         s = make_state(D, n, l, 1.0)

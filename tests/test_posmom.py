@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from hydromoments import (
@@ -150,6 +151,22 @@ def test_unknown_mode_rejected():
         r_moment(s, 1.5, mode="exact")
     with pytest.raises(UnsupportedArgument):
         r_moment_ground(3, 1.0, 2, mode="bogus")
+
+
+@pytest.mark.parametrize("np_int", [np.int64, np.int32])
+def test_numpy_integer_orders_are_integers(np_int):
+    s = make_state(3, 5, 1, 1.0)
+    for mode in ("auto", "exact"):
+        res = r_moment(s, np_int(2), mode=mode)
+        assert res.is_exact
+        assert res == r_moment(s, 2, mode=mode)
+
+
+def test_bool_order_rejected():
+    s = make_state(3, 2, 0, 1.0)
+    for order in (True, False):
+        with pytest.raises(UnsupportedArgument, match="bool"):
+            r_moment(s, order)
 
 
 def _position_reference(s, alpha):

@@ -1,9 +1,10 @@
-"""Exact arithmetic, gamma family, digamma, and hypergeometric summation."""
+"""Exact arithmetic, gamma family, half-integer digamma, and hypergeometric summation."""
 
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,6 @@ from hydromoments.specfun import (
     SQRT_PI,
     ExactValue,
     HypSumSpec,
-    digamma,
     digamma_half_exact,
     exp_sum,
     gamma_exact,
@@ -28,6 +28,7 @@ from hydromoments.specfun import (
     gamma_ratio_exact,
     hyp_sum,
     hyp_sum_doubled,
+    is_integral,
     pochhammer,
     ratio_power,
 )
@@ -112,20 +113,19 @@ class TestGamma:
 
 
 class TestDigamma:
-    @pytest.mark.parametrize("x", [0.25, 0.5, 1.0, 1.5, 3.7, 11.99, 12.0, 250.0])
-    def test_matches_mpmath(self, x):
-        assert digamma(x) == pytest.approx(float(mpmath.digamma(x)), rel=1e-13)
-
-    def test_nonpositive(self):
-        with pytest.raises(NonpositiveArgument):
-            digamma(0.0)
-
     def test_half_exact_decomposition(self):
         # psi(n + 1/2) = r_n - gamma - 2 ln 2
         for n in (1, 2, 5, 10):
             r = float(digamma_half_exact(n))
             expect = float(mpmath.digamma(n + 0.5) + mpmath.euler + 2 * mpmath.log(2))
             assert r == pytest.approx(expect, rel=1e-13)
+
+
+def test_is_integral():
+    for x in (3, -2, Fraction(4, 2), 5.0, np.int64(3), np.int32(-2), np.uint8(7)):
+        assert is_integral(x), x
+    for x in (True, False, Fraction(1, 2), 0.5, np.float64(0.5), "3"):
+        assert not is_integral(x), x
 
 
 def test_pochhammer():

@@ -13,6 +13,7 @@ from hydromoments import (
     make_state,
     pitt_beckner,
 )
+from hydromoments import uncertainty
 from hydromoments.errors import NonpositiveParameters, NotSWave, OrderOutOfDomain
 from hydromoments.uncertainty import fermion_factor, momentum_space_constant
 
@@ -55,6 +56,19 @@ def test_pitt_beckner_ground_state():
     assert len(kin) == 1
     assert kin[0].lhs == pytest.approx(0.5, rel=1e-12)
     assert kin[0].rhs == pytest.approx(0.25, rel=1e-12)
+
+
+def test_pitt_beckner_computes_each_moment_once(monkeypatch):
+    calls = []
+    for name in ("p_moment", "r_moment"):
+        def counted(*args, _fn=getattr(uncertainty, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, name, counted)
+    rep = pitt_beckner(make_state(3, 2, 0, 1.0), 2)
+    assert sorted(calls) == ["p_moment", "r_moment"]
+    assert [sib.name for sib in rep.siblings] == [InequalityName.KINETIC_BOUND]
 
 
 def test_pitt_beckner_domain():
