@@ -7,10 +7,12 @@ identity.  For integer orders the single sum is the 5F4 series itself, so
 and one integer kernel, and each builds one Fraction at the end: `single`
 calls the kernel `specfun.hyp_sum_doubled` directly, `hyp5f4` goes through
 `specfun.hyp_sum`.  Comparing the two therefore checks only one kernel call
-against the other; `double` is the independent exact cross-check.  In float
-mode `hyp5f4` is `single`: both sum the series in `_single_sum_float`.  Closed
-forms cover even orders, circular
-states, the mean momentum and the average inverse momentum.  Integer orders
+against the other; `double` is the independent exact cross-check.  Its inner
+sums are the square of one integer polynomial (`_double_sum_parts`),
+recomputed per call without a cache, and it calls neither 5F4 kernel entry.
+In float mode `hyp5f4` is `single`: both sum the series in
+`_single_sum_float`.  Closed forms cover even orders, circular states, the
+mean momentum and the average inverse momentum.  Integer orders
 evaluate exactly; real orders use compensated float summation with a
 cancellation bound and fall back to the quadrature oracle when the bound
 trips.
@@ -20,10 +22,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     CancellationOverflow,
+    FloatOverflow,
     NotCircular,
     OrderOutOfDomain,
     SingularDenominator,
@@ -48,11 +50,6 @@ from .states import HydrogenicState, Space, require_order
 _EPS = 2.0 ** -53
 
 
-def _zeta_pow(state: HydrogenicState, a: int) -> ExactValue:
-    """(Z/eta)^a as an exact value."""
-    return ExactValue((state.Z_exact / state.eta) ** a)
-
-
 def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
     """The log terms of Gamma(nu+(a+1)/2) Gamma(nu+(3-a)/2) / (Gamma(nu+1/2) Gamma(nu+3/2))."""
     return [
@@ -66,6 +63,12 @@ def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
 def _zeta_logs(state: HydrogenicState, alpha: float) -> list[float]:
     """The log terms of (Z/eta)^alpha."""
     return [alpha * math.log(state.Z), -alpha * math.log(float(state.eta))]
+
+
+def _zeta_ratio(state: HydrogenicState, a: int) -> tuple[int, int]:
+    """(Z/eta)^a as an unreduced (numerator, denominator); Z/eta = 2 Z_num / (Z_den * 2eta)."""
+    z_num, z_den = state.Z.as_integer_ratio()
+    return ratio_power(2 * z_num, z_den * state.two_eta, a)
 
 
 def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
@@ -82,9 +85,8 @@ def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     num, den, two_pi = gamma_ratio_doubled(
         (2 * k + 2 * t, t + a + 1, t + 3 - a), (2 * t + 2, t + 1, t + 3)
     )
-    # Z/eta = 2 Z_num / (Z_den * 2eta), and 2(k+nu) = 2k + 2nu
-    z_num, z_den = state.Z.as_integer_ratio()
-    zn, zd = ratio_power(2 * z_num, z_den * state.two_eta, a)
+    # 2(k+nu) = 2k + 2nu
+    zn, zd = _zeta_ratio(state, a)
     return num * (2 * k + t) * zn, den * math.factorial(k) * zd, two_pi
 
 
@@ -155,86 +157,76 @@ def _hyp5f4_exact(state: HydrogenicState, a: int) -> ExactValue:
     )
 
 
-@lru_cache(maxsize=512)
-def _double_sum_parts_exact(D: int, n: int, l: int) -> tuple[ExactValue, ...]:
-    """P(s) = sum over i+j=s of Pi_{i,j}(n,l,D), s = 0..2k."""
-    k = n - l - 1
-    parts = []
-    for s in range(2 * k + 1):
-        acc = None
-        for i in range(max(0, s - k), min(k, s) + 1):
-            j = s - i
-            term = (
-                ExactValue(
-                    pochhammer(-k, i) * pochhammer(-k, j)
-                    / (math.factorial(i) * math.factorial(j))
-                )
-                * gamma_exact(n + l + D - 2 + i)
-                * gamma_exact(n + l + D - 2 + j)
-                / (
-                    gamma_exact(l + Fraction(D, 2) + i)
-                    * gamma_exact(l + Fraction(D, 2) + j)
-                    * gamma_exact(2 * l + D + 1 + i + j)
-                )
-            )
-            acc = term if acc is None else acc + term
-        parts.append(acc)
-    return tuple(parts)
+def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int, int]:
+    """The inner sums P(s), s = 0..2k, of the double-sum form as integer
+    numerators over one common denominator, with twice their pi power.
+
+    The inner sum over i+j = s squares one polynomial,
+    P(s) = (-1)^s (g*g)_s / Gamma(C+s), with g_i = C(k,i) Gamma(A+i)/Gamma(B+i),
+    A = n+l+D-2, B = l+D/2 and C = 2l+D+1.  Over W = 2^k (B)_k, which is the
+    integer prod_{m<k} (2B+2m), g_i = Gamma(A)/Gamma(B) h_i / W with the integer
+    h_i = C(k,i) (A)_i 2^i prod_{i<=m<k} (2B+2m)."""
+    k = state.k
+    A, two_b, C = state.n + state.l + state.D - 2, 2 * state.l + state.D, 2 * state.l + state.D + 1
+    suffix = [1] * (k + 1)
+    for m in range(k - 1, -1, -1):
+        suffix[m] = suffix[m + 1] * (two_b + 2 * m)
+    h, rising = [], 1
+    for i in range(k + 1):
+        h.append(math.comb(k, i) * rising * suffix[i])
+        rising *= 2 * (A + i)
+    gn, gd, two_pi = gamma_ratio_doubled((2 * A, 2 * A), (two_b, two_b))
+    # over the common Gamma(C+2k), P(s) carries (C+s)_{2k-s}
+    nums, tail = [0] * (2 * k + 1), gn
+    for s in range(2 * k, -1, -1):
+        half = sum(h[i] * h[s - i] for i in range(max(0, s - k), (s + 1) // 2))
+        conv = 2 * half + (h[s // 2] ** 2 if s % 2 == 0 else 0)
+        nums[s] = (-1) ** s * conv * tail
+        tail *= C + s - 1
+    return nums, gd * suffix[0] ** 2 * math.factorial(C + 2 * k - 1), two_pi
 
 
 def _double_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
-    D, n, l = state.D, state.n, state.l
-    parts = _double_sum_parts_exact(D, n, l)
-    acc = None
-    for s, part in enumerate(parts):
-        term = part * gamma_exact(l + Fraction(D + a, 2) + s)
-        acc = term if acc is None else acc + term
-    pref = (
-        ExactValue(4 * state.eta)
-        * _zeta_pow(state, a)
-        * gamma_exact(l + Fraction(D - a, 2) + 1)
-        / (gamma_exact(n + l + D - 2) * gamma_exact(n - l))
+    """4 eta (Z/eta)^a Gamma(l+(D-a)/2+1) Gamma(x) / (Gamma(A) k!) times
+    sum_s P(s) (x)_s with x = l+(D+a)/2 and A = n+l+D-2, as one Fraction."""
+    k, x2 = state.k, 2 * state.l + state.D + a
+    nums, den, two_pi = _double_sum_parts(state)
+    # (x)_s = prod_{m<s} (2x+2m) / 2^s, scaled by 2^(2k)
+    total, rising = 0, 1
+    for s, num in enumerate(nums):
+        total += (num * rising) << (2 * k - s)
+        rising *= x2 + 2 * s
+    pn, pd, p_two_pi = gamma_ratio_doubled(
+        (2 * state.l + state.D - a + 2, x2), (2 * (state.n + state.l + state.D - 2),)
     )
-    return pref * acc
-
-
-def _log_abs_fraction(fr: Fraction) -> tuple[int, float]:
-    """(sign, log|fr|) without overflow for huge integers."""
-    if fr == 0:
-        return 0, -math.inf
-    sign = 1 if fr > 0 else -1
-    num, den = abs(fr.numerator), fr.denominator
-    # shift both into float range before taking logs
-    sn = max(num.bit_length() - 900, 0)
-    sd = max(den.bit_length() - 900, 0)
-    return sign, math.log(num >> sn) + sn * _LOG2 - math.log(den >> sd) - sd * _LOG2
-
-
-_LOG2 = math.log(2.0)
+    zn, zd = _zeta_ratio(state, a)
+    coeff = Fraction(
+        2 * state.two_eta * pn * zn * total,
+        (pd * zd * math.factorial(k) * den) << (2 * k),
+    )
+    return ExactValue(coeff, Fraction(two_pi + p_two_pi, 2))
 
 
 def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
     """Float double-sum route.  The alpha-independent inner cancellation is
-    collapsed exactly once per state, leaving a short outer sum in s."""
+    collapsed exactly, leaving a short outer sum in s."""
     D, n, l = state.D, state.n, state.l
-    parts = _double_sum_parts_exact(D, n, l)
-    pi_pow = float(parts[0].pi_pow)
+    nums, den, two_pi = _double_sum_parts(state)
     lscale = log_gamma(n + l + D - 2)  # keeps exp() in range
     x = l + (D + alpha) / 2
     # shared gamma recurrence: errors correlate across terms and factor out,
     # so cancellation only amplifies the per-term rounding below
-    g, g_rel = exp_sum([log_gamma(x), -lscale, pi_pow * math.log(math.pi)])
+    g, g_rel = exp_sum([log_gamma(x), -lscale, two_pi / 2 * math.log(math.pi)])
     terms = []
     bounds = []
-    for s, part in enumerate(parts):
+    for s, num in enumerate(nums):
         try:
-            c = float(part.coeff)
+            c = num / den  # int true division rounds correctly
         except OverflowError:
-            sign, logc = _log_abs_fraction(part.coeff)
-            c = sign * math.exp(logc)
+            raise CancellationOverflow(f"part {s} overflowed at n={n}") from None
         t = c * g
         if not math.isfinite(t):
-            raise CancellationOverflow(f"term {s} overflowed at n={state.n}")
+            raise CancellationOverflow(f"term {s} overflowed at n={n}")
         terms.append(t)
         bounds.append((s + 4) * _EPS * abs(t))
         g *= x + s
@@ -328,7 +320,10 @@ def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
         value = base.value * factor
         err = 0.0
     else:
-        factor = (float(state.eta) / state.Z) ** (2 * alpha_f - 2)
+        try:
+            factor = (float(state.eta) / state.Z) ** (2 * alpha_f - 2)
+        except OverflowError:
+            raise FloatOverflow(f"(eta/Z)^{2 * alpha_f - 2:.6g} exceeds the double range") from None
         value = base.as_float() * factor
         err = base.error_estimate * factor + 4 * abs(value) * _EPS
     return MomentResult(value, err, Method.REFLECTION, Space.MOMENTUM, 2 - alpha_f, state)
@@ -345,7 +340,7 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
     if mode == "exact":
         a = int(round(alpha_f))
         value = (
-            _zeta_pow(state, a)
+            ExactValue(Fraction(*_zeta_ratio(state, a)))
             * gamma_exact(eta + Fraction(a + 1, 2))
             * gamma_exact(eta + Fraction(3 - a, 2))
             / (gamma_exact(eta + Fraction(1, 2)) * gamma_exact(eta + Fraction(3, 2)))
@@ -357,41 +352,41 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
     )
 
 
-def mean_momentum(state: HydrogenicState, mode: str = "exact") -> MomentResult:
-    """<p>, picking the cheapest applicable closed form."""
-    mode = resolve_mode(1, mode)
+def _low_order_moment(state: HydrogenicState, order: int, mode: str, ns_value) -> MomentResult:
+    """<p^order> for order +-1: the circular closed form, the exact 3D nS
+    value ns_value(n, Z), else the generic route."""
+    mode = resolve_mode(order, mode)
     if state.is_circular:
-        return p_moment_circular(state, 1, mode=mode)
+        return p_moment_circular(state, order, mode=mode)
     if state.D == 3 and state.l == 0:
-        n = state.n
-        coeff = Fraction(8 * n, 4 * n * n - 1) * state.Z_exact
-        value = ExactValue(coeff, Fraction(-1))
+        value = ns_value(state.n, state.Z_exact)
         if mode == "float":
             return MomentResult(
                 value.to_float(), 4 * value.to_float() * _EPS,
-                Method.CLOSED_FORM, Space.MOMENTUM, 1.0, state,
+                Method.CLOSED_FORM, Space.MOMENTUM, float(order), state,
             )
-        return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, 1.0, state)
-    return p_moment(state, 1, mode=mode)
+        return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, float(order), state)
+    return p_moment(state, order, mode=mode)
+
+
+def _mean_ns(n: int, Z: Fraction) -> ExactValue:
+    return ExactValue(Fraction(8 * n, 4 * n * n - 1) * Z, Fraction(-1))
+
+
+def mean_momentum(state: HydrogenicState, mode: str = "exact") -> MomentResult:
+    """<p>, picking the cheapest applicable closed form."""
+    return _low_order_moment(state, 1, mode, _mean_ns)
+
+
+def _inverse_ns(n: int, Z: Fraction) -> ExactValue:
+    bracket = digamma_half_exact(n) - Fraction(2 * n * n, 4 * n * n - 1)
+    return ExactValue(Fraction(4 * n) / Z * bracket, Fraction(-1))
 
 
 def inverse_momentum(state: HydrogenicState, mode: str = "exact") -> MomentResult:
     """<p^{-1}>; for 3D nS states the exact digamma decomposition keeps the
     value rational over pi."""
-    mode = resolve_mode(-1, mode)
-    if state.is_circular:
-        return p_moment_circular(state, -1, mode=mode)
-    if state.D == 3 and state.l == 0:
-        n = state.n
-        bracket = digamma_half_exact(n) - Fraction(2 * n * n, 4 * n * n - 1)
-        value = ExactValue(Fraction(4 * n) / state.Z_exact * bracket, Fraction(-1))
-        if mode == "float":
-            return MomentResult(
-                value.to_float(), 4 * value.to_float() * _EPS,
-                Method.CLOSED_FORM, Space.MOMENTUM, -1.0, state,
-            )
-        return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, -1.0, state)
-    return p_moment(state, -1, mode=mode)
+    return _low_order_moment(state, -1, mode, _inverse_ns)
 
 
 # Physically named wrappers (proportionality constants deliberately omitted).

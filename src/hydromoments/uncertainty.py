@@ -92,8 +92,8 @@ def heisenberg_general(state: HydrogenicState, a: float, b: float) -> Inequality
     rhs = _dim_factor(D, a) * _dim_factor(D, b)
     params = {"state": state, "a": a, "b": b}
 
-    r2 = r_moment(state, 2, mode="float").as_float()
-    p2 = p_moment(state, 2, mode="float").as_float()
+    r2 = ra if a == 2 else r_moment(state, 2, mode="float").as_float()
+    p2 = pb if b == 2 else p_moment(state, 2, mode="float").as_float()
     sib = [
         _report(InequalityName.HEISENBERG_D2_OVER_4, r2 * p2, D * D / 4, params),
         _report(

@@ -25,6 +25,7 @@ from hydromoments import (
 )
 from hydromoments import momom, specfun
 from hydromoments.errors import (
+    FloatOverflow,
     NotCircular,
     OrderOutOfDomain,
     SingularDenominator,
@@ -176,6 +177,16 @@ def test_reflection_float_mode():
     assert r.method is Method.REFLECTION
 
 
+def test_reflection_float_overflow_is_a_library_error():
+    # (eta/Z)^(2 alpha - 2) exceeds the double range; the direct order does too
+    s = make_state(3, 94, 55, 0.001)
+    alpha = 100.50738585477922
+    with pytest.raises(FloatOverflow):
+        reflect(s, alpha, mode="float")
+    with pytest.raises(FloatOverflow):
+        p_moment(s, 2 - alpha, mode="float")
+
+
 def test_circular_closed_form():
     for D, n in [(2, 1), (3, 1), (3, 4), (5, 3), (8, 2)]:
         s = make_state(D, n, n - 1, 1.0)
@@ -306,6 +317,25 @@ def test_large_n_falls_back_to_quadrature():
     res = p_moment(make_state(3, 160, 0, 1.0), 0.5)
     assert res.method is Method.QUADRATURE
     assert math.isfinite(res.as_float()) and res.as_float() > 0
+
+
+@pytest.mark.parametrize(
+    "state, alpha", [((3, 100, 0, 1.0), 0.7), ((3, 111, 11, 1000.0), 16.630956705390098)]
+)
+def test_float_double_route_overflow_falls_back(state, alpha):
+    # inner sums beyond the double range send the route to quadrature
+    res = p_moment(make_state(*state), alpha, mode="float", route="double")
+    assert res.method is Method.QUADRATURE
+    assert math.isfinite(res.as_float()) and res.as_float() > 0
+
+
+@pytest.mark.parametrize(
+    "state, alpha",
+    [((3, n, 0), a) for n in (40, 160) for a in (-1, 1, 3)] + [((8, 60, 5), a) for a in (-1, 1, 3)],
+)
+def test_exact_double_route_matches_single_at_large_k(state, alpha):
+    s = make_state(*state, 1.0)
+    assert p_moment(s, alpha, route="double").value == p_moment(s, alpha).value
 
 
 def test_appendix_constants_reproduce_momentum_moments():

@@ -71,6 +71,24 @@ def test_pitt_beckner_computes_each_moment_once(monkeypatch):
     assert [sib.name for sib in rep.siblings] == [InequalityName.KINETIC_BOUND]
 
 
+def test_heisenberg_general_computes_each_moment_once(monkeypatch):
+    calls = []
+    for name in ("p_moment", "r_moment"):
+        def counted(*args, _fn=getattr(uncertainty, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, name, counted)
+    s = make_state(3, 2, 0, 1.0)
+    rep = heisenberg_general(s, 2, 2)
+    assert sorted(calls) == ["p_moment", "r_moment"]
+    # at b = 1, <p^2> is a moment of its own
+    calls.clear()
+    other = heisenberg_general(s, 2, 1)
+    assert [sib.lhs for sib in other.siblings[:2]] == [sib.lhs for sib in rep.siblings[:2]]
+    assert sorted(calls) == ["p_moment", "p_moment", "r_moment"]
+
+
 def test_pitt_beckner_domain():
     with pytest.raises(OrderOutOfDomain):
         pitt_beckner(make_state(3, 1, 0, 1.0), 3.5)
