@@ -15,7 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import OrderOutOfRegime, UnsupportedArgument
+from .errors import FloatOverflow, OrderOutOfRegime, UnsupportedArgument
 from .specfun import EULER_GAMMA, log_gamma
 from .states import HydrogenicState, Space
 
@@ -33,6 +33,14 @@ class AsymptoticEstimate:
     constraints: str
 
 
+def _power(x: float, a: float) -> float:
+    """x ** a, raising FloatOverflow where the power leaves the double range."""
+    try:
+        return x ** a
+    except OverflowError:
+        raise FloatOverflow(f"{x:.6g} ** {a:.6g} exceeds the double range") from None
+
+
 def gamma_ratio_asym(x: float, a: float, b: float) -> float:
     """Two-term large-x estimate of Gamma(x+a)/Gamma(x+b)."""
     return x ** (a - b) * (1 + (a - b) * (a + b - 1) / (2 * x))
@@ -44,7 +52,7 @@ def rydberg_r(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
     eta = float(state.eta)
     L = float(state.L)
     if alpha > -1.5:
-        value = (eta * eta / state.Z) ** alpha * math.exp(
+        value = _power(eta * eta / state.Z, alpha) * math.exp(
             (alpha + 1) * math.log(2.0)
             + log_gamma(alpha + 1.5)
             - 0.5 * math.log(math.pi)
@@ -57,7 +65,7 @@ def rydberg_r(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
             f"negative-branch order needs 3/2 < {beta} < 2L+3 = {2 * L + 3}"
         )
     value = (
-        state.Z ** beta
+        _power(state.Z, beta)
         / eta ** 3
         * math.exp(
             log_gamma(2 * L - beta + 3)
@@ -116,14 +124,14 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
     if not alpha > -D - 2 * l:
         raise OrderOutOfRegime(f"order {alpha} must exceed {-D - 2 * l}")
     if space is Space.MOMENTUM:
-        leading = (2 * state.Z / D) ** alpha
+        leading = _power(2 * state.Z / D, alpha)
         eta = float(state.eta)
         nu = float(state.nu)
-        corrected = (state.Z / eta) ** alpha * (
+        corrected = _power(state.Z / eta, alpha) * (
             1 + alpha * (alpha - 2) * (2 * n - 2 * l - 1) / (4 * nu)
         )
         return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {-D - 2 * l}")
-    leading = (D * D / (4 * state.Z)) ** alpha
+    leading = _power(D * D / (4 * state.Z), alpha)
     M = D + 2 * l - 1
     k = state.k
     eta = float(state.eta)
@@ -136,9 +144,9 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
         / (4 * M * (M + 1))
     )
     corrected = (
-        eta ** (alpha - 1)
-        * ((M + alpha / 2) / 2) ** (alpha + 1)
-        / state.Z ** alpha
+        _power(eta, alpha - 1)
+        * _power((M + alpha / 2) / 2, alpha + 1)
+        / _power(state.Z, alpha)
         * series
     )
     return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {-D - 2 * l}")

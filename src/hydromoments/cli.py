@@ -90,6 +90,7 @@ def cmd_compute(args) -> int:
     try:
         state = make_state(args.D, args.n, args.l, args.Z)
         mode, res = _compute_one(state, Space(args.space), args.alpha, args.mode)
+        value = res.as_float()  # an exact value beyond the double range raises FloatOverflow
     except (OrderOutOfDomain, OrderOutOfRegime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -108,10 +109,10 @@ def cmd_compute(args) -> int:
         if res.is_exact:
             v = res.value
             pi = "" if v.pi_pow == 0 else f" * pi^{v.pi_pow}"
-            print(f"<{res.space.value}^{res.alpha:g}> = {v.coeff}{pi} = {res.as_float():.12g}")
+            print(f"<{res.space.value}^{res.alpha:g}> = {v.coeff}{pi} = {value:.12g}")
         else:
             print(
-                f"<{res.space.value}^{res.alpha:g}> = {res.as_float():.12g}"
+                f"<{res.space.value}^{res.alpha:g}> = {value:.12g}"
                 f" (+- {res.error_estimate:.3g}, {res.method.value})"
             )
     return 0
@@ -189,12 +190,12 @@ def cmd_limits(args) -> int:
     row takes its estimate before its moment, so an order outside the
     regime exits before a moment is computed."""
     space = Space(args.space)
-    if args.regime == "rydberg":
-        circular = args.family == "circular"
-        cases = [(n, make_state(3, n, n - 1 if circular else 0, args.Z)) for n in _parse_range(args.n_seq)]
-    else:
-        cases = [(D, make_state(D, args.n, args.l, args.Z)) for D in _parse_range(args.D_seq)]
     try:
+        if args.regime == "rydberg":
+            circular = args.family == "circular"
+            cases = [(n, make_state(3, n, n - 1 if circular else 0, args.Z)) for n in _parse_range(args.n_seq)]
+        else:
+            cases = [(D, make_state(D, args.n, args.l, args.Z)) for D in _parse_range(args.D_seq)]
         rows = []
         for param, state in cases:
             if args.regime == "highd":
@@ -210,6 +211,9 @@ def cmd_limits(args) -> int:
     except (OrderOutOfDomain, OrderOutOfRegime) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except HydromomentsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     w = csv.writer(sys.stdout)
     w.writerow(["parameter", "exact", "leading", "corrected", "ratio_minus_1"])
     for row in rows:

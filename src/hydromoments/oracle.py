@@ -5,7 +5,7 @@ Gaussian quadrature whose nodes/weights come from the Golub-Welsch
 eigenproblem, so nothing here shares code with the hypergeometric routes.
 Both integrands reduce to (orthonormal polynomial)^2 against a classical
 weight, which makes the rules mathematically exact at k+1 nodes and keeps
-magnitudes bounded at large n.  Entropic moments use adaptive quadrature.
+magnitudes bounded at large n.  Entropic moments use Gauss rules between the zeros of R.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from functools import reduce
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import NonpositiveParameters, QuadratureFailure
+from .errors import NonpositiveParameters, NotSWave, QuadratureFailure
 from .posmom import Method, MomentResult
-from .specfun import ExactValue, gamma_exact, log_gamma
+from .specfun import ExactValue, exp_sum, gamma_exact, log_gamma
 from .states import HydrogenicState, Space
 
 _EPS = 2.0 ** -53
@@ -120,14 +120,8 @@ def gauss_jacobi(m: int, a: float, b: float):
 
 def laguerre_orthonormal(k: int, b: float, x):
     """p_k(x), orthonormal against x^b e^{-x} on (0, inf)."""
-    x = np.asarray(x, dtype=float)
-    p_prev = np.zeros_like(x)
-    p = np.full_like(x, math.exp(-0.5 * log_gamma(b + 1)))
-    for j in range(k):
-        beta_next = math.sqrt((j + 1) * (j + 1 + b))
-        beta_this = math.sqrt(j * (j + b)) if j else 0.0
-        p, p_prev = ((x - (2 * j + b + 1)) * p - beta_this * p_prev) / beta_next, p
-    return p
+    *_, (q, s) = _laguerre_scaled(k, float(b), np.asarray(x, dtype=float))
+    return q * np.exp(s)
 
 
 def gegenbauer_orthonormal(k: int, nu: float, x):
@@ -169,7 +163,7 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     alpha = float(alpha)
     b = 2 * state.l + state.D - 2  # Laguerre index of the radial polynomial
     m = _rule_size(state.k)
-    scale = math.exp(alpha * (math.log(float(state.eta)) - math.log(2 * state.Z)))
+    scale, _ = exp_sum([alpha * (math.log(float(state.eta)) - math.log(2 * state.Z))])
 
     def run(mm):
         x, logw = _gauss_laguerre_log(mm, b + 1 + alpha)
@@ -192,7 +186,7 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     a, b = nu + (alpha - 1) / 2, nu - (alpha - 1) / 2
     x, w = gauss_jacobi(m, a, b)
     vals = gegenbauer_orthonormal(state.k, nu, x)
-    scale = math.exp(alpha * (math.log(state.Z) - math.log(float(state.eta))))
+    scale, _ = exp_sum([alpha * (math.log(state.Z) - math.log(float(state.eta)))])
     value = scale * float(np.dot(w, vals * vals))
     x2, w2 = gauss_jacobi(m + 8, a, b)
     v2 = gegenbauer_orthonormal(state.k, nu, x2)
@@ -224,27 +218,38 @@ def momentum_norm_sq(state: HydrogenicState) -> ExactValue:
     )
 
 
-def _position_amplitude(state: HydrogenicState) -> float:
-    """The constant factor of R_{n,l}(r) in front of the orthonormal Laguerre
-    polynomial."""
+def _log(v: ExactValue) -> float:
+    """ln of a positive exact value, from its integer numerator and denominator."""
+    return math.log(v.coeff.numerator) - math.log(v.coeff.denominator) + float(v.pi_pow) * math.log(math.pi)
+
+
+def _position_log_amplitude(state: HydrogenicState) -> float:
+    """ln of the factor of R_{n,l}(r) in front of the orthonormal Laguerre polynomial."""
     b = 2 * state.l + state.D - 2
-    logk2 = math.log(position_norm_sq(state).to_float())
     # orthonormal Laguerre carries 1/||L||; restore the conventional scale
-    lognorm = 0.5 * (log_gamma(state.k + b + 1) - log_gamma(state.k + 1))
-    return math.exp(0.5 * logk2 + lognorm)
+    return 0.5 * (_log(position_norm_sq(state)) + log_gamma(state.k + b + 1) - log_gamma(state.k + 1))
 
 
-def _radial_position(state: HydrogenicState, r, amp: float):
-    """R_{n,l}(r) given its amplitude from _position_amplitude."""
+def _log_radial(state: HydrogenicState, x, log_amp: float):
+    """The sign and ln|R_{n,l}| at x = 2Zr/eta, given log_amp from _position_log_amplitude."""
+    for q, s in _laguerre_scaled(state.k, 2 * state.l + state.D - 2, x):
+        pass  # keeps only the last pair alive
+    with np.errstate(divide="ignore"):  # 0 * log 0 would be nan: l log x enters only for l > 0
+        log_r = log_amp - x / 2 + np.log(np.abs(q)) + s + (state.l * np.log(x) if state.l else 0)
+    return np.sign(q), log_r
+
+
+def _radial_position(state: HydrogenicState, r, log_amp: float):
+    """R_{n,l}(r) given its log-amplitude from _position_log_amplitude."""
     r = np.asarray(r, dtype=float)
     x = 2 * float(state.Z) * r / (state.two_eta / 2)  # float(eta), without building the Fraction
-    b = 2 * state.l + state.D - 2
-    return amp * x ** state.l * np.exp(-x / 2) * laguerre_orthonormal(state.k, b, x)
+    sign, log_r = _log_radial(state, x, log_amp)
+    return sign * np.exp(log_r)
 
 
 def radial_position(state: HydrogenicState, r):
     """Radial position wavefunction R_{n,l}(r)."""
-    return _radial_position(state, r, _position_amplitude(state))
+    return _radial_position(state, r, _position_log_amplitude(state))
 
 
 def radial_momentum(state: HydrogenicState, p):
@@ -253,7 +258,7 @@ def radial_momentum(state: HydrogenicState, p):
     t = float(state.eta) * p / float(state.Z)
     y = (1 - t * t) / (1 + t * t)
     nu = float(state.nu)
-    amp = math.exp(0.5 * math.log(momentum_norm_sq(state).to_float()))
+    amp = math.exp(0.5 * _log(momentum_norm_sq(state)))
     return amp * t ** state.l * (1 + t * t) ** (-(state.l + (state.D - 1) / 2 + 1)) \
         * gegenbauer(state.k, nu, y)
 
@@ -264,22 +269,35 @@ def solid_angle(D: int) -> ExactValue:
 
 
 def entropic_moment(state: HydrogenicState, q: float) -> float:
-    """W_q for s states: Omega_D^(1-q) * integral R^(2q) r^(D-1) dr."""
-    from scipy.integrate import quad
+    """W_q = Omega_D^(1-q) * integral |R|^(2q) r^(D-1) dr of an s state.  In x = 2Zr/eta,
+    a Gauss-Jacobi rule on each panel between 0 and the zeros of R takes the factors
+    x^(D-1) and |x - z|^(2q) at its ends as weight, and a Gauss-Laguerre rule in
+    x = z_k + t/q the tail.  Raises QuadratureFailure if m and m+8 nodes differ by 1e-10."""
+    if state.l:
+        raise NotSWave(f"entropic moments implemented for l = 0, got l={state.l}")
+    if not 0 < q < math.inf:
+        raise NonpositiveParameters(f"entropic order q must be positive and finite, got {q}")
+    q, D, k = float(q), state.D, state.k
+    ends = np.concatenate(([0.0], _gauss_laguerre_log(k, D - 2)[0] if k else []))
+    panels = ((ends[:-1][:1], ends[1:2], D - 1), (ends[1:-1], ends[2:], 2 * q))  # [0, z_1], [z_j, z_j+1]
+    c = 2 * q if k else D - 1  # the tail's factor at its left end
+    log_amp = _position_log_amplitude(state)  # exact norm, once per call rather than per rule
 
-    omega = solid_angle(state.D).to_float()
-    scale = float(state.eta) / (2 * state.Z)
-    amp = _position_amplitude(state)  # exact norm, once per call rather than per point
+    def run(m):
+        """ln of the integral over x by m-node rules."""
+        t, log_w = _gauss_laguerre_log(m, c)
+        xs, logs = [ends[-1] + t / q], [log_w - c * np.log(t) + t - math.log(q)]
+        for left, right, b in panels:
+            t, w = gauss_jacobi(m, 2 * q, b)
+            h = (right - left)[:, None] / 2
+            xs.append((left[:, None] + h * (1 + t)).ravel())
+            logs.append((np.log(h * w) - 2 * q * np.log1p(-t) - b * np.log1p(t)).ravel())
+        x, lv = np.concatenate(xs), np.concatenate(logs)
+        lv += 2 * q * _log_radial(state, x, log_amp)[1] + (D - 1) * np.log(x)
+        return lv.max() + math.log(np.exp(lv - lv.max()).sum())
 
-    def integrand(u):
-        r = u * scale
-        rr = _radial_position(state, r, amp) ** 2
-        return float(rr ** q * r ** (state.D - 1)) * scale
-
-    total = 0.0
-    cuts = [0.0, 1.0, 10.0, 50.0, 200.0 + 4.0 * state.n ** 2]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        part, _ = quad(integrand, lo, hi, limit=200)
-        total += part
-    tail, _ = quad(integrand, cuts[-1], np.inf, limit=200)
-    return omega ** (1 - q) * (total + tail)
+    m = 20 + int(q * np.diff(ends).max(initial=0.0) / 2)
+    log_int, log_int2 = run(m), run(m + 8)
+    if abs(log_int - log_int2) > 1e-10:
+        raise QuadratureFailure(f"W_{q:g} rules of {m} and {m + 8} nodes differ by {abs(log_int - log_int2):.2g}")
+    return exp_sum([(1 - q) * _log(solid_angle(D)), D * math.log(float(state.eta) / (2 * state.Z)), log_int2])[0]

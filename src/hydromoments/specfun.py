@@ -107,7 +107,14 @@ class ExactValue:
         return ExactValue(self.coeff ** m, self.pi_pow * m)
 
     def to_float(self) -> float:
-        return float(self.coeff) * math.pi ** float(self.pi_pow)
+        """The nearest double; raises FloatOverflow beyond the double range."""
+        try:
+            value = float(self.coeff) * math.pi ** float(self.pi_pow)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise FloatOverflow("exact value exceeds the double range")
+        return value
 
     def is_rational(self) -> bool:
         return self.pi_pow == 0

@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import NonpositiveParameters, NotSWave, OrderOutOfDomain
+from .errors import NonpositiveParameters, OrderOutOfDomain
 from .momom import p_moment
 from .posmom import r_moment
 from .specfun import log_gamma
@@ -167,14 +167,12 @@ def daubechies_thakkar(
     for k < 0.  D=3, q=2 emits the c_k variant as a sibling."""
     from . import oracle
 
-    if state.l != 0:
-        raise NotSWave(f"entropic moments implemented for l = 0, got l={state.l}")
     if k == 0:
         raise OrderOutOfDomain(f"momentum order {k} invalid for the state")
     require_order(state, k, Space.MOMENTUM)
     D = state.D
+    w = oracle.entropic_moment(state, 1 + k / D)  # raises NotSWave for l != 0
     pk = p_moment(state, k, mode="float").as_float()
-    w = oracle.entropic_moment(state, 1 + k / D)
     rhs = momentum_space_constant(D, k) * q ** (-k / D) * w
     params = {"state": state, "k": k, "q": q}
     sib = []

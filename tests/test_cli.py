@@ -106,6 +106,28 @@ def test_table_marks_overflowing_cell_and_continues(capsys):
     assert [r[-1] for r in rows[1:]] == ["ok", "numerical-failure"]
 
 
+@pytest.mark.parametrize("mode, alphas", [("exact", "1,150"), ("oracle", "1,300.5")])
+def test_table_marks_a_value_beyond_the_double_range(capsys, mode, alphas):
+    code, out, _ = run(capsys, [
+        "table", "--space", "r", "--D-range", "3:3", "--n-range", "100:100", "--l", "0",
+        f"--alpha-list={alphas}", "--mode", mode,
+    ])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[-1] for r in rows[1:]] == ["ok", "numerical-failure"]
+
+
+@pytest.mark.parametrize("alpha, mode", [("150", "auto"), ("300.5", "oracle")])
+def test_compute_beyond_the_double_range_is_a_numerical_failure(capsys, alpha, mode):
+    code, out, err = run(capsys, [
+        "compute", "--space", "r", "--alpha", alpha, "--D", "3", "--n", "100", "--l", "0",
+        "--mode", mode, "--format", "json",
+    ])
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "double range" in err
+
+
 def test_exact_mode_with_real_order_is_an_input_error(capsys):
     code, out, _ = run(capsys, [
         "table", "--space", "p", "--D-range", "3", "--n-range", "2", "--l", "0",
@@ -216,3 +238,14 @@ def test_limits_domain_error(capsys):
     ])
     assert code == cli.EXIT_DOMAIN
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--regime", "highd", "--alpha", "300", "--space", "r", "--D-seq", "16"],
+    ["--regime", "rydberg", "--alpha", "200", "--space", "r", "--n-seq", "100"],
+])
+def test_limits_overflow_is_a_numerical_failure(capsys, argv):
+    code, out, err = run(capsys, ["limits", *argv])
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("error:") and "double range" in err

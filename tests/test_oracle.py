@@ -1,12 +1,18 @@
 """Quadrature oracle: rules, wavefunctions, norms, and entropic moments."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_genlaguerre
 
+import hydromoments
 from hydromoments import (
     entropic_moment,
     make_state,
@@ -18,8 +24,9 @@ from hydromoments import (
     radial_position,
     solid_angle,
 )
-from hydromoments.errors import NonpositiveParameters
+from hydromoments.errors import NonpositiveParameters, NotSWave, QuadratureFailure
 from hydromoments.oracle import (
+    _gauss_laguerre_log,
     _jacobi_recurrence,
     _laguerre_recurrence,
     gauss_jacobi,
@@ -123,6 +130,20 @@ def test_momentum_wavefunction_normalized():
         assert val == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("D, n, l", [(3, 160, 150), (3, 300, 0), (12, 500, 3)])
+def test_position_wavefunction_finite_and_normalized_at_large_n_and_l(D, n, l):
+    s = make_state(D, n, l, 1.0)
+    b = 2 * l + D - 2
+    # R^2 r^(D-1) dr is a degree-2k polynomial against x^(b+1) e^-x in x = 2Zr/eta
+    x, log_w = _gauss_laguerre_log(s.k + 2, b + 1.0)
+    scale = float(s.eta) / (2 * s.Z)
+    r = x * scale
+    R = radial_position(s, r)
+    assert np.isfinite(R).all()
+    norm = np.exp(log_w + x - (b + 1) * np.log(x)) @ (R * R * r ** (D - 1)) * scale
+    assert norm == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
 def test_norm_constants_positive_exact():
     for D, n, l in [(2, 2, 0), (3, 4, 2), (5, 3, 1)]:
         s = make_state(D, n, l, 1.0)
@@ -161,7 +182,7 @@ def test_entropic_moment_takes_the_exact_norm_once(monkeypatch):
     assert entropic_moment(s, 1.5) == want
     assert calls == [s]
     r = np.array([0.5, 2.0, 9.0])
-    assert np.array_equal(radial_position(s, r), oracle._radial_position(s, r, oracle._position_amplitude(s)))
+    assert np.array_equal(radial_position(s, r), oracle._radial_position(s, r, oracle._position_log_amplitude(s)))
 
 
 def test_wavefunctions_take_a_fraction_charge():
@@ -171,3 +192,71 @@ def test_wavefunctions_take_a_fraction_charge():
         got = fn(s, x)
         assert got.dtype == np.float64
         assert np.array_equal(got, fn(s_float, x))
+
+
+def _entropic_reference(state, q):
+    """W_q of an s state by 30-digit mpmath quadrature of |R|^(2q) r^(D-1),
+    split at the zeros of the Laguerre polynomial, with R normalized in
+    closed form."""
+    D, k, b = state.D, state.k, state.D - 2
+    with mpmath.workdps(30):
+        q = mpmath.mpf(q)
+        coeffs = [mpmath.mpf((-1) ** i * math.comb(k + b, k - i)) / math.factorial(i) for i in range(k, -1, -1)]
+        lag = lambda x: mpmath.polyval(coeffs, x)  # L_k^(b)(x)
+        zeros = [mpmath.findroot(lag, z) for z in roots_genlaguerre(k, b)[0]] if k else []
+        scale = mpmath.mpf(state.eta.numerator) / state.eta.denominator / (2 * mpmath.mpf(state.Z))
+        # R = K e^(-x/2) L_k^(b)(x), and int x^(b+1) e^-x L^2 dx = Gamma(k+b+1) (2k+b+1) / k!
+        k2 = math.factorial(k) / (scale ** D * mpmath.gamma(k + b + 1) * (2 * k + b + 1))
+        body = mpmath.quad(lambda x: (k2 * lag(x) ** 2) ** q * mpmath.exp(-q * x) * x ** (D - 1), [0, *zeros, mpmath.inf])
+        omega = 2 * mpmath.pi ** (mpmath.mpf(D) / 2) / mpmath.gamma(mpmath.mpf(D) / 2)
+        return float(omega ** (1 - q) * scale ** D * body)
+
+
+def test_entropic_moment_matches_an_mpmath_reference():
+    from hydromoments.verify import grid
+
+    cases = [(D, n, 1.0, 1 + 2 / D) for D, n, l in grid("full") if l == 0]
+    cases += [(3, 4, 1.3, 0.6), (5, 3, 0.7, 0.4), (12, 6, 1.0, 1 + 2 / 12)]
+    for D, n, Z, q in cases:
+        s = make_state(D, n, 0, Z)
+        assert entropic_moment(s, q) == pytest.approx(_entropic_reference(s, q), rel=1e-12, abs=0), (D, n, Z, q)
+
+
+def test_entropic_moment_normalizes_a_rydberg_state():
+    assert abs(entropic_moment(make_state(5, 300, 0, 1.0), 1.0) - 1) <= 1e-10
+
+
+def test_entropic_moment_states_its_domain():
+    with pytest.raises(NotSWave):
+        entropic_moment(make_state(3, 2, 1, 1.0), 1.5)
+    for q in (0.0, -0.5, math.inf, math.nan):
+        with pytest.raises(NonpositiveParameters):
+            entropic_moment(make_state(3, 2, 0, 1.0), q)
+
+
+def test_entropic_moment_raises_when_its_rules_disagree(monkeypatch):
+    from hydromoments import oracle
+
+    rule = oracle._gauss_laguerre_log
+
+    def drifting(m, c):  # the tail weights shift with the rule size
+        x, log_w = rule(m, c)
+        return x, log_w + 1e-6 * m
+
+    monkeypatch.setattr(oracle, "_gauss_laguerre_log", drifting)
+    with pytest.raises(QuadratureFailure):
+        entropic_moment(make_state(3, 2, 0, 1.0), 1.5)
+
+
+def test_uncertainty_suite_leaves_scipy_integrate_unimported():
+    src = os.path.dirname(os.path.dirname(hydromoments.__file__))
+    code = (
+        "import sys\n"
+        "from hydromoments import cli\n"
+        "assert cli.main(['verify', '--suite', 'uncertainty', '--grid', 'small']) == 0\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
