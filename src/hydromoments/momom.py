@@ -11,8 +11,11 @@ against the other; `double` is the independent exact cross-check.  Its inner
 sums are the square of one integer polynomial (`_double_sum_parts`),
 recomputed per call without a cache, and it calls neither 5F4 kernel entry.
 In float mode `hyp5f4` is `single`: both sum the series in
-`_single_sum_float`.  Closed forms cover even orders, circular states, the
-mean momentum and the average inverse momentum.  Integer orders
+`_single_sum_float`, which takes one float Pochhammer symbol (2nu)_k and
+advances (2nu+j)_k term by term by the ratio (2nu+j+k)/(2nu+j), so the k+1
+terms cost O(k).  Float paths read the integers 2nu and 2eta rather than
+build the Fractions nu and eta.  Closed forms cover even orders, circular
+states, the mean momentum and the average inverse momentum.  Integer orders
 evaluate exactly; real orders use compensated float summation with a
 cancellation bound and fall back to the quadrature oracle when the bound
 trips.
@@ -62,7 +65,7 @@ def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
 
 def _zeta_logs(state: HydrogenicState, alpha: float) -> list[float]:
     """The log terms of (Z/eta)^alpha."""
-    return [alpha * math.log(state.Z), -alpha * math.log(float(state.eta))]
+    return [alpha * math.log(state.Z), -alpha * math.log(state.two_eta / 2)]
 
 
 def _zeta_ratio(state: HydrogenicState, a: int) -> tuple[int, int]:
@@ -109,7 +112,7 @@ def _single_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
 
 def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
     k = state.k
-    nu = float(state.nu)
+    nu = state.two_nu / 2  # float(nu), without building the Fraction
     pref, pref_rel = exp_sum([
         math.log(2.0),
         -log_gamma(k + 1),
@@ -122,12 +125,15 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
     terms = []
     bounds = []
     dj = 1.0
+    denom = pochhammer(2 * nu, k, "float")
+    rising = denom  # (2nu+j)_k; 2nu is an integer, so 2nu+j and 2nu+j+k are exact
     for j in range(k + 1):
-        t = (-1) ** j * math.comb(k, j) * pochhammer(2 * nu + j, k, "float") * dj
+        t = (-1) ** j * math.comb(k, j) * rising * dj
         if not math.isfinite(t):
             raise CancellationOverflow(f"term {j} overflowed at n={state.n}")
         terms.append(t)
         bounds.append(10.0 * (j + 1) * _EPS * abs(t))
+        rising *= (2 * nu + j + k) / (2 * nu + j)
         dj *= (
             (nu + j)
             / (nu + j + 1)
@@ -135,7 +141,6 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
             * (nu + (3 - alpha) / 2 + j)
             / ((nu + 0.5 + j) * (nu + 1.5 + j))
         )
-    denom = pochhammer(2 * nu, k, "float")
     s = math.fsum(terms) / denom
     bound = (math.fsum(bounds) + _EPS * abs(s) * denom) / denom
     value = pref * s
@@ -233,7 +238,7 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
     total = math.fsum(terms)
     bound = math.fsum(bounds) + 40 * _EPS * math.fsum(abs(t) for t in terms)
     pref, pref_rel = exp_sum([
-        math.log(4 * float(state.eta)),
+        math.log(2 * state.two_eta),  # 4 eta
         *_zeta_logs(state, alpha),
         log_gamma(l + (D - alpha) / 2 + 1),
         -log_gamma(n + l + D - 2),
@@ -321,7 +326,7 @@ def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
         err = 0.0
     else:
         try:
-            factor = (float(state.eta) / state.Z) ** (2 * alpha_f - 2)
+            factor = (state.two_eta / 2 / state.Z) ** (2 * alpha_f - 2)
         except OverflowError:
             raise FloatOverflow(f"(eta/Z)^{2 * alpha_f - 2:.6g} exceeds the double range") from None
         value = base.as_float() * factor
@@ -336,9 +341,8 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
     alpha_f = float(alpha)
     mode = resolve_mode(alpha, mode)
     require_order(state, alpha_f, Space.MOMENTUM)
-    eta = state.eta
     if mode == "exact":
-        a = int(round(alpha_f))
+        a, eta = int(round(alpha_f)), state.eta
         value = (
             ExactValue(Fraction(*_zeta_ratio(state, a)))
             * gamma_exact(eta + Fraction(a + 1, 2))
@@ -346,7 +350,8 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
             / (gamma_exact(eta + Fraction(1, 2)) * gamma_exact(eta + Fraction(3, 2)))
         )
         return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state)
-    value, rel = exp_sum([*_zeta_logs(state, alpha_f), *_gamma_quotient_logs(float(eta), alpha_f)])
+    # nu = eta on a circular state
+    value, rel = exp_sum([*_zeta_logs(state, alpha_f), *_gamma_quotient_logs(state.two_eta / 2, alpha_f)])
     return MomentResult(
         value, (rel + 8 * _EPS) * value, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state
     )

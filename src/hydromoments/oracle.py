@@ -3,6 +3,8 @@
 Evaluates <r^alpha> and <p^alpha> directly from the radial wavefunctions by
 Gaussian quadrature whose nodes/weights come from the Golub-Welsch
 eigenproblem, so nothing here shares code with the hypergeometric routes.
+Gauss-Jacobi rules solve it with LAPACK's MRRR driver ?stemr (Dhillon &
+Parlett, 2004), called through a handle resolved once.
 Both integrands reduce to (orthonormal polynomial)^2 against a classical
 weight, which makes the rules mathematically exact at k+1 nodes and keeps
 magnitudes bounded at large n.  Entropic moments use Gauss rules between the zeros of R.
@@ -15,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
 
 from .errors import NonpositiveParameters, NotSWave, QuadratureFailure
 from .posmom import Method, MomentResult
@@ -23,6 +25,7 @@ from .specfun import ExactValue, exp_sum, gamma_exact, log_gamma
 from .states import HydrogenicState, Space
 
 _EPS = 2.0 ** -53
+_STEMR = get_lapack_funcs("stemr", dtype=np.float64)
 
 
 def _laguerre_recurrence(m: int, b: float):
@@ -57,12 +60,15 @@ def _jacobi_recurrence(m: int, a: float, b: float):
 
 
 def _golub_welsch(alphas, betas, log_mu0: float):
-    try:
-        nodes, vecs = eigh_tridiagonal(alphas, np.sqrt(betas))
-    except Exception as exc:  # pragma: no cover
-        raise QuadratureFailure(f"tridiagonal eigensolve failed: {exc}") from exc
-    weights = math.exp(log_mu0) * vecs[0, :] ** 2
-    return nodes, weights
+    """Nodes and weights from the Jacobi matrix by ?stemr, which needs the
+    off-diagonal padded to length m and overwrites it."""
+    m = len(alphas)
+    off = np.zeros(m)
+    off[:-1] = np.sqrt(betas)
+    found, nodes, vecs, info = _STEMR(alphas, off, 0, 0.0, 0.0, 0, 0, lwork=18 * m, liwork=10 * m)
+    if info or found < m:
+        raise QuadratureFailure(f"?stemr returned info={info} with {found} of {m} eigenpairs")
+    return nodes, math.exp(log_mu0) * vecs[0] ** 2
 
 
 def _laguerre_scaled(k: int, b: float, x):
@@ -142,15 +148,18 @@ def gegenbauer_orthonormal(k: int, nu: float, x):
     return p
 
 
-def gegenbauer(k: int, nu: float, x):
-    """Plain Gegenbauer polynomial C_k^(nu)(x) = sqrt(h_k) C~_k(x), where
-    h_k = pi 2^(1-2nu) Gamma(k+2nu) / (k! (k+nu) Gamma(nu)^2) is its
-    squared norm."""
-    log_h = (
+def _gegenbauer_log_norm_sq(k: int, nu: float) -> float:
+    """ln h_k, h_k = pi 2^(1-2nu) Gamma(k+2nu) / (k! (k+nu) Gamma(nu)^2), the
+    squared norm of C_k^(nu)."""
+    return (
         math.log(math.pi) + (1 - 2 * nu) * math.log(2.0) + log_gamma(k + 2 * nu)
         - log_gamma(k + 1) - math.log(k + nu) - 2 * log_gamma(nu)
     )
-    return math.exp(0.5 * log_h) * gegenbauer_orthonormal(k, nu, x)
+
+
+def gegenbauer(k: int, nu: float, x):
+    """Plain Gegenbauer polynomial C_k^(nu)(x) = sqrt(h_k) C~_k(x)."""
+    return math.exp(0.5 * _gegenbauer_log_norm_sq(k, nu)) * gegenbauer_orthonormal(k, nu, x)
 
 
 def _rule_size(k: int, extra: int = 6) -> int:
@@ -163,35 +172,37 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     alpha = float(alpha)
     b = 2 * state.l + state.D - 2  # Laguerre index of the radial polynomial
     m = _rule_size(state.k)
-    scale, _ = exp_sum([alpha * (math.log(float(state.eta)) - math.log(2 * state.Z))])
+    eta = state.two_eta / 2  # float(eta), without building the Fraction
+    scale, scale_rel = exp_sum([alpha * (math.log(eta) - math.log(2 * state.Z))])
 
     def run(mm):
         x, logw = _gauss_laguerre_log(mm, b + 1 + alpha)
         *_, (q, q_scale) = _laguerre_scaled(state.k, b, x)
         with np.errstate(divide="ignore"):
             logp = np.log(np.abs(q)) + q_scale
-        return scale * float(np.exp(2 * logp + logw).sum()) / (2 * float(state.eta))
+        return scale * float(np.exp(2 * logp + logw).sum()) / (2 * eta)
 
     value = run(m)
     value2 = run(m + 8)
-    err = abs(value - value2) + 50 * (state.k + 1) * _EPS * abs(value)
+    err = abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel) * abs(value)
     return MomentResult(value, err, Method.QUADRATURE, Space.POSITION, alpha, state)
 
 
 def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
-    """<p^alpha> from the momentum density by Gauss-Jacobi."""
+    """<p^alpha> from the momentum density by Gauss-Jacobi, with rules of m and
+    m+8 nodes whose Gegenbauer values come from one recurrence pass."""
     alpha = float(alpha)
-    nu = float(state.nu)
+    nu = state.two_nu / 2  # float(nu), without building the Fraction
     m = _rule_size(state.k)
     a, b = nu + (alpha - 1) / 2, nu - (alpha - 1) / 2
     x, w = gauss_jacobi(m, a, b)
-    vals = gegenbauer_orthonormal(state.k, nu, x)
-    scale, _ = exp_sum([alpha * (math.log(state.Z) - math.log(float(state.eta)))])
-    value = scale * float(np.dot(w, vals * vals))
     x2, w2 = gauss_jacobi(m + 8, a, b)
-    v2 = gegenbauer_orthonormal(state.k, nu, x2)
-    value2 = scale * float(np.dot(w2, v2 * v2))
-    err = abs(value - value2) + 50 * (state.k + 1) * _EPS * abs(value)
+    vals = gegenbauer_orthonormal(state.k, nu, np.concatenate((x, x2)))
+    sq = vals * vals
+    scale, scale_rel = exp_sum([alpha * (math.log(state.Z) - math.log(state.two_eta / 2))])
+    value = scale * float(np.dot(w, sq[:m]))
+    value2 = scale * float(np.dot(w2, sq[m:]))
+    err = abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel) * abs(value)
     return MomentResult(value, err, Method.QUADRATURE, Space.MOMENTUM, alpha, state)
 
 
@@ -253,14 +264,18 @@ def radial_position(state: HydrogenicState, r):
 
 
 def radial_momentum(state: HydrogenicState, p):
-    """Radial momentum wavefunction M_{n,l}(p)."""
+    """Radial momentum wavefunction M_{n,l}(p).  Its factors are summed as logs
+    and exponentiated once, so at large l it underflows only where M does."""
     p = np.asarray(p, dtype=float)
-    t = float(state.eta) * p / float(state.Z)
-    y = (1 - t * t) / (1 + t * t)
-    nu = float(state.nu)
-    amp = math.exp(0.5 * _log(momentum_norm_sq(state)))
-    return amp * t ** state.l * (1 + t * t) ** (-(state.l + (state.D - 1) / 2 + 1)) \
-        * gegenbauer(state.k, nu, y)
+    t = state.two_eta / 2 * p / float(state.Z)  # eta p / Z, without building the Fraction eta
+    t2 = t * t
+    nu, l = state.two_nu / 2, state.l
+    c = gegenbauer_orthonormal(state.k, nu, (1 - t2) / (1 + t2))
+    log_amp = 0.5 * (_log(momentum_norm_sq(state)) + _gegenbauer_log_norm_sq(state.k, nu))
+    with np.errstate(divide="ignore"):  # 0 * log 0 would be nan: l log t enters only for l > 0
+        log_m = log_amp - (l + (state.D + 1) / 2) * np.log1p(t2) + np.log(np.abs(c)) \
+            + (l * np.log(np.abs(t)) if l else 0)
+    return np.sign(c) * np.sign(t) ** l * np.exp(log_m)
 
 
 def solid_angle(D: int) -> ExactValue:

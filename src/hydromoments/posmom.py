@@ -98,17 +98,17 @@ def series_or_quadrature(
 
 def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
     """The float 3F2 value of <r^alpha> and its error bound."""
-    k, L, eta = state.k, state.L, state.eta
+    k, t = state.k, state.two_nu  # 2L+2, read without building the Fraction L
     pref, pref_rel = exp_sum([
-        (alpha - 1) * math.log(float(eta)),
+        (alpha - 1) * math.log(state.two_eta / 2),
         -(alpha + 1) * math.log(2.0),
         -alpha * math.log(state.Z),
-        log_gamma(float(2 * L) + alpha + 3),
-        -log_gamma(float(2 * L + 2)),
+        log_gamma(float(t - 2) + alpha + 3),
+        -log_gamma(float(t)),
     ])
     spec = HypSumSpec(
         top=(-k, -alpha - 1, alpha + 2),
-        bottom=(float(2 * L + 2), 1.0),
+        bottom=(float(t), 1.0),
         terms=k + 1,
     )
     s, bound = hyp_sum(spec, "float")

@@ -144,6 +144,28 @@ def test_position_wavefunction_finite_and_normalized_at_large_n_and_l(D, n, l):
     assert norm == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
+def _radial_momentum_reference(s, p):
+    """M_{n,l}(p) at 30 digits from the exact K'^2 and mpmath's Gegenbauer polynomial."""
+    with mpmath.workdps(30):
+        K2 = momentum_norm_sq(s)
+        pi_pow = mpmath.mpf(K2.pi_pow.numerator) / K2.pi_pow.denominator
+        amp = mpmath.sqrt(mpmath.mpf(K2.coeff.numerator) / K2.coeff.denominator * mpmath.pi ** pi_pow)
+        t = mpmath.mpf(s.two_eta) / 2 * mpmath.mpf(p) / mpmath.mpf(s.Z)
+        y = (1 - t * t) / (1 + t * t)
+        return amp * t ** s.l * (1 + t * t) ** (-(s.l + mpmath.mpf(s.D + 1) / 2)) \
+            * mpmath.gegenbauer(s.k, mpmath.mpf(s.two_nu) / 2, y)
+
+
+def test_momentum_wavefunction_at_large_l_is_summed_in_log_space():
+    s = make_state(3, 160, 150, 1.0)
+    got = radial_momentum(s, [0.1, 10.0])
+    want = _radial_momentum_reference(s, 0.1)
+    # about 1.5e-128; measured relative error 1.1e-13, the logs being of size ~300
+    assert abs(got[0] - want) <= 1e-12 * abs(want)
+    # |M(10)| is about 3e-436: a finite underflow, not 0 * inf = nan
+    assert _radial_momentum_reference(s, 10.0) != 0 and got[1] == 0.0
+
+
 def test_norm_constants_positive_exact():
     for D, n, l in [(2, 2, 0), (3, 4, 2), (5, 3, 1)]:
         s = make_state(D, n, l, 1.0)

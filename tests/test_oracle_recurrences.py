@@ -107,7 +107,9 @@ def _quad_r_moment_inline(state, alpha):
     alpha = float(alpha)
     b = 2 * state.l + state.D - 2
     m = state.k + 7
-    scale = math.exp(alpha * (math.log(float(state.eta)) - math.log(2 * state.Z)))
+    log_scale = alpha * (math.log(float(state.eta)) - math.log(2 * state.Z))
+    scale = math.exp(log_scale)
+    scale_rel = 4 * _EPS * (abs(log_scale) + 1)  # exp_sum's bound on the scale factor
 
     def run(mm):
         x, logw = _gauss_laguerre_log_inline(mm, b + 1 + alpha)
@@ -116,7 +118,7 @@ def _quad_r_moment_inline(state, alpha):
 
     value = run(m)
     value2 = run(m + 8)
-    err = abs(value - value2) + 50 * (state.k + 1) * _EPS * abs(value)
+    err = abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel) * abs(value)
     return value, err
 
 
