@@ -39,6 +39,11 @@ class FloatOverflow(HydromomentsError):
     value would overflow too."""
 
 
+class FloatUnderflow(HydromomentsError):
+    """A nonzero exact value lies below the normal double range, where its
+    float would lose digits or read as zero."""
+
+
 class NotCircular(HydromomentsError):
     pass
 

@@ -4,7 +4,11 @@ Evaluates <r^alpha> and <p^alpha> directly from the radial wavefunctions by
 Gaussian quadrature whose nodes/weights come from the Golub-Welsch
 eigenproblem, so nothing here shares code with the hypergeometric routes.
 Gauss-Jacobi rules solve it with LAPACK's MRRR driver ?stemr (Dhillon &
-Parlett, 2004), called through a handle resolved once.
+Parlett, 2004), called through a handle resolved once.  Gauss-Laguerre rules
+take their nodes from ?stevd (eigenvalues only, through a second handle) and
+their weights from the Christoffel function 1/sum_j p_j(x_i)^2, summed in
+linear space over one rescaled recurrence pass; the log-weights lie within
+1.6e-13 of 50-digit sums for m <= 160 and c <= 300.
 Both integrands reduce to (orthonormal polynomial)^2 against a classical
 weight, which makes the rules mathematically exact at k+1 nodes and keeps
 magnitudes bounded at large n.  Entropic moments use Gauss rules between the zeros of R.
@@ -14,10 +18,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, get_lapack_funcs
+from scipy.linalg import get_lapack_funcs
 
 from .errors import NonpositiveParameters, NotSWave, QuadratureFailure
 from .posmom import Method, MomentResult
@@ -26,6 +29,7 @@ from .states import HydrogenicState, Space
 
 _EPS = 2.0 ** -53
 _STEMR = get_lapack_funcs("stemr", dtype=np.float64)
+_STEVD = get_lapack_funcs("stevd", dtype=np.float64)
 
 
 def _laguerre_recurrence(m: int, b: float):
@@ -95,14 +99,36 @@ def _laguerre_scaled(k: int, b: float, x):
 
 
 def _gauss_laguerre_log(m: int, c: float):
-    """Nodes and log-weights for weight x^c e^{-x}, weights via the
-    Christoffel function 1/sum_j p_j(x_i)^2 for tail-robust relative
-    accuracy."""
+    """Nodes and log-weights for weight x^c e^{-x}.  The nodes come from ?stevd
+    (eigenvalues only); the weights are the Christoffel function
+    1/sum_j p_j(x_i)^2, summed in linear space on the rescaled recurrence
+    values for tail-robust relative accuracy."""
     alphas, betas = _laguerre_recurrence(m, c)
-    x = eigh_tridiagonal(alphas, np.sqrt(betas), eigvals_only=True)
-    with np.errstate(divide="ignore"):
-        log_q2 = [2 * (np.log(np.abs(q)) + scale) for q, scale in _laguerre_scaled(m - 1, c, x)]
-    return x, -reduce(np.logaddexp, log_q2)
+    roots = np.sqrt(betas)
+    if m == 1:  # ?stevd rejects a 1x1 matrix
+        x = alphas
+    else:
+        x, _, info = _STEVD(alphas, roots, compute_v=0)
+        if info:
+            raise QuadratureFailure(f"?stevd returned info={info} for a {m}-node Laguerre rule")
+    alphas, roots = alphas.tolist(), roots.tolist()
+    q_prev = np.zeros_like(x)
+    q = np.ones_like(x)
+    total = np.ones_like(x)
+    scale = np.full_like(x, -0.5 * log_gamma(c + 1))
+    for j in range(m - 1):
+        beta_this = roots[j - 1] if j else 0.0
+        q, q_prev = ((x - alphas[j]) * q - beta_this * q_prev) / roots[j], q
+        total += q * q
+        # |q| > 1e120 implies total > 1e240, so one reduction guards the common case
+        if total.max() > 1e240:
+            big = np.abs(q) > 1e120
+            f = np.where(big, np.abs(q), 1.0)
+            scale = scale + np.log(f)
+            q = q / f
+            q_prev = q_prev / f
+            total = total / (f * f)
+    return x, -(np.log(total) + 2 * scale)
 
 
 def gauss_laguerre(m: int, b: float):
@@ -175,16 +201,21 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     eta = state.two_eta / 2  # float(eta), without building the Fraction
     scale, scale_rel = exp_sum([alpha * (math.log(eta) - math.log(2 * state.Z))])
 
-    def run(mm):
-        x, logw = _gauss_laguerre_log(mm, b + 1 + alpha)
-        *_, (q, q_scale) = _laguerre_scaled(state.k, b, x)
-        with np.errstate(divide="ignore"):
-            logp = np.log(np.abs(q)) + q_scale
-        return scale * float(np.exp(2 * logp + logw).sum()) / (2 * eta)
-
-    value = run(m)
-    value2 = run(m + 8)
-    err = abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel) * abs(value)
+    c = b + 1 + alpha  # the rules' weight is x^c e^{-x}
+    x, logw = _gauss_laguerre_log(m, c)
+    x2, logw2 = _gauss_laguerre_log(m + 8, c)
+    *_, (q, q_scale) = _laguerre_scaled(state.k, b, np.concatenate((x, x2)))
+    with np.errstate(divide="ignore"):
+        logp = np.log(np.abs(q)) + q_scale
+    terms = np.exp(2 * logp + np.concatenate((logw, logw2)))
+    value = scale * float(terms[:m].sum()) / (2 * eta)
+    value2 = scale * float(terms[m:].sum()) / (2 * eta)
+    # each term is exp of logs of size |ln w| + 2|ln p| that cancel; their rounding
+    # is a relative error of a few ulps of that size, shared by both rules and so
+    # unseen by |v - v2|
+    size = np.where(terms[:m] > 0, np.abs(logw) + 2 * np.abs(logp[:m]), 0.0)
+    log_err = 4 * _EPS * scale * float(np.dot(terms[:m], size)) / (2 * eta)
+    err = abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel) * abs(value) + log_err
     return MomentResult(value, err, Method.QUADRATURE, Space.POSITION, alpha, state)
 
 

@@ -103,7 +103,7 @@ def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[float, float]
         (alpha - 1) * math.log(state.two_eta / 2),
         -(alpha + 1) * math.log(2.0),
         -alpha * math.log(state.Z),
-        log_gamma(float(t - 2) + alpha + 3),
+        log_gamma((t + 1) + alpha),  # 2L+alpha+3, rounded once
         -log_gamma(float(t)),
     ])
     spec = HypSumSpec(

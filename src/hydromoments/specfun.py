@@ -10,6 +10,7 @@ float prefactors evaluated from their logarithms with a rounding bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +19,7 @@ from numbers import Integral, Rational
 from .errors import (
     CancellationOverflow,
     FloatOverflow,
+    FloatUnderflow,
     NonpositiveArgument,
     NonTerminating,
     PoleInBottomParameter,
@@ -107,13 +109,16 @@ class ExactValue:
         return ExactValue(self.coeff ** m, self.pi_pow * m)
 
     def to_float(self) -> float:
-        """The nearest double; raises FloatOverflow beyond the double range."""
+        """The nearest double; raises FloatOverflow beyond the double range and
+        FloatUnderflow when a nonzero value falls below its smallest normal."""
         try:
             value = float(self.coeff) * math.pi ** float(self.pi_pow)
         except OverflowError:
             value = math.inf
         if math.isinf(value):
             raise FloatOverflow("exact value exceeds the double range")
+        if self.coeff and abs(value) < sys.float_info.min:
+            raise FloatUnderflow("exact value is below the double range")
         return value
 
     def is_rational(self) -> bool:

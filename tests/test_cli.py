@@ -128,6 +128,26 @@ def test_compute_beyond_the_double_range_is_a_numerical_failure(capsys, alpha, m
     assert err.count("\n") == 1 and err.startswith("error:") and "double range" in err
 
 
+def test_table_marks_a_value_below_the_double_range(capsys):
+    code, out, _ = run(capsys, [
+        "table", "--space", "r", "--D-range", "3:3", "--n-range", "150:150", "--l", "149",
+        "--alpha-list=-300,1", "--mode", "exact",
+    ])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [r[-1] for r in rows[1:]] == ["numerical-failure", "ok"]
+
+
+def test_compute_below_the_double_range_is_a_numerical_failure(capsys):
+    # the exact rational is about 2^-3909, far below the smallest double
+    code, out, err = run(capsys, [
+        "compute", "--space", "r", "--alpha=-300", "--D", "3", "--n", "150", "--l", "149", "--format", "json",
+    ])
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "below the double range" in err
+
+
 def test_exact_mode_with_real_order_is_an_input_error(capsys):
     code, out, _ = run(capsys, [
         "table", "--space", "p", "--D-range", "3", "--n-range", "2", "--l", "0",

@@ -56,7 +56,7 @@ def _r_series_fraction(state, alpha):
         (alpha - 1) * math.log(float(eta)),
         -(alpha + 1) * math.log(2.0),
         -alpha * math.log(state.Z),
-        log_gamma(float(2 * L) + alpha + 3),
+        log_gamma(float(2 * L + 3) + alpha),
         -log_gamma(float(2 * L + 2)),
     ])
     spec = HypSumSpec(top=(-k, -alpha - 1, alpha + 2), bottom=(float(2 * L + 2), 1.0), terms=k + 1)

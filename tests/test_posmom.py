@@ -191,6 +191,17 @@ def test_float_error_bound_covers_prefactor_rounding():
             assert abs(mpmath.mpf(res.value) - _position_reference(s, alpha)) <= res.error_estimate
 
 
+def test_near_edge_prefactor_argument_is_rounded_once():
+    # Gamma(2L+alpha+3) at alpha = -2 + 4.4e-7: with 2L+alpha rounded before
+    # adding 3 the result lay 52,822 times its bound from the reference
+    s = make_state(2, 1, 0, 1.716327)
+    alpha = -1.9999995647990343
+    res = r_moment(s, alpha)
+    assert res.method is Method.HYP3F2
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(res.value) - _position_reference(s, alpha)) <= res.error_estimate
+
+
 def test_double_overflow_is_a_library_error():
     with pytest.raises(FloatOverflow):
         r_moment(make_state(3, 100, 0, 1.0), 150.5)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hydromoments.errors import (
     FloatOverflow,
+    FloatUnderflow,
     NonpositiveArgument,
     NonTerminating,
     PoleInBottomParameter,
@@ -259,3 +260,12 @@ class TestExpSum:
     def test_overflow_is_a_library_error(self):
         with pytest.raises(FloatOverflow):
             exp_sum([400.0, 400.0])
+
+
+def test_to_float_raises_below_the_normal_double_range():
+    assert ExactValue(Fraction(0)).to_float() == 0.0
+    assert ExactValue(Fraction(1, 2 ** 1022)).to_float() == 2.0 ** -1022
+    with pytest.raises(FloatUnderflow):
+        ExactValue(Fraction(1, 2 ** 1023)).to_float()
+    with pytest.raises(FloatUnderflow):
+        ExactValue(Fraction(-1, 3 * 2 ** 1100), Fraction(2)).to_float()
