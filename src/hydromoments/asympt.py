@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import FloatOverflow, OrderOutOfRegime, UnsupportedArgument
+from .errors import FloatOverflow, FloatUnderflow, OrderOutOfRegime, UnsupportedArgument
 from .specfun import EULER_GAMMA, log_gamma
 from .states import HydrogenicState, Space
 
@@ -34,11 +35,15 @@ class AsymptoticEstimate:
 
 
 def _power(x: float, a: float) -> float:
-    """x ** a, raising FloatOverflow where the power leaves the double range."""
+    """x ** a, raising FloatOverflow above the double range and FloatUnderflow
+    where a nonzero base's power falls below the smallest normal double."""
     try:
-        return x ** a
+        value = x ** a
     except OverflowError:
         raise FloatOverflow(f"{x:.6g} ** {a:.6g} exceeds the double range") from None
+    if x and abs(value) < sys.float_info.min:
+        raise FloatUnderflow(f"{x:.6g} ** {a:.6g} is below the double range")
+    return value
 
 
 def gamma_ratio_asym(x: float, a: float, b: float) -> float:

@@ -15,7 +15,10 @@ import json
 import sys
 
 from . import asympt, momom, oracle, posmom, verify
-from .errors import HydromomentsError, OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument
+from .errors import (
+    DimensionTooSmall, HydromomentsError, NonpositiveCharge, OrderOutOfDomain, OrderOutOfRegime,
+    ParameterOutOfRange, QuantumNumberOutOfRange, UnsupportedArgument,
+)
 from .posmom import MomentResult
 from .specfun import ExactValue
 from .states import HydrogenicState, Space, make_state
@@ -30,6 +33,12 @@ CSV_COLUMNS = [
 
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
+
+# invalid input: every command exits EXIT_DOMAIN, and a table cell is out-of-domain
+_DOMAIN_ERRORS = (
+    OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument, DimensionTooSmall,
+    QuantumNumberOutOfRange, NonpositiveCharge, ParameterOutOfRange,
+)
 
 
 def fmt_float(x: float) -> str:
@@ -91,7 +100,7 @@ def cmd_compute(args) -> int:
         state = make_state(args.D, args.n, args.l, args.Z)
         mode, res = _compute_one(state, Space(args.space), args.alpha, args.mode)
         value = res.as_float()  # an exact value beyond the double range raises FloatOverflow
-    except (OrderOutOfDomain, OrderOutOfRegime, ValueError) as exc:
+    except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except HydromomentsError as exc:
@@ -131,7 +140,7 @@ def _table_cell(D, n, l, Z, space: Space, alpha: float, mode: str) -> tuple[list
     try:
         mode_used, res = _compute_one(make_state(D, n, l, Z), space, alpha, mode)
         return result_to_csv_row(res, mode_used), result_to_dict(res)
-    except (OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument) as exc:
+    except _DOMAIN_ERRORS as exc:
         status, message = "out-of-domain", str(exc)
     except HydromomentsError as exc:
         status, message = "numerical-failure", str(exc)
@@ -208,7 +217,7 @@ def cmd_limits(args) -> int:
                 est = asympt.rydberg_p(state, args.alpha)
             ex = _compute_one(state, space, args.alpha, "float")[1].as_float()
             rows.append((param, ex, est.leading, est.corrected, ex / est.corrected - 1))
-    except (OrderOutOfDomain, OrderOutOfRegime) as exc:
+    except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except HydromomentsError as exc:

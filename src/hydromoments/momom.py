@@ -10,15 +10,16 @@ calls the kernel `specfun.hyp_sum_doubled` directly, `hyp5f4` goes through
 against the other; `double` is the independent exact cross-check.  Its inner
 sums are the square of one integer polynomial (`_double_sum_parts`),
 recomputed per call without a cache, and it calls neither 5F4 kernel entry.
+Both of its modes sum the outer series exactly at a dyadic rational x
+(`_double_sum_series`), so its float mode rounds once.
 In float mode `hyp5f4` is `single`: both sum the series in
 `_single_sum_float`, which takes one float Pochhammer symbol (2nu)_k and
 advances (2nu+j)_k term by term by the ratio (2nu+j+k)/(2nu+j), so the k+1
 terms cost O(k).  Float paths read the integers 2nu and 2eta rather than
 build the Fractions nu and eta.  Closed forms cover even orders, circular
 states, the mean momentum and the average inverse momentum.  Integer orders
-evaluate exactly; real orders use compensated float summation with a
-cancellation bound and fall back to the quadrature oracle when the bound
-trips.
+evaluate exactly; the float single sum uses compensated summation with a
+cancellation bound and falls back to the quadrature oracle when it trips.
 """
 
 from __future__ import annotations
@@ -191,62 +192,56 @@ def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int, int]:
     return nums, gd * suffix[0] ** 2 * math.factorial(C + 2 * k - 1), two_pi
 
 
+def _double_sum_series(state: HydrogenicState, x_num: int, x_exp: int) -> tuple[int, int, int]:
+    """sum_s P(s) (x)_s exactly at the dyadic rational x = x_num / 2^x_exp, as an
+    unreduced (numerator, denominator, twice the pi power)."""
+    k = state.k
+    nums, den, two_pi = _double_sum_parts(state)
+    # (x)_s = prod_{m<s} (x_num + m 2^x_exp) / 2^(s x_exp), scaled by 2^(2k x_exp)
+    total, rising = 0, 1
+    for s, num in enumerate(nums):
+        total += (num * rising) << (x_exp * (2 * k - s))
+        rising *= x_num + (s << x_exp)
+    return total, den << (2 * k * x_exp), two_pi
+
+
 def _double_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
     """4 eta (Z/eta)^a Gamma(l+(D-a)/2+1) Gamma(x) / (Gamma(A) k!) times
     sum_s P(s) (x)_s with x = l+(D+a)/2 and A = n+l+D-2, as one Fraction."""
-    k, x2 = state.k, 2 * state.l + state.D + a
-    nums, den, two_pi = _double_sum_parts(state)
-    # (x)_s = prod_{m<s} (2x+2m) / 2^s, scaled by 2^(2k)
-    total, rising = 0, 1
-    for s, num in enumerate(nums):
-        total += (num * rising) << (2 * k - s)
-        rising *= x2 + 2 * s
+    x2 = 2 * state.l + state.D + a
+    total, den, two_pi = _double_sum_series(state, x2, 1)
     pn, pd, p_two_pi = gamma_ratio_doubled(
         (2 * state.l + state.D - a + 2, x2), (2 * (state.n + state.l + state.D - 2),)
     )
     zn, zd = _zeta_ratio(state, a)
     coeff = Fraction(
-        2 * state.two_eta * pn * zn * total,
-        (pd * zd * math.factorial(k) * den) << (2 * k),
+        2 * state.two_eta * pn * zn * total, pd * zd * math.factorial(state.k) * den
     )
     return ExactValue(coeff, Fraction(two_pi + p_two_pi, 2))
 
 
 def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
-    """Float double-sum route.  The alpha-independent inner cancellation is
-    collapsed exactly, leaving a short outer sum in s."""
+    """Float double-sum route: the outer sum is exact at the dyadic rational
+    alpha is stored as, and the value is rounded once."""
     D, n, l = state.D, state.n, state.l
-    nums, den, two_pi = _double_sum_parts(state)
-    lscale = log_gamma(n + l + D - 2)  # keeps exp() in range
-    x = l + (D + alpha) / 2
-    # shared gamma recurrence: errors correlate across terms and factor out,
-    # so cancellation only amplifies the per-term rounding below
-    g, g_rel = exp_sum([log_gamma(x), -lscale, two_pi / 2 * math.log(math.pi)])
-    terms = []
-    bounds = []
-    for s, num in enumerate(nums):
-        try:
-            c = num / den  # int true division rounds correctly
-        except OverflowError:
-            raise CancellationOverflow(f"part {s} overflowed at n={n}") from None
-        t = c * g
-        if not math.isfinite(t):
-            raise CancellationOverflow(f"term {s} overflowed at n={n}")
-        terms.append(t)
-        bounds.append((s + 4) * _EPS * abs(t))
-        g *= x + s
-    total = math.fsum(terms)
-    bound = math.fsum(bounds) + 40 * _EPS * math.fsum(abs(t) for t in terms)
-    pref, pref_rel = exp_sum([
+    p, q = alpha.as_integer_ratio()  # q = 2^e
+    # x = l + (D+alpha)/2 = ((2l+D) q + p) / 2^(e+1)
+    total, den, two_pi = _double_sum_series(state, (2 * l + D) * q + p, q.bit_length())
+    # total/den = quotient * 2^shift with the quotient in (1/2, 2), rounded once
+    shift = total.bit_length() - den.bit_length()
+    quotient = total / (den << shift) if shift >= 0 else (total << -shift) / den
+    value, rel = exp_sum([
         math.log(2 * state.two_eta),  # 4 eta
         *_zeta_logs(state, alpha),
         log_gamma(l + (D - alpha) / 2 + 1),
+        log_gamma(l + (D + alpha) / 2),
         -log_gamma(n + l + D - 2),
         -log_gamma(n - l),
-        lscale,
+        two_pi / 2 * math.log(math.pi),
+        math.log(quotient),
+        shift * math.log(2.0),
     ])
-    value = pref * total
-    return value, pref * bound + (g_rel + pref_rel + 20 * _EPS) * abs(value)
+    return value, (rel + 4 * _EPS) * value
 
 
 # route -> (exact evaluator, float evaluator, method); in float mode the

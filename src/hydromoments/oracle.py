@@ -76,47 +76,17 @@ def _golub_welsch(alphas, betas, log_mu0: float):
 
 
 def _laguerre_scaled(k: int, b: float, x):
-    """The orthonormal Laguerre polynomials p_0..p_k against x^b e^{-x} at
-    the nodes x, yielded as pairs (q_j, s_j) with p_j(x) = q_j e^{s_j}.  Each
-    node is rescaled on its own, so values far outside the oscillatory
-    region do not overflow."""
+    """The orthonormal Laguerre polynomial p_k against x^b e^{-x} at the nodes
+    x as (q, s, total) with p_k(x) = q e^s, and the Christoffel sum
+    sum_{j<=k} p_j(x)^2 = total e^(2s).  Each node is rescaled on its own, so
+    values far outside the oscillatory region do not overflow."""
     alphas, betas = _laguerre_recurrence(k + 1, b)
     alphas, roots = alphas.tolist(), np.sqrt(betas).tolist()
     q_prev = np.zeros_like(x)
     q = np.ones_like(x)
-    scale = np.full_like(x, -0.5 * log_gamma(b + 1))
-    yield q, scale
-    for j in range(k):
-        beta_this = roots[j - 1] if j else 0.0
-        q, q_prev = ((x - alphas[j]) * q - beta_this * q_prev) / roots[j], q
-        big = np.abs(q) > 1e120
-        if big.any():
-            f = np.where(big, np.abs(q), 1.0)
-            scale = scale + np.log(f)
-            q = q / f
-            q_prev = q_prev / f
-        yield q, scale
-
-
-def _gauss_laguerre_log(m: int, c: float):
-    """Nodes and log-weights for weight x^c e^{-x}.  The nodes come from ?stevd
-    (eigenvalues only); the weights are the Christoffel function
-    1/sum_j p_j(x_i)^2, summed in linear space on the rescaled recurrence
-    values for tail-robust relative accuracy."""
-    alphas, betas = _laguerre_recurrence(m, c)
-    roots = np.sqrt(betas)
-    if m == 1:  # ?stevd rejects a 1x1 matrix
-        x = alphas
-    else:
-        x, _, info = _STEVD(alphas, roots, compute_v=0)
-        if info:
-            raise QuadratureFailure(f"?stevd returned info={info} for a {m}-node Laguerre rule")
-    alphas, roots = alphas.tolist(), roots.tolist()
-    q_prev = np.zeros_like(x)
-    q = np.ones_like(x)
     total = np.ones_like(x)
-    scale = np.full_like(x, -0.5 * log_gamma(c + 1))
-    for j in range(m - 1):
+    scale = np.full_like(x, -0.5 * log_gamma(b + 1))
+    for j in range(k):
         beta_this = roots[j - 1] if j else 0.0
         q, q_prev = ((x - alphas[j]) * q - beta_this * q_prev) / roots[j], q
         total += q * q
@@ -128,6 +98,22 @@ def _gauss_laguerre_log(m: int, c: float):
             q = q / f
             q_prev = q_prev / f
             total = total / (f * f)
+    return q, scale, total
+
+
+def _gauss_laguerre_log(m: int, c: float):
+    """Nodes and log-weights for weight x^c e^{-x}.  The nodes come from ?stevd
+    (eigenvalues only); the weights are the Christoffel function
+    1/sum_j p_j(x_i)^2, summed in linear space on the rescaled recurrence
+    values for tail-robust relative accuracy."""
+    alphas, betas = _laguerre_recurrence(m, c)
+    if m == 1:  # ?stevd rejects a 1x1 matrix
+        x = alphas
+    else:
+        x, _, info = _STEVD(alphas, np.sqrt(betas), compute_v=0)
+        if info:
+            raise QuadratureFailure(f"?stevd returned info={info} for a {m}-node Laguerre rule")
+    _, scale, total = _laguerre_scaled(m - 1, c, x)
     return x, -(np.log(total) + 2 * scale)
 
 
@@ -137,22 +123,22 @@ def gauss_laguerre(m: int, b: float):
     return x, np.exp(log_w)
 
 
+def _jacobi_log_mu0_terms(a: float, b: float) -> list[float]:
+    """The log terms of mu0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2),
+    the integral of (1-x)^a (1+x)^b over (-1, 1)."""
+    return [(a + b + 1) * math.log(2.0), log_gamma(a + 1), log_gamma(b + 1), -log_gamma(a + b + 2)]
+
+
 def gauss_jacobi(m: int, a: float, b: float):
     """Nodes and weights of the m-point Gauss rule for (1-x)^a (1+x)^b on (-1, 1)."""
     a, b = float(a), float(b)
     alphas, betas = _jacobi_recurrence(m, a, b)
-    log_mu0 = (
-        (a + b + 1) * math.log(2.0)
-        + log_gamma(a + 1)
-        + log_gamma(b + 1)
-        - log_gamma(a + b + 2)
-    )
-    return _golub_welsch(alphas, betas, log_mu0)
+    return _golub_welsch(alphas, betas, sum(_jacobi_log_mu0_terms(a, b)))
 
 
 def laguerre_orthonormal(k: int, b: float, x):
     """p_k(x), orthonormal against x^b e^{-x} on (0, inf)."""
-    *_, (q, s) = _laguerre_scaled(k, float(b), np.asarray(x, dtype=float))
+    q, s, _ = _laguerre_scaled(k, float(b), np.asarray(x, dtype=float))
     return q * np.exp(s)
 
 
@@ -204,7 +190,7 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     c = b + 1 + alpha  # the rules' weight is x^c e^{-x}
     x, logw = _gauss_laguerre_log(m, c)
     x2, logw2 = _gauss_laguerre_log(m + 8, c)
-    *_, (q, q_scale) = _laguerre_scaled(state.k, b, np.concatenate((x, x2)))
+    q, q_scale, _ = _laguerre_scaled(state.k, b, np.concatenate((x, x2)))
     with np.errstate(divide="ignore"):
         logp = np.log(np.abs(q)) + q_scale
     terms = np.exp(2 * logp + np.concatenate((logw, logw2)))
@@ -233,7 +219,10 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     scale, scale_rel = exp_sum([alpha * (math.log(state.Z) - math.log(state.two_eta / 2))])
     value = scale * float(np.dot(w, sq[:m]))
     value2 = scale * float(np.dot(w2, sq[m:]))
-    err = abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel) * abs(value)
+    # both rules scale their weights by mu0 = exp(log mu0), so |v - v2| cannot
+    # see the rounding of log mu0's terms
+    _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
+    err = abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel + mu0_rel) * abs(value)
     return MomentResult(value, err, Method.QUADRATURE, Space.MOMENTUM, alpha, state)
 
 
@@ -274,8 +263,7 @@ def _position_log_amplitude(state: HydrogenicState) -> float:
 
 def _log_radial(state: HydrogenicState, x, log_amp: float):
     """The sign and ln|R_{n,l}| at x = 2Zr/eta, given log_amp from _position_log_amplitude."""
-    for q, s in _laguerre_scaled(state.k, 2 * state.l + state.D - 2, x):
-        pass  # keeps only the last pair alive
+    q, s, _ = _laguerre_scaled(state.k, 2 * state.l + state.D - 2, x)
     with np.errstate(divide="ignore"):  # 0 * log 0 would be nan: l log x enters only for l > 0
         log_r = log_amp - x / 2 + np.log(np.abs(q)) + s + (state.l * np.log(x) if state.l else 0)
     return np.sign(q), log_r

@@ -82,6 +82,29 @@ def test_compute_out_of_domain_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["compute", "--space", "p", "--alpha", "1", "--D", "3", "--n", "0", "--l", "0"],
+    ["compute", "--space", "p", "--alpha", "1", "--D", "1", "--n", "1", "--l", "0"],
+    ["compute", "--space", "p", "--alpha", "1", "--D", "3", "--n", "1", "--l", "0", "--Z", "-1"],
+    ["compute", "--space", "r", "--alpha", "1", "--D", "3", "--n", "1", "--l", "0", "--Z", "inf"],
+    ["limits", "--regime", "rydberg", "--alpha", "1", "--n-seq", "0,2"],
+])
+def test_invalid_input_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_table_marks_an_invalid_dimension_out_of_domain(capsys):
+    code, out, _ = run(capsys, [
+        "table", "--space", "p", "--D-range", "1:2", "--n-range", "1", "--alpha-list", "1",
+    ])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [(r[0], r[-1]) for r in rows[1:]] == [("1", "out-of-domain"), ("2", "ok")]
+
+
 def test_table_marks_out_of_domain_rows_and_continues(capsys):
     code, out, _ = run(capsys, [
         "table", "--space", "p", "--D-range", "3", "--n-range", "1:2", "--l", "all",
@@ -266,6 +289,16 @@ def test_limits_domain_error(capsys):
 ])
 def test_limits_overflow_is_a_numerical_failure(capsys, argv):
     code, out, err = run(capsys, ["limits", *argv])
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("error:") and "double range" in err
+
+
+def test_limits_underflow_is_a_numerical_failure(capsys):
+    # (eta^2/Z)^alpha = 1e-1800 is below the double range
+    code, out, err = run(capsys, [
+        "limits", "--regime", "rydberg", "--alpha", "300", "--space", "r", "--n-seq", "1", "--Z", "1e6",
+    ])
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert err.startswith("error:") and "double range" in err

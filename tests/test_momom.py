@@ -313,6 +313,15 @@ def test_float_error_bound_covers_prefactor_rounding(route):
             assert abs(mpmath.mpf(res.value) - _momentum_reference(s, alpha)) <= res.error_estimate
 
 
+def test_quadrature_bound_covers_the_rounding_of_mu0():
+    # both Gauss-Jacobi rules scale their weights by the same rounded
+    # exp(log mu0), which |v - v2| cannot see
+    s, alpha = make_state(11, 32, 28, 3.584031), -2.1997609780337086
+    res = quad_p_moment(s, alpha)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(res.value) - _momentum_reference(s, alpha)) <= res.error_estimate
+
+
 def test_large_n_falls_back_to_quadrature():
     res = p_moment(make_state(3, 160, 0, 1.0), 0.5)
     assert res.method is Method.QUADRATURE
@@ -320,13 +329,22 @@ def test_large_n_falls_back_to_quadrature():
 
 
 @pytest.mark.parametrize(
-    "state, alpha", [((3, 100, 0, 1.0), 0.7), ((3, 111, 11, 1000.0), 16.630956705390098)]
+    "state, alpha",
+    [
+        ((3, 100, 0, 1.0), 0.7),
+        ((3, 111, 11, 1000.0), 16.630956705390098),
+        ((12, 94, 70, 1.492554), -93.49417961458684),
+        ((7, 136, 105, 1.769595), -96.93022871944402),
+    ],
 )
-def test_float_double_route_overflow_falls_back(state, alpha):
-    # inner sums beyond the double range send the route to quadrature
-    res = p_moment(make_state(*state), alpha, mode="float", route="double")
-    assert res.method is Method.QUADRATURE
-    assert math.isfinite(res.as_float()) and res.as_float() > 0
+def test_float_double_route_sums_inner_sums_beyond_the_double_range(state, alpha):
+    # the outer sum is exact, so inner sums beyond the double range neither
+    # send the route to quadrature nor overflow a value that is in range
+    s = make_state(*state)
+    res = p_moment(s, alpha, mode="float", route="double")
+    assert res.method is Method.DOUBLE_SUM
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(res.value) - _momentum_reference(s, alpha)) <= res.error_estimate
 
 
 @pytest.mark.parametrize(
