@@ -313,17 +313,20 @@ def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     mode = resolve_mode(alpha, mode)
     require_order(state, alpha_f, Space.MOMENTUM)
     require_order(state, 2 - alpha_f, Space.MOMENTUM)
-    base = p_moment(state, alpha, mode=mode)
-    if base.is_exact:
+    if mode == "exact":
+        base = p_moment(state, alpha, mode=mode)
         a = int(round(alpha_f))
         factor = ExactValue((state.eta / state.Z_exact) ** (2 * a - 2))
         value = base.value * factor
         err = 0.0
     else:
+        # the factor first: an overflowing factor raises FloatOverflow even
+        # where <p^alpha> itself lies below the double range
         try:
             factor = (state.two_eta / 2 / state.Z) ** (2 * alpha_f - 2)
         except OverflowError:
             raise FloatOverflow(f"(eta/Z)^{2 * alpha_f - 2:.6g} exceeds the double range") from None
+        base = p_moment(state, alpha, mode=mode)
         value = base.as_float() * factor
         err = base.error_estimate * factor + 4 * abs(value) * _EPS
     return MomentResult(value, err, Method.REFLECTION, Space.MOMENTUM, 2 - alpha_f, state)

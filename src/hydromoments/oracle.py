@@ -4,14 +4,25 @@ Evaluates <r^alpha> and <p^alpha> directly from the radial wavefunctions by
 Gaussian quadrature whose nodes/weights come from the Golub-Welsch
 eigenproblem, so nothing here shares code with the hypergeometric routes.
 Gauss-Jacobi rules solve it with LAPACK's MRRR driver ?stemr (Dhillon &
-Parlett, 2004), called through a handle resolved once.  Gauss-Laguerre rules
+Parlett, 2004), called through a handle resolved once; the weights it drops
+to 0 come from the Christoffel function instead.  Gauss-Laguerre rules
 take their nodes from ?stevd (eigenvalues only, through a second handle) and
 their weights from the Christoffel function 1/sum_j p_j(x_i)^2, summed in
 linear space over one rescaled recurrence pass; the log-weights lie within
 1.6e-13 of 50-digit sums for m <= 160 and c <= 300.
-Both integrands reduce to (orthonormal polynomial)^2 against a classical
-weight, which makes the rules mathematically exact at k+1 nodes and keeps
-magnitudes bounded at large n.  Entropic moments use Gauss rules between the zeros of R.
+
+Both moment integrands reduce to (orthonormal polynomial of degree k)^2
+against a classical weight, so a Gauss rule of k+1 nodes is exact.  Each
+moment is summed by a pair of exact rules, of k+1 and k+2 nodes: their
+difference measures rounding drift, not truncation.  The two Laguerre rules
+share one Christoffel pass of degree k+1, whose extra term p_{k+1}^2
+vanishes at the smaller rule's nodes up to second order in their rounding.
+The scale (eta/2Z)^alpha or (Z/eta)^alpha is exponentiated together with the
+logarithm of the Gauss sum, so a moment inside the double range is returned
+even when its scale is not, and one outside it raises FloatUnderflow or
+FloatOverflow.  Entropic moments integrate |R|^(2q), which is not a
+polynomial, with Gauss rules between the zeros of R; they keep rules of m and
+m+8 nodes, whose difference does measure truncation.
 """
 
 from __future__ import annotations
@@ -22,12 +33,13 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import NonpositiveParameters, NotSWave, QuadratureFailure
+from .errors import FloatUnderflow, NonpositiveParameters, NotSWave, QuadratureFailure
 from .posmom import Method, MomentResult
 from .specfun import ExactValue, exp_sum, gamma_exact, log_gamma
 from .states import HydrogenicState, Space
 
 _EPS = 2.0 ** -53
+_TINY = 2.0 ** -1022  # the smallest normal double
 _STEMR = get_lapack_funcs("stemr", dtype=np.float64)
 _STEVD = get_lapack_funcs("stevd", dtype=np.float64)
 
@@ -72,21 +84,29 @@ def _golub_welsch(alphas, betas, log_mu0: float):
     found, nodes, vecs, info = _STEMR(alphas, off, 0, 0.0, 0.0, 0, 0, lwork=18 * m, liwork=10 * m)
     if info or found < m:
         raise QuadratureFailure(f"?stemr returned info={info} with {found} of {m} eigenpairs")
-    return nodes, math.exp(log_mu0) * vecs[0] ** 2
+    w = math.exp(log_mu0) * vecs[0] ** 2
+    # MRRR sets each eigenvector to 0 outside the support it computes, which drops
+    # some weights far below eps mu0 that the other weights keep to full relative
+    # accuracy; the Christoffel function 1/sum_j p_j^2 gives those back
+    lost = w == 0
+    if lost.any():
+        _, scale, total = _scaled_recurrence(alphas, betas, -0.5 * log_mu0, nodes[lost])
+        w[lost] = np.exp(-(np.log(total) + 2 * scale))
+    return nodes, w
 
 
-def _laguerre_scaled(k: int, b: float, x):
-    """The orthonormal Laguerre polynomial p_k against x^b e^{-x} at the nodes
-    x as (q, s, total) with p_k(x) = q e^s, and the Christoffel sum
-    sum_{j<=k} p_j(x)^2 = total e^(2s).  Each node is rescaled on its own, so
-    values far outside the oscillatory region do not overflow."""
-    alphas, betas = _laguerre_recurrence(k + 1, b)
+def _scaled_recurrence(alphas, betas, log_p0: float, x):
+    """The orthonormal polynomial p_k of the three-term table (alphas, betas),
+    k = len(alphas) - 1, at the nodes x as (q, s, total) with p_k(x) = q e^s,
+    and the Christoffel sum sum_{j<=k} p_j(x)^2 = total e^(2s); p_0 = e^log_p0.
+    Each node is rescaled on its own, so values far outside the oscillatory
+    region do not overflow."""
     alphas, roots = alphas.tolist(), np.sqrt(betas).tolist()
     q_prev = np.zeros_like(x)
     q = np.ones_like(x)
     total = np.ones_like(x)
-    scale = np.full_like(x, -0.5 * log_gamma(b + 1))
-    for j in range(k):
+    scale = np.full_like(x, log_p0)
+    for j in range(len(roots)):
         beta_this = roots[j - 1] if j else 0.0
         q, q_prev = ((x - alphas[j]) * q - beta_this * q_prev) / roots[j], q
         total += q * q
@@ -101,20 +121,35 @@ def _laguerre_scaled(k: int, b: float, x):
     return q, scale, total
 
 
-def _gauss_laguerre_log(m: int, c: float):
-    """Nodes and log-weights for weight x^c e^{-x}.  The nodes come from ?stevd
-    (eigenvalues only); the weights are the Christoffel function
-    1/sum_j p_j(x_i)^2, summed in linear space on the rescaled recurrence
-    values for tail-robust relative accuracy."""
+def _laguerre_scaled(k: int, b: float, x):
+    """_scaled_recurrence for the orthonormal Laguerre polynomials against x^b e^{-x}."""
+    return _scaled_recurrence(*_laguerre_recurrence(k + 1, b), -0.5 * log_gamma(b + 1), x)
+
+
+def _laguerre_nodes(m: int, c: float):
+    """Nodes of the m-point Gauss rule for x^c e^{-x}, by ?stevd (eigenvalues only)."""
     alphas, betas = _laguerre_recurrence(m, c)
     if m == 1:  # ?stevd rejects a 1x1 matrix
-        x = alphas
-    else:
-        x, _, info = _STEVD(alphas, np.sqrt(betas), compute_v=0)
-        if info:
-            raise QuadratureFailure(f"?stevd returned info={info} for a {m}-node Laguerre rule")
-    _, scale, total = _laguerre_scaled(m - 1, c, x)
-    return x, -(np.log(total) + 2 * scale)
+        return alphas
+    x, _, info = _STEVD(alphas, np.sqrt(betas), compute_v=0)
+    if info:
+        raise QuadratureFailure(f"?stevd returned info={info} for a {m}-node Laguerre rule")
+    return x
+
+
+def _laguerre_log_weights(m: int, c: float, x):
+    """-ln sum_{j<=m} p_j(x)^2 against x^c e^{-x}: the log-weights of the Gauss
+    rule whose nodes x are the zeros of p_{m+1}, summed in linear space on the
+    rescaled recurrence values for tail-robust relative accuracy."""
+    _, scale, total = _laguerre_scaled(m, c, x)
+    return -(np.log(total) + 2 * scale)
+
+
+def _gauss_laguerre_log(m: int, c: float):
+    """Nodes and log-weights for weight x^c e^{-x}; the weights are the
+    Christoffel function 1/sum_j p_j(x_i)^2."""
+    x = _laguerre_nodes(m, c)
+    return x, _laguerre_log_weights(m - 1, c, x)
 
 
 def gauss_laguerre(m: int, b: float):
@@ -174,55 +209,73 @@ def gegenbauer(k: int, nu: float, x):
     return math.exp(0.5 * _gegenbauer_log_norm_sq(k, nu)) * gegenbauer_orthonormal(k, nu, x)
 
 
-def _rule_size(k: int, extra: int = 6) -> int:
-    # exactness needs k+1 nodes; the margin exposes rounding drift
-    return k + 1 + extra
+def _rule_size(k: int) -> int:
+    """k+1 nodes make a Gauss rule exact for a degree-2k integrand."""
+    return k + 1
+
+
+def _exp_in_range(terms) -> tuple[float, float]:
+    """exp_sum(terms), raising FloatUnderflow below the smallest normal double
+    as exp_sum raises FloatOverflow above the double range."""
+    value, rel = exp_sum(terms)
+    if value < _TINY:
+        raise FloatUnderflow(f"exp({math.fsum(terms):.6g}) is below the double range")
+    return value, rel
 
 
 def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
-    """<r^alpha> from the position density by generalized Gauss-Laguerre."""
+    """<r^alpha> from the position density by generalized Gauss-Laguerre rules
+    of m = k+1 and m+1 nodes, weighted by one Christoffel pass."""
     alpha = float(alpha)
     b = 2 * state.l + state.D - 2  # Laguerre index of the radial polynomial
     m = _rule_size(state.k)
     eta = state.two_eta / 2  # float(eta), without building the Fraction
-    scale, scale_rel = exp_sum([alpha * (math.log(eta) - math.log(2 * state.Z))])
 
     c = b + 1 + alpha  # the rules' weight is x^c e^{-x}
-    x, logw = _gauss_laguerre_log(m, c)
-    x2, logw2 = _gauss_laguerre_log(m + 8, c)
-    q, q_scale, _ = _laguerre_scaled(state.k, b, np.concatenate((x, x2)))
+    x = np.concatenate((_laguerre_nodes(m, c), _laguerre_nodes(m + 1, c)))
+    # the (m+1)-node rule's Christoffel sum runs to p_m, which vanishes at the
+    # m-node rule's nodes, so one pass weights both rules
+    logw = _laguerre_log_weights(m, c, x)
+    q, q_scale, _ = _laguerre_scaled(state.k, b, x)
     with np.errstate(divide="ignore"):
         logp = np.log(np.abs(q)) + q_scale
-    terms = np.exp(2 * logp + np.concatenate((logw, logw2)))
-    value = scale * float(terms[:m].sum()) / (2 * eta)
-    value2 = scale * float(terms[m:].sum()) / (2 * eta)
+    log_terms = 2 * logp + logw
+    top = log_terms.max()  # the sums are taken relative to e^top, so no term leaves the double range
+    terms = np.exp(log_terms - top)
+    s, s2 = float(terms[:m].sum()), float(terms[m:].sum())
+    value, rel = _exp_in_range(
+        [alpha * (math.log(eta) - math.log(2 * state.Z)), float(top), math.log(s), -math.log(2 * eta)]
+    )
     # each term is exp of logs of size |ln w| + 2|ln p| that cancel; their rounding
     # is a relative error of a few ulps of that size, shared by both rules and so
     # unseen by |v - v2|
-    size = np.where(terms[:m] > 0, np.abs(logw) + 2 * np.abs(logp[:m]), 0.0)
-    log_err = 4 * _EPS * scale * float(np.dot(terms[:m], size)) / (2 * eta)
-    err = abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel) * abs(value) + log_err
+    size = np.where(terms[:m] > 0, np.abs(logw[:m]) + 2 * np.abs(logp[:m]), 0.0)
+    log_err = 4 * _EPS * value * float(np.dot(terms[:m], size)) / s
+    err = value * abs(s - s2) / s + (50 * (state.k + 1) * _EPS + rel) * value + log_err
     return MomentResult(value, err, Method.QUADRATURE, Space.POSITION, alpha, state)
 
 
 def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
-    """<p^alpha> from the momentum density by Gauss-Jacobi, with rules of m and
-    m+8 nodes whose Gegenbauer values come from one recurrence pass."""
+    """<p^alpha> from the momentum density by Gauss-Jacobi rules of m = k+1 and
+    m+1 nodes, both exact for the degree-2k integrand, so |v - v2| measures
+    rounding drift.  Their Gegenbauer values come from one recurrence pass, and
+    the scale (Z/eta)^alpha is exponentiated together with ln of the Gauss sum."""
     alpha = float(alpha)
     nu = state.two_nu / 2  # float(nu), without building the Fraction
     m = _rule_size(state.k)
-    a, b = nu + (alpha - 1) / 2, nu - (alpha - 1) / 2
+    # exact where a or b nears -1: there the moment is as sensitive to a+1 or
+    # b+1 as 1/(a+1) or 1/(b+1), and nu + (alpha - 1)/2 would round it
+    a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
     x, w = gauss_jacobi(m, a, b)
-    x2, w2 = gauss_jacobi(m + 8, a, b)
+    x2, w2 = gauss_jacobi(m + 1, a, b)
     vals = gegenbauer_orthonormal(state.k, nu, np.concatenate((x, x2)))
     sq = vals * vals
-    scale, scale_rel = exp_sum([alpha * (math.log(state.Z) - math.log(state.two_eta / 2))])
-    value = scale * float(np.dot(w, sq[:m]))
-    value2 = scale * float(np.dot(w2, sq[m:]))
+    s, s2 = float(np.dot(w, sq[:m])), float(np.dot(w2, sq[m:]))
+    value, rel = _exp_in_range([alpha * (math.log(state.Z) - math.log(state.two_eta / 2)), math.log(s)])
     # both rules scale their weights by mu0 = exp(log mu0), so |v - v2| cannot
     # see the rounding of log mu0's terms
     _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
-    err = abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel + mu0_rel) * abs(value)
+    err = value * abs(s - s2) / s + (50 * (state.k + 1) * _EPS + rel + mu0_rel) * value
     return MomentResult(value, err, Method.QUADRATURE, Space.MOMENTUM, alpha, state)
 
 
@@ -312,7 +365,7 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
     if not 0 < q < math.inf:
         raise NonpositiveParameters(f"entropic order q must be positive and finite, got {q}")
     q, D, k = float(q), state.D, state.k
-    ends = np.concatenate(([0.0], _gauss_laguerre_log(k, D - 2)[0] if k else []))
+    ends = np.concatenate(([0.0], _laguerre_nodes(k, D - 2) if k else []))
     panels = ((ends[:-1][:1], ends[1:2], D - 1), (ends[1:-1], ends[2:], 2 * q))  # [0, z_1], [z_j, z_j+1]
     c = 2 * q if k else D - 1  # the tail's factor at its left end
     log_amp = _position_log_amplitude(state)  # exact norm, once per call rather than per rule

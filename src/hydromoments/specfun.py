@@ -157,7 +157,9 @@ def exp_sum(terms) -> tuple[float, float]:
     try:
         value = math.exp(exponent)
     except OverflowError:
-        raise FloatOverflow(f"exp({exponent:.6g}) exceeds the double range") from None
+        value = math.inf
+    if value == math.inf:  # math.exp passes an infinite exponent on as inf
+        raise FloatOverflow(f"exp({exponent:.6g}) exceeds the double range")
     return value, 4 * _EPS * (sum(map(abs, terms)) + 1)
 
 

@@ -171,6 +171,17 @@ def test_compute_below_the_double_range_is_a_numerical_failure(capsys):
     assert err.count("\n") == 1 and err.startswith("error:") and "below the double range" in err
 
 
+@pytest.mark.parametrize("state, alpha, says", [
+    (["--D", "12", "--n", "144", "--l", "47", "--Z", "0.768354"], "107.15642452101065", "exceeds the double range"),
+    (["--D", "8", "--n", "113", "--l", "90"], "-159.3", "below the double range"),
+])
+def test_oracle_outside_the_double_range_is_a_numerical_failure(capsys, state, alpha, says):
+    code, out, err = run(capsys, ["compute", "--space", "r", *state, f"--alpha={alpha}", "--mode", "oracle"])
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and says in err
+
+
 def test_exact_mode_with_real_order_is_an_input_error(capsys):
     code, out, _ = run(capsys, [
         "table", "--space", "p", "--D-range", "3", "--n-range", "2", "--l", "0",

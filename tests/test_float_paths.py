@@ -84,16 +84,16 @@ def _quad_p_two_passes(state, alpha):
     """quad_p_moment with one Gegenbauer pass per rule."""
     nu = float(state.nu)
     m = _rule_size(state.k)
-    a, b = nu + (alpha - 1) / 2, nu - (alpha - 1) / 2
+    a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
     x, w = gauss_jacobi(m, a, b)
     vals = gegenbauer_orthonormal(state.k, nu, x)
-    scale, scale_rel = exp_sum([alpha * (math.log(state.Z) - math.log(float(state.eta)))])
-    value = scale * float(np.dot(w, vals * vals))
-    x2, w2 = gauss_jacobi(m + 8, a, b)
+    s = float(np.dot(w, vals * vals))
+    value, rel = exp_sum([alpha * (math.log(state.Z) - math.log(float(state.eta))), math.log(s)])
+    x2, w2 = gauss_jacobi(m + 1, a, b)
     v2 = gegenbauer_orthonormal(state.k, nu, x2)
-    value2 = scale * float(np.dot(w2, v2 * v2))
+    s2 = float(np.dot(w2, v2 * v2))
     _, mu0_rel = exp_sum([(a + b + 1) * math.log(2.0), log_gamma(a + 1), log_gamma(b + 1), -log_gamma(a + b + 2)])
-    return value, abs(value - value2) + (50 * (state.k + 1) * _EPS + scale_rel + mu0_rel) * abs(value)
+    return value, value * abs(s - s2) / s + (50 * (state.k + 1) * _EPS + rel + mu0_rel) * value
 
 
 def _series(fn, state, alpha):

@@ -322,6 +322,22 @@ def test_quadrature_bound_covers_the_rounding_of_mu0():
         assert abs(mpmath.mpf(res.value) - _momentum_reference(s, alpha)) <= res.error_estimate
 
 
+@pytest.mark.parametrize("D, n, l, Z, alpha", [
+    # 1e-6 inside the lower edge, where nu + (alpha - 1)/2 rounded a+1 by up to 1e-9 of itself
+    (10, 33, 3, 1.105957, -15.999999274773872),
+    (8, 39, 0, 2.453908, -7.999999702835463),
+    (2, 33, 1, 3.773844, -3.9999992746927178),
+    (4, 35, 0, 1.920226, -3.9999991662488896),
+    # ?stemr dropped the weights near x = -1 that carry 16% of this moment
+    (3, 146, 54, 2.506134, 8.262147242695278),
+])
+def test_quadrature_stays_within_its_bound_near_an_edge_and_on_small_weights(D, n, l, Z, alpha):
+    s = make_state(D, n, l, Z)
+    res = quad_p_moment(s, alpha)
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(res.value) - _momentum_reference(s, alpha)) <= res.error_estimate
+
+
 def test_large_n_falls_back_to_quadrature():
     res = p_moment(make_state(3, 160, 0, 1.0), 0.5)
     assert res.method is Method.QUADRATURE

@@ -24,7 +24,7 @@ from hydromoments import (
     radial_position,
     solid_angle,
 )
-from hydromoments.errors import NonpositiveParameters, NotSWave, QuadratureFailure
+from hydromoments.errors import FloatOverflow, FloatUnderflow, NonpositiveParameters, NotSWave, QuadratureFailure
 from hydromoments.oracle import (
     _gauss_laguerre_log,
     _jacobi_recurrence,
@@ -114,6 +114,25 @@ def test_quadrature_matches_exact_routes():
             assert abs(qr.value - r_moment(s, alpha).as_float()) <= 10 * qr.error_estimate + 1e-13
             qp = quad_p_moment(s, alpha)
             assert qp.value == pytest.approx(p_moment(s, alpha).as_float(), rel=1e-12)
+
+
+def test_quadrature_stays_inside_the_double_range_or_raises():
+    # (Z/eta)^alpha is about e^-819, below the double range; the moment is not
+    s, alpha = make_state(6, 136, 73, 0.567614), 149.29684922145924
+    res, dbl = quad_p_moment(s, alpha), p_moment(s, alpha, mode="float", route="double")
+    assert abs(res.value - dbl.value) <= res.error_estimate + dbl.error_estimate
+    assert res.value == pytest.approx(7.86807976479973e-262, rel=1e-12)
+    for quad_fn, moment, (D, n, l, Z, alpha), error in [
+        (quad_p_moment, p_moment, (4, 123, 107, 1.283266, 219.99999947509613), FloatUnderflow),
+        (quad_r_moment, r_moment, (8, 113, 90, 1.0, -159.3), FloatUnderflow),
+        (quad_p_moment, p_moment, (6, 91, 73, 1.035883, -144.46383508030888), FloatOverflow),
+        (quad_r_moment, r_moment, (12, 144, 47, 0.768354, 107.15642452101065), FloatOverflow),
+    ]:
+        s = make_state(D, n, l, Z)
+        with pytest.raises(error):
+            quad_fn(s, alpha)
+        with pytest.raises(error):  # the float series falls back to the oracle here
+            moment(s, alpha, mode="float")
 
 
 def test_position_wavefunction_normalized():

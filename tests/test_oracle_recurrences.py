@@ -5,7 +5,10 @@ earlier inline recurrences are kept here: the Gegenbauer values and the
 Laguerre nodes must equal theirs bit for bit, the log-weights must lie
 within a set tolerance of a 50-digit Christoffel sum and, up to one ulp, at
 least as close to it as their logaddexp fold, and <r^alpha> must agree with
-theirs within the two error estimates."""
+theirs within the two error estimates.  The moments sum rule pairs of k+1
+and k+2 nodes; a copy of the earlier pair of k+7 and k+15 nodes must agree
+with them within the two error estimates, and the one Christoffel pass that
+weights both Laguerre rules must match a separate pass per rule."""
 
 import math
 from functools import lru_cache
@@ -15,16 +18,21 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from hydromoments import make_state, oracle, quad_r_moment
-from hydromoments.errors import QuadratureFailure
+from hydromoments import make_state, oracle, quad_p_moment, quad_r_moment
+from hydromoments.errors import FloatOverflow, FloatUnderflow, QuadratureFailure
 from hydromoments.oracle import (
     _EPS,
+    _exp_in_range,
     _gauss_laguerre_log,
+    _jacobi_log_mu0_terms,
+    _laguerre_log_weights,
+    _laguerre_nodes,
     _laguerre_recurrence,
+    _laguerre_scaled,
     gauss_jacobi,
     gegenbauer_orthonormal,
 )
-from hydromoments.specfun import log_gamma
+from hydromoments.specfun import exp_sum, log_gamma
 
 ORDERS = (-1.7, -0.5, 0.3, 1.5, 2.9, 6.25)
 MOMENTUM_ORDERS = (-0.9, 0.5, 1.3, 2.7)
@@ -135,11 +143,11 @@ def test_gegenbauer_matches_inline_recurrence_bit_for_bit():
         for i, state in enumerate(_states(D)):
             nu = float(state.nu)
             alpha = MOMENTUM_ORDERS[(i + D) % len(MOMENTUM_ORDERS)]
-            a, b = nu + (alpha - 1) / 2, nu - (alpha - 1) / 2
+            a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
             # the nodes quad_p_moment evaluates at, plus the ends and a grid
             x = np.concatenate([
-                gauss_jacobi(state.k + 7, a, b)[0],
-                gauss_jacobi(state.k + 15, a, b)[0],
+                gauss_jacobi(state.k + 1, a, b)[0],
+                gauss_jacobi(state.k + 2, a, b)[0],
                 np.linspace(-1.0, 1.0, 9),
             ])
             got = gegenbauer_orthonormal(state.k, nu, x)
@@ -208,3 +216,80 @@ def test_a_lapack_error_raises_quadrature_failure(monkeypatch):
     monkeypatch.setattr(oracle, "_STEVD", failing)
     with pytest.raises(QuadratureFailure, match="info=5"):
         _gauss_laguerre_log(12, 0.5)
+
+
+def test_one_christoffel_pass_weights_both_laguerre_rules():
+    for m, c in RULES:
+        x, x2 = _laguerre_nodes(m, c), _laguerre_nodes(m + 1, c)
+        log_w = _laguerre_log_weights(m, c, np.concatenate((x, x2)))
+        for nodes, got, rule in ((x, log_w[:m], _gauss_laguerre_log(m, c)), (x2, log_w[m:], _gauss_laguerre_log(m + 1, c))):
+            assert np.array_equal(nodes, rule[0]), (m, c, len(nodes))
+            assert np.abs(got - rule[1]).max() <= LOG_WEIGHT_TOL, (m, c, len(nodes))
+
+
+def _quad_p_k7_k15(state, alpha):
+    """quad_p_moment with the earlier rule pair of k+7 and k+15 nodes."""
+    nu = float(state.nu)
+    a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
+    sums = []
+    for m in (state.k + 7, state.k + 15):
+        x, w = gauss_jacobi(m, a, b)
+        vals = gegenbauer_orthonormal(state.k, nu, x)
+        sums.append(float(np.dot(w, vals * vals)))
+    s, s2 = sums
+    value, rel = _exp_in_range([alpha * (math.log(state.Z) - math.log(float(state.eta))), math.log(s)])
+    _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
+    return value, value * abs(s - s2) / s + (50 * (state.k + 1) * _EPS + rel + mu0_rel) * value
+
+
+def _quad_r_k7_k15(state, alpha):
+    """quad_r_moment with the earlier rule pair of k+7 and k+15 nodes, each
+    weighted by its own Christoffel pass."""
+    b = 2 * state.l + state.D - 2
+    eta = float(state.eta)
+    log_sums = []
+    for m in (state.k + 7, state.k + 15):
+        x, log_w = _gauss_laguerre_log(m, b + 1 + alpha)
+        q, q_scale, _ = _laguerre_scaled(state.k, b, x)
+        with np.errstate(divide="ignore"):
+            log_p = np.log(np.abs(q)) + q_scale
+        log_terms = 2 * log_p + log_w
+        terms = np.exp(log_terms - log_terms.max())
+        size = np.where(terms > 0, np.abs(log_w) + 2 * np.abs(log_p), 0.0)
+        log_sums.append((float(log_terms.max()), math.log(terms.sum()), float(np.dot(terms, size) / terms.sum())))
+    (top, log_s, size), (top2, log_s2, _) = log_sums
+    value, rel = _exp_in_range([alpha * (math.log(eta) - math.log(2 * state.Z)), top, log_s, -math.log(2 * eta)])
+    drift = abs(math.expm1(top2 + log_s2 - top - log_s))
+    return value, (drift + 50 * (state.k + 1) * _EPS + rel + 4 * _EPS * size) * value
+
+
+def _pair_orders(lo, hi, i):
+    """Orders within 1e-6 of each edge and across the domain; position
+    orders, which have no upper edge (hi is None), run up to -lo."""
+    top = -lo if hi is None else hi
+    inner = MOMENTUM_ORDERS if hi is not None else ORDERS
+    return (lo + 1e-6, inner[i % len(inner)], lo + 0.61 * (top - lo), top - 1e-6)
+
+
+@pytest.mark.parametrize("space", ["p", "r"])
+def test_k1_k2_rule_pair_agrees_with_the_k7_k15_pair(space):
+    new, old = (quad_p_moment, _quad_p_k7_k15) if space == "p" else (quad_r_moment, _quad_r_k7_k15)
+    checked = out_of_range = 0
+    for D in range(2, 13):
+        for i, state in enumerate(_states(D)):
+            if space == "p":
+                lo, hi = state.momentum_interval()
+            else:
+                lo, hi = state.position_lower_bound(), None
+            for alpha in _pair_orders(lo, hi, i + D):
+                try:
+                    res = new(state, alpha)
+                except (FloatOverflow, FloatUnderflow) as exc:
+                    with pytest.raises(type(exc)):
+                        old(state, alpha)
+                    out_of_range += 1
+                    continue
+                value, err = old(state, alpha)
+                assert abs(res.value - value) <= res.error_estimate + err, (D, state.n, state.l, alpha)
+                checked += 1
+    assert checked > 4500 and out_of_range < 100

@@ -260,6 +260,8 @@ class TestExpSum:
     def test_overflow_is_a_library_error(self):
         with pytest.raises(FloatOverflow):
             exp_sum([400.0, 400.0])
+        with pytest.raises(FloatOverflow):  # math.exp(inf) is inf, not an OverflowError
+            exp_sum([-800.0, math.inf])
 
 
 def test_to_float_raises_below_the_normal_double_range():
