@@ -2,7 +2,10 @@
 
 Rydberg (n -> infinity) and high-dimensional (D -> infinity) limits of the
 radial moments.  Estimates are returned unconditionally; accuracy claims
-(the empirical convergence orders) live in the test suite only.
+(the empirical convergence orders) live in the test suite only.  Each
+estimate is exponentiated from its logarithms by `specfun.exp_sum`, so one
+outside the double range raises FloatOverflow or FloatUnderflow, and values
+may differ in their last digits from the same power taken directly.
 
 The high-D corrected forms are resummed so their remainder is genuinely
 O(1/D^2): the printed first-order factors are regrouped around eta and nu
@@ -13,11 +16,10 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 
-from .errors import FloatOverflow, FloatUnderflow, OrderOutOfRegime, UnsupportedArgument
-from .specfun import EULER_GAMMA, log_gamma
+from .errors import OrderOutOfRegime, UnsupportedArgument
+from .specfun import EULER_GAMMA, exp_sum, log_gamma
 from .states import HydrogenicState, Space
 
 
@@ -34,16 +36,13 @@ class AsymptoticEstimate:
     constraints: str
 
 
-def _power(x: float, a: float) -> float:
-    """x ** a, raising FloatOverflow above the double range and FloatUnderflow
-    where a nonzero base's power falls below the smallest normal double."""
-    try:
-        value = x ** a
-    except OverflowError:
-        raise FloatOverflow(f"{x:.6g} ** {a:.6g} exceeds the double range") from None
-    if x and abs(value) < sys.float_info.min:
-        raise FloatUnderflow(f"{x:.6g} ** {a:.6g} is below the double range")
-    return value
+def _exp_times(terms, c: float = 1.0) -> float:
+    """c exp(sum(terms)) from one exp_sum over the terms and ln|c|, so it
+    raises FloatOverflow or FloatUnderflow outside the double range; 0.0
+    when c is 0."""
+    if c == 0:
+        return 0.0
+    return math.copysign(exp_sum([*terms, math.log(abs(c))])[0], c)
 
 
 def gamma_ratio_asym(x: float, a: float, b: float) -> float:
@@ -57,30 +56,29 @@ def rydberg_r(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
     eta = float(state.eta)
     L = float(state.L)
     if alpha > -1.5:
-        value = _power(eta * eta / state.Z, alpha) * math.exp(
-            (alpha + 1) * math.log(2.0)
-            + log_gamma(alpha + 1.5)
-            - 0.5 * math.log(math.pi)
-            - log_gamma(alpha + 2)
-        )
+        value = _exp_times([
+            alpha * (2 * math.log(eta) - math.log(state.Z)),
+            (alpha + 1) * math.log(2.0),
+            log_gamma(alpha + 1.5),
+            -0.5 * math.log(math.pi),
+            -log_gamma(alpha + 2),
+        ])
         return AsymptoticEstimate(value, value, Regime.RYDBERG, "alpha > -3/2")
     beta = -alpha
     if not 1.5 < beta < 2 * L + 3:
         raise OrderOutOfRegime(
             f"negative-branch order needs 3/2 < {beta} < 2L+3 = {2 * L + 3}"
         )
-    value = (
-        _power(state.Z, beta)
-        / eta ** 3
-        * math.exp(
-            log_gamma(2 * L - beta + 3)
-            - log_gamma(2 * L + beta)
-            + (3 * beta - 5) * math.log(2.0)
-            + log_gamma(beta - 1.5)
-            - 0.5 * math.log(math.pi)
-            - log_gamma(beta - 1)
-        )
-    )
+    value = _exp_times([
+        beta * math.log(state.Z),
+        -3 * math.log(eta),
+        log_gamma(2 * L - beta + 3),
+        -log_gamma(2 * L + beta),
+        (3 * beta - 5) * math.log(2.0),
+        log_gamma(beta - 1.5),
+        -0.5 * math.log(math.pi),
+        -log_gamma(beta - 1),
+    ])
     return AsymptoticEstimate(value, value, Regime.RYDBERG, "3/2 < -alpha < 2L+3")
 
 
@@ -89,9 +87,12 @@ def rydberg_p(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
     alpha = float(alpha)
     if not -1 < alpha < 3:
         raise OrderOutOfRegime(f"Rydberg momentum order must lie in (-1, 3), got {alpha}")
-    value = (state.Z / state.n) ** alpha * (2 / math.pi) * math.exp(
-        log_gamma((alpha + 1) / 2) + log_gamma((3 - alpha) / 2)
-    )
+    value = _exp_times([
+        alpha * (math.log(state.Z) - math.log(state.n)),
+        math.log(2 / math.pi),
+        log_gamma((alpha + 1) / 2),
+        log_gamma((3 - alpha) / 2),
+    ])
     return AsymptoticEstimate(value, value, Regime.RYDBERG, "-1 < alpha < 3")
 
 
@@ -99,8 +100,9 @@ def rydberg_circular_p(state: HydrogenicState, alpha: float) -> AsymptoticEstima
     """Rydberg circular-state <p^alpha> (D=3 form), with 1/n correction."""
     alpha = float(alpha)
     n = state.n
-    leading = (state.Z / n) ** alpha
-    corrected = leading * (1 + alpha * (alpha - 2) / (4 * n))
+    scale = [alpha * (math.log(state.Z) - math.log(n))]
+    leading = _exp_times(scale)
+    corrected = _exp_times(scale, 1 + alpha * (alpha - 2) / (4 * n))
     return AsymptoticEstimate(leading, corrected, Regime.RYDBERG, "circular, n large")
 
 
@@ -129,14 +131,15 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
     if not alpha > -D - 2 * l:
         raise OrderOutOfRegime(f"order {alpha} must exceed {-D - 2 * l}")
     if space is Space.MOMENTUM:
-        leading = _power(2 * state.Z / D, alpha)
+        leading = _exp_times([alpha * (math.log(2 * state.Z) - math.log(D))])
         eta = float(state.eta)
         nu = float(state.nu)
-        corrected = _power(state.Z / eta, alpha) * (
-            1 + alpha * (alpha - 2) * (2 * n - 2 * l - 1) / (4 * nu)
+        corrected = _exp_times(
+            [alpha * (math.log(state.Z) - math.log(eta))],
+            1 + alpha * (alpha - 2) * (2 * n - 2 * l - 1) / (4 * nu),
         )
         return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {-D - 2 * l}")
-    leading = _power(D * D / (4 * state.Z), alpha)
+    leading = _exp_times([alpha * (2 * math.log(D) - math.log(4 * state.Z))])
     M = D + 2 * l - 1
     k = state.k
     eta = float(state.eta)
@@ -148,10 +151,8 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
         + k * (k - 1) * alpha * (alpha + 1) * (alpha + 2) * (alpha + 3)
         / (4 * M * (M + 1))
     )
-    corrected = (
-        _power(eta, alpha - 1)
-        * _power((M + alpha / 2) / 2, alpha + 1)
-        / _power(state.Z, alpha)
-        * series
+    corrected = _exp_times(
+        [(alpha - 1) * math.log(eta), (alpha + 1) * math.log((M + alpha / 2) / 2), -alpha * math.log(state.Z)],
+        series,
     )
     return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {-D - 2 * l}")

@@ -25,10 +25,6 @@ class OrderOutOfRegime(HydromomentsError):
     pass
 
 
-class SingularDenominator(HydromomentsError):
-    pass
-
-
 class CancellationOverflow(HydromomentsError):
     pass
 
@@ -40,8 +36,8 @@ class FloatOverflow(HydromomentsError):
 
 
 class FloatUnderflow(HydromomentsError):
-    """A nonzero exact value lies below the normal double range, where its
-    float would lose digits or read as zero."""
+    """A nonzero result, exact or float, or a float prefactor lies below the
+    normal double range, where its float would lose digits or read as zero."""
 
 
 class NotCircular(HydromomentsError):

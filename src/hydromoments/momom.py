@@ -32,7 +32,6 @@ from .errors import (
     FloatOverflow,
     NotCircular,
     OrderOutOfDomain,
-    SingularDenominator,
     UnsupportedArgument,
 )
 from .specfun import (
@@ -290,13 +289,9 @@ def p_moment_even_closed(state: HydrogenicState, alpha: int) -> MomentResult:
     elif alpha == 2:
         coeff = (Z / eta) ** 2
     elif alpha in (-2, 4):
-        if 2 * L + 1 == 0:
-            raise SingularDenominator("2L+1 vanishes")
         coeff = (Z / eta) ** alpha * (8 * eta - 3 * (2 * L + 1)) / (2 * L + 1)
     else:  # alpha == 6
         den = (2 * L + 3) * (2 * L + 1) * (2 * L - 1)
-        if den == 0:
-            raise SingularDenominator("(2L+3)(2L+1)(2L-1) vanishes")
         num = (4 * k + 2 * nu + 1) * (
             16 * k ** 2 + 40 * nu * k - 4 * k + 4 * nu ** 2 + 16 * nu + 15
         )

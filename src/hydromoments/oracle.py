@@ -18,11 +18,13 @@ difference measures rounding drift, not truncation.  The two Laguerre rules
 share one Christoffel pass of degree k+1, whose extra term p_{k+1}^2
 vanishes at the smaller rule's nodes up to second order in their rounding.
 The scale (eta/2Z)^alpha or (Z/eta)^alpha is exponentiated together with the
-logarithm of the Gauss sum, so a moment inside the double range is returned
-even when its scale is not, and one outside it raises FloatUnderflow or
-FloatOverflow.  Entropic moments integrate |R|^(2q), which is not a
-polynomial, with Gauss rules between the zeros of R; they keep rules of m and
-m+8 nodes, whose difference does measure truncation.
+logarithm of the Gauss sum by `specfun.exp_sum`, so a moment inside the
+double range is returned even when its scale is not, and one outside it
+raises FloatUnderflow or FloatOverflow; so does a Jacobi weight integral mu0
+outside it, and a Gauss sum that overflows reaches exp_sum as ln(inf).
+Entropic moments integrate |R|^(2q), which is not a polynomial, with Gauss
+rules between the zeros of R; they keep rules of m and m+8 nodes, whose
+difference does measure truncation.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import FloatUnderflow, NonpositiveParameters, NotSWave, QuadratureFailure
+from .errors import NonpositiveParameters, NotSWave, QuadratureFailure
 from .posmom import Method, MomentResult
 from .specfun import ExactValue, exp_sum, gamma_exact, log_gamma
 from .states import HydrogenicState, Space
 
 _EPS = 2.0 ** -53
-_TINY = 2.0 ** -1022  # the smallest normal double
 _STEMR = get_lapack_funcs("stemr", dtype=np.float64)
 _STEVD = get_lapack_funcs("stevd", dtype=np.float64)
 
@@ -84,7 +85,7 @@ def _golub_welsch(alphas, betas, log_mu0: float):
     found, nodes, vecs, info = _STEMR(alphas, off, 0, 0.0, 0.0, 0, 0, lwork=18 * m, liwork=10 * m)
     if info or found < m:
         raise QuadratureFailure(f"?stemr returned info={info} with {found} of {m} eigenpairs")
-    w = math.exp(log_mu0) * vecs[0] ** 2
+    w = exp_sum([log_mu0])[0] * vecs[0] ** 2
     # MRRR sets each eigenvector to 0 outside the support it computes, which drops
     # some weights far below eps mu0 that the other weights keep to full relative
     # accuracy; the Christoffel function 1/sum_j p_j^2 gives those back
@@ -214,13 +215,11 @@ def _rule_size(k: int) -> int:
     return k + 1
 
 
-def _exp_in_range(terms) -> tuple[float, float]:
-    """exp_sum(terms), raising FloatUnderflow below the smallest normal double
-    as exp_sum raises FloatOverflow above the double range."""
-    value, rel = exp_sum(terms)
-    if value < _TINY:
-        raise FloatUnderflow(f"exp({math.fsum(terms):.6g}) is below the double range")
-    return value, rel
+def _drift(value: float, s: float, s2: float) -> float:
+    """value |s - s2| / s, the two rules' disagreement scaled to the moment;
+    divided first only where value |s - s2| would exceed the double range."""
+    drift = value * abs(s - s2) / s
+    return drift if drift < math.inf else value * (abs(s - s2) / s)
 
 
 def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
@@ -243,7 +242,7 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     top = log_terms.max()  # the sums are taken relative to e^top, so no term leaves the double range
     terms = np.exp(log_terms - top)
     s, s2 = float(terms[:m].sum()), float(terms[m:].sum())
-    value, rel = _exp_in_range(
+    value, rel = exp_sum(
         [alpha * (math.log(eta) - math.log(2 * state.Z)), float(top), math.log(s), -math.log(2 * eta)]
     )
     # each term is exp of logs of size |ln w| + 2|ln p| that cancel; their rounding
@@ -251,7 +250,7 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     # unseen by |v - v2|
     size = np.where(terms[:m] > 0, np.abs(logw[:m]) + 2 * np.abs(logp[:m]), 0.0)
     log_err = 4 * _EPS * value * float(np.dot(terms[:m], size)) / s
-    err = value * abs(s - s2) / s + (50 * (state.k + 1) * _EPS + rel) * value + log_err
+    err = _drift(value, s, s2) + (50 * (state.k + 1) * _EPS + rel) * value + log_err
     return MomentResult(value, err, Method.QUADRATURE, Space.POSITION, alpha, state)
 
 
@@ -270,12 +269,13 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     x2, w2 = gauss_jacobi(m + 1, a, b)
     vals = gegenbauer_orthonormal(state.k, nu, np.concatenate((x, x2)))
     sq = vals * vals
-    s, s2 = float(np.dot(w, sq[:m])), float(np.dot(w2, sq[m:]))
-    value, rel = _exp_in_range([alpha * (math.log(state.Z) - math.log(state.two_eta / 2)), math.log(s)])
+    with np.errstate(over="ignore"):  # an infinite sum reaches exp_sum as ln(inf) and raises there
+        s, s2 = float(np.dot(w, sq[:m])), float(np.dot(w2, sq[m:]))
+    value, rel = exp_sum([alpha * (math.log(state.Z) - math.log(state.two_eta / 2)), math.log(s)])
     # both rules scale their weights by mu0 = exp(log mu0), so |v - v2| cannot
     # see the rounding of log mu0's terms
     _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
-    err = value * abs(s - s2) / s + (50 * (state.k + 1) * _EPS + rel + mu0_rel) * value
+    err = _drift(value, s, s2) + (50 * (state.k + 1) * _EPS + rel + mu0_rel) * value
     return MomentResult(value, err, Method.QUADRATURE, Space.MOMENTUM, alpha, state)
 
 

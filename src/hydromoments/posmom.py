@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CancellationOverflow, OrderOutOfDomain, SingularDenominator, UnsupportedArgument
+from .errors import CancellationOverflow, FloatUnderflow, OrderOutOfDomain, UnsupportedArgument
 from .specfun import (
     ExactValue,
     HypSumSpec,
@@ -81,11 +81,14 @@ def series_or_quadrature(
 ) -> MomentResult:
     """The float series `evaluate(state, alpha) -> (value, err)` as a result,
     or the quadrature oracle's when the series overflows, its bound exceeds
-    CANCELLATION_LIMIT relative to its value, or its value is not positive
-    and finite.  FloatOverflow from a prefactor propagates."""
+    CANCELLATION_LIMIT relative to its value, its value is not positive and
+    finite, or it raises FloatUnderflow: a series prefactor can fall below
+    the double range where the moment does not, and the oracle raises
+    FloatUnderflow itself where the moment does too.  FloatOverflow
+    propagates."""
     try:
         value, err = evaluate(state, alpha)
-    except CancellationOverflow:
+    except (CancellationOverflow, FloatUnderflow):
         value, err = math.nan, math.inf
     if err > CANCELLATION_LIMIT * abs(value) or value <= 0 or not math.isfinite(value):
         from . import oracle  # oracle imports this module
@@ -167,13 +170,13 @@ def r_moment_closed(state: HydrogenicState, alpha: int) -> MomentResult:
     elif alpha == -1:
         coeff = Z / eta ** 2
     elif alpha == -2:
-        coeff = _over(Z ** 2 / eta ** 3, (L + half,))
+        coeff = Z ** 2 / eta ** 3 / (L + half)
     elif alpha == -3:
-        coeff = _over(Z ** 3 / eta ** 3, (L, L + half, L + 1))
+        coeff = Z ** 3 / eta ** 3 / (L * (L + half) * (L + 1))
     elif alpha == -4:
-        coeff = _over(
-            Z ** 4 * (3 * eta ** 2 - L * (L + 1)) / (2 * eta ** 5),
-            (L - half, L, L + half, L + 1, L + Fraction(3, 2)),
+        coeff = (
+            Z ** 4 * (3 * eta ** 2 - L * (L + 1)) / (2 * eta ** 5)
+            / ((L - half) * L * (L + half) * (L + 1) * (L + Fraction(3, 2)))
         )
     else:  # alpha == -6
         num = (
@@ -181,24 +184,11 @@ def r_moment_closed(state: HydrogenicState, alpha: int) -> MomentResult:
             - 30 * eta ** 2 * (L + 2) * (L - 1)
             + 3 * (L + 2) * (L + 1) * L * (L - 1)
         )
-        coeff = _over(
-            Z ** 6 * num / (8 * eta ** 7),
-            (
-                L - Fraction(3, 2), L - 1, L - half, L,
-                L + half, L + 1, L + Fraction(3, 2), L + 2, L + Fraction(5, 2),
-            ),
-        )
+        # over (L - 3/2)(L - 1) ... (L + 5/2), nine factors in steps of 1/2
+        coeff = Z ** 6 * num / (8 * eta ** 7) / math.prod(L + Fraction(j, 2) for j in range(-3, 6))
     return MomentResult(
         ExactValue(coeff), 0.0, Method.CLOSED_FORM, Space.POSITION, float(alpha), state
     )
-
-
-def _over(numerator: Fraction, factors) -> Fraction:
-    for f in factors:
-        if f == 0:
-            raise SingularDenominator(f"denominator factor {f} vanishes")
-        numerator /= f
-    return numerator
 
 
 def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult:

@@ -151,8 +151,10 @@ def exp_sum(terms) -> tuple[float, float]:
     Each term is a computed logarithm (log_gamma, log, or a multiple of one)
     off by a few units in its last place, so the exponent carries an
     absolute error of about eps * sum |term|, which exp turns into a
-    relative error.  Raises FloatOverflow when the result exceeds the
-    double range."""
+    relative error.  This is the one place where a float built from
+    logarithms leaves the double range: it raises FloatOverflow when the
+    result exceeds the range and FloatUnderflow when it falls below the
+    smallest normal double, where it would lose digits or read as zero."""
     exponent = math.fsum(terms)
     try:
         value = math.exp(exponent)
@@ -160,6 +162,8 @@ def exp_sum(terms) -> tuple[float, float]:
         value = math.inf
     if value == math.inf:  # math.exp passes an infinite exponent on as inf
         raise FloatOverflow(f"exp({exponent:.6g}) exceeds the double range")
+    if value < sys.float_info.min:
+        raise FloatUnderflow(f"exp({exponent:.6g}) is below the double range")
     return value, 4 * _EPS * (sum(map(abs, terms)) + 1)
 
 

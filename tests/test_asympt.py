@@ -17,7 +17,7 @@ from hydromoments import (
     rydberg_r,
 )
 from hydromoments.asympt import Regime
-from hydromoments.errors import OrderOutOfRegime, UnsupportedArgument
+from hydromoments.errors import FloatOverflow, FloatUnderflow, OrderOutOfRegime, UnsupportedArgument
 from hydromoments.momom import inverse_momentum, mean_momentum
 
 
@@ -117,6 +117,23 @@ def test_highd_position_estimates():
         exact = r_moment(s, 2).value.to_float()
         assert abs(exact / est.corrected - 1) < abs(exact / est.leading - 1)
         assert exact == pytest.approx(est.corrected, rel=50.0 / D ** 2)
+
+
+def test_estimates_outside_the_double_range_raise():
+    # before: a bare OverflowError, 0.0, and a corrected value of inf
+    with pytest.raises(FloatOverflow):
+        rydberg_r(make_state(3, 1, 0, 1.0), 1100)
+    with pytest.raises(FloatUnderflow):
+        rydberg_circular_p(make_state(3, 100, 99, 1.0), 400)
+    with pytest.raises(FloatOverflow):
+        highD(make_state(16, 1, 0, 1.0), 150, Space.POSITION)
+
+
+def test_negative_correction_factor_keeps_its_sign():
+    # D=2 2s: 1 + alpha (alpha-2)(2n-2l-1)/(4nu) = -1/2 at alpha = 1, and Z/eta = 2/3
+    est = highD(make_state(2, 2, 0, 1.0), 1.0, Space.MOMENTUM)
+    assert est.corrected == pytest.approx(-1 / 3, rel=1e-14)
+    assert est.leading == pytest.approx(1.0, rel=1e-14)
 
 
 def test_highd_domain():

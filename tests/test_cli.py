@@ -297,6 +297,7 @@ def test_limits_domain_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["--regime", "highd", "--alpha", "300", "--space", "r", "--D-seq", "16"],
     ["--regime", "rydberg", "--alpha", "200", "--space", "r", "--n-seq", "100"],
+    ["--regime", "rydberg", "--space", "r", "--alpha", "1100", "--n-seq", "1"],
 ])
 def test_limits_overflow_is_a_numerical_failure(capsys, argv):
     code, out, err = run(capsys, ["limits", *argv])

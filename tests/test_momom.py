@@ -26,9 +26,9 @@ from hydromoments import (
 from hydromoments import momom, specfun
 from hydromoments.errors import (
     FloatOverflow,
+    FloatUnderflow,
     NotCircular,
     OrderOutOfDomain,
-    SingularDenominator,
     UnsupportedArgument,
 )
 from hydromoments.momom import (
@@ -156,10 +156,7 @@ def test_even_closed_forms_match_route():
         for alpha in (0, 2, -2, 4, 6):
             if not lo < alpha < hi:
                 continue
-            try:
-                closed = p_moment_even_closed(s, alpha)
-            except SingularDenominator:
-                continue
+            closed = p_moment_even_closed(s, alpha)
             assert closed.value == p_moment(s, alpha).value
 
 
@@ -195,6 +192,16 @@ def test_circular_closed_form():
             assert p_moment_circular(s, alpha).value == p_moment(s, alpha).value
         v = p_moment_circular(s, 0.5, mode="float").value
         assert v == pytest.approx(p_moment(s, 0.5).as_float(), rel=1e-12)
+
+
+def test_float_closed_form_and_series_raise_below_the_double_range():
+    # both returned a zero or subnormal float with a zero bound
+    with pytest.raises(FloatUnderflow):
+        p_moment_circular(make_state(3, 100, 99, 1.0), 200.5, mode="float")
+    s, alpha = make_state(16, 45, 23, 8.8740849986502e-05), 62.30933776107723
+    for route in ("single", "double"):
+        with pytest.raises(FloatUnderflow):
+            p_moment(s, alpha, mode="float", route=route)
 
 
 def test_circular_rejects_noncircular():

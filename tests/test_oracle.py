@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -133,6 +134,31 @@ def test_quadrature_stays_inside_the_double_range_or_raises():
             quad_fn(s, alpha)
         with pytest.raises(error):  # the float series falls back to the oracle here
             moment(s, alpha, mode="float")
+
+
+def test_error_bound_of_a_moment_near_the_top_of_the_double_range_is_finite():
+    # the Gauss sums are about 2.3e39, so value * |s - s2| overflowed before the division
+    s, alpha = make_state(14, 54, 44, 24849.2389908074), 99.6403926883999
+    res, dbl = quad_p_moment(s, alpha), p_moment(s, alpha, mode="float", route="double")
+    assert res.value == pytest.approx(3.16892500972e300, rel=1e-11)
+    assert math.isfinite(res.error_estimate)
+    assert abs(res.value - dbl.value) <= res.error_estimate + dbl.error_estimate
+
+
+def test_jacobi_weight_integral_outside_the_double_range_raises():
+    # mu0 = 2^(a+b+1) B(a+1, b+1) is about e^1112 here; math.exp raised a bare OverflowError
+    with pytest.raises(FloatOverflow):
+        quad_p_moment(make_state(3, 800, 790, 1.0), -1582.999999)
+
+
+@pytest.mark.parametrize("alpha", [-602.999999, 604.999999])
+def test_overflowing_gauss_sum_raises_without_a_warning(alpha):
+    # the Gauss sums overflow in np.dot; both true moments lie outside the double
+    # range (about e^4861 and e^-2866 by the 5F4 series at 30 digits)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((FloatOverflow, FloatUnderflow)):
+            quad_p_moment(make_state(3, 600, 300, 1.0), alpha)
 
 
 def test_position_wavefunction_normalized():

@@ -22,7 +22,6 @@ from hydromoments import make_state, oracle, quad_p_moment, quad_r_moment
 from hydromoments.errors import FloatOverflow, FloatUnderflow, QuadratureFailure
 from hydromoments.oracle import (
     _EPS,
-    _exp_in_range,
     _gauss_laguerre_log,
     _jacobi_log_mu0_terms,
     _laguerre_log_weights,
@@ -237,7 +236,7 @@ def _quad_p_k7_k15(state, alpha):
         vals = gegenbauer_orthonormal(state.k, nu, x)
         sums.append(float(np.dot(w, vals * vals)))
     s, s2 = sums
-    value, rel = _exp_in_range([alpha * (math.log(state.Z) - math.log(float(state.eta))), math.log(s)])
+    value, rel = exp_sum([alpha * (math.log(state.Z) - math.log(float(state.eta))), math.log(s)])
     _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
     return value, value * abs(s - s2) / s + (50 * (state.k + 1) * _EPS + rel + mu0_rel) * value
 
@@ -258,7 +257,7 @@ def _quad_r_k7_k15(state, alpha):
         size = np.where(terms > 0, np.abs(log_w) + 2 * np.abs(log_p), 0.0)
         log_sums.append((float(log_terms.max()), math.log(terms.sum()), float(np.dot(terms, size) / terms.sum())))
     (top, log_s, size), (top2, log_s2, _) = log_sums
-    value, rel = _exp_in_range([alpha * (math.log(eta) - math.log(2 * state.Z)), top, log_s, -math.log(2 * eta)])
+    value, rel = exp_sum([alpha * (math.log(eta) - math.log(2 * state.Z)), top, log_s, -math.log(2 * eta)])
     drift = abs(math.expm1(top2 + log_s2 - top - log_s))
     return value, (drift + 50 * (state.k + 1) * _EPS + rel + 4 * _EPS * size) * value
 

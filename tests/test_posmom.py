@@ -18,12 +18,12 @@ from hydromoments import (
     r_moment_closed,
     r_moment_ground,
 )
-from hydromoments import oracle
+from hydromoments import oracle, p_moment_even_closed
 from hydromoments.errors import (
     CancellationOverflow,
     FloatOverflow,
+    FloatUnderflow,
     OrderOutOfDomain,
-    SingularDenominator,
     UnsupportedArgument,
 )
 from hydromoments.posmom import CANCELLATION_LIMIT, series_or_quadrature
@@ -58,10 +58,7 @@ def test_closed_forms_match_hypergeometric_route(alpha):
         s = make_state(D, n, l, 1.0)
         if not alpha > s.position_lower_bound():
             continue
-        try:
-            closed = r_moment_closed(s, alpha)
-        except SingularDenominator:
-            continue
+        closed = r_moment_closed(s, alpha)
         assert closed.value == r_moment(s, alpha).value
         assert closed.method is Method.CLOSED_FORM
 
@@ -71,13 +68,30 @@ def test_closed_form_rejects_untabulated_order():
         r_moment_closed(make_state(3, 1, 0, 1.0), 3)
 
 
+# the factors L + j/2 of each closed form's denominator: (first j, last j), and
+# the momentum forms' odd factors 2L + j
+_POSITION_POLES = {-2: (1, 1), -3: (0, 2), -4: (-1, 3), -6: (-3, 5)}
+_MOMENTUM_POLES = {-2: (1,), 4: (1,), 6: (-1, 1, 3)}
+
+
 def test_singular_orders_are_outside_the_domain():
-    # denominator zeros of the closed forms only occur at or below the domain
-    # edge, so the domain check fires first
-    with pytest.raises(OrderOutOfDomain):
-        r_moment_closed(make_state(2, 1, 0, 1.0), -2)
-    with pytest.raises(OrderOutOfDomain):
-        r_moment_closed(make_state(3, 1, 0, 1.0), -3)
+    # every zero of a closed form's denominator lies at an order the domain
+    # check rejects, so both closed forms divide without a check
+    singular = 0
+    for D in range(2, 13):
+        for l in range(11):
+            s = make_state(D, l + 1, l, 1.0)  # the denominators depend on D and l only
+            for alpha, (lo, hi) in _POSITION_POLES.items():
+                if any(s.L + Fraction(j, 2) == 0 for j in range(lo, hi + 1)):
+                    singular += 1
+                    with pytest.raises(OrderOutOfDomain):
+                        r_moment_closed(s, alpha)
+            for alpha, js in _MOMENTUM_POLES.items():
+                if any(2 * s.L + j == 0 for j in js):
+                    singular += 1
+                    with pytest.raises(OrderOutOfDomain):
+                        p_moment_even_closed(s, alpha)
+    assert singular == 21
 
 
 def test_domain_enforced():
@@ -87,6 +101,12 @@ def test_domain_enforced():
     with pytest.raises(OrderOutOfDomain):
         r_moment(s, -3.2)
     assert r_moment(s, -2.9).as_float() > 0
+
+
+def test_float_ground_state_below_the_double_range_raises():
+    # ((D-1)/4Z)^alpha is about e^-1084; this returned 0.0 with a zero bound
+    with pytest.raises(FloatUnderflow):
+        r_moment_ground(3, 1e6, 100.5)
 
 
 def test_ground_state_formula_matches_general_route():
@@ -235,6 +255,7 @@ def _raise(exc):
         (lambda s, a: (math.inf, 0.0), True),
         (lambda s, a: (math.nan, 0.0), True),
         (_raise(CancellationOverflow("term overflowed")), True),
+        pytest.param(_raise(FloatUnderflow("prefactor")), True, id="prefactor_underflow"),
     ],
 )
 def test_one_fallback_rule_for_both_spaces(monkeypatch, space, evaluate, falls_back):

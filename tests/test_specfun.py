@@ -263,6 +263,15 @@ class TestExpSum:
         with pytest.raises(FloatOverflow):  # math.exp(inf) is inf, not an OverflowError
             exp_sum([-800.0, math.inf])
 
+    def test_underflow_is_a_library_error(self):
+        assert exp_sum([-708.0])[0] == math.exp(-708.0)  # 3.3e-308, a normal double
+        with pytest.raises(FloatUnderflow):  # 1.2e-308, subnormal
+            exp_sum([-709.0])
+        with pytest.raises(FloatUnderflow):
+            exp_sum([-800.0, -800.0])
+        with pytest.raises(FloatUnderflow):  # math.exp(-inf) is 0
+            exp_sum([800.0, -math.inf])
+
 
 def test_to_float_raises_below_the_normal_double_range():
     assert ExactValue(Fraction(0)).to_float() == 0.0
