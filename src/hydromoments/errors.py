@@ -25,19 +25,16 @@ class OrderOutOfRegime(HydromomentsError):
     pass
 
 
-class CancellationOverflow(HydromomentsError):
-    pass
-
-
 class FloatOverflow(HydromomentsError):
-    """A float result or prefactor exceeds the double range.  Unlike
-    CancellationOverflow it triggers no quadrature retry: the quadrature
-    value would overflow too."""
+    """A result, exact or float, or a Gauss-Jacobi weight integral exceeds
+    the double range.  It triggers no quadrature retry: a float series is
+    rounded once, so its range error means the moment itself is out of range."""
 
 
 class FloatUnderflow(HydromomentsError):
-    """A nonzero result, exact or float, or a float prefactor lies below the
-    normal double range, where its float would lose digits or read as zero."""
+    """A nonzero result, exact or float, lies below the normal double range,
+    where its float would lose digits or read as zero.  Like FloatOverflow,
+    it triggers no quadrature retry."""
 
 
 class NotCircular(HydromomentsError):

@@ -18,8 +18,9 @@ advances (2nu+j)_k term by term by the ratio (2nu+j+k)/(2nu+j), so the k+1
 terms cost O(k).  Float paths read the integers 2nu and 2eta rather than
 build the Fractions nu and eta.  Closed forms cover even orders, circular
 states, the mean momentum and the average inverse momentum.  Integer orders
-evaluate exactly; the float single sum uses compensated summation with a
-cancellation bound and falls back to the quadrature oracle when it trips.
+evaluate exactly.  Each float series returns its prefactor's logs, its sum
+and a bound, which `posmom.series_or_quadrature` rounds once or, when the
+bound shows cancellation, replaces by the quadrature oracle.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import (
-    CancellationOverflow,
-    FloatOverflow,
-    NotCircular,
-    OrderOutOfDomain,
-    UnsupportedArgument,
-)
+from .errors import NotCircular, OrderOutOfDomain, UnsupportedArgument
 from .specfun import (
     ExactValue,
     HypSumSpec,
@@ -110,10 +105,12 @@ def _single_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
     return ExactValue(Fraction(num * s_num, den * s_den), Fraction(two_pi, 2))
 
 
-def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
+def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
+    """The float single sum as (prefactor logs, sum, bound); the sum is nan
+    when a term overflows."""
     k = state.k
     nu = state.two_nu / 2  # float(nu), without building the Fraction
-    pref, pref_rel = exp_sum([
+    logs = [
         math.log(2.0),
         -log_gamma(k + 1),
         math.log(k + nu),
@@ -121,7 +118,7 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
         -log_gamma(2 * nu + 1),
         *_gamma_quotient_logs(nu, alpha),
         *_zeta_logs(state, alpha),
-    ])
+    ]
     terms = []
     bounds = []
     dj = 1.0
@@ -130,7 +127,7 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
     for j in range(k + 1):
         t = (-1) ** j * math.comb(k, j) * rising * dj
         if not math.isfinite(t):
-            raise CancellationOverflow(f"term {j} overflowed at n={state.n}")
+            return logs, math.nan, math.inf
         terms.append(t)
         bounds.append(10.0 * (j + 1) * _EPS * abs(t))
         rising *= (2 * nu + j + k) / (2 * nu + j)
@@ -143,9 +140,7 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
         )
     s = math.fsum(terms) / denom
     bound = (math.fsum(bounds) + _EPS * abs(s) * denom) / denom
-    value = pref * s
-    err = pref * bound + (pref_rel + 20 * _EPS) * abs(value)
-    return value, err
+    return logs, s, bound + 20 * _EPS * abs(s)
 
 
 def _hyp5f4_exact(state: HydrogenicState, a: int) -> ExactValue:
@@ -219,9 +214,10 @@ def _double_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
     return ExactValue(coeff, Fraction(two_pi + p_two_pi, 2))
 
 
-def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
-    """Float double-sum route: the outer sum is exact at the dyadic rational
-    alpha is stored as, and the value is rounded once."""
+def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
+    """Float double-sum route as (prefactor logs, quotient, bound): the outer
+    sum is exact at the dyadic rational alpha is stored as, and its quotient
+    by the denominator is rounded once."""
     D, n, l = state.D, state.n, state.l
     p, q = alpha.as_integer_ratio()  # q = 2^e
     # x = l + (D+alpha)/2 = ((2l+D) q + p) / 2^(e+1)
@@ -229,7 +225,7 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
     # total/den = quotient * 2^shift with the quotient in (1/2, 2), rounded once
     shift = total.bit_length() - den.bit_length()
     quotient = total / (den << shift) if shift >= 0 else (total << -shift) / den
-    value, rel = exp_sum([
+    logs = [
         math.log(2 * state.two_eta),  # 4 eta
         *_zeta_logs(state, alpha),
         log_gamma(l + (D - alpha) / 2 + 1),
@@ -237,10 +233,15 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[float, floa
         -log_gamma(n + l + D - 2),
         -log_gamma(n - l),
         two_pi / 2 * math.log(math.pi),
-        math.log(quotient),
         shift * math.log(2.0),
-    ])
-    return value, (rel + 4 * _EPS) * value
+    ]
+    return logs, quotient, 4 * _EPS * quotient
+
+
+def _reflected_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
+    """The single sum at alpha with the logs of (eta/Z)^(2alpha-2): <p^(2-alpha)>."""
+    logs, s, bound = _single_sum_float(state, alpha)
+    return [*logs, (2 * alpha - 2) * math.log(state.two_eta / 2 / state.Z)], s, bound
 
 
 # route -> (exact evaluator, float evaluator, method); in float mode the
@@ -303,28 +304,22 @@ def p_moment_even_closed(state: HydrogenicState, alpha: int) -> MomentResult:
 
 def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """<p^{2-alpha}> computed from <p^alpha> via the inversion identity
-    (eta/Z)^{2-alpha} <p^{2-alpha}> = (eta/Z)^alpha <p^alpha>."""
+    (eta/Z)^{2-alpha} <p^{2-alpha}> = (eta/Z)^alpha <p^alpha>.  In float mode
+    the factor's log joins the single sum's prefactor, so the result is
+    rounded once and is returned wherever it lies in the double range."""
     alpha_f = float(alpha)
     mode = resolve_mode(alpha, mode)
     require_order(state, alpha_f, Space.MOMENTUM)
     require_order(state, 2 - alpha_f, Space.MOMENTUM)
-    if mode == "exact":
-        base = p_moment(state, alpha, mode=mode)
-        a = int(round(alpha_f))
-        factor = ExactValue((state.eta / state.Z_exact) ** (2 * a - 2))
-        value = base.value * factor
-        err = 0.0
-    else:
-        # the factor first: an overflowing factor raises FloatOverflow even
-        # where <p^alpha> itself lies below the double range
-        try:
-            factor = (state.two_eta / 2 / state.Z) ** (2 * alpha_f - 2)
-        except OverflowError:
-            raise FloatOverflow(f"(eta/Z)^{2 * alpha_f - 2:.6g} exceeds the double range") from None
-        base = p_moment(state, alpha, mode=mode)
-        value = base.as_float() * factor
-        err = base.error_estimate * factor + 4 * abs(value) * _EPS
-    return MomentResult(value, err, Method.REFLECTION, Space.MOMENTUM, 2 - alpha_f, state)
+    if mode == "float":
+        # at alpha itself, which 2 - (2 - alpha) need not round back to
+        return series_or_quadrature(
+            lambda st, _: _reflected_float(st, alpha_f), state, 2 - alpha_f,
+            Method.REFLECTION, Space.MOMENTUM,
+        )
+    base = p_moment(state, alpha, mode=mode)
+    factor = ExactValue((state.eta / state.Z_exact) ** (2 * int(round(alpha_f)) - 2))
+    return MomentResult(base.value * factor, 0.0, Method.REFLECTION, Space.MOMENTUM, 2 - alpha_f, state)
 
 
 def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:

@@ -21,7 +21,8 @@ The scale (eta/2Z)^alpha or (Z/eta)^alpha is exponentiated together with the
 logarithm of the Gauss sum by `specfun.exp_sum`, so a moment inside the
 double range is returned even when its scale is not, and one outside it
 raises FloatUnderflow or FloatOverflow; so does a Jacobi weight integral mu0
-outside it, and a Gauss sum that overflows reaches exp_sum as ln(inf).
+outside it.  The Gauss sums are taken relative to their largest term or
+polynomial value, so they cannot overflow.
 Entropic moments integrate |R|^(2q), which is not a polynomial, with Gauss
 rules between the zeros of R; they keep rules of m and m+8 nodes, whose
 difference does measure truncation.
@@ -257,25 +258,30 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
 def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     """<p^alpha> from the momentum density by Gauss-Jacobi rules of m = k+1 and
     m+1 nodes, both exact for the degree-2k integrand, so |v - v2| measures
-    rounding drift.  Their Gegenbauer values come from one recurrence pass, and
-    the scale (Z/eta)^alpha is exponentiated together with ln of the Gauss sum."""
+    rounding drift.  Their Gegenbauer values come from one recurrence pass and
+    are divided by their peak, so each Gauss sum stays below mu0; the scale
+    (Z/eta)^alpha and the peak squared are exponentiated with ln of the sum.
+    The bound adds 2 k^2 eps |value| for the nodes' rounding, which both rules
+    share: by Markov's inequality |p'| <= k^2 max |p| on [-1, 1]."""
     alpha = float(alpha)
     nu = state.two_nu / 2  # float(nu), without building the Fraction
-    m = _rule_size(state.k)
+    k, m = state.k, _rule_size(state.k)
     # exact where a or b nears -1: there the moment is as sensitive to a+1 or
     # b+1 as 1/(a+1) or 1/(b+1), and nu + (alpha - 1)/2 would round it
     a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
     x, w = gauss_jacobi(m, a, b)
     x2, w2 = gauss_jacobi(m + 1, a, b)
-    vals = gegenbauer_orthonormal(state.k, nu, np.concatenate((x, x2)))
-    sq = vals * vals
-    with np.errstate(over="ignore"):  # an infinite sum reaches exp_sum as ln(inf) and raises there
-        s, s2 = float(np.dot(w, sq[:m])), float(np.dot(w2, sq[m:]))
-    value, rel = exp_sum([alpha * (math.log(state.Z) - math.log(state.two_eta / 2)), math.log(s)])
+    vals = gegenbauer_orthonormal(k, nu, np.concatenate((x, x2)))
+    peak = float(np.abs(vals).max())
+    sq = (vals / peak) ** 2
+    s, s2 = float(np.dot(w, sq[:m])), float(np.dot(w2, sq[m:]))
+    value, rel = exp_sum(
+        [alpha * (math.log(state.Z) - math.log(state.two_eta / 2)), 2 * math.log(peak), math.log(s)]
+    )
     # both rules scale their weights by mu0 = exp(log mu0), so |v - v2| cannot
     # see the rounding of log mu0's terms
     _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
-    err = _drift(value, s, s2) + (50 * (state.k + 1) * _EPS + rel + mu0_rel) * value
+    err = _drift(value, s, s2) + ((50 * (k + 1) + 2 * k * k) * _EPS + rel + mu0_rel) * value
     return MomentResult(value, err, Method.QUADRATURE, Space.MOMENTUM, alpha, state)
 
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CancellationOverflow, FloatUnderflow, OrderOutOfDomain, UnsupportedArgument
+from .errors import OrderOutOfDomain, UnsupportedArgument
 from .specfun import (
     ExactValue,
     HypSumSpec,
@@ -79,44 +79,41 @@ def resolve_mode(alpha, mode: str) -> str:
 def series_or_quadrature(
     evaluate, state: HydrogenicState, alpha: float, method: Method, space: Space
 ) -> MomentResult:
-    """The float series `evaluate(state, alpha) -> (value, err)` as a result,
-    or the quadrature oracle's when the series overflows, its bound exceeds
-    CANCELLATION_LIMIT relative to its value, its value is not positive and
-    finite, or it raises FloatUnderflow: a series prefactor can fall below
-    the double range where the moment does not, and the oracle raises
-    FloatUnderflow itself where the moment does too.  FloatOverflow
-    propagates."""
-    try:
-        value, err = evaluate(state, alpha)
-    except (CancellationOverflow, FloatUnderflow):
-        value, err = math.nan, math.inf
-    if err > CANCELLATION_LIMIT * abs(value) or value <= 0 or not math.isfinite(value):
+    """The float series `evaluate(state, alpha) -> (logs, s, bound)`, with
+    the log terms of its prefactor, its sum in their units and an absolute
+    bound on that sum, as exp(sum(logs) + ln s) from one `exp_sum` with error
+    (bound/s + exp_sum's rel) * value.  The one fallback rule: the quadrature
+    oracle answers iff s is not positive (nan if a term overflowed) or bound
+    exceeds CANCELLATION_LIMIT * s.  FloatOverflow and FloatUnderflow come
+    only from that exp_sum, so they mean the moment itself, and propagate."""
+    logs, s, bound = evaluate(state, alpha)
+    if not (s > 0 and bound <= CANCELLATION_LIMIT * s):
         from . import oracle  # oracle imports this module
 
         if space is Space.POSITION:
             return oracle.quad_r_moment(state, alpha)
         return oracle.quad_p_moment(state, alpha)
-    return MomentResult(value, err, method, space, alpha, state)
+    value, rel = exp_sum([*logs, math.log(s)])
+    return MomentResult(value, (bound / s + rel) * value, method, space, alpha, state)
 
 
-def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[float, float]:
-    """The float 3F2 value of <r^alpha> and its error bound."""
+def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
+    """The float 3F2 series of <r^alpha> as (prefactor logs, sum, bound)."""
     k, t = state.k, state.two_nu  # 2L+2, read without building the Fraction L
-    pref, pref_rel = exp_sum([
+    logs = [
         (alpha - 1) * math.log(state.two_eta / 2),
         -(alpha + 1) * math.log(2.0),
         -alpha * math.log(state.Z),
         log_gamma((t + 1) + alpha),  # 2L+alpha+3, rounded once
         -log_gamma(float(t)),
-    ])
+    ]
     spec = HypSumSpec(
         top=(-k, -alpha - 1, alpha + 2),
         bottom=(float(t), 1.0),
         terms=k + 1,
     )
     s, bound = hyp_sum(spec, "float")
-    value = pref * s
-    return value, pref * bound + (pref_rel + 4 * 2.0 ** -52) * abs(value)
+    return logs, s, bound + 4 * 2.0 ** -52 * abs(s)
 
 
 def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:

@@ -17,7 +17,6 @@ from functools import lru_cache
 from numbers import Integral, Rational
 
 from .errors import (
-    CancellationOverflow,
     FloatOverflow,
     FloatUnderflow,
     NonpositiveArgument,
@@ -325,6 +324,7 @@ def hyp_sum(spec: HypSumSpec, mode: str = "exact"):
     Exact mode returns an ExactValue (rational); float mode returns
     (value, error_bound) using exactly rounded summation of the signed terms
     plus a per-term rounding bound, so cancellation is visible to callers.
+    A term that overflows gives (nan, inf).
     """
     if mode == "exact":
         return ExactValue(hyp_sum_fraction(spec))
@@ -343,7 +343,7 @@ def hyp_sum(spec: HypSumSpec, mode: str = "exact"):
             term /= b + j
         term /= j + 1
         if not math.isfinite(term):
-            raise CancellationOverflow(f"hypergeometric term {j + 1} overflowed")
+            return math.nan, math.inf
         terms.append(term)
         bounds.append(nops * (j + 1) * _EPS * abs(term))
     total = math.fsum(terms)

@@ -22,6 +22,7 @@ from hydromoments import (
     quad_r_moment,
     r_moment,
     r_moment_ground,
+    reflect,
     rydberg_circular_p,
     rydberg_p,
     rydberg_r,
@@ -82,4 +83,8 @@ def test_every_call_returns_a_normal_double_or_raises(large, circular, small):
     _check(quad_p_moment, s, p_alpha)
     _check(quad_r_moment, s, r_alpha)
     _check(p_moment, s, p_alpha, "float")
+    _check(p_moment, s, p_alpha, "float", "double")
+    lo, hi = s.momentum_interval()
+    if lo < 2 - p_alpha < hi:
+        _check(reflect, s, p_alpha, "float")
     _check(r_moment, s, r_alpha, "float")

@@ -3,8 +3,8 @@ building the Fractions nu, eta and L, and the single sum advances (2nu+j)_k
 by a ratio.  The first must not change a bit; copies of the Fraction-based
 code are kept here.  The second must stay within its own error bound of a
 30-digit reference and fall back no more often than the O(k^2) loop did, and
-the float double route, which sums exactly and rounds once, must stay within
-its bound of the same reference."""
+the float double route, which sums exactly and rounds once, and float
+`reflect` must stay within their bounds of the same reference."""
 
 import math
 from fractions import Fraction
@@ -22,10 +22,9 @@ from hydromoments import (
     r_moment,
     reflect,
 )
-from hydromoments.errors import CancellationOverflow
-from hydromoments.momom import _double_sum_float, _gamma_quotient_logs, _single_sum_float
+from hydromoments.momom import _gamma_quotient_logs, _single_sum_float
 from hydromoments.oracle import _EPS, _rule_size, gauss_jacobi, gegenbauer_orthonormal
-from hydromoments.posmom import CANCELLATION_LIMIT, _r_series_float
+from hydromoments.posmom import CANCELLATION_LIMIT, Method, Space, _r_series_float, series_or_quadrature
 from hydromoments.specfun import HypSumSpec, exp_sum, hyp_sum, log_gamma, pochhammer
 from hydromoments.states import HydrogenicState
 
@@ -54,24 +53,21 @@ def _zeta_logs_fraction(state, alpha):
 
 def _r_series_fraction(state, alpha):
     k, L, eta = state.k, state.L, state.eta
-    pref, pref_rel = exp_sum([
+    logs = [
         (alpha - 1) * math.log(float(eta)),
         -(alpha + 1) * math.log(2.0),
         -alpha * math.log(state.Z),
         log_gamma(float(2 * L + 3) + alpha),
         -log_gamma(float(2 * L + 2)),
-    ])
+    ]
     spec = HypSumSpec(top=(-k, -alpha - 1, alpha + 2), bottom=(float(2 * L + 2), 1.0), terms=k + 1)
     s, bound = hyp_sum(spec, "float")
-    value = pref * s
-    return value, pref * bound + (pref_rel + 4 * 2.0 ** -52) * abs(value)
+    return logs, s, bound + 4 * 2.0 ** -52 * abs(s)
 
 
 def _reflect_fraction(state, alpha):
-    base = p_moment(state, alpha, mode="float")
-    factor = (float(state.eta) / state.Z) ** (2 * alpha - 2)
-    value = base.as_float() * factor
-    return value, base.error_estimate * factor + 4 * abs(value) * _EPS
+    logs, s, bound = _single_sum_float(state, alpha)
+    return [*logs, (2 * alpha - 2) * math.log(float(state.eta) / state.Z)], s, bound
 
 
 def _circular_fraction(state, alpha):
@@ -82,25 +78,27 @@ def _circular_fraction(state, alpha):
 
 def _quad_p_two_passes(state, alpha):
     """quad_p_moment with one Gegenbauer pass per rule."""
-    nu = float(state.nu)
-    m = _rule_size(state.k)
+    nu, k = float(state.nu), state.k
+    m = _rule_size(k)
     a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
     x, w = gauss_jacobi(m, a, b)
-    vals = gegenbauer_orthonormal(state.k, nu, x)
-    s = float(np.dot(w, vals * vals))
-    value, rel = exp_sum([alpha * (math.log(state.Z) - math.log(float(state.eta))), math.log(s)])
+    vals = gegenbauer_orthonormal(k, nu, x)
     x2, w2 = gauss_jacobi(m + 1, a, b)
-    v2 = gegenbauer_orthonormal(state.k, nu, x2)
-    s2 = float(np.dot(w2, v2 * v2))
+    v2 = gegenbauer_orthonormal(k, nu, x2)
+    peak = max(float(np.abs(vals).max()), float(np.abs(v2).max()))
+    s = float(np.dot(w, (vals / peak) ** 2))
+    value, rel = exp_sum(
+        [alpha * (math.log(state.Z) - math.log(float(state.eta))), 2 * math.log(peak), math.log(s)]
+    )
+    s2 = float(np.dot(w2, (v2 / peak) ** 2))
     _, mu0_rel = exp_sum([(a + b + 1) * math.log(2.0), log_gamma(a + 1), log_gamma(b + 1), -log_gamma(a + b + 2)])
-    return value, value * abs(s - s2) / s + (50 * (state.k + 1) * _EPS + rel + mu0_rel) * value
+    return value, value * abs(s - s2) / s + ((50 * (k + 1) + 2 * k * k) * _EPS + rel + mu0_rel) * value
 
 
-def _series(fn, state, alpha):
-    try:
-        return fn(state, alpha)
-    except CancellationOverflow:
-        return "overflow"
+def _result(evaluate, state, alpha, method=Method.SINGLE_SUM):
+    """(value, error_estimate, method) of a float momentum series."""
+    res = series_or_quadrature(evaluate, state, alpha, method, Space.MOMENTUM)
+    return res.value, res.error_estimate, res.method
 
 
 def test_float_paths_build_no_fractions(monkeypatch):
@@ -131,15 +129,17 @@ def test_float_paths_build_no_fractions(monkeypatch):
 def test_float_paths_are_bit_identical_to_the_fraction_code(D):
     for s in _states(dims=(D,)):
         for a in _orders(s):
-            assert _series(_r_series_float, s, a) == _series(_r_series_fraction, s, a), (s, a)
-            value, err = _double_sum_float(s, a)
-            assert abs(value - _p_moment_reference(s, a)) <= err, (s, a, value, err)
+            assert _r_series_float(s, a) == _r_series_fraction(s, a), (s, a)
+            res = p_moment(s, a, mode="float", route="double")
+            assert res.method is Method.DOUBLE_SUM, (s, a)
+            assert abs(res.value - _p_moment_reference(s, a)) <= res.error_estimate, (s, a, res)
             res = quad_p_moment(s, a)
             assert (res.value, res.error_estimate) == _quad_p_two_passes(s, a), (s, a)
             lo, hi = s.momentum_interval()
             if lo < 2 - a < hi:
                 res = reflect(s, a, mode="float")
-                assert (res.value, res.error_estimate) == _reflect_fraction(s, a), (s, a)
+                want = _result(lambda st, _: _reflect_fraction(st, a), s, 2 - a, Method.REFLECTION)
+                assert (res.value, res.error_estimate, res.method) == want, (s, a)
             if s.is_circular:
                 res = p_moment_circular(s, a, mode="float")
                 assert (res.value, res.error_estimate) == _circular_fraction(s, a), (s, a)
@@ -148,15 +148,15 @@ def test_float_paths_are_bit_identical_to_the_fraction_code(D):
 def _single_sum_quadratic(state, alpha):
     """The single sum with one float Pochhammer symbol per term, O(k^2)."""
     k, nu = state.k, float(state.nu)
-    pref, pref_rel = exp_sum([
+    logs = [
         math.log(2.0), -log_gamma(k + 1), math.log(k + nu), log_gamma(k + 2 * nu),
         -log_gamma(2 * nu + 1), *_gamma_quotient_logs(nu, alpha), *_zeta_logs_fraction(state, alpha),
-    ])
+    ]
     terms, bounds, dj = [], [], 1.0
     for j in range(k + 1):
         t = (-1) ** j * math.comb(k, j) * pochhammer(2 * nu + j, k, "float") * dj
         if not math.isfinite(t):
-            raise CancellationOverflow("term overflowed")
+            return logs, math.nan, math.inf
         terms.append(t)
         bounds.append(10.0 * (j + 1) * _EPS * abs(t))
         dj *= (
@@ -166,16 +166,13 @@ def _single_sum_quadratic(state, alpha):
     denom = pochhammer(2 * nu, k, "float")
     s = math.fsum(terms) / denom
     bound = (math.fsum(bounds) + _EPS * abs(s) * denom) / denom
-    value = pref * s
-    return value, pref * bound + (pref_rel + 20 * _EPS) * abs(value)
+    return logs, s, bound + 20 * _EPS * abs(s)
 
 
 def _falls_back(result):
     """series_or_quadrature's rule for leaving a series result."""
-    if result == "overflow":
-        return True
-    value, err = result
-    return err > CANCELLATION_LIMIT * abs(value) or value <= 0 or not math.isfinite(value)
+    _, s, bound = result
+    return not (s > 0 and bound <= CANCELLATION_LIMIT * s)
 
 
 def _p_moment_reference(state, alpha):
@@ -201,13 +198,26 @@ def test_linear_single_sum_stays_in_its_bound_and_falls_back_no_more():
     kept = fallbacks = fallbacks_quadratic = 0
     for s in _states(dims=range(2, 13), ns=(*range(1, 41), 160)):
         for a in _orders(s):
-            got = _series(_single_sum_float, s, a)
-            fallbacks_quadratic += _falls_back(_series(_single_sum_quadratic, s, a))
+            got = _single_sum_float(s, a)
+            fallbacks_quadratic += _falls_back(_single_sum_quadratic(s, a))
             if _falls_back(got):
                 fallbacks += 1
                 continue
-            value, err = got
+            value, err, _ = _result(lambda st, _: got, s, a)
             assert abs(value - _p_moment_reference(s, a)) <= err, (s, a, value, err)
             kept += 1
     assert fallbacks <= fallbacks_quadratic
     assert kept > 3000
+
+
+def test_float_reflect_stays_in_its_bound():
+    checked = 0
+    for s in _states():
+        lo, hi = s.momentum_interval()
+        for a in ORDERS:
+            if lo < a < hi and lo < 2 - a < hi:
+                res = reflect(s, a, mode="float")
+                ref = _p_moment_reference(s, 2 - a)
+                assert abs(res.value - ref) <= res.error_estimate, (s, a, res, ref)
+                checked += 1
+    assert checked > 1000

@@ -23,7 +23,7 @@ from hydromoments import (
     quad_p_moment,
     reflect,
 )
-from hydromoments import momom, specfun
+from hydromoments import momom, oracle, specfun
 from hydromoments.errors import (
     FloatOverflow,
     FloatUnderflow,
@@ -172,6 +172,28 @@ def test_reflection_float_mode():
     assert r.alpha == 1.25
     assert r.as_float() == pytest.approx(direct.as_float(), rel=1e-11)
     assert r.method is Method.REFLECTION
+
+
+def test_float_reflection_returns_a_moment_whose_factor_leaves_the_range():
+    # (eta/Z)^(2 alpha - 2) alone exceeds the double range; its log joins the
+    # series' prefactor, so only the moment's own range matters
+    s = make_state(3, 20, 19, 0.001)  # (eta/Z)^79 is about 10^340
+    r = reflect(s, 40.5, mode="float")
+    assert (r.value, r.alpha, r.method) == (1.9034666253779457e176, -38.5, Method.REFLECTION)
+    assert r.value == p_moment(s, -38.5, mode="float", route="double").value
+    s = make_state(3, 100, 60, 1.0)  # (eta/Z)^159; the series cancels, so quadrature answers at -78.5
+    r, dbl = reflect(s, 80.5, mode="float"), p_moment(s, -78.5, mode="float", route="double")
+    assert (r.alpha, r.method) == (-78.5, Method.QUADRATURE)
+    assert r.value == pytest.approx(1.2008e196, rel=1e-4)
+    assert abs(r.value - dbl.value) <= r.error_estimate
+
+
+def test_float_double_route_below_the_range_raises_without_the_oracle(monkeypatch):
+    # about e^-2866: the outer sum is exact, so the route never falls back,
+    # and a range error is the moment's own
+    monkeypatch.setattr(oracle, "quad_p_moment", lambda *args: pytest.fail("the oracle was called"))
+    with pytest.raises(FloatUnderflow):
+        p_moment(make_state(3, 600, 300, 1.0), 604.999999, mode="float", route="double")
 
 
 def test_reflection_float_overflow_is_a_library_error():

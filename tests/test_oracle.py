@@ -132,7 +132,7 @@ def test_quadrature_stays_inside_the_double_range_or_raises():
         s = make_state(D, n, l, Z)
         with pytest.raises(error):
             quad_fn(s, alpha)
-        with pytest.raises(error):  # the float series falls back to the oracle here
+        with pytest.raises(error):  # from the oracle where the float series cancels, else its own
             moment(s, alpha, mode="float")
 
 
@@ -153,12 +153,25 @@ def test_jacobi_weight_integral_outside_the_double_range_raises():
 
 @pytest.mark.parametrize("alpha", [-602.999999, 604.999999])
 def test_overflowing_gauss_sum_raises_without_a_warning(alpha):
-    # the Gauss sums overflow in np.dot; both true moments lie outside the double
-    # range (about e^4861 and e^-2866 by the 5F4 series at 30 digits)
+    # unscaled, the Gauss sums overflowed in np.dot and both cells raised
+    # FloatOverflow; the true moments are about e^4861 and e^-2866 (the 5F4
+    # series at 30 digits), so only the first lies above the double range
+    error = FloatUnderflow if alpha > 0 else FloatOverflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises((FloatOverflow, FloatUnderflow)):
+        with pytest.raises(error):
             quad_p_moment(make_state(3, 600, 300, 1.0), alpha)
+
+
+@pytest.mark.parametrize("n", [80, 160])
+def test_near_edge_node_rounding_is_in_the_bound(n):
+    # almost all the weight sits on one node next to x = 1, so rounding the
+    # nodes moves the Gauss sum by about k^2 eps; the bound missed it by 2.1x at
+    # n = 160.  The exact-sum double route, within its own bound of the true
+    # value, stands in for it.
+    s, alpha = make_state(2, n, 0, 1.0), -1.999999
+    res, dbl = quad_p_moment(s, alpha), p_moment(s, alpha, mode="float", route="double")
+    assert abs(res.value - dbl.value) + dbl.error_estimate <= res.error_estimate
 
 
 def test_position_wavefunction_normalized():

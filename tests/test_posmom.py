@@ -20,7 +20,6 @@ from hydromoments import (
 )
 from hydromoments import oracle, p_moment_even_closed
 from hydromoments.errors import (
-    CancellationOverflow,
     FloatOverflow,
     FloatUnderflow,
     OrderOutOfDomain,
@@ -222,6 +221,14 @@ def test_near_edge_prefactor_argument_is_rounded_once():
         assert abs(mpmath.mpf(res.value) - _position_reference(s, alpha)) <= res.error_estimate
 
 
+def test_series_below_the_range_raises_without_the_oracle(monkeypatch):
+    # the series is rounded once, so FloatUnderflow means the moment itself
+    # (about e^-1313) and no quadrature is tried
+    monkeypatch.setattr(oracle, "quad_r_moment", lambda *args: pytest.fail("the oracle was called"))
+    with pytest.raises(FloatUnderflow):
+        r_moment(make_state(8, 113, 90, 1.0), -159.3, mode="float")
+
+
 def test_double_overflow_is_a_library_error():
     with pytest.raises(FloatOverflow):
         r_moment(make_state(3, 100, 0, 1.0), 150.5)
@@ -238,24 +245,30 @@ def test_non_finite_order_is_out_of_domain(alpha):
     assert not check_order(s, MomentOrder(alpha, Space.MOMENTUM))
 
 
-def _raise(exc):
+def _series(logs, s, bound):
     def evaluate(state, alpha):
-        raise exc
+        return logs, s, bound
     return evaluate
 
 
+# (logs, s, bound) -> fall back (True), return exp(sum(logs)) s (False), or raise
 @pytest.mark.parametrize("space", list(Space))
 @pytest.mark.parametrize(
     "evaluate, falls_back",
     [
-        (lambda s, a: (2.0, 2.0 * CANCELLATION_LIMIT), False),
-        (lambda s, a: (2.0, 2.0 * CANCELLATION_LIMIT * 1.5), True),
-        (lambda s, a: (0.0, 0.0), True),
-        (lambda s, a: (-1.0, 0.0), True),
-        (lambda s, a: (math.inf, 0.0), True),
-        (lambda s, a: (math.nan, 0.0), True),
-        (_raise(CancellationOverflow("term overflowed")), True),
-        pytest.param(_raise(FloatUnderflow("prefactor")), True, id="prefactor_underflow"),
+        (lambda s, a: ([0.0], 2.0, 2.0 * CANCELLATION_LIMIT), False),
+        (lambda s, a: ([0.0], 2.0, 2.0 * CANCELLATION_LIMIT * 1.5), True),
+        (lambda s, a: ([0.0], 0.0, 0.0), True),
+        (lambda s, a: ([0.0], -1.0, 0.0), True),
+        (lambda s, a: ([0.0], 2.0, math.nan), True),
+        (lambda s, a: ([0.0], math.nan, 0.0), True),
+        (_series([0.0], math.nan, math.inf), True),  # what an overflowing term gives
+        # the prefactor alone lies below the double range, the moment does not
+        pytest.param(_series([-800.0], math.exp(100.0), 0.0), False, id="prefactor_underflow"),
+        pytest.param(_series([800.0], math.exp(-100.0), 0.0), False, id="prefactor_overflow"),
+        pytest.param(_series([-800.0], 1.0, 0.0), FloatUnderflow, id="moment_underflow"),
+        pytest.param(_series([800.0], 1.0, 0.0), FloatOverflow, id="moment_overflow"),
+        pytest.param(_series([0.0], math.inf, 0.0), FloatOverflow, id="infinite_sum"),
     ],
 )
 def test_one_fallback_rule_for_both_spaces(monkeypatch, space, evaluate, falls_back):
@@ -264,20 +277,21 @@ def test_one_fallback_rule_for_both_spaces(monkeypatch, space, evaluate, falls_b
     calls = []
     for name in ("quad_r_moment", "quad_p_moment"):
         monkeypatch.setattr(oracle, name, lambda st, a, name=name: calls.append((name, st, a)) or "quad")
-    res = series_or_quadrature(evaluate, s, 1.5, Method.SINGLE_SUM, space)
-    if falls_back:
+    if falls_back is True:
         quad = "quad_r_moment" if space is Space.POSITION else "quad_p_moment"
+        res = series_or_quadrature(evaluate, s, 1.5, Method.SINGLE_SUM, space)
         assert res == "quad" and calls == [(quad, s, 1.5)]
+    elif falls_back is False:
+        res = series_or_quadrature(evaluate, s, 1.5, Method.SINGLE_SUM, space)
+        logs, sum_, bound = evaluate(s, 1.5)
+        want = math.exp(math.fsum([*logs, math.log(sum_)]))
+        assert calls == [] and (res.method, res.space) == (Method.SINGLE_SUM, space)
+        assert res.value == pytest.approx(want, rel=1e-13)
+        assert res.error_estimate >= bound / sum_ * res.value
     else:
-        assert calls == [] and (res.value, res.method, res.space) == (2.0, Method.SINGLE_SUM, space)
-
-
-def test_prefactor_overflow_is_not_a_fallback():
-    with pytest.raises(FloatOverflow):
-        series_or_quadrature(
-            _raise(FloatOverflow("prefactor")), make_state(3, 4, 1, 1.0), 1.5,
-            Method.HYP3F2, Space.POSITION,
-        )
+        with pytest.raises(falls_back):
+            series_or_quadrature(evaluate, s, 1.5, Method.SINGLE_SUM, space)
+        assert calls == []
 
 
 def test_position_domain_is_checked_before_the_mode():
