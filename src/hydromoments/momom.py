@@ -95,14 +95,18 @@ def _hyp5f4_doubled(state: HydrogenicState, a: int) -> tuple[tuple, tuple]:
     return (-2 * k, 2 * k + 2 * t, t, t + a + 1, t + 3 - a), (2 * t, t + 1, t + 2, t + 3)
 
 
-def _single_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
+def _single_sum_exact(state: HydrogenicState, a: int, scale: tuple[int, int] = (1, 1)) -> ExactValue:
+    """The single sum at integer order a times the integer ratio
+    scale[0]/scale[1], as one Fraction."""
     # The single sum over j of (-1)^j C(k,j) (2nu+j)_k / (2nu)_k * nu/(nu+j)
     # * (nu+(a+1)/2)_j (nu+(3-a)/2)_j / ((nu+1/2)_j (nu+3/2)_j) is, term
     # for term, the 5F4 series; this route calls the integer kernel directly,
     # hyp5f4 reaches it through hyp_sum.
     num, den, two_pi = _momentum_prefactor(state, a)
     s_num, s_den = hyp_sum_doubled(*_hyp5f4_doubled(state, a), state.k + 1)
-    return ExactValue(Fraction(num * s_num, den * s_den), Fraction(two_pi, 2))
+    return ExactValue(
+        Fraction(num * s_num * scale[0], den * s_den * scale[1]), Fraction(two_pi, 2)
+    )
 
 
 def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
@@ -257,11 +261,10 @@ def p_moment(
     state: HydrogenicState, alpha, mode: str = "auto", route: str = "single"
 ) -> MomentResult:
     """<p^alpha> for a generic state.  Routes: single (default), hyp5f4, double."""
-    alpha_f = float(alpha)
     mode = resolve_mode(alpha, mode)
     if route not in _ROUTES:
         raise UnsupportedArgument(f"route must be one of {', '.join(_ROUTES)}, got {route!r}")
-    require_order(state, alpha_f, Space.MOMENTUM)
+    alpha_f = require_order(state, alpha, Space.MOMENTUM)
     exact_route, float_route, method = _ROUTES[route]
 
     if mode == "exact":
@@ -306,10 +309,11 @@ def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """<p^{2-alpha}> computed from <p^alpha> via the inversion identity
     (eta/Z)^{2-alpha} <p^{2-alpha}> = (eta/Z)^alpha <p^alpha>.  In float mode
     the factor's log joins the single sum's prefactor, so the result is
-    rounded once and is returned wherever it lies in the double range."""
-    alpha_f = float(alpha)
+    rounded once and is returned wherever it lies in the double range.  In
+    exact mode the single sum's prefactor, its series and (eta/Z)^(2a-2)
+    are multiplied as integers into one Fraction."""
     mode = resolve_mode(alpha, mode)
-    require_order(state, alpha_f, Space.MOMENTUM)
+    alpha_f = require_order(state, alpha, Space.MOMENTUM)
     require_order(state, 2 - alpha_f, Space.MOMENTUM)
     if mode == "float":
         # at alpha itself, which 2 - (2 - alpha) need not round back to
@@ -317,26 +321,25 @@ def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
             lambda st, _: _reflected_float(st, alpha_f), state, 2 - alpha_f,
             Method.REFLECTION, Space.MOMENTUM,
         )
-    base = p_moment(state, alpha, mode=mode)
-    factor = ExactValue((state.eta / state.Z_exact) ** (2 * int(round(alpha_f)) - 2))
-    return MomentResult(base.value * factor, 0.0, Method.REFLECTION, Space.MOMENTUM, 2 - alpha_f, state)
+    a = int(round(alpha_f))
+    # eta/Z = z_den 2eta / (2 z_num)
+    z_num, z_den = state.Z.as_integer_ratio()
+    value = _single_sum_exact(state, a, ratio_power(z_den * state.two_eta, 2 * z_num, 2 * a - 2))
+    return MomentResult(value, 0.0, Method.REFLECTION, Space.MOMENTUM, 2 - alpha_f, state)
 
 
 def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """Gamma-ratio closed form for circular states (l = n-1)."""
     if not state.is_circular:
         raise NotCircular(f"state has l={state.l}, n={state.n}")
-    alpha_f = float(alpha)
     mode = resolve_mode(alpha, mode)
-    require_order(state, alpha_f, Space.MOMENTUM)
+    alpha_f = require_order(state, alpha, Space.MOMENTUM)
     if mode == "exact":
-        a, eta = int(round(alpha_f)), state.eta
-        value = (
-            ExactValue(Fraction(*_zeta_ratio(state, a)))
-            * gamma_exact(eta + Fraction(a + 1, 2))
-            * gamma_exact(eta + Fraction(3 - a, 2))
-            / (gamma_exact(eta + Fraction(1, 2)) * gamma_exact(eta + Fraction(3, 2)))
-        )
+        # (Z/eta)^a Gamma(eta+(a+1)/2) Gamma(eta+(3-a)/2) / (Gamma(eta+1/2) Gamma(eta+3/2))
+        a, e = int(round(alpha_f)), state.two_eta
+        num, den, two_pi = gamma_ratio_doubled((e + a + 1, e + 3 - a), (e + 1, e + 3))
+        zn, zd = _zeta_ratio(state, a)
+        value = ExactValue(Fraction(num * zn, den * zd), Fraction(two_pi, 2))
         return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state)
     # nu = eta on a circular state
     value, rel = exp_sum([*_zeta_logs(state, alpha_f), *_gamma_quotient_logs(state.two_eta / 2, alpha_f)])

@@ -17,7 +17,7 @@ from .specfun import (
     ExactValue,
     HypSumSpec,
     exp_sum,
-    gamma_ratio_exact,
+    gamma_ratio_doubled,
     hyp_sum,
     is_integral,
     log_gamma,
@@ -118,11 +118,11 @@ def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[list[float], 
 
 def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """<r^alpha> via the hypergeometric-3F2 formula."""
-    require_order(state, float(alpha), Space.POSITION)
+    alpha_f = require_order(state, alpha, Space.POSITION)
     mode = resolve_mode(alpha, mode)
 
     if mode == "exact":
-        a = int(round(float(alpha)))
+        a = int(round(alpha_f))
         k = state.k
         t = state.two_nu  # 2L+2, an integer
         # Gamma(2L+a+3)/Gamma(2L+2) as a Pochhammer symbol of |a+1| factors;
@@ -142,9 +142,9 @@ def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
         value = ExactValue(Fraction(
             num * series.numerator * en * zn, den * series.denominator * ed * zd
         ))
-        return MomentResult(value, 0.0, Method.HYP3F2, Space.POSITION, float(alpha), state)
+        return MomentResult(value, 0.0, Method.HYP3F2, Space.POSITION, alpha_f, state)
 
-    return series_or_quadrature(_r_series_float, state, float(alpha), Method.HYP3F2, Space.POSITION)
+    return series_or_quadrature(_r_series_float, state, alpha_f, Method.HYP3F2, Space.POSITION)
 
 
 _CLOSED_ALPHAS = (1, 2, -1, -2, -3, -4, -6)
@@ -191,16 +191,18 @@ def r_moment_closed(state: HydrogenicState, alpha: int) -> MomentResult:
 def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult:
     """Ground-state <r^alpha> = ((D-1)/4Z)^alpha Gamma(D+alpha)/Gamma(D)."""
     state = make_state(D, 1, 0, Z)
-    require_order(state, float(alpha), Space.POSITION)
+    alpha_f = require_order(state, alpha, Space.POSITION)
     if resolve_mode(alpha, mode) == "exact":
-        a = int(round(float(alpha)))
-        scale = Fraction(D - 1, 4) / state.Z_exact
-        value = ExactValue(scale ** a) * gamma_ratio_exact(D + a, D)
-        return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.POSITION, float(alpha), state)
-    alpha = float(alpha)
+        a = int(round(alpha_f))
+        # ((D-1)/4Z)^a with Z = z_num / z_den; the order check keeps D+a >= 1
+        z_num, z_den = state.Z.as_integer_ratio()
+        sn, sd = ratio_power((D - 1) * z_den, 4 * z_num, a)
+        num, den, _ = gamma_ratio_doubled((2 * (D + a),), (2 * D,))
+        value = ExactValue(Fraction(sn * num, sd * den))
+        return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.POSITION, alpha_f, state)
     value, rel = exp_sum([
-        alpha * math.log(D - 1), -alpha * math.log(4.0 * Z), log_gamma(D + alpha), -log_gamma(D)
+        alpha_f * math.log(D - 1), -alpha_f * math.log(4.0 * Z), log_gamma(D + alpha_f), -log_gamma(D)
     ])
     return MomentResult(
-        value, (rel + 8 * 2.0 ** -52) * value, Method.CLOSED_FORM, Space.POSITION, alpha, state
+        value, (rel + 8 * 2.0 ** -52) * value, Method.CLOSED_FORM, Space.POSITION, alpha_f, state
     )

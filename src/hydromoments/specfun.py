@@ -195,27 +195,46 @@ def gamma_exact(x) -> ExactValue:
     return _gamma_exact_cached(num, den)
 
 
-def gamma_ratio_exact(x, y) -> ExactValue:
-    """Gamma(x)/Gamma(y) for positive integer/half-integer x, y."""
-    return gamma_exact(x) / gamma_exact(y)
-
-
 def gamma_ratio_doubled(top2, bottom2) -> tuple[int, int, int]:
     """prod Gamma(x/2) over top2 divided by prod Gamma(x/2) over bottom2,
     for positive integers x, as an unreduced (numerator, denominator, twice
-    the pi power).  Each factor is read off gamma_exact's coefficient."""
+    the pi power).
+
+    Each top argument, largest first, pairs with the largest bottom argument
+    of its parity still free, and the pair's quotient is a rising product on
+    integers: Gamma(x/2)/Gamma(y/2) = prod_{m = y, y+2, ..., x-2} m/2 for
+    x >= y, inverted for x < y.  Only the arguments left unpaired, the
+    smallest of their parity, are read off gamma_exact's coefficient.  Every
+    argument is checked first, since a pair's product would hide a zero."""
+    tops = sorted(top2, reverse=True)
+    bottoms = sorted(bottom2, reverse=True)
+    if (tops and tops[-1] < 1) or (bottoms and bottoms[-1] < 1):
+        raise NonpositiveArgument(
+            f"gamma_ratio_doubled needs doubled arguments >= 1, got {top2} over {bottom2}"
+        )
     num = den = 1
     two_pi = 0
-    for two_x in top2:
-        c = gamma_exact(Fraction(two_x, 2)).coeff
-        num *= c.numerator
-        den *= c.denominator
-        two_pi += two_x & 1
-    for two_x in bottom2:
-        c = gamma_exact(Fraction(two_x, 2)).coeff
+    for x in tops:
+        for i, y in enumerate(bottoms):
+            if not (x - y) & 1:
+                del bottoms[i]
+                if x >= y:
+                    num *= math.prod(range(y, x, 2))
+                    den <<= (x - y) >> 1
+                else:
+                    num <<= (y - x) >> 1
+                    den *= math.prod(range(x, y, 2))
+                break
+        else:
+            c = gamma_exact(Fraction(x, 2)).coeff
+            num *= c.numerator
+            den *= c.denominator
+            two_pi += x & 1
+    for y in bottoms:
+        c = gamma_exact(Fraction(y, 2)).coeff
         num *= c.denominator
         den *= c.numerator
-        two_pi -= two_x & 1
+        two_pi -= y & 1
     return num, den, two_pi
 
 

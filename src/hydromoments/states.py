@@ -10,10 +10,10 @@ integer kernels take 2 nu and 2 eta, which are integers for every D.
 from __future__ import annotations
 
 import enum
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
+from numbers import Integral, Real
 
 from .errors import (
     DimensionTooSmall,
@@ -24,6 +24,9 @@ from .errors import (
     UnsupportedArgument,
 )
 from .specfun import as_fraction
+
+
+_DOUBLE_MAX = sys.float_info.max
 
 
 class Space(enum.Enum):
@@ -54,8 +57,11 @@ class HydrogenicState:
             )
         if not self.Z > 0:
             raise NonpositiveCharge(f"Z must be positive, got {self.Z}")
-        if isinstance(self.Z, float) and not math.isfinite(self.Z):
-            raise ParameterOutOfRange(f"Z must be finite, got {self.Z}")
+        # an exact comparison for an int or Fraction, so nothing overflows
+        if not sys.float_info.min <= self.Z <= _DOUBLE_MAX:
+            raise ParameterOutOfRange(
+                f"Z must lie in the normal double range [2^-1022, {_DOUBLE_MAX:.6g}]"
+            )
 
     @property
     def eta(self) -> Fraction:
@@ -120,21 +126,32 @@ def check_order(state: HydrogenicState, order: MomentOrder) -> bool:
     return True
 
 
-def require_order(state: HydrogenicState, alpha: float, space: Space) -> None:
-    """Raise OrderOutOfDomain unless alpha is finite and lies in the open
-    validity interval for space.  The one domain rule: it takes alpha and
-    space rather than a MomentOrder, which costs more to build than the
-    comparison, and every exact moment calls it."""
+def require_order(state: HydrogenicState, alpha, space: Space) -> float:
+    """The float that callers compute with, once alpha is checked: raise
+    UnsupportedArgument unless alpha is a real number, and OrderOutOfDomain
+    unless it lies within the double range and its float in the open
+    validity interval for space.  An int or Fraction is compared exactly with
+    the double range before float() could overflow; the interval's bounds
+    are integers, so a float inside it means alpha is inside too.  The one
+    domain rule: it takes alpha and space rather than a MomentOrder, which
+    costs more to build than the comparison, and every exact moment calls it."""
+    if type(alpha) is not float:
+        # int first: the ABC check costs more than the rest of this function
+        if not isinstance(alpha, (int, Real)):
+            raise UnsupportedArgument(f"an order must be a real number, got {alpha!r}")
+        if not -_DOUBLE_MAX <= alpha <= _DOUBLE_MAX:  # false for nan
+            raise OrderOutOfDomain(f"{space.name.lower()} order is not a finite double")
+        alpha = float(alpha)
     if space is Space.POSITION:
-        if math.isfinite(alpha) and alpha > state.position_lower_bound():
-            return
+        if state.position_lower_bound() < alpha <= _DOUBLE_MAX:  # false for inf and nan
+            return alpha
         raise OrderOutOfDomain(
             f"position order {alpha} outside "
             f"({state.position_lower_bound()}, inf) for D={state.D}, l={state.l}"
         )
     lo, hi = state.momentum_interval()
-    if lo < alpha < hi:  # false for inf and nan
-        return
+    if lo < alpha < hi:
+        return alpha
     raise OrderOutOfDomain(
         f"momentum order {alpha} outside ({lo}, {hi}) for D={state.D}, l={state.l}"
     )

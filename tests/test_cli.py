@@ -88,6 +88,7 @@ def test_compute_out_of_domain_exit_code(capsys):
     ["compute", "--space", "p", "--alpha", "1", "--D", "3", "--n", "1", "--l", "0", "--Z", "-1"],
     ["compute", "--space", "r", "--alpha", "1", "--D", "3", "--n", "1", "--l", "0", "--Z", "inf"],
     ["limits", "--regime", "rydberg", "--alpha", "1", "--n-seq", "0,2"],
+    ["compute", "--space", "p", "--alpha", "0.5", "--D", "3", "--n", "2", "--l", "0", "--Z", "1e-320"],
 ])
 def test_invalid_input_is_a_domain_error(capsys, argv):
     code, out, err = run(capsys, argv)

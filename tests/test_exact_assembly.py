@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from hydromoments import ExactValue, make_state, p_moment, r_moment
+from hydromoments import (
+    ExactValue,
+    make_state,
+    p_moment,
+    p_moment_circular,
+    r_moment,
+    r_moment_ground,
+    reflect,
+)
 from hydromoments.specfun import (
     SQRT_PI,
     HypSumSpec,
@@ -118,4 +126,7 @@ def test_exact_routes_compose_no_exact_values(monkeypatch):
             for route in ("single", "hyp5f4"):
                 assert p_moment(s, a, mode="exact", route=route).is_exact
             assert r_moment(s, a, mode="exact").is_exact
+            assert reflect(s, a, mode="exact").is_exact
+            assert p_moment_circular(make_state(D, n, n - 1, 1.5), a, mode="exact").is_exact
+            assert r_moment_ground(D, 1.5, a, mode="exact").is_exact
         assert r_moment(s, -2, mode="exact").is_exact

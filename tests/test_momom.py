@@ -174,6 +174,20 @@ def test_reflection_float_mode():
     assert r.method is Method.REFLECTION
 
 
+@pytest.mark.parametrize("Z", [1.0, 0.5, 0.1, Fraction(3, 7), 3.906504])
+def test_exact_reflection_is_the_moment_times_its_factor(Z):
+    # reflect assembles its integers itself; p_moment and the ExactValue
+    # product are the reference
+    for D in range(2, 9):
+        for n in range(1, 8):
+            for l in range(n):
+                s = make_state(D, n, l, Z)
+                lo, hi = s.momentum_interval()
+                for a in range(max(lo, 2 - hi) + 1, min(hi, 2 - lo)):
+                    want = p_moment(s, a).value * ExactValue((s.eta / s.Z_exact) ** (2 * a - 2))
+                    assert reflect(s, a).value == want, (s, a)
+
+
 def test_float_reflection_returns_a_moment_whose_factor_leaves_the_range():
     # (eta/Z)^(2 alpha - 2) alone exceeds the double range; its log joins the
     # series' prefactor, so only the moment's own range matters
@@ -207,8 +221,8 @@ def test_reflection_float_overflow_is_a_library_error():
 
 
 def test_circular_closed_form():
-    for D, n in [(2, 1), (3, 1), (3, 4), (5, 3), (8, 2)]:
-        s = make_state(D, n, n - 1, 1.0)
+    for D, n, Z in [(2, 1, 1.0), (3, 1, 0.1), (3, 4, 1.0), (5, 3, Fraction(3, 7)), (8, 2, 3.906504)]:
+        s = make_state(D, n, n - 1, Z)
         lo, hi = s.momentum_interval()
         for alpha in range(lo + 1, hi):
             assert p_moment_circular(s, alpha).value == p_moment(s, alpha).value

@@ -110,7 +110,7 @@ def test_float_ground_state_below_the_double_range_raises():
 
 def test_ground_state_formula_matches_general_route():
     for D in (2, 3, 4, 6, 9):
-        for Z in (1.0, 2.0):
+        for Z in (1.0, 2.0, 0.1, Fraction(3, 7)):
             for alpha in (-1, 0, 1, 2, 5):
                 g = r_moment_ground(D, Z, alpha)
                 s = make_state(D, 1, 0, Z)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hydromoments.errors import (
@@ -26,7 +26,6 @@ from hydromoments.specfun import (
     exp_sum,
     gamma_exact,
     gamma_ratio_doubled,
-    gamma_ratio_exact,
     hyp_sum,
     hyp_sum_doubled,
     is_integral,
@@ -82,17 +81,15 @@ class TestGamma:
             v = gamma_exact(Fraction(num, 2)).to_float()
             assert v == pytest.approx(float(mpmath.gamma(num / 2)), rel=1e-14)
 
-    def test_ratio(self):
-        assert gamma_ratio_exact(Fraction(9, 2), Fraction(5, 2)) == ExactValue(
-            Fraction(35, 4)
-        )
-
     def test_ratio_of_doubled_arguments(self):
-        # Gamma(7/2) Gamma(2) / Gamma(3/2) = 15/4; Gamma(1/2) / Gamma(3) = sqrt(pi) / 2
+        # Gamma(7/2) Gamma(2) / Gamma(3/2) = 15/4; Gamma(1/2) / Gamma(3) = sqrt(pi) / 2;
+        # Gamma(9/2) / Gamma(5/2) = 35/4
         num, den, two_pi = gamma_ratio_doubled((7, 4), (3,))
         assert (Fraction(num, den), two_pi) == (Fraction(15, 4), 0)
         num, den, two_pi = gamma_ratio_doubled((1,), (6,))
         assert (Fraction(num, den), two_pi) == (Fraction(1, 2), 1)
+        num, den, two_pi = gamma_ratio_doubled((9,), (5,))
+        assert (Fraction(num, den), two_pi) == (Fraction(35, 4), 0)
         for top, bottom in [((9, 2, 5), (5, 8)), ((1, 3), (4,)), ((), (7, 1))]:
             num, den, two_pi = gamma_ratio_doubled(top, bottom)
             want = EXACT_ONE
@@ -103,6 +100,35 @@ class TestGamma:
             assert ExactValue(Fraction(num, den), Fraction(two_pi, 2)) == want
         with pytest.raises(NonpositiveArgument):
             gamma_ratio_doubled((3,), (0,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        top=st.lists(st.integers(1, 200), max_size=4),
+        bottom=st.lists(st.integers(1, 200), max_size=4),
+    )
+    def test_ratio_of_doubled_arguments_is_the_product_of_gammas(self, top, bottom):
+        num, den, two_pi = gamma_ratio_doubled(top, bottom)
+        want = EXACT_ONE
+        for x in top:
+            want = want * gamma_exact(Fraction(x, 2))
+        for x in bottom:
+            want = want / gamma_exact(Fraction(x, 2))
+        assert ExactValue(Fraction(num, den), Fraction(two_pi, 2)) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        top=st.lists(st.integers(-200, 200), max_size=4),
+        bottom=st.lists(st.integers(-200, 200), max_size=4),
+    )
+    def test_ratio_of_doubled_arguments_rejects_nonpositive_ones(self, top, bottom):
+        assume(min(top + bottom, default=1) < 1)
+        with pytest.raises(NonpositiveArgument):
+            gamma_ratio_doubled(top, bottom)
+
+    @pytest.mark.parametrize("top, bottom", [((4,), (0,)), ((0,), (4,)), ((3, 2), (-1, 6)), ((-2,), ())])
+    def test_a_nonpositive_argument_raises_even_where_it_would_pair(self, top, bottom):
+        with pytest.raises(NonpositiveArgument):
+            gamma_ratio_doubled(top, bottom)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NonpositiveArgument):

@@ -1,12 +1,24 @@
 """State construction, derived symbols, and domain predicates."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hydromoments import HydrogenicState, MomentOrder, Space, check_order, make_state
+from hydromoments import (
+    HydrogenicState,
+    MomentOrder,
+    Space,
+    check_order,
+    make_state,
+    p_moment,
+    p_moment_circular,
+    r_moment,
+    r_moment_ground,
+    reflect,
+)
 from hydromoments.states import require_order
 from hydromoments.errors import (
     DimensionTooSmall,
@@ -76,7 +88,7 @@ def test_position_domain():
 def test_require_order_raises_exactly_where_check_order_fails(space, alpha):
     s = make_state(3, 2, 1, 1.0)
     if check_order(s, MomentOrder(alpha, space)):
-        assert require_order(s, alpha, space) is None
+        assert require_order(s, alpha, space) == float(alpha)
     else:
         with pytest.raises(OrderOutOfDomain, match=f"{'position' if space is Space.POSITION else 'momentum'} order"):
             require_order(s, alpha, space)
@@ -118,6 +130,45 @@ def test_charge_must_be_finite():
     for Z in (-math.inf, math.nan):
         with pytest.raises(NonpositiveCharge):
             make_state(3, 2, 0, Z)
+
+
+@pytest.mark.parametrize(
+    "Z", [Fraction(1, 10 ** 400), 10 ** 400, 1e-320, 2.0 ** -1023], ids=["1/10^400", "10^400", "1e-320", "2^-1023"]
+)
+def test_charge_must_lie_in_the_normal_double_range(Z):
+    with pytest.raises(ParameterOutOfRange, match="normal double range"):
+        make_state(3, 2, 0, Z)
+
+
+def test_charges_at_the_edges_of_the_normal_double_range_are_accepted():
+    for Z in (2.0 ** -1022, Fraction(1, 2 ** 1022), sys.float_info.max, int(sys.float_info.max)):
+        assert make_state(3, 2, 0, Z).Z == Z
+
+
+@pytest.mark.parametrize(
+    "alpha", [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)], ids=["10^400", "-10^400", "10^400/3"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: p_moment(make_state(3, 4, 1, 1.0), a),
+        lambda a: r_moment(make_state(3, 4, 1, 1.0), a),
+        lambda a: reflect(make_state(3, 4, 1, 1.0), a),
+        lambda a: p_moment_circular(make_state(3, 4, 3, 1.0), a),
+        lambda a: r_moment_ground(3, 1.0, a),
+    ],
+    ids=["p_moment", "r_moment", "reflect", "p_moment_circular", "r_moment_ground"],
+)
+def test_orders_beyond_the_double_range_are_out_of_domain(call, alpha):
+    with pytest.raises(OrderOutOfDomain):
+        call(alpha)
+
+
+def test_an_order_that_is_not_a_real_number_is_rejected():
+    s = make_state(3, 2, 1, 1.0)
+    for space in Space:
+        with pytest.raises(UnsupportedArgument):
+            require_order(s, "3", space)
 
 
 def test_integral_and_rational_arguments_are_accepted():
