@@ -81,15 +81,17 @@ class TestGamma:
             v = gamma_exact(Fraction(num, 2)).to_float()
             assert v == pytest.approx(float(mpmath.gamma(num / 2)), rel=1e-14)
 
-    def test_ratio_of_doubled_arguments(self):
-        # Gamma(7/2) Gamma(2) / Gamma(3/2) = 15/4; Gamma(1/2) / Gamma(3) = sqrt(pi) / 2;
+    def test_ratio(self):
         # Gamma(9/2) / Gamma(5/2) = 35/4
+        num, den, two_pi = gamma_ratio_doubled((9,), (5,))
+        assert (Fraction(num, den), two_pi) == (Fraction(35, 4), 0)
+
+    def test_ratio_of_doubled_arguments(self):
+        # Gamma(7/2) Gamma(2) / Gamma(3/2) = 15/4; Gamma(1/2) / Gamma(3) = sqrt(pi) / 2
         num, den, two_pi = gamma_ratio_doubled((7, 4), (3,))
         assert (Fraction(num, den), two_pi) == (Fraction(15, 4), 0)
         num, den, two_pi = gamma_ratio_doubled((1,), (6,))
         assert (Fraction(num, den), two_pi) == (Fraction(1, 2), 1)
-        num, den, two_pi = gamma_ratio_doubled((9,), (5,))
-        assert (Fraction(num, den), two_pi) == (Fraction(35, 4), 0)
         for top, bottom in [((9, 2, 5), (5, 8)), ((1, 3), (4,)), ((), (7, 1))]:
             num, den, two_pi = gamma_ratio_doubled(top, bottom)
             want = EXACT_ONE
