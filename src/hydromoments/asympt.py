@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import OrderOutOfRegime, UnsupportedArgument
 from .specfun import EULER_GAMMA, exp_sum, log_gamma
-from .states import HydrogenicState, Space
+from .states import HydrogenicState, Space, make_state
 
 
 class Regime(enum.Enum):
@@ -107,20 +107,22 @@ def rydberg_circular_p(state: HydrogenicState, alpha: float) -> AsymptoticEstima
 
 
 def rydberg_inverse_p(n: int, Z: float, family: str) -> AsymptoticEstimate:
-    """Large-n <p^{-1}> for 3D circular or nS states.  The printed nS
-    expression omits Z; the 1/Z prefactor is restored to keep the exact
-    scaling."""
+    """Large-n <p^{-1}> for 3D circular or nS states; n and Z are checked as
+    a state's are.  The printed nS expression omits Z; the 1/Z prefactor is
+    restored to keep the exact scaling."""
+    if family not in ("circular", "nS"):
+        raise UnsupportedArgument(f"family must be 'circular' or 'nS', got {family!r}")
+    state = make_state(3, n, n - 1 if family == "circular" else 0, Z)
+    inverse_z = [-math.log(state.Z)]
     if family == "circular":
-        leading = n / Z
-        corrected = leading * (1 + 3 / (4 * n))
+        leading = _exp_times(inverse_z, n)
+        corrected = _exp_times(inverse_z, n + 0.75)  # (n/Z)(1 + 3/4n)
         return AsymptoticEstimate(leading, corrected, Regime.RYDBERG, "circular, D=3")
-    if family == "nS":
-        base = 4 * n / (math.pi * Z)
-        leading = base * (math.log(4 * n) + EULER_GAMMA - 0.5)
-        # the only next-order term the exact values support is -1/(12 n^2)
-        corrected = base * (math.log(4 * n) + EULER_GAMMA - 0.5 - 1 / (12 * n * n))
-        return AsymptoticEstimate(leading, corrected, Regime.RYDBERG, "l=0, D=3")
-    raise UnsupportedArgument(f"family must be 'circular' or 'nS', got {family!r}")
+    base = [math.log(4 * n / math.pi), *inverse_z]
+    leading = _exp_times(base, math.log(4 * n) + EULER_GAMMA - 0.5)
+    # the only next-order term the exact values support is -1/(12 n^2)
+    corrected = _exp_times(base, math.log(4 * n) + EULER_GAMMA - 0.5 - 1 / (12 * n * n))
+    return AsymptoticEstimate(leading, corrected, Regime.RYDBERG, "l=0, D=3")
 
 
 def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstimate:
@@ -131,7 +133,7 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
     if not alpha > -D - 2 * l:
         raise OrderOutOfRegime(f"order {alpha} must exceed {-D - 2 * l}")
     if space is Space.MOMENTUM:
-        leading = _exp_times([alpha * (math.log(2 * state.Z) - math.log(D))])
+        leading = _exp_times([alpha * math.log(2.0), alpha * math.log(state.Z), -alpha * math.log(D)])
         eta = float(state.eta)
         nu = float(state.nu)
         corrected = _exp_times(
@@ -139,7 +141,7 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
             1 + alpha * (alpha - 2) * (2 * n - 2 * l - 1) / (4 * nu),
         )
         return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {-D - 2 * l}")
-    leading = _exp_times([alpha * (2 * math.log(D) - math.log(4 * state.Z))])
+    leading = _exp_times([2 * alpha * math.log(D), -alpha * math.log(4.0), -alpha * math.log(state.Z)])
     M = D + 2 * l - 1
     k = state.k
     eta = float(state.eta)

@@ -18,9 +18,11 @@ advances (2nu+j)_k term by term by the ratio (2nu+j+k)/(2nu+j), so the k+1
 terms cost O(k).  Float paths read the integers 2nu and 2eta rather than
 build the Fractions nu and eta.  Closed forms cover even orders, circular
 states, the mean momentum and the average inverse momentum.  Integer orders
-evaluate exactly.  Each float series returns its prefactor's logs, its sum
-and a bound, which `posmom.series_or_quadrature` rounds once or, when the
-bound shows cancellation, replaces by the quadrature oracle.
+evaluate exactly.  Each float series returns the logs of its Z-free
+prefactor, its sum and a bound; `posmom.series_or_quadrature` adds the logs
+of the scale (Z/eta)^alpha at the order it is called with and rounds once
+or, when the bound shows cancellation, replaces it by the quadrature oracle.
+Float `reflect` is the single sum at alpha called at 2 - alpha.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .specfun import (
     hyp_sum_doubled,
     log_gamma,
     pochhammer,
-    ratio_power,
 )
 from .posmom import Method, MomentResult, resolve_mode, series_or_quadrature
 from .states import HydrogenicState, Space, require_order
@@ -58,17 +59,6 @@ def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
     ]
 
 
-def _zeta_logs(state: HydrogenicState, alpha: float) -> list[float]:
-    """The log terms of (Z/eta)^alpha."""
-    return [alpha * math.log(state.Z), -alpha * math.log(state.two_eta / 2)]
-
-
-def _zeta_ratio(state: HydrogenicState, a: int) -> tuple[int, int]:
-    """(Z/eta)^a as an unreduced (numerator, denominator); Z/eta = 2 Z_num / (Z_den * 2eta)."""
-    z_num, z_den = state.Z.as_integer_ratio()
-    return ratio_power(2 * z_num, z_den * state.two_eta, a)
-
-
 def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """The exact prefactor of the 5F4 series at integer order a,
     (Z/eta)^a 2(k+nu)/k! Gamma(k+2nu)/Gamma(2nu+1)
@@ -84,7 +74,7 @@ def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
         (2 * k + 2 * t, t + a + 1, t + 3 - a), (2 * t + 2, t + 1, t + 3)
     )
     # 2(k+nu) = 2k + 2nu
-    zn, zd = _zeta_ratio(state, a)
+    zn, zd = state.scale(a, Space.MOMENTUM)
     return num * (2 * k + t) * zn, den * math.factorial(k) * zd, two_pi
 
 
@@ -110,8 +100,8 @@ def _single_sum_exact(state: HydrogenicState, a: int, scale: tuple[int, int] = (
 
 
 def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
-    """The float single sum as (prefactor logs, sum, bound); the sum is nan
-    when a term overflows."""
+    """The float single sum as (logs of its prefactor without (Z/eta)^alpha,
+    sum, bound); the sum is nan when a term overflows."""
     k = state.k
     nu = state.two_nu / 2  # float(nu), without building the Fraction
     logs = [
@@ -121,7 +111,6 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
         log_gamma(k + 2 * nu),
         -log_gamma(2 * nu + 1),
         *_gamma_quotient_logs(nu, alpha),
-        *_zeta_logs(state, alpha),
     ]
     terms = []
     bounds = []
@@ -211,7 +200,7 @@ def _double_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
     pn, pd, p_two_pi = gamma_ratio_doubled(
         (2 * state.l + state.D - a + 2, x2), (2 * (state.n + state.l + state.D - 2),)
     )
-    zn, zd = _zeta_ratio(state, a)
+    zn, zd = state.scale(a, Space.MOMENTUM)
     coeff = Fraction(
         2 * state.two_eta * pn * zn * total, pd * zd * math.factorial(state.k) * den
     )
@@ -219,9 +208,9 @@ def _double_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
 
 
 def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
-    """Float double-sum route as (prefactor logs, quotient, bound): the outer
-    sum is exact at the dyadic rational alpha is stored as, and its quotient
-    by the denominator is rounded once."""
+    """Float double-sum route as (logs of its prefactor without (Z/eta)^alpha,
+    quotient, bound): the outer sum is exact at the dyadic rational alpha is
+    stored as, and its quotient by the denominator is rounded once."""
     D, n, l = state.D, state.n, state.l
     p, q = alpha.as_integer_ratio()  # q = 2^e
     # x = l + (D+alpha)/2 = ((2l+D) q + p) / 2^(e+1)
@@ -231,7 +220,6 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
     quotient = total / (den << shift) if shift >= 0 else (total << -shift) / den
     logs = [
         math.log(2 * state.two_eta),  # 4 eta
-        *_zeta_logs(state, alpha),
         log_gamma(l + (D - alpha) / 2 + 1),
         log_gamma(l + (D + alpha) / 2),
         -log_gamma(n + l + D - 2),
@@ -240,12 +228,6 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
         shift * math.log(2.0),
     ]
     return logs, quotient, 4 * _EPS * quotient
-
-
-def _reflected_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
-    """The single sum at alpha with the logs of (eta/Z)^(2alpha-2): <p^(2-alpha)>."""
-    logs, s, bound = _single_sum_float(state, alpha)
-    return [*logs, (2 * alpha - 2) * math.log(state.two_eta / 2 / state.Z)], s, bound
 
 
 # route -> (exact evaluator, float evaluator, method); in float mode the
@@ -307,24 +289,23 @@ def p_moment_even_closed(state: HydrogenicState, alpha: int) -> MomentResult:
 
 def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """<p^{2-alpha}> computed from <p^alpha> via the inversion identity
-    (eta/Z)^{2-alpha} <p^{2-alpha}> = (eta/Z)^alpha <p^alpha>.  In float mode
-    the factor's log joins the single sum's prefactor, so the result is
-    rounded once and is returned wherever it lies in the double range.  In
-    exact mode the single sum's prefactor, its series and (eta/Z)^(2a-2)
-    are multiplied as integers into one Fraction."""
+    (eta/Z)^{2-alpha} <p^{2-alpha}> = (eta/Z)^alpha <p^alpha>: the single
+    sum at alpha times the scale (Z/eta)^(2-alpha) in place of (Z/eta)^alpha.
+    In float mode `series_or_quadrature` applies the scale at 2 - alpha to the
+    single sum at alpha, so the result is rounded once and is returned
+    wherever it lies in the double range.  In exact mode the single sum at a
+    is multiplied by (Z/eta)^(2-2a) as integers into one Fraction."""
     mode = resolve_mode(alpha, mode)
     alpha_f = require_order(state, alpha, Space.MOMENTUM)
     require_order(state, 2 - alpha_f, Space.MOMENTUM)
     if mode == "float":
         # at alpha itself, which 2 - (2 - alpha) need not round back to
         return series_or_quadrature(
-            lambda st, _: _reflected_float(st, alpha_f), state, 2 - alpha_f,
+            lambda st, _: _single_sum_float(st, alpha_f), state, 2 - alpha_f,
             Method.REFLECTION, Space.MOMENTUM,
         )
     a = int(round(alpha_f))
-    # eta/Z = z_den 2eta / (2 z_num)
-    z_num, z_den = state.Z.as_integer_ratio()
-    value = _single_sum_exact(state, a, ratio_power(z_den * state.two_eta, 2 * z_num, 2 * a - 2))
+    value = _single_sum_exact(state, a, state.scale(2 - 2 * a, Space.MOMENTUM))
     return MomentResult(value, 0.0, Method.REFLECTION, Space.MOMENTUM, 2 - alpha_f, state)
 
 
@@ -338,11 +319,12 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
         # (Z/eta)^a Gamma(eta+(a+1)/2) Gamma(eta+(3-a)/2) / (Gamma(eta+1/2) Gamma(eta+3/2))
         a, e = int(round(alpha_f)), state.two_eta
         num, den, two_pi = gamma_ratio_doubled((e + a + 1, e + 3 - a), (e + 1, e + 3))
-        zn, zd = _zeta_ratio(state, a)
+        zn, zd = state.scale(a, Space.MOMENTUM)
         value = ExactValue(Fraction(num * zn, den * zd), Fraction(two_pi, 2))
         return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state)
     # nu = eta on a circular state
-    value, rel = exp_sum([*_zeta_logs(state, alpha_f), *_gamma_quotient_logs(state.two_eta / 2, alpha_f)])
+    logs = [*state.scale_logs(alpha_f, Space.MOMENTUM), *_gamma_quotient_logs(state.two_eta / 2, alpha_f)]
+    value, rel = exp_sum(logs)
     return MomentResult(
         value, (rel + 8 * _EPS) * value, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state
     )

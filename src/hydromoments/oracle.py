@@ -17,7 +17,8 @@ moment is summed by a pair of exact rules, of k+1 and k+2 nodes: their
 difference measures rounding drift, not truncation.  The two Laguerre rules
 share one Christoffel pass of degree k+1, whose extra term p_{k+1}^2
 vanishes at the smaller rule's nodes up to second order in their rounding.
-The scale (eta/2Z)^alpha or (Z/eta)^alpha is exponentiated together with the
+The space's scale, (eta/2Z)^alpha or (Z/eta)^alpha, enters as the log terms of
+`HydrogenicState.scale_logs` and is exponentiated together with the
 logarithm of the Gauss sum by `specfun.exp_sum`, so a moment inside the
 double range is returned even when its scale is not, and one outside it
 raises FloatUnderflow or FloatOverflow; so does a Jacobi weight integral mu0
@@ -36,12 +37,15 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import NonpositiveParameters, NotSWave, QuadratureFailure
+from .errors import NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
 from .posmom import Method, MomentResult
 from .specfun import ExactValue, exp_sum, gamma_exact, log_gamma
 from .states import HydrogenicState, Space
 
 _EPS = 2.0 ** -53
+# At x >= 2^64, e^(-x/2) puts R_{n,l} below the double range unless k + l
+# or D exceeds 10^15; x is clipped there, where the recurrence stays finite
+_X_FAR = 2.0 ** 64
 _STEMR = get_lapack_funcs("stemr", dtype=np.float64)
 _STEVD = get_lapack_funcs("stevd", dtype=np.float64)
 
@@ -229,8 +233,6 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     alpha = float(alpha)
     b = 2 * state.l + state.D - 2  # Laguerre index of the radial polynomial
     m = _rule_size(state.k)
-    eta = state.two_eta / 2  # float(eta), without building the Fraction
-
     c = b + 1 + alpha  # the rules' weight is x^c e^{-x}
     x = np.concatenate((_laguerre_nodes(m, c), _laguerre_nodes(m + 1, c)))
     # the (m+1)-node rule's Christoffel sum runs to p_m, which vanishes at the
@@ -244,7 +246,7 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     terms = np.exp(log_terms - top)
     s, s2 = float(terms[:m].sum()), float(terms[m:].sum())
     value, rel = exp_sum(
-        [alpha * (math.log(eta) - math.log(2 * state.Z)), float(top), math.log(s), -math.log(2 * eta)]
+        [*state.scale_logs(alpha, Space.POSITION), float(top), math.log(s), -math.log(state.two_eta)]
     )
     # each term is exp of logs of size |ln w| + 2|ln p| that cancel; their rounding
     # is a relative error of a few ulps of that size, shared by both rules and so
@@ -275,9 +277,7 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     peak = float(np.abs(vals).max())
     sq = (vals / peak) ** 2
     s, s2 = float(np.dot(w, sq[:m])), float(np.dot(w2, sq[m:]))
-    value, rel = exp_sum(
-        [alpha * (math.log(state.Z) - math.log(state.two_eta / 2)), 2 * math.log(peak), math.log(s)]
-    )
+    value, rel = exp_sum([*state.scale_logs(alpha, Space.MOMENTUM), 2 * math.log(peak), math.log(s)])
     # both rules scale their weights by mu0 = exp(log mu0), so |v - v2| cannot
     # see the rounding of log mu0's terms
     _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
@@ -328,12 +328,23 @@ def _log_radial(state: HydrogenicState, x, log_amp: float):
     return np.sign(q), log_r
 
 
+def _signed_exp(sign, log_v):
+    """sign e^log_v, 0 where it underflows; exp_sum raises FloatOverflow past the range."""
+    top = float(np.max(log_v, initial=-np.inf))
+    if top > 0:
+        exp_sum([top])
+    return sign * np.exp(log_v)
+
+
 def _radial_position(state: HydrogenicState, r, log_amp: float):
-    """R_{n,l}(r) given its log-amplitude from _position_log_amplitude."""
+    """R_{n,l}(r) given its log-amplitude from _position_log_amplitude, with
+    x = 2Zr/eta formed from ln r and the position scale's logs."""
     r = np.asarray(r, dtype=float)
-    x = 2 * float(state.Z) * r / (state.two_eta / 2)  # float(eta), without building the Fraction
-    sign, log_r = _log_radial(state, x, log_amp)
-    return sign * np.exp(log_r)
+    if (r < 0).any():
+        raise UnsupportedArgument("a radius must be nonnegative")
+    with np.errstate(divide="ignore", over="ignore"):  # x = 0 at r = 0, inf past the range
+        x = np.exp(np.log(r) - math.fsum(state.scale_logs(1, Space.POSITION)))
+    return _signed_exp(*_log_radial(state, np.minimum(x, _X_FAR), log_amp))
 
 
 def radial_position(state: HydrogenicState, r):
@@ -343,17 +354,18 @@ def radial_position(state: HydrogenicState, r):
 
 def radial_momentum(state: HydrogenicState, p):
     """Radial momentum wavefunction M_{n,l}(p).  Its factors are summed as logs
-    and exponentiated once, so at large l it underflows only where M does."""
+    and exponentiated once, so at large l it underflows only where M does.
+    t = eta p / Z enters only as ln t, from ln p and the momentum scale's
+    logs, and y = (1 - t^2) / (1 + t^2) = -tanh(ln t)."""
     p = np.asarray(p, dtype=float)
-    t = state.two_eta / 2 * p / float(state.Z)  # eta p / Z, without building the Fraction eta
-    t2 = t * t
     nu, l = state.two_nu / 2, state.l
-    c = gegenbauer_orthonormal(state.k, nu, (1 - t2) / (1 + t2))
     log_amp = 0.5 * (_log(momentum_norm_sq(state)) + _gegenbauer_log_norm_sq(state.k, nu))
-    with np.errstate(divide="ignore"):  # 0 * log 0 would be nan: l log t enters only for l > 0
-        log_m = log_amp - (l + (state.D + 1) / 2) * np.log1p(t2) + np.log(np.abs(c)) \
-            + (l * np.log(np.abs(t)) if l else 0)
-    return np.sign(c) * np.sign(t) ** l * np.exp(log_m)
+    with np.errstate(divide="ignore"):  # y = 1 at p = 0; 0 * ln 0 would be nan, so l ln t only for l > 0
+        log_t = np.log(np.abs(p)) + math.fsum(state.scale_logs(-1, Space.MOMENTUM))
+        c = gegenbauer_orthonormal(state.k, nu, -np.tanh(log_t))
+        log_m = log_amp - (l + (state.D + 1) / 2) * np.logaddexp(0.0, 2 * log_t) + np.log(np.abs(c)) \
+            + (l * log_t if l else 0)
+    return _signed_exp(np.sign(c) * np.sign(p) ** l, log_m)
 
 
 def solid_angle(D: int) -> ExactValue:
@@ -393,4 +405,4 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
     log_int, log_int2 = run(m), run(m + 8)
     if abs(log_int - log_int2) > 1e-10:
         raise QuadratureFailure(f"W_{q:g} rules of {m} and {m + 8} nodes differ by {abs(log_int - log_int2):.2g}")
-    return exp_sum([(1 - q) * _log(solid_angle(D)), D * math.log(float(state.eta) / (2 * state.Z)), log_int2])[0]
+    return exp_sum([(1 - q) * _log(solid_angle(D)), *state.scale_logs(D, Space.POSITION), log_int2])[0]

@@ -2,7 +2,9 @@
 
 Two routes: the general terminating-3F2 formula (valid for any real order
 above -D-2l) and the tabulated closed forms for alpha in
-{1, 2, -1, -2, -3, -4, -6}.  Integer orders evaluate exactly.
+{1, 2, -1, -2, -3, -4, -6}.  Integer orders evaluate exactly.  The scale
+(eta/2Z)^alpha comes from `HydrogenicState`; `series_or_quadrature`, the one
+fallback rule of both spaces, applies it to every float series.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .specfun import (
     is_integral,
     log_gamma,
     pochhammer,
-    ratio_power,
 )
 from .states import HydrogenicState, Space, make_state, require_order
 
@@ -80,8 +81,9 @@ def series_or_quadrature(
     evaluate, state: HydrogenicState, alpha: float, method: Method, space: Space
 ) -> MomentResult:
     """The float series `evaluate(state, alpha) -> (logs, s, bound)`, with
-    the log terms of its prefactor, its sum in their units and an absolute
-    bound on that sum, as exp(sum(logs) + ln s) from one `exp_sum` with error
+    the log terms of its Z-free prefactor, its sum in their units and an
+    absolute bound on that sum, times the space's scale at alpha, as
+    exp(sum(logs) + scale logs + ln s) from one `exp_sum` with error
     (bound/s + exp_sum's rel) * value.  The one fallback rule: the quadrature
     oracle answers iff s is not positive (nan if a term overflowed) or bound
     exceeds CANCELLATION_LIMIT * s.  FloatOverflow and FloatUnderflow come
@@ -93,17 +95,16 @@ def series_or_quadrature(
         if space is Space.POSITION:
             return oracle.quad_r_moment(state, alpha)
         return oracle.quad_p_moment(state, alpha)
-    value, rel = exp_sum([*logs, math.log(s)])
+    value, rel = exp_sum([*logs, *state.scale_logs(alpha, space), math.log(s)])
     return MomentResult(value, (bound / s + rel) * value, method, space, alpha, state)
 
 
 def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
-    """The float 3F2 series of <r^alpha> as (prefactor logs, sum, bound)."""
+    """The float 3F2 series of <r^alpha> as (logs of its prefactor without
+    (eta/2Z)^alpha, sum, bound)."""
     k, t = state.k, state.two_nu  # 2L+2, read without building the Fraction L
     logs = [
-        (alpha - 1) * math.log(state.two_eta / 2),
-        -(alpha + 1) * math.log(2.0),
-        -alpha * math.log(state.Z),
+        -math.log(state.two_eta),  # 1/(2 eta)
         log_gamma((t + 1) + alpha),  # 2L+alpha+3, rounded once
         -log_gamma(float(t)),
     ]
@@ -135,13 +136,9 @@ def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
             num, den = ratio.denominator, ratio.numerator
         spec = HypSumSpec(top=(-k, -a - 1, a + 2), bottom=(t, 1), terms=k + 1)
         series = hyp_sum(spec, "exact").coeff
-        # eta^(a-1) / (2^(a+1) Z^a) = (2eta)^(a-1) / (4 Z)^a, with Z = z_num / z_den
-        z_num, z_den = state.Z.as_integer_ratio()
-        en, ed = ratio_power(state.two_eta, 1, a - 1)
-        zn, zd = ratio_power(z_den, 4 * z_num, a)
-        value = ExactValue(Fraction(
-            num * series.numerator * en * zn, den * series.denominator * ed * zd
-        ))
+        # eta^(a-1) / (2^(a+1) Z^a) = (eta/2Z)^a / (2eta)
+        sn, sd = state.scale(a, Space.POSITION)
+        value = ExactValue(Fraction(num * series.numerator * sn, den * series.denominator * sd * state.two_eta))
         return MomentResult(value, 0.0, Method.HYP3F2, Space.POSITION, alpha_f, state)
 
     return series_or_quadrature(_r_series_float, state, alpha_f, Method.HYP3F2, Space.POSITION)
@@ -189,20 +186,16 @@ def r_moment_closed(state: HydrogenicState, alpha: int) -> MomentResult:
 
 
 def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult:
-    """Ground-state <r^alpha> = ((D-1)/4Z)^alpha Gamma(D+alpha)/Gamma(D)."""
+    """Ground-state <r^alpha> = ((D-1)/4Z)^alpha Gamma(D+alpha)/Gamma(D); (D-1)/4Z = eta/2Z."""
     state = make_state(D, 1, 0, Z)
     alpha_f = require_order(state, alpha, Space.POSITION)
     if resolve_mode(alpha, mode) == "exact":
         a = int(round(alpha_f))
-        # ((D-1)/4Z)^a with Z = z_num / z_den; the order check keeps D+a >= 1
-        z_num, z_den = state.Z.as_integer_ratio()
-        sn, sd = ratio_power((D - 1) * z_den, 4 * z_num, a)
-        num, den, _ = gamma_ratio_doubled((2 * (D + a),), (2 * D,))
+        sn, sd = state.scale(a, Space.POSITION)
+        num, den, _ = gamma_ratio_doubled((2 * (D + a),), (2 * D,))  # the order check keeps D+a >= 1
         value = ExactValue(Fraction(sn * num, sd * den))
         return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.POSITION, alpha_f, state)
-    value, rel = exp_sum([
-        alpha_f * math.log(D - 1), -alpha_f * math.log(4.0 * Z), log_gamma(D + alpha_f), -log_gamma(D)
-    ])
+    value, rel = exp_sum([*state.scale_logs(alpha_f, Space.POSITION), log_gamma(D + alpha_f), -log_gamma(D)])
     return MomentResult(
         value, (rel + 8 * 2.0 ** -52) * value, Method.CLOSED_FORM, Space.POSITION, alpha_f, state
     )

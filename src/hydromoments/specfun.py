@@ -135,11 +135,6 @@ def _coerce(x) -> ExactValue:
     return ExactValue(as_fraction(x))
 
 
-def ratio_power(p: int, q: int, e: int) -> tuple[int, int]:
-    """(p/q)^e as an unreduced (numerator, denominator) pair of integers."""
-    return (p ** e, q ** e) if e >= 0 else (q ** -e, p ** -e)
-
-
 EXACT_ONE = ExactValue(Fraction(1))
 SQRT_PI = ExactValue(Fraction(1), Fraction(1, 2))
 

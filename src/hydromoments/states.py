@@ -10,6 +10,7 @@ integer kernels take 2 nu and 2 eta, which are integers for every D.
 from __future__ import annotations
 
 import enum
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,6 +97,23 @@ class HydrogenicState:
     @property
     def is_circular(self) -> bool:
         return self.l == self.n - 1
+
+    def scale(self, a: int, space: Space) -> tuple[int, int]:
+        """The space's scale, (Z/eta)^a for momentum and (eta/2Z)^a for position,
+        at integer order a as an unreduced (numerator, denominator) pair:
+        with Z = z_num / z_den, Z/eta = 2 z_num / (z_den 2eta)."""
+        z_num, z_den = self.Z.as_integer_ratio()
+        p, q = 2 * z_num, z_den * self.two_eta
+        if space is Space.POSITION:  # eta/2Z = z_den 2eta / (4 z_num)
+            p, q = q, 2 * p
+        return (p ** a, q ** a) if a >= 0 else (q ** -a, p ** -a)
+
+    def scale_logs(self, alpha: float, space: Space) -> list[float]:
+        """The log terms of the space's scale at order alpha, with ln Z and ln
+        eta taken alone, so no product of Z can leave the double range."""
+        if space is Space.MOMENTUM:
+            return [alpha * math.log(self.Z), -alpha * math.log(self.two_eta / 2)]
+        return [alpha * math.log(self.two_eta / 4), -alpha * math.log(self.Z)]
 
     def momentum_interval(self) -> tuple[int, int]:
         """Open interval of valid momentum orders."""

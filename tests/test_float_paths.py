@@ -54,9 +54,7 @@ def _zeta_logs_fraction(state, alpha):
 def _r_series_fraction(state, alpha):
     k, L, eta = state.k, state.L, state.eta
     logs = [
-        (alpha - 1) * math.log(float(eta)),
-        -(alpha + 1) * math.log(2.0),
-        -alpha * math.log(state.Z),
+        -math.log(float(2 * eta)),
         log_gamma(float(2 * L + 3) + alpha),
         -log_gamma(float(2 * L + 2)),
     ]
@@ -66,8 +64,8 @@ def _r_series_fraction(state, alpha):
 
 
 def _reflect_fraction(state, alpha):
-    logs, s, bound = _single_sum_float(state, alpha)
-    return [*logs, (2 * alpha - 2) * math.log(float(state.eta) / state.Z)], s, bound
+    """The single sum at alpha; series_or_quadrature applies the scale at 2 - alpha."""
+    return _single_sum_float(state, alpha)
 
 
 def _circular_fraction(state, alpha):
@@ -87,9 +85,7 @@ def _quad_p_two_passes(state, alpha):
     v2 = gegenbauer_orthonormal(k, nu, x2)
     peak = max(float(np.abs(vals).max()), float(np.abs(v2).max()))
     s = float(np.dot(w, (vals / peak) ** 2))
-    value, rel = exp_sum(
-        [alpha * (math.log(state.Z) - math.log(float(state.eta))), 2 * math.log(peak), math.log(s)]
-    )
+    value, rel = exp_sum([*_zeta_logs_fraction(state, alpha), 2 * math.log(peak), math.log(s)])
     s2 = float(np.dot(w2, (v2 / peak) ** 2))
     _, mu0_rel = exp_sum([(a + b + 1) * math.log(2.0), log_gamma(a + 1), log_gamma(b + 1), -log_gamma(a + b + 2)])
     return value, value * abs(s - s2) / s + ((50 * (k + 1) + 2 * k * k) * _EPS + rel + mu0_rel) * value

@@ -251,7 +251,7 @@ def _series(logs, s, bound):
     return evaluate
 
 
-# (logs, s, bound) -> fall back (True), return exp(sum(logs)) s (False), or raise
+# (logs, s, bound) -> fall back (True), return exp(sum(logs)) s times the scale (False), or raise
 @pytest.mark.parametrize("space", list(Space))
 @pytest.mark.parametrize(
     "evaluate, falls_back",
@@ -284,7 +284,7 @@ def test_one_fallback_rule_for_both_spaces(monkeypatch, space, evaluate, falls_b
     elif falls_back is False:
         res = series_or_quadrature(evaluate, s, 1.5, Method.SINGLE_SUM, space)
         logs, sum_, bound = evaluate(s, 1.5)
-        want = math.exp(math.fsum([*logs, math.log(sum_)]))
+        want = math.exp(math.fsum([*logs, *s.scale_logs(1.5, space), math.log(sum_)]))
         assert calls == [] and (res.method, res.space) == (Method.SINGLE_SUM, space)
         assert res.value == pytest.approx(want, rel=1e-13)
         assert res.error_estimate >= bound / sum_ * res.value

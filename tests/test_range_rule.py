@@ -2,7 +2,11 @@
 float leaves the double range (`exp_sum` and `ExactValue.to_float`), so every
 other module reaches FloatOverflow and FloatUnderflow through it and never
 catches a bare OverflowError of its own.  A float series is rounded once, so
-it needs no overflow signal of its own either."""
+it needs no overflow signal of its own either.  A charge anywhere in
+[2^-1022, sys.float_info.max] is accepted, so only `states` forms the scales
+(Z/eta)^alpha and (eta/2Z)^alpha, exactly or as logs with ln Z taken alone;
+elsewhere Z is read only inside math.log, where no product of it can leave
+the range first."""
 
 import ast
 from pathlib import Path
@@ -53,3 +57,32 @@ def test_only_specfun_raises_range_errors_or_catches_overflow():
 
 def test_no_cancellation_overflow_signal():
     assert [p.name for p in _modules() if "CancellationOverflow" in p.read_text()] == []
+
+
+def _is_math_log(node):
+    func = node.func
+    return isinstance(func, ast.Attribute) and func.attr == "log" and _name(func.value) == "math"
+
+
+def test_only_states_reads_the_charge_outside_a_log():
+    """Outside `states`, `.Z` is read only as the sole argument of math.log,
+    or, in `cli`, printed by fmt_float or taken from the parsed arguments
+    for make_state.  `Z_exact`, the exact rational of the tabulated closed
+    forms and the norms, is another attribute and stays."""
+    found = []
+    for path in _modules():
+        if path.name == "states.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr == "Z"):
+                continue
+            call = parents[node]
+            if isinstance(call, ast.Call) and call.args == [node] and not call.keywords:
+                if _is_math_log(call) or (path.name == "cli.py" and _name(call) == "fmt_float"):
+                    continue
+            if path.name == "cli.py" and _name(node.value) == "args":
+                continue
+            found.append(f"{path.name}:{node.lineno} reads .Z outside math.log")
+    assert found == []

@@ -30,8 +30,8 @@ from hydromoments.specfun import (
     hyp_sum_doubled,
     is_integral,
     pochhammer,
-    ratio_power,
 )
+from hydromoments.states import Space, make_state
 
 
 class TestExactValue:
@@ -173,9 +173,11 @@ def test_pochhammer_of_an_int_is_the_same_fraction():
 
 
 def test_ratio_power():
-    assert ratio_power(2, 3, 4) == (16, 81)
-    assert ratio_power(2, 3, 0) == (1, 1)
-    assert ratio_power(2, 3, -2) == (9, 4)
+    # an integer ratio's power is the state's scale: Z/eta = 2/3 at 2eta = 3, Z = 1
+    s = make_state(2, 2, 0, 1)
+    assert s.scale(4, Space.MOMENTUM) == (16, 81)
+    assert s.scale(0, Space.MOMENTUM) == (1, 1)
+    assert s.scale(-2, Space.MOMENTUM) == (9, 4)
 
 
 class TestHypSum:

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import pytest
 
 from hydromoments import (
@@ -14,7 +15,7 @@ from hydromoments import (
     pitt_beckner,
 )
 from hydromoments import uncertainty
-from hydromoments.errors import NonpositiveParameters, NotSWave, OrderOutOfDomain
+from hydromoments.errors import FloatOverflow, NonpositiveParameters, NotSWave, OrderOutOfDomain
 from hydromoments.uncertainty import fermion_factor, momentum_space_constant
 
 
@@ -146,3 +147,29 @@ def test_reports_serialize_to_json():
     assert parsed["name"] == "HeisenbergGeneral"
     assert parsed["satisfied"] is True
     assert isinstance(parsed["siblings"], list)
+
+
+
+def _dim_factor_reference(D, c):
+    """One bracket of the general Heisenberg bound at 30 digits."""
+    with mpmath.workdps(30):
+        D, c, e = mpmath.mpf(D), mpmath.mpf(c), mpmath.e
+        return e * D ** (2 / c) * mpmath.gamma(1 + D / 2) ** (2 / D) / (
+            (c * e) ** (2 / c) * mpmath.gamma(1 + D / c) ** (2 / D)
+        )
+
+
+def test_constants_and_products_are_taken_from_logs():
+    # D^(2/c) alone exceeds the double range at c = 0.01 and raised a bare
+    # OverflowError; the bracket is about e^6.2
+    rep = heisenberg_general(make_state(1000, 1, 0, 1.0), 0.01, 2)
+    want = _dim_factor_reference(1000, 0.01) * _dim_factor_reference(1000, 2)
+    assert rep.rhs == pytest.approx(float(want), rel=1e-11)
+    assert rep.satisfied
+    # (2 pi)^300 and <r^2>^150 raised a bare OverflowError; the product itself
+    # lies beyond the double range
+    with pytest.raises(FloatOverflow):
+        fermion_product(make_state(500, 1, 0, 250.0), 2, 300)
+    # D/(k+D) divided by zero at k = -D
+    with pytest.raises(NonpositiveParameters):
+        momentum_space_constant(3, -3)
