@@ -13,15 +13,17 @@ recomputed per call without a cache, and it calls neither 5F4 kernel entry.
 Both of its modes sum the outer series exactly at a dyadic rational x
 (`_double_sum_series`), so its float mode rounds once.
 In float mode `hyp5f4` is `single`: both sum the series in
-`_single_sum_float`, which takes one float Pochhammer symbol (2nu)_k and
-advances (2nu+j)_k term by term by the ratio (2nu+j+k)/(2nu+j), so the k+1
-terms cost O(k).  Float paths read the integers 2nu and 2eta rather than
-build the Fractions nu and eta.  Closed forms cover even orders, circular
-states, the mean momentum and the average inverse momentum.  Integer orders
-evaluate exactly.  Each float series returns the logs of its Z-free
-prefactor, its sum and a bound; `posmom.series_or_quadrature` adds the logs
+`_single_sum_float`, on integers in 128-bit fixed point at the dyadic
+rational alpha is stored as (`specfun.hyp_sum_fixed`), with a rigorous
+integer error bound, and round it with the prefactor's rational part once
+(`specfun.round_quotient`, shared with the float double route).  Float paths
+read the integers 2nu and 2eta rather than build the Fractions nu and eta.
+Closed forms cover even orders, circular states, the mean momentum and the
+average inverse momentum.  Integer orders evaluate exactly.  Each float
+series returns the logs of its Z-free prefactor, its sum and a bound; `posmom.series_or_quadrature` adds the logs
 of the scale (Z/eta)^alpha at the order it is called with and rounds once
-or, when the bound shows cancellation, replaces it by the quadrature oracle.
+or, when the bound shows cancellation (for the single sum: beyond what 128
+bits carry), replaces it by the quadrature oracle.
 Float `reflect` is the single sum at alpha called at 2 - alpha.
 """
 
@@ -32,6 +34,7 @@ from fractions import Fraction
 
 from .errors import NotCircular, OrderOutOfDomain, UnsupportedArgument
 from .specfun import (
+    FIXED_BITS,
     ExactValue,
     HypSumSpec,
     digamma_half_exact,
@@ -40,13 +43,17 @@ from .specfun import (
     gamma_ratio_doubled,
     hyp_sum,
     hyp_sum_doubled,
+    hyp_sum_fixed,
     log_gamma,
     pochhammer,
+    round_quotient,
 )
-from .posmom import Method, MomentResult, resolve_mode, series_or_quadrature
+from .posmom import CANCELLATION_LIMIT, Method, MomentResult, resolve_mode, series_or_quadrature
 from .states import HydrogenicState, Space, require_order
 
 _EPS = 2.0 ** -53
+# CANCELLATION_LIMIT as the exact ratio of two integers
+_LIMIT_NUM, _LIMIT_DEN = CANCELLATION_LIMIT.as_integer_ratio()
 
 
 def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
@@ -101,39 +108,34 @@ def _single_sum_exact(state: HydrogenicState, a: int, scale: tuple[int, int] = (
 
 def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
     """The float single sum as (logs of its prefactor without (Z/eta)^alpha,
-    sum, bound); the sum is nan when a term overflows."""
-    k = state.k
-    nu = state.two_nu / 2  # float(nu), without building the Fraction
-    logs = [
-        math.log(2.0),
-        -log_gamma(k + 1),
-        math.log(k + nu),
-        log_gamma(k + 2 * nu),
-        -log_gamma(2 * nu + 1),
-        *_gamma_quotient_logs(nu, alpha),
-    ]
-    terms = []
-    bounds = []
-    dj = 1.0
-    denom = pochhammer(2 * nu, k, "float")
-    rising = denom  # (2nu+j)_k; 2nu is an integer, so 2nu+j and 2nu+j+k are exact
-    for j in range(k + 1):
-        t = (-1) ** j * math.comb(k, j) * rising * dj
-        if not math.isfinite(t):
-            return logs, math.nan, math.inf
-        terms.append(t)
-        bounds.append(10.0 * (j + 1) * _EPS * abs(t))
-        rising *= (2 * nu + j + k) / (2 * nu + j)
-        dj *= (
-            (nu + j)
-            / (nu + j + 1)
-            * (nu + (alpha + 1) / 2 + j)
-            * (nu + (3 - alpha) / 2 + j)
-            / ((nu + 0.5 + j) * (nu + 1.5 + j))
-        )
-    s = math.fsum(terms) / denom
-    bound = (math.fsum(bounds) + _EPS * abs(s) * denom) / denom
-    return logs, s, bound + 20 * _EPS * abs(s)
+    quotient, bound).  The 5F4 series is summed at the dyadic rational alpha
+    is stored as, in 2^-128 fixed point with a rigorous integer bound
+    (`hyp_sum_fixed`), and the rational part of the prefactor joins it in
+    one integer quotient, rounded once.  Where the bound exceeds
+    CANCELLATION_LIMIT times the sum, compared on integers, the bound is
+    infinite, so `series_or_quadrature` falls back."""
+    k, t = state.k, state.two_nu
+    p, q = alpha.as_integer_ratio()  # q = 2^e
+    # the doubled parameters of `_hyp5f4_doubled`, times q, over d = 2q
+    total, err = hyp_sum_fixed(
+        (-2 * k * q, 2 * q * (k + t), q * t, q * (t + 1) + p, q * (t + 3) - p),
+        (2 * q * t, q * (t + 1), q * (t + 2), q * (t + 3)),
+        2 * q,
+        k + 1,
+    )
+    logs = _gamma_quotient_logs(t / 2, alpha)
+    if total <= 0 or err * _LIMIT_DEN > _LIMIT_NUM * total:
+        return logs, 0.0, math.inf
+    # 2(k+nu) Gamma(k+2nu) / (k! Gamma(2nu+1)) = (2k+t) (t)_k / (t k!)
+    quotient, shift = round_quotient(
+        (2 * k + t) * pochhammer(t, k).numerator * total, t * math.factorial(k) << FIXED_BITS
+    )
+    # 2 eps for rounding the quotient and err/total; below an argument of
+    # about 20, math.lgamma with its rounded argument can be off by some 20
+    # eps more than exp_sum's few units in the last place of each term, so
+    # add 24 eps for each of the four
+    rel = err / total + 2 * _EPS + 4 * 24 * _EPS
+    return [*logs, shift * math.log(2.0)], quotient, quotient * rel
 
 
 def _hyp5f4_exact(state: HydrogenicState, a: int) -> ExactValue:
@@ -215,9 +217,7 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
     p, q = alpha.as_integer_ratio()  # q = 2^e
     # x = l + (D+alpha)/2 = ((2l+D) q + p) / 2^(e+1)
     total, den, two_pi = _double_sum_series(state, (2 * l + D) * q + p, q.bit_length())
-    # total/den = quotient * 2^shift with the quotient in (1/2, 2), rounded once
-    shift = total.bit_length() - den.bit_length()
-    quotient = total / (den << shift) if shift >= 0 else (total << -shift) / den
+    quotient, shift = round_quotient(total, den)
     logs = [
         math.log(2 * state.two_eta),  # 4 eta
         log_gamma(l + (D - alpha) / 2 + 1),

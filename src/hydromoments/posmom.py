@@ -2,9 +2,13 @@
 
 Two routes: the general terminating-3F2 formula (valid for any real order
 above -D-2l) and the tabulated closed forms for alpha in
-{1, 2, -1, -2, -3, -4, -6}.  Integer orders evaluate exactly.  The scale
+{1, 2, -1, -2, -3, -4, -6}.  Integer orders evaluate exactly; real orders
+sum the 3F2 in compensated floating point (`specfun.hyp_sum`).  The scale
 (eta/2Z)^alpha comes from `HydrogenicState`; `series_or_quadrature`, the one
-fallback rule of both spaces, applies it to every float series.
+fallback rule of both spaces, applies it to every float series: the 3F2
+here, and the momentum series, whose single sum runs in 128-bit fixed point
+and reports an infinite bound where its cancellation exceeds
+CANCELLATION_LIMIT.
 """
 
 from __future__ import annotations

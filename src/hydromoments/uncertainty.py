@@ -109,10 +109,14 @@ def heisenberg_general(state: HydrogenicState, a: float, b: float) -> Inequality
         ])
         sib.append(_report(InequalityName.HEISENBERG_3D, _exp([log_ra / a, log_pb / b]), rhs3, params))
         if a == b:
-            # ((27 pi / (16 a Gamma(3/a)))^{1/3} (a e/3)^{1-2/a})^a
+            # ((27 pi / (16 a Gamma(3/a)))^{1/3} (a e/3)^{1-2/a})^a; the 3D
+            # ground state violates it for every a < 2 (ratio 0.83 at a = 1),
+            # so below a = 2 it is a finding, not a guarantee
             log_c = (math.log(27 * math.pi / (16 * a)) - log_gamma(3 / a)) / 3
             rhs3ab = _exp([a * log_c, (a - 2) * (math.log(a / 3) + 1)])
-            sib.append(_report(InequalityName.HEISENBERG_3D_AB, _exp([log_ra, log_pb]), rhs3ab, params))
+            sib.append(_report(
+                InequalityName.HEISENBERG_3D_AB, _exp([log_ra, log_pb]), rhs3ab, params, rigorous=a >= 2
+            ))
     return _report(InequalityName.HEISENBERG_GENERAL, lhs, rhs, params, siblings=sib)
 
 

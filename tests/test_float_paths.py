@@ -1,10 +1,12 @@
 """The float paths read the integer symbols two_nu and two_eta instead of
-building the Fractions nu, eta and L, and the single sum advances (2nu+j)_k
-by a ratio.  The first must not change a bit; copies of the Fraction-based
-code are kept here.  The second must stay within its own error bound of a
-30-digit reference and fall back no more often than the O(k^2) loop did, and
-the float double route, which sums exactly and rounds once, and float
-`reflect` must stay within their bounds of the same reference."""
+building the Fractions nu, eta and L; the position series, the circular form
+and the oracle must not change a bit, and copies of the Fraction-based code
+are kept here.  The momentum single sum runs in 128-bit fixed point
+(`specfun.hyp_sum_fixed`): the kernel's integer bound must hold against the
+exact Fraction sum, and float `p_moment` (single and hyp5f4), `reflect` and
+the double route, which sums exactly and rounds once, must stay within
+their bounds of a 40-digit reference, also near the edges of the domain and
+on cells that the 53-bit loop handed to the quadrature oracle."""
 
 import math
 from fractions import Fraction
@@ -12,6 +14,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hydromoments import (
     make_state,
@@ -22,10 +25,10 @@ from hydromoments import (
     r_moment,
     reflect,
 )
-from hydromoments.momom import _gamma_quotient_logs, _single_sum_float
+from hydromoments.momom import _gamma_quotient_logs
 from hydromoments.oracle import _EPS, _rule_size, gauss_jacobi, gegenbauer_orthonormal
-from hydromoments.posmom import CANCELLATION_LIMIT, Method, Space, _r_series_float, series_or_quadrature
-from hydromoments.specfun import HypSumSpec, exp_sum, hyp_sum, log_gamma, pochhammer
+from hydromoments.posmom import Method, _r_series_float
+from hydromoments.specfun import FIXED_BITS, HypSumSpec, exp_sum, hyp_sum, hyp_sum_fixed, log_gamma
 from hydromoments.states import HydrogenicState
 
 ZS = (0.1, 3.906504, Fraction(3, 2))
@@ -63,11 +66,6 @@ def _r_series_fraction(state, alpha):
     return logs, s, bound + 4 * 2.0 ** -52 * abs(s)
 
 
-def _reflect_fraction(state, alpha):
-    """The single sum at alpha; series_or_quadrature applies the scale at 2 - alpha."""
-    return _single_sum_float(state, alpha)
-
-
 def _circular_fraction(state, alpha):
     eta = state.eta
     value, rel = exp_sum([*_zeta_logs_fraction(state, alpha), *_gamma_quotient_logs(float(eta), alpha)])
@@ -89,12 +87,6 @@ def _quad_p_two_passes(state, alpha):
     s2 = float(np.dot(w2, (v2 / peak) ** 2))
     _, mu0_rel = exp_sum([(a + b + 1) * math.log(2.0), log_gamma(a + 1), log_gamma(b + 1), -log_gamma(a + b + 2)])
     return value, value * abs(s - s2) / s + ((50 * (k + 1) + 2 * k * k) * _EPS + rel + mu0_rel) * value
-
-
-def _result(evaluate, state, alpha, method=Method.SINGLE_SUM):
-    """(value, error_estimate, method) of a float momentum series."""
-    res = series_or_quadrature(evaluate, state, alpha, method, Space.MOMENTUM)
-    return res.value, res.error_estimate, res.method
 
 
 def test_float_paths_build_no_fractions(monkeypatch):
@@ -128,53 +120,21 @@ def test_float_paths_are_bit_identical_to_the_fraction_code(D):
             assert _r_series_float(s, a) == _r_series_fraction(s, a), (s, a)
             res = p_moment(s, a, mode="float", route="double")
             assert res.method is Method.DOUBLE_SUM, (s, a)
-            assert abs(res.value - _p_moment_reference(s, a)) <= res.error_estimate, (s, a, res)
+            assert abs(res.value - _momentum_reference(s, a)) <= res.error_estimate, (s, a, res)
             res = quad_p_moment(s, a)
             assert (res.value, res.error_estimate) == _quad_p_two_passes(s, a), (s, a)
-            lo, hi = s.momentum_interval()
-            if lo < 2 - a < hi:
-                res = reflect(s, a, mode="float")
-                want = _result(lambda st, _: _reflect_fraction(st, a), s, 2 - a, Method.REFLECTION)
-                assert (res.value, res.error_estimate, res.method) == want, (s, a)
             if s.is_circular:
                 res = p_moment_circular(s, a, mode="float")
                 assert (res.value, res.error_estimate) == _circular_fraction(s, a), (s, a)
 
 
-def _single_sum_quadratic(state, alpha):
-    """The single sum with one float Pochhammer symbol per term, O(k^2)."""
-    k, nu = state.k, float(state.nu)
-    logs = [
-        math.log(2.0), -log_gamma(k + 1), math.log(k + nu), log_gamma(k + 2 * nu),
-        -log_gamma(2 * nu + 1), *_gamma_quotient_logs(nu, alpha), *_zeta_logs_fraction(state, alpha),
-    ]
-    terms, bounds, dj = [], [], 1.0
-    for j in range(k + 1):
-        t = (-1) ** j * math.comb(k, j) * pochhammer(2 * nu + j, k, "float") * dj
-        if not math.isfinite(t):
-            return logs, math.nan, math.inf
-        terms.append(t)
-        bounds.append(10.0 * (j + 1) * _EPS * abs(t))
-        dj *= (
-            (nu + j) / (nu + j + 1) * (nu + (alpha + 1) / 2 + j) * (nu + (3 - alpha) / 2 + j)
-            / ((nu + 0.5 + j) * (nu + 1.5 + j))
-        )
-    denom = pochhammer(2 * nu, k, "float")
-    s = math.fsum(terms) / denom
-    bound = (math.fsum(bounds) + _EPS * abs(s) * denom) / denom
-    return logs, s, bound + 20 * _EPS * abs(s)
-
-
-def _falls_back(result):
-    """series_or_quadrature's rule for leaving a series result."""
-    _, s, bound = result
-    return not (s > 0 and bound <= CANCELLATION_LIMIT * s)
-
-
-def _p_moment_reference(state, alpha):
-    """<p^alpha> from the 5F4 form at 30 digits."""
-    with mpmath.workdps(30):
-        k, nu, a = state.k, mpmath.mpf(state.two_nu) / 2, mpmath.mpf(alpha)
+def _momentum_reference(state, alpha):
+    """<p^alpha> from the 5F4 form at 40 digits, for a float or dyadic
+    Fraction alpha (2 - alpha, unrounded, for `reflect`)."""
+    alpha = Fraction(alpha)
+    with mpmath.workdps(40):
+        k, nu = state.k, mpmath.mpf(state.two_nu) / 2
+        a = mpmath.mpf(alpha.numerator) / alpha.denominator
         Z = mpmath.mpf(state.Z_exact.numerator) / state.Z_exact.denominator
         eta = mpmath.mpf(state.two_eta) / 2
         pref = (
@@ -190,20 +150,105 @@ def _p_moment_reference(state, alpha):
         return pref * series
 
 
+def _within(res, reference):
+    with mpmath.workdps(40):
+        return abs(mpmath.mpf(res.value) - reference) <= res.error_estimate
+
+
 def test_linear_single_sum_stays_in_its_bound_and_falls_back_no_more():
-    kept = fallbacks = fallbacks_quadratic = 0
+    # the fixed-point sum, linear in k; the 53-bit loop it replaced kept 3327
+    # of these 7795 cells and handed 4468 to quadrature
+    kept = fallbacks = 0
     for s in _states(dims=range(2, 13), ns=(*range(1, 41), 160)):
         for a in _orders(s):
-            got = _single_sum_float(s, a)
-            fallbacks_quadratic += _falls_back(_single_sum_quadratic(s, a))
-            if _falls_back(got):
+            res = p_moment(s, a, mode="float")
+            if res.method is Method.QUADRATURE:
                 fallbacks += 1
                 continue
-            value, err, _ = _result(lambda st, _: got, s, a)
-            assert abs(value - _p_moment_reference(s, a)) <= err, (s, a, value, err)
+            assert res.method is Method.SINGLE_SUM
+            assert _within(res, _momentum_reference(s, a)), (s, a, res)
             kept += 1
-    assert fallbacks <= fallbacks_quadratic
-    assert kept > 3000
+    assert fallbacks <= 4468
+    assert (kept, fallbacks) == (7601, 194)
+
+
+def _exact_partial_sum(top, bottom, d, terms):
+    """The first `terms` terms of sum_j prod (A_i/d)_j / (prod (B_i/d)_j j!)."""
+    a, b = [Fraction(x, d) for x in top], [Fraction(x, d) for x in bottom]
+    term = total = Fraction(1)
+    for j in range(terms - 1):
+        term *= math.prod(x + j for x in a) / ((j + 1) * math.prod(x + j for x in b))
+        total += term
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    e=st.integers(0, 53),
+    top=st.lists(st.integers(-2 ** 60, 2 ** 60), min_size=5, max_size=5),
+    bottom=st.lists(st.integers(1, 2 ** 60), min_size=4, max_size=4),
+    terms=st.integers(1, 60),
+)
+def test_fixed_point_kernel_bound_holds(e, top, bottom, terms):
+    d = 2 ** (e + 1)
+    total, err = hyp_sum_fixed(top, bottom, d, terms)
+    exact = _exact_partial_sum(top, bottom, d, terms)
+    # |S / 2^P - exact| <= E / 2^P, on integers
+    assert abs(total * exact.denominator - (exact.numerator << FIXED_BITS)) <= err * exact.denominator
+    assert err >= 0 and (terms > 1 or (total, err) == (1 << FIXED_BITS, 0))
+
+
+# (D, n, l, Z, alpha) within 1e-6 of an edge, and away from the edges with
+# cancellation of up to 10^28, that the 53-bit loop handed to quadrature
+FELL_BACK_BEFORE = [
+    (2, 36, 1, 3.034654, 5.999999427994832),
+    (3, 38, 2, 2.360228, 8.999999476454846),
+    (2, 33, 1, 3.773844, -3.9999992746927178),
+    (6, 31, 0, 0.545442, 7.999999895023342),
+    (9, 34, 1, 3.725507, -10.999999115125048),
+    (11, 38, 2, 1.372498, 3.094945715004034),
+    (7, 39, 3, 3.565248, 2.04327394505113),
+    (9, 38, 4, 3.515642, -0.41847844053030414),
+    (12, 36, 3, 2.888363, 0.6967061169201436),
+]
+
+
+@pytest.mark.parametrize("D, n, l, Z, alpha", FELL_BACK_BEFORE)
+def test_cells_that_fell_back_stay_in_their_bound(D, n, l, Z, alpha):
+    s = make_state(D, n, l, Z)
+    for route, method in (("single", Method.SINGLE_SUM), ("hyp5f4", Method.HYP5F4)):
+        res = p_moment(s, alpha, mode="float", route=route)
+        assert res.method is method
+        assert _within(res, _momentum_reference(s, alpha)), (route, res)
+    lo, hi = s.momentum_interval()
+    if lo < 2 - alpha < hi:
+        res = reflect(s, alpha, mode="float")
+        assert res.method is Method.REFLECTION
+        assert _within(res, _momentum_reference(s, 2 - Fraction(alpha))), res
+
+
+def test_bound_carries_the_fixed_point_error():
+    # about 10^28 of cancellation leaves 1.25e-11 of the sum to the kernel's
+    # integer bound, far above the rounding of the prefactor
+    res = p_moment(make_state(11, 38, 2, 1.372498), 3.094945715004034, mode="float")
+    assert res.method is Method.SINGLE_SUM
+    assert 1.25e-11 < res.error_estimate / res.value < 1.3e-11
+
+
+def test_fallback_is_decided_on_integers():
+    # at 3D n=1000 the kernel's bound is 2^2391 times its sum, beyond any
+    # float: only the comparison on integers can send it to quadrature
+    res = p_moment(make_state(3, 1000, 0, 1.0), 0.3)
+    assert res.method is Method.QUADRATURE and res.value == pytest.approx(0.0989061076063484, rel=1e-12)
+
+
+@pytest.mark.parametrize("D, n, alpha", [(2, 80, -1.999999), (2, 160, 3.999999), (3, 80, 4.999999), (3, 160, -2.999999)])
+def test_near_edge_cells_beyond_128_bits_fall_back_within_their_bound(D, n, alpha):
+    s = make_state(D, n, 0, 1.0)
+    for route in ("single", "hyp5f4"):
+        res = p_moment(s, alpha, mode="float", route=route)
+        assert res.method is Method.QUADRATURE
+        assert _within(res, _momentum_reference(s, alpha)), (route, res)
 
 
 def test_float_reflect_stays_in_its_bound():
@@ -213,7 +258,6 @@ def test_float_reflect_stays_in_its_bound():
         for a in ORDERS:
             if lo < a < hi and lo < 2 - a < hi:
                 res = reflect(s, a, mode="float")
-                ref = _p_moment_reference(s, 2 - a)
-                assert abs(res.value - ref) <= res.error_estimate, (s, a, res, ref)
+                assert _within(res, _momentum_reference(s, 2 - Fraction(a))), (s, a, res)
                 checked += 1
     assert checked > 1000

@@ -195,11 +195,13 @@ def test_float_reflection_returns_a_moment_whose_factor_leaves_the_range():
     r = reflect(s, 40.5, mode="float")
     assert (r.value, r.alpha, r.method) == (1.9034666253779457e176, -38.5, Method.REFLECTION)
     assert r.value == p_moment(s, -38.5, mode="float", route="double").value
-    s = make_state(3, 100, 60, 1.0)  # (eta/Z)^159; the series cancels, so quadrature answers at -78.5
+    s = make_state(3, 100, 60, 1.0)  # (eta/Z)^159; the series cancels beyond 53 bits, not beyond 128
     r, dbl = reflect(s, 80.5, mode="float"), p_moment(s, -78.5, mode="float", route="double")
-    assert (r.alpha, r.method) == (-78.5, Method.QUADRATURE)
+    assert (r.alpha, r.method) == (-78.5, Method.REFLECTION)
     assert r.value == pytest.approx(1.2008e196, rel=1e-4)
-    assert abs(r.value - dbl.value) <= r.error_estimate
+    assert abs(r.value - dbl.value) <= r.error_estimate + dbl.error_estimate
+    with mpmath.workdps(40):
+        assert abs(mpmath.mpf(r.value) - _momentum_reference(s, -78.5)) <= r.error_estimate
 
 
 def test_float_double_route_below_the_range_raises_without_the_oracle(monkeypatch):

@@ -160,7 +160,7 @@ def test_is_integral():
 def test_pochhammer():
     assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
     assert pochhammer(5, 0) == 1
-    assert pochhammer(2.5, 2, "float") == pytest.approx(8.75)
+    assert pochhammer(2.5, 2) == Fraction(35, 4)
 
 
 def test_pochhammer_of_an_int_is_the_same_fraction():

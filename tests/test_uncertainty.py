@@ -34,6 +34,18 @@ def test_heisenberg_general_classic_case():
     assert all(sib.satisfied for sib in rep.siblings)
 
 
+@pytest.mark.parametrize("a, ratio", [(1, 0.834), (0.5, 0.475), (0.1, 0.098)])
+def test_3d_ab_sibling_below_order_2_is_a_finding(a, ratio):
+    # the 3D ground state violates the a = b product bound for every a < 2
+    rep = heisenberg_general(make_state(3, 1, 0, 1.0), a, a)
+    (sib,) = [s_ for s_ in rep.siblings if s_.name is InequalityName.HEISENBERG_3D_AB]
+    assert not sib.rigorous and not sib.satisfied
+    assert sib.ratio == pytest.approx(ratio, abs=5e-4)
+    sib = [s_ for s_ in heisenberg_general(make_state(3, 1, 0, 1.0), 2, 2).siblings
+           if s_.name is InequalityName.HEISENBERG_3D_AB]
+    assert sib[0].rigorous and sib[0].satisfied
+
+
 def test_heisenberg_general_rejects_nonpositive_orders():
     s = make_state(3, 1, 0, 1.0)
     with pytest.raises(NonpositiveParameters):
