@@ -20,10 +20,11 @@ integer error bound, and round it with the prefactor's rational part once
 read the integers 2nu and 2eta rather than build the Fractions nu and eta.
 Closed forms cover even orders, circular states, the mean momentum and the
 average inverse momentum.  Integer orders evaluate exactly.  Each float
-series returns the logs of its Z-free prefactor, its sum and a bound; `posmom.series_or_quadrature` adds the logs
-of the scale (Z/eta)^alpha at the order it is called with and rounds once
-or, when the bound shows cancellation (for the single sum: beyond what 128
-bits carry), replaces it by the quadrature oracle.
+series returns the logs of its Z-free prefactor, its sum and the sum's own
+bound; `posmom.series_or_quadrature` replaces it by the quadrature oracle when
+the bound shows cancellation (for the single sum: beyond what 128 bits carry),
+else `posmom.rounded` adds the logs of (Z/eta)^alpha and rounds once, as for
+the float circular form, under `specfun.exp_sum`'s one error model.
 Float `reflect` is the single sum at alpha called at 2 - alpha.
 """
 
@@ -35,10 +36,10 @@ from fractions import Fraction
 from .errors import NotCircular, OrderOutOfDomain, UnsupportedArgument
 from .specfun import (
     FIXED_BITS,
+    TO_FLOAT_REL,
     ExactValue,
     HypSumSpec,
     digamma_half_exact,
-    exp_sum,
     gamma_exact,
     gamma_ratio_doubled,
     hyp_sum,
@@ -48,10 +49,9 @@ from .specfun import (
     pochhammer,
     round_quotient,
 )
-from .posmom import CANCELLATION_LIMIT, Method, MomentResult, resolve_mode, series_or_quadrature
+from .posmom import CANCELLATION_LIMIT, Method, MomentResult, resolve_mode, rounded, series_or_quadrature
 from .states import HydrogenicState, Space, require_order
 
-_EPS = 2.0 ** -53
 # CANCELLATION_LIMIT as the exact ratio of two integers
 _LIMIT_NUM, _LIMIT_DEN = CANCELLATION_LIMIT.as_integer_ratio()
 
@@ -111,7 +111,8 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
     quotient, bound).  The 5F4 series is summed at the dyadic rational alpha
     is stored as, in 2^-128 fixed point with a rigorous integer bound
     (`hyp_sum_fixed`), and the rational part of the prefactor joins it in
-    one integer quotient, rounded once.  Where the bound exceeds
+    one integer quotient, rounded once; the bound is the kernel's alone, as
+    exp_sum's model covers the quotient's rounding.  Where the bound exceeds
     CANCELLATION_LIMIT times the sum, compared on integers, the bound is
     infinite, so `series_or_quadrature` falls back."""
     k, t = state.k, state.two_nu
@@ -130,12 +131,7 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
     quotient, shift = round_quotient(
         (2 * k + t) * pochhammer(t, k).numerator * total, t * math.factorial(k) << FIXED_BITS
     )
-    # 2 eps for rounding the quotient and err/total; below an argument of
-    # about 20, math.lgamma with its rounded argument can be off by some 20
-    # eps more than exp_sum's few units in the last place of each term, so
-    # add 24 eps for each of the four
-    rel = err / total + 2 * _EPS + 4 * 24 * _EPS
-    return [*logs, shift * math.log(2.0)], quotient, quotient * rel
+    return [*logs, shift * math.log(2.0)], quotient, quotient * (err / total)
 
 
 def _hyp5f4_exact(state: HydrogenicState, a: int) -> ExactValue:
@@ -211,8 +207,9 @@ def _double_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
 
 def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
     """Float double-sum route as (logs of its prefactor without (Z/eta)^alpha,
-    quotient, bound): the outer sum is exact at the dyadic rational alpha is
-    stored as, and its quotient by the denominator is rounded once."""
+    quotient, 0): the outer sum is exact at the dyadic rational alpha is
+    stored as, and its quotient by the denominator is rounded once, which
+    exp_sum's model covers."""
     D, n, l = state.D, state.n, state.l
     p, q = alpha.as_integer_ratio()  # q = 2^e
     # x = l + (D+alpha)/2 = ((2l+D) q + p) / 2^(e+1)
@@ -227,7 +224,7 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
         two_pi / 2 * math.log(math.pi),
         shift * math.log(2.0),
     ]
-    return logs, quotient, 4 * _EPS * quotient
+    return logs, quotient, 0.0
 
 
 # route -> (exact evaluator, float evaluator, method); in float mode the
@@ -323,11 +320,8 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
         value = ExactValue(Fraction(num * zn, den * zd), Fraction(two_pi, 2))
         return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state)
     # nu = eta on a circular state
-    logs = [*state.scale_logs(alpha_f, Space.MOMENTUM), *_gamma_quotient_logs(state.two_eta / 2, alpha_f)]
-    value, rel = exp_sum(logs)
-    return MomentResult(
-        value, (rel + 8 * _EPS) * value, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state
-    )
+    logs = _gamma_quotient_logs(state.two_eta / 2, alpha_f)
+    return rounded(logs, 1.0, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state)
 
 
 def _low_order_moment(state: HydrogenicState, order: int, mode: str, ns_value) -> MomentResult:
@@ -339,10 +333,8 @@ def _low_order_moment(state: HydrogenicState, order: int, mode: str, ns_value) -
     if state.D == 3 and state.l == 0:
         value = ns_value(state.n, state.Z_exact)
         if mode == "float":
-            return MomentResult(
-                value.to_float(), 4 * value.to_float() * _EPS,
-                Method.CLOSED_FORM, Space.MOMENTUM, float(order), state,
-            )
+            v = value.to_float()
+            return MomentResult(v, TO_FLOAT_REL * v, Method.CLOSED_FORM, Space.MOMENTUM, float(order), state)
         return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, float(order), state)
     return p_moment(state, order, mode=mode)
 

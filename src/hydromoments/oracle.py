@@ -17,10 +17,10 @@ moment is summed by a pair of exact rules, of k+1 and k+2 nodes: their
 difference measures rounding drift, not truncation.  The two Laguerre rules
 share one Christoffel pass of degree k+1, whose extra term p_{k+1}^2
 vanishes at the smaller rule's nodes up to second order in their rounding.
-The space's scale, (eta/2Z)^alpha or (Z/eta)^alpha, enters as the log terms of
-`HydrogenicState.scale_logs` and is exponentiated together with the
-logarithm of the Gauss sum by `specfun.exp_sum`, so a moment inside the
-double range is returned even when its scale is not, and one outside it
+Each moment passes its Gauss sum s and a bound on s, |s - s2| plus the
+roundings both rules share, to `posmom.rounded`, which adds the scale's logs
+and exponentiates them with ln s in one `specfun.exp_sum`, so a moment inside
+the double range is returned even when its scale is not, and one outside it
 raises FloatUnderflow or FloatOverflow; so does a Jacobi weight integral mu0
 outside it.  The Gauss sums are taken relative to their largest term or
 polynomial value, so they cannot overflow.
@@ -38,7 +38,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
-from .posmom import Method, MomentResult
+from .posmom import Method, MomentResult, rounded
 from .specfun import ExactValue, exp_sum, gamma_exact, log_gamma
 from .states import HydrogenicState, Space
 
@@ -220,13 +220,6 @@ def _rule_size(k: int) -> int:
     return k + 1
 
 
-def _drift(value: float, s: float, s2: float) -> float:
-    """value |s - s2| / s, the two rules' disagreement scaled to the moment;
-    divided first only where value |s - s2| would exceed the double range."""
-    drift = value * abs(s - s2) / s
-    return drift if drift < math.inf else value * (abs(s - s2) / s)
-
-
 def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     """<r^alpha> from the position density by generalized Gauss-Laguerre rules
     of m = k+1 and m+1 nodes, weighted by one Christoffel pass."""
@@ -245,25 +238,22 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     top = log_terms.max()  # the sums are taken relative to e^top, so no term leaves the double range
     terms = np.exp(log_terms - top)
     s, s2 = float(terms[:m].sum()), float(terms[m:].sum())
-    value, rel = exp_sum(
-        [*state.scale_logs(alpha, Space.POSITION), float(top), math.log(s), -math.log(state.two_eta)]
-    )
     # each term is exp of logs of size |ln w| + 2|ln p| that cancel; their rounding
     # is a relative error of a few ulps of that size, shared by both rules and so
-    # unseen by |v - v2|
+    # unseen by |s - s2|
     size = np.where(terms[:m] > 0, np.abs(logw[:m]) + 2 * np.abs(logp[:m]), 0.0)
-    log_err = 4 * _EPS * value * float(np.dot(terms[:m], size)) / s
-    err = _drift(value, s, s2) + (50 * (state.k + 1) * _EPS + rel) * value + log_err
-    return MomentResult(value, err, Method.QUADRATURE, Space.POSITION, alpha, state)
+    bound = abs(s - s2) + 50 * (state.k + 1) * _EPS * s + 4 * _EPS * float(np.dot(terms[:m], size))
+    logs = [float(top), -math.log(state.two_eta)]
+    return rounded(logs, s, bound, Method.QUADRATURE, Space.POSITION, alpha, state)
 
 
 def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     """<p^alpha> from the momentum density by Gauss-Jacobi rules of m = k+1 and
-    m+1 nodes, both exact for the degree-2k integrand, so |v - v2| measures
+    m+1 nodes, both exact for the degree-2k integrand, so |s - s2| measures
     rounding drift.  Their Gegenbauer values come from one recurrence pass and
     are divided by their peak, so each Gauss sum stays below mu0; the scale
     (Z/eta)^alpha and the peak squared are exponentiated with ln of the sum.
-    The bound adds 2 k^2 eps |value| for the nodes' rounding, which both rules
+    The bound adds 2 k^2 eps s for the nodes' rounding, which both rules
     share: by Markov's inequality |p'| <= k^2 max |p| on [-1, 1]."""
     alpha = float(alpha)
     nu = state.two_nu / 2  # float(nu), without building the Fraction
@@ -277,12 +267,11 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     peak = float(np.abs(vals).max())
     sq = (vals / peak) ** 2
     s, s2 = float(np.dot(w, sq[:m])), float(np.dot(w2, sq[m:]))
-    value, rel = exp_sum([*state.scale_logs(alpha, Space.MOMENTUM), 2 * math.log(peak), math.log(s)])
-    # both rules scale their weights by mu0 = exp(log mu0), so |v - v2| cannot
+    # both rules scale their weights by mu0 = exp(log mu0), so |s - s2| cannot
     # see the rounding of log mu0's terms
     _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
-    err = _drift(value, s, s2) + ((50 * (k + 1) + 2 * k * k) * _EPS + rel + mu0_rel) * value
-    return MomentResult(value, err, Method.QUADRATURE, Space.MOMENTUM, alpha, state)
+    bound = abs(s - s2) + ((50 * (k + 1) + 2 * k * k) * _EPS + mu0_rel) * s
+    return rounded([2 * math.log(peak)], s, bound, Method.QUADRATURE, Space.MOMENTUM, alpha, state)
 
 
 def position_norm_sq(state: HydrogenicState) -> ExactValue:

@@ -4,10 +4,11 @@ Two routes: the general terminating-3F2 formula (valid for any real order
 above -D-2l) and the tabulated closed forms for alpha in
 {1, 2, -1, -2, -3, -4, -6}.  Integer orders evaluate exactly; real orders
 sum the 3F2 in compensated floating point (`specfun.hyp_sum`).  The scale
-(eta/2Z)^alpha comes from `HydrogenicState`; `series_or_quadrature`, the one
-fallback rule of both spaces, applies it to every float series: the 3F2
-here, and the momentum series, whose single sum runs in 128-bit fixed point
-and reports an infinite bound where its cancellation exceeds
+(eta/2Z)^alpha comes from `HydrogenicState`.  `rounded` builds every float
+result of both spaces under `specfun.exp_sum`'s one error model, and
+`series_or_quadrature`, the one fallback rule, hands it every float series:
+the 3F2 here, and the momentum series, whose single sum runs in 128-bit
+fixed point and reports an infinite bound where its cancellation exceeds
 CANCELLATION_LIMIT.
 """
 
@@ -81,17 +82,27 @@ def resolve_mode(alpha, mode: str) -> str:
     return mode
 
 
+def rounded(
+    logs, s: float, bound: float, method: Method, space: Space, alpha: float, state: HydrogenicState
+) -> MomentResult:
+    """The one assembler of every float series, closed form and quadrature:
+    exp(sum(logs) + the scale's logs at alpha + ln s) from one `exp_sum`,
+    with error (bound/s + its rel) * value, for the logs of a Z-free
+    prefactor, a sum s > 0 in its units and an absolute bound on s before it
+    was rounded.  Range errors come only from that exp_sum."""
+    value, rel = exp_sum([*logs, *state.scale_logs(alpha, space), math.log(s)])
+    return MomentResult(value, (bound / s + rel) * value, method, space, alpha, state)
+
+
 def series_or_quadrature(
     evaluate, state: HydrogenicState, alpha: float, method: Method, space: Space
 ) -> MomentResult:
     """The float series `evaluate(state, alpha) -> (logs, s, bound)`, with
     the log terms of its Z-free prefactor, its sum in their units and an
     absolute bound on that sum, times the space's scale at alpha, as
-    exp(sum(logs) + scale logs + ln s) from one `exp_sum` with error
-    (bound/s + exp_sum's rel) * value.  The one fallback rule: the quadrature
-    oracle answers iff s is not positive (nan if a term overflowed) or bound
-    exceeds CANCELLATION_LIMIT * s.  FloatOverflow and FloatUnderflow come
-    only from that exp_sum, so they mean the moment itself, and propagate."""
+    `rounded` assembles it.  The one fallback rule: the quadrature oracle
+    answers iff s is not positive (nan if a term overflowed) or bound exceeds
+    CANCELLATION_LIMIT * s.  A range error therefore never triggers it."""
     logs, s, bound = evaluate(state, alpha)
     if not (s > 0 and bound <= CANCELLATION_LIMIT * s):
         from . import oracle  # oracle imports this module
@@ -99,26 +110,21 @@ def series_or_quadrature(
         if space is Space.POSITION:
             return oracle.quad_r_moment(state, alpha)
         return oracle.quad_p_moment(state, alpha)
-    value, rel = exp_sum([*logs, *state.scale_logs(alpha, space), math.log(s)])
-    return MomentResult(value, (bound / s + rel) * value, method, space, alpha, state)
+    return rounded(logs, s, bound, method, space, alpha, state)
 
 
 def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
     """The float 3F2 series of <r^alpha> as (logs of its prefactor without
-    (eta/2Z)^alpha, sum, bound)."""
+    (eta/2Z)^alpha, sum, the sum's bound from `hyp_sum`)."""
     k, t = state.k, state.two_nu  # 2L+2, read without building the Fraction L
     logs = [
         -math.log(state.two_eta),  # 1/(2 eta)
         log_gamma((t + 1) + alpha),  # 2L+alpha+3, rounded once
         -log_gamma(float(t)),
     ]
-    spec = HypSumSpec(
-        top=(-k, -alpha - 1, alpha + 2),
-        bottom=(float(t), 1.0),
-        terms=k + 1,
-    )
+    spec = HypSumSpec(top=(-k, -alpha - 1, alpha + 2), bottom=(float(t), 1.0), terms=k + 1)
     s, bound = hyp_sum(spec, "float")
-    return logs, s, bound + 4 * 2.0 ** -52 * abs(s)
+    return logs, s, bound
 
 
 def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
@@ -199,7 +205,5 @@ def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult
         num, den, _ = gamma_ratio_doubled((2 * (D + a),), (2 * D,))  # the order check keeps D+a >= 1
         value = ExactValue(Fraction(sn * num, sd * den))
         return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.POSITION, alpha_f, state)
-    value, rel = exp_sum([*state.scale_logs(alpha_f, Space.POSITION), log_gamma(D + alpha_f), -log_gamma(D)])
-    return MomentResult(
-        value, (rel + 8 * 2.0 ** -52) * value, Method.CLOSED_FORM, Space.POSITION, alpha_f, state
-    )
+    logs = [log_gamma(D + alpha_f), -log_gamma(D)]
+    return rounded(logs, 1.0, 0.0, Method.CLOSED_FORM, Space.POSITION, alpha_f, state)

@@ -28,6 +28,9 @@ from .errors import (
 )
 
 _EPS = 2.0 ** -53
+_LOG_FLOOR = 8  # exp_sum's charge per log term beyond 4 eps |t|, in units of 4 eps
+# `ExactValue.to_float`'s relative rounding for |pi_pow| <= 1: four roundings
+TO_FLOAT_REL = 4 * _EPS
 
 # Working precision of `hyp_sum_fixed`: terms in units of 2^-FIXED_BITS.
 FIXED_BITS = 128
@@ -145,15 +148,20 @@ SQRT_PI = ExactValue(Fraction(1), Fraction(1, 2))
 
 
 def exp_sum(terms) -> tuple[float, float]:
-    """exp(sum(terms)) and a bound on its relative rounding error.
+    """exp(sum(terms)) and a bound on its relative rounding error: the one
+    error model of every float built from logarithms.  Each term t, a
+    `log_gamma` at an argument the caller rounds, a log or a multiple of one,
+    is charged 4 eps (|t| + _LOG_FLOOR), and exp 4 eps.  The floor covers
+    lgamma near its zeros at 1 and 2, off by up to 12 eps where t is near 0,
+    and ln s of a sum s rounded once, so a series adds only its own bound.
+    Against 30-digit mpmath on 450k points in (1e-8, 1e6], lgamma's worst
+    error is 0.64 of the charge at doubles and 0.95 at the sums the float
+    paths form, whose rounding moves the argument by up to 2 eps relative.
 
-    Each term is a computed logarithm (log_gamma, log, or a multiple of one)
-    off by a few units in its last place, so the exponent carries an
-    absolute error of about eps * sum |term|, which exp turns into a
-    relative error.  This is the one place where a float built from
-    logarithms leaves the double range: it raises FloatOverflow when the
-    result exceeds the range and FloatUnderflow when it falls below the
-    smallest normal double, where it would lose digits or read as zero."""
+    This is the one place where a float built from logarithms leaves the
+    double range: it raises FloatOverflow when the result exceeds the range
+    and FloatUnderflow when it falls below the smallest normal double, where
+    it would lose digits or read as zero."""
     exponent = math.fsum(terms)
     try:
         value = math.exp(exponent)
@@ -163,7 +171,7 @@ def exp_sum(terms) -> tuple[float, float]:
         raise FloatOverflow(f"exp({exponent:.6g}) exceeds the double range")
     if value < sys.float_info.min:
         raise FloatUnderflow(f"exp({exponent:.6g}) is below the double range")
-    return value, 4 * _EPS * (sum(map(abs, terms)) + 1)
+    return value, 4 * _EPS * (sum(map(abs, terms)) + _LOG_FLOOR * len(terms) + 1)
 
 
 def log_gamma(x: float) -> float:

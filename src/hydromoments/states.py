@@ -43,13 +43,16 @@ class HydrogenicState:
     Z: float
 
     def __post_init__(self):
+        # a plain int or float first: the ABC checks cost more than the rest
         for name in ("D", "n", "l"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise UnsupportedArgument(f"{name} must be an int, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if isinstance(self.Z, bool) or not isinstance(self.Z, (int, float, Fraction)):
-            raise UnsupportedArgument(f"Z must be an int, float or Fraction, got {self.Z!r}")
+            if type(value) is not int:
+                if isinstance(value, bool) or not isinstance(value, Integral):
+                    raise UnsupportedArgument(f"{name} must be an int, got {value!r}")
+                object.__setattr__(self, name, int(value))
+        if type(self.Z) is not float:
+            if isinstance(self.Z, bool) or not isinstance(self.Z, (int, float, Fraction)):
+                raise UnsupportedArgument(f"Z must be an int, float or Fraction, got {self.Z!r}")
         if self.D < 2:
             raise DimensionTooSmall(f"D must be >= 2, got {self.D}")
         if self.n < 1 or self.l < 0 or self.l >= self.n:

@@ -63,13 +63,14 @@ def _r_series_fraction(state, alpha):
     ]
     spec = HypSumSpec(top=(-k, -alpha - 1, alpha + 2), bottom=(float(2 * L + 2), 1.0), terms=k + 1)
     s, bound = hyp_sum(spec, "float")
-    return logs, s, bound + 4 * 2.0 ** -52 * abs(s)
+    return logs, s, bound
 
 
 def _circular_fraction(state, alpha):
     eta = state.eta
-    value, rel = exp_sum([*_zeta_logs_fraction(state, alpha), *_gamma_quotient_logs(float(eta), alpha)])
-    return value, (rel + 8 * _EPS) * value
+    # the closed form is a sum s = 1 with bound 0, and ln s = 0 is a term
+    value, rel = exp_sum([*_gamma_quotient_logs(float(eta), alpha), *_zeta_logs_fraction(state, alpha), 0.0])
+    return value, rel * value
 
 
 def _quad_p_two_passes(state, alpha):
@@ -83,10 +84,11 @@ def _quad_p_two_passes(state, alpha):
     v2 = gegenbauer_orthonormal(k, nu, x2)
     peak = max(float(np.abs(vals).max()), float(np.abs(v2).max()))
     s = float(np.dot(w, (vals / peak) ** 2))
-    value, rel = exp_sum([*_zeta_logs_fraction(state, alpha), 2 * math.log(peak), math.log(s)])
+    value, rel = exp_sum([2 * math.log(peak), *_zeta_logs_fraction(state, alpha), math.log(s)])
     s2 = float(np.dot(w2, (v2 / peak) ** 2))
     _, mu0_rel = exp_sum([(a + b + 1) * math.log(2.0), log_gamma(a + 1), log_gamma(b + 1), -log_gamma(a + b + 2)])
-    return value, value * abs(s - s2) / s + ((50 * (k + 1) + 2 * k * k) * _EPS + rel + mu0_rel) * value
+    bound = abs(s - s2) + ((50 * (k + 1) + 2 * k * k) * _EPS + mu0_rel) * s
+    return value, (bound / s + rel) * value
 
 
 def test_float_paths_build_no_fractions(monkeypatch):

@@ -122,8 +122,7 @@ def _quad_r_moment_inline(state, alpha):
     b = 2 * state.l + state.D - 2
     m = state.k + 7
     log_scale = alpha * (math.log(float(state.eta)) - math.log(2 * state.Z))
-    scale = math.exp(log_scale)
-    scale_rel = 4 * _EPS * (abs(log_scale) + 1)  # exp_sum's bound on the scale factor
+    scale, scale_rel = exp_sum([log_scale])  # math.exp(log_scale), and exp_sum's bound on it
 
     def run(mm):
         x, logw = _gauss_laguerre_log_inline(mm, b + 1 + alpha)

@@ -6,7 +6,10 @@ it needs no overflow signal of its own either.  A charge anywhere in
 [2^-1022, sys.float_info.max] is accepted, so only `states` forms the scales
 (Z/eta)^alpha and (eta/2Z)^alpha, exactly or as logs with ln Z taken alone;
 elsewhere Z is read only inside math.log, where no product of it can leave
-the range first."""
+the range first.  One error model covers every float built from logarithms
+(`specfun.exp_sum`), so only `specfun` calls math.lgamma, and rounding
+allowances in units of eps appear only in `specfun` and in the quadrature
+oracle's own Gauss-sum terms."""
 
 import ast
 from pathlib import Path
@@ -85,4 +88,45 @@ def test_only_states_reads_the_charge_outside_a_log():
             if path.name == "cli.py" and _name(node.value) == "args":
                 continue
             found.append(f"{path.name}:{node.lineno} reads .Z outside math.log")
+    assert found == []
+
+
+def _imported(node, name):
+    """True for a from-import of `name`."""
+    return isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)
+
+
+def test_only_specfun_calls_math_lgamma():
+    found = []
+    for path in _modules():
+        if path.name == "specfun.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "lgamma") or _imported(node, "lgamma"):
+                found.append(f"{path.name}:{node.lineno} reads lgamma")
+    assert found == []
+
+
+def _is_unit_roundoff(node):
+    """2 ** -50 to 2 ** -59, written with an int or a float base."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+        return False
+    base, exp = node.left, node.right
+    return (
+        isinstance(base, ast.Constant) and base.value == 2
+        and isinstance(exp, ast.UnaryOp) and isinstance(exp.op, ast.USub)
+        and isinstance(exp.operand, ast.Constant) and 50 <= exp.operand.value <= 59
+    )
+
+
+def test_eps_allowances_live_only_in_specfun_and_the_oracle():
+    found = []
+    for path in _modules():
+        if path.name in ("specfun.py", "oracle.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Name) and node.id == "_EPS") or _imported(node, "_EPS"):
+                found.append(f"{path.name}:{node.lineno} reads _EPS")
+            elif _is_unit_roundoff(node):
+                found.append(f"{path.name}:{node.lineno} writes a power of 2 near eps")
     assert found == []

@@ -29,6 +29,7 @@ from hydromoments.specfun import (
     hyp_sum,
     hyp_sum_doubled,
     is_integral,
+    log_gamma,
     pochhammer,
 )
 from hydromoments.states import Space, make_state
@@ -276,6 +277,57 @@ class TestHypSumExactKernel:
             hyp_sum(HypSumSpec(top=(-2, Fraction(1, 3)), bottom=(1,), terms=3), "exact")
 
 
+EPS = 2.0 ** -53
+LOG_FLOOR = 8  # exp_sum charges each log term t an error of 4 eps (|t| + LOG_FLOOR)
+
+
+def _log_term_errors(pairs):
+    """|log_gamma(x) - ln Gamma(x*)| over 4 eps (|log_gamma(x)| + LOG_FLOOR)
+    for (x, x*) pairs: x the double the library passes, x* the Fraction it
+    stands for, so the rounding of x counts."""
+    out = []
+    with mpmath.workdps(30):
+        for x, exact in pairs:
+            v = log_gamma(x)
+            true = mpmath.loggamma(mpmath.mpf(exact.numerator) / exact.denominator)
+            out.append(abs(float(mpmath.mpf(v) - true)) / (4 * EPS * (abs(v) + LOG_FLOOR)))
+    return out
+
+
+def _near_edges(rng, lo, hi):
+    """An order across (lo, hi), or within 1e-7 to 1 of either end."""
+    if rng.random() < 0.7:
+        return float(rng.uniform(lo, hi))
+    side, step = (lo, 1) if rng.random() < 0.5 else (hi, -1)
+    return float(side + step * 10 ** rng.uniform(-7, 0))
+
+
+def _rounded_sums(rng, count):
+    """(x, x*) pairs of the log-gamma arguments that the float paths form
+    from orders across their domains and near the edges, for 2nu = t, D and
+    l: the momentum quotient, the double route, the Jacobi weight integral,
+    the position series and the ground state."""
+    out = []
+    for _ in range(count):
+        t, D, l = (int(v) for v in rng.integers((1, 2, 0), (400, 40, 200)))
+        alpha = _near_edges(rng, -t - 1, t + 3)
+        nu, f = t / 2, Fraction(alpha)
+        a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
+        r_alpha, g_alpha = _near_edges(rng, -t - 1, 3 * t), _near_edges(rng, -D, 300)
+        out += [
+            (nu + (alpha + 1) / 2, Fraction(t, 2) + (f + 1) / 2),
+            (nu + (3 - alpha) / 2, Fraction(t, 2) + (3 - f) / 2),
+            (l + (D - alpha) / 2 + 1, l + (D - f) / 2 + 1),
+            (l + (D + alpha) / 2, l + (D + f) / 2),
+            (a + 1, Fraction(a) + 1),
+            (b + 1, Fraction(b) + 1),
+            (a + b + 2, Fraction(a) + Fraction(b) + 2),
+            ((t + 1) + r_alpha, t + 1 + Fraction(r_alpha)),
+            (D + g_alpha, D + Fraction(g_alpha)),
+        ]
+    return [(x, e) for x, e in out if 0 < x <= 1e6 and e > 0]
+
+
 class TestExpSum:
     def test_value_and_relative_bound(self):
         terms = [math.lgamma(200.5), -math.lgamma(150.0), 30 * math.log(0.7)]
@@ -285,7 +337,17 @@ class TestExpSum:
                 mpmath.loggamma(mpmath.mpf(401) / 2) - mpmath.loggamma(150) + 30 * mpmath.log(mpmath.mpf(0.7))
             )
             assert abs(value - ref) <= rel * abs(ref)
-        assert rel == pytest.approx(4 * 2.0 ** -53 * (sum(abs(t) for t in terms) + 1))
+        assert rel == pytest.approx(4 * EPS * (sum(abs(t) for t in terms) + LOG_FLOOR * len(terms) + 1), abs=0)
+
+    def test_log_gamma_stays_within_the_per_term_charge(self):
+        """The model's premise: log_gamma at log-uniform doubles in
+        (1e-8, 1e6] and around its zeros at 1 and 2 stays within 0.8 of the
+        charge (a margin of 1.25), and at the rounded sums the float paths
+        form, whose rounding moves the argument, within the charge."""
+        rng = np.random.default_rng(2026)
+        floats = [*np.exp(rng.uniform(math.log(1e-8), math.log(1e6), 3000)), *rng.uniform(0.5, 3.0, 1000)]
+        assert max(_log_term_errors((float(x), Fraction(float(x))) for x in floats)) <= 0.8
+        assert max(_log_term_errors(_rounded_sums(rng, 600))) <= 1.0
 
     def test_overflow_is_a_library_error(self):
         with pytest.raises(FloatOverflow):
