@@ -14,9 +14,11 @@ Both of its modes sum the outer series exactly at a dyadic rational x
 (`_double_sum_series`), so its float mode rounds once.
 In float mode `hyp5f4` is `single`: both sum the series in
 `_single_sum_float`, on integers in 128-bit fixed point at the dyadic
-rational alpha is stored as (`specfun.hyp_sum_fixed`), with a rigorous
-integer error bound, and round it with the prefactor's rational part once
-(`specfun.round_quotient`, shared with the float double route).  Float paths
+rational alpha = p/2^e is stored as (`_hyp5f4_fixed`, the 5F4's own loop:
+each parameter over its own denominator 1, 2 or 2^(e+1), the leftover
+2^(2e) one right shift), with a rigorous integer error bound, and round it
+with the prefactor's rational part once (`specfun.round_quotient`, shared
+with the float double route).  Float paths
 read the integers 2nu and 2eta rather than build the Fractions nu and eta.
 Closed forms cover even orders, circular states, the mean momentum and the
 average inverse momentum.  Integer orders evaluate exactly.  Each float
@@ -35,7 +37,6 @@ from fractions import Fraction
 
 from .errors import NotCircular, OrderOutOfDomain, UnsupportedArgument
 from .specfun import (
-    FIXED_BITS,
     TO_FLOAT_REL,
     ExactValue,
     HypSumSpec,
@@ -44,7 +45,6 @@ from .specfun import (
     gamma_ratio_doubled,
     hyp_sum,
     hyp_sum_doubled,
-    hyp_sum_fixed,
     log_gamma,
     pochhammer,
     round_quotient,
@@ -54,6 +54,9 @@ from .states import HydrogenicState, Space, require_order
 
 # CANCELLATION_LIMIT as the exact ratio of two integers
 _LIMIT_NUM, _LIMIT_DEN = CANCELLATION_LIMIT.as_integer_ratio()
+
+# Working precision of `_hyp5f4_fixed`: terms in units of 2^-FIXED_BITS.
+FIXED_BITS = 128
 
 
 def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
@@ -106,24 +109,54 @@ def _single_sum_exact(state: HydrogenicState, a: int, scale: tuple[int, int] = (
     )
 
 
+def _hyp5f4_fixed(k: int, t: int, p: int, e: int) -> tuple[int, int]:
+    """The k+1 terms of the 5F4 series of `_hyp5f4_doubled` at t = 2nu and
+    alpha = p/2^e, in 2^-FIXED_BITS fixed point: (S, E) with
+    |S - 2^FIXED_BITS * sum| <= E.
+
+    Each parameter is an integer over its own denominator: 1 for -k, k+2nu
+    and 2nu, 2 for nu, nu+1/2, nu+1 and nu+3/2, and 2q = 2^(e+1) for
+    nu+(alpha+1)/2 and nu+(3-alpha)/2.  The term ratio is N_j / (2^(2e) D_j)
+    with N_j = (j-k)(k+t+j)(t+2j)(q(t+1)+p+2qj)(q(t+3)-p+2qj) and
+    D_j = (j+1)(t+j)(t+1+2j)(t+2+2j)(t+3+2j) > 0.  T_0 = 2^FIXED_BITS and
+    T_{j+1} = floor(T_j N_j / (2^(2e) D_j)), off from T_j r_j by less than
+    1, so an error E_j on T_j becomes at most E_j |r_j| + 1, and
+    E_{j+1} = ceil(E_j |N_j| / (2^(2e) D_j)) + 1 bounds it on integers:
+    E = sum E_j is rigorous.  Both are a right shift by 2e, then a floor
+    division by D_j, as floor(floor(x / 2^s) / D) = floor(x / (2^s D)) for
+    D > 0 (>> floors negative x too), so (S, E) are bit for bit those of a
+    generic kernel with all nine parameters over 2^(e+1)."""
+    q = 1 << e
+    shift = 2 * e
+    a, b, step = q * (t + 1) + p, q * (t + 3) - p, q << 1
+    term = total = 1 << FIXED_BITS
+    err = err_total = 0
+    for j in range(k):
+        u = t + 2 * j
+        num = (j - k) * (k + t + j) * u * a * b
+        den = (j + 1) * (t + j) * (u + 1) * (u + 2) * (u + 3)
+        a += step
+        b += step
+        term = (term * num >> shift) // den
+        err = -((err * -abs(num) >> shift) // den) + 1
+        total += term
+        err_total += err
+    return total, err_total
+
+
 def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
     """The float single sum as (logs of its prefactor without (Z/eta)^alpha,
     quotient, bound).  The 5F4 series is summed at the dyadic rational alpha
     is stored as, in 2^-128 fixed point with a rigorous integer bound
-    (`hyp_sum_fixed`), and the rational part of the prefactor joins it in
-    one integer quotient, rounded once; the bound is the kernel's alone, as
-    exp_sum's model covers the quotient's rounding.  Where the bound exceeds
+    (`_hyp5f4_fixed`, each parameter over its own denominator and 2^(2e) a
+    shift), and the rational part of the prefactor joins it in one integer
+    quotient, rounded once; the bound is the kernel's alone, as exp_sum's
+    model covers the quotient's rounding.  Where the bound exceeds
     CANCELLATION_LIMIT times the sum, compared on integers, the bound is
     infinite, so `series_or_quadrature` falls back."""
     k, t = state.k, state.two_nu
     p, q = alpha.as_integer_ratio()  # q = 2^e
-    # the doubled parameters of `_hyp5f4_doubled`, times q, over d = 2q
-    total, err = hyp_sum_fixed(
-        (-2 * k * q, 2 * q * (k + t), q * t, q * (t + 1) + p, q * (t + 3) - p),
-        (2 * q * t, q * (t + 1), q * (t + 2), q * (t + 3)),
-        2 * q,
-        k + 1,
-    )
+    total, err = _hyp5f4_fixed(k, t, p, q.bit_length() - 1)
     logs = _gamma_quotient_logs(t / 2, alpha)
     if total <= 0 or err * _LIMIT_DEN > _LIMIT_NUM * total:
         return logs, 0.0, math.inf

@@ -3,10 +3,11 @@
 Exact rational-times-pi arithmetic (ExactValue), gamma-family evaluation for
 integer and half-integer arguments, the exact rational part of digamma at
 half-integers, summation of terminating hypergeometric series (one integer
-term-ratio kernel in exact mode, the same term ratio in 128-bit fixed point
-with a rigorous integer error bound, compensated summation in float mode),
-the once-rounded quotient of two integers, and float prefactors evaluated
-from their logarithms with a rounding bound.
+term-ratio kernel in exact mode, compensated summation in float mode), the
+once-rounded quotient of two integers, and float prefactors evaluated from
+their logarithms with a rounding bound.  The momentum 5F4 at a real order
+is summed in fixed point by its own loop, `momom._hyp5f4_fixed`, whose term
+ratio keeps each parameter over its own denominator.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ _EPS = 2.0 ** -53
 _LOG_FLOOR = 8  # exp_sum's charge per log term beyond 4 eps |t|, in units of 4 eps
 # `ExactValue.to_float`'s relative rounding for |pi_pow| <= 1: four roundings
 TO_FLOAT_REL = 4 * _EPS
-
-# Working precision of `hyp_sum_fixed`: terms in units of 2^-FIXED_BITS.
-FIXED_BITS = 128
 
 # Euler-Mascheroni constant to double precision.
 EULER_GAMMA = 0.5772156649015328606
@@ -325,39 +323,6 @@ def hyp_sum_doubled(top2, bottom2, terms: int) -> tuple[int, int]:
         num = rd * den + rn * num
         den *= rd
     return num, den
-
-
-def hyp_sum_fixed(top, bottom, d: int, terms: int) -> tuple[int, int]:
-    """The sum of `terms` terms of a terminating series whose top and bottom
-    parameters are the integers A_i / d and B_i / d, in 2^-FIXED_BITS fixed
-    point: (S, E) with |S - 2^FIXED_BITS * sum| <= E.
-
-    The term ratio r_j = N_j / D_j is `hyp_sum_doubled`'s: for p top and q
-    bottom parameters, N_j = d^max(q-p, 0) prod(A_i + d j) and
-    D_j = d^max(p-q, 0) (j+1) prod(B_i + d j).  The first term is
-    T_0 = 2^FIXED_BITS and each next one is one floor division,
-    T_{j+1} = floor(T_j N_j / D_j), off from T_j r_j by less than 1.  An
-    error E_j on T_j therefore becomes at most E_j |r_j| + 1 on T_{j+1}, and
-    E_{j+1} = ceil(E_j |N_j| / |D_j|) + 1 bounds it on integers, so
-    E = sum E_j is rigorous.  The caller checks that the series terminates
-    and has no pole."""
-    shift = len(bottom) - len(top)
-    num_scale, den_scale = d ** max(shift, 0), d ** max(-shift, 0)
-    term = total = 1 << FIXED_BITS
-    err = err_total = 0
-    for j in range(terms - 1):
-        dj = d * j
-        rn = num_scale
-        for a in top:
-            rn *= a + dj
-        rd = den_scale * (j + 1)
-        for b in bottom:
-            rd *= b + dj
-        term = term * rn // rd
-        err = -(err * -abs(rn) // abs(rd)) + 1
-        total += term
-        err_total += err
-    return total, err_total
 
 
 def round_quotient(num: int, den: int) -> tuple[float, int]:

@@ -2,13 +2,15 @@
 building the Fractions nu, eta and L; the position series, the circular form
 and the oracle must not change a bit, and copies of the Fraction-based code
 are kept here.  The momentum single sum runs in 128-bit fixed point
-(`specfun.hyp_sum_fixed`): the kernel's integer bound must hold against the
-exact Fraction sum, and float `p_moment` (single and hyp5f4), `reflect` and
+(`momom._hyp5f4_fixed`): it must return the (S, E) of the generic kernel it
+replaced, kept here, its integer bound must hold against the exact Fraction
+sum, and float `p_moment` (single and hyp5f4), `reflect` and
 the double route, which sums exactly and rounds once, must stay within
 their bounds of a 40-digit reference, also near the edges of the domain and
 on cells that the 53-bit loop handed to the quadrature oracle."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -25,10 +27,10 @@ from hydromoments import (
     r_moment,
     reflect,
 )
-from hydromoments.momom import _gamma_quotient_logs
+from hydromoments.momom import FIXED_BITS, _gamma_quotient_logs, _hyp5f4_fixed
 from hydromoments.oracle import _EPS, _rule_size, gauss_jacobi, gegenbauer_orthonormal
 from hydromoments.posmom import Method, _r_series_float
-from hydromoments.specfun import FIXED_BITS, HypSumSpec, exp_sum, hyp_sum, hyp_sum_fixed, log_gamma
+from hydromoments.specfun import HypSumSpec, exp_sum, hyp_sum, log_gamma
 from hydromoments.states import HydrogenicState
 
 ZS = (0.1, 3.906504, Fraction(3, 2))
@@ -174,6 +176,64 @@ def test_linear_single_sum_stays_in_its_bound_and_falls_back_no_more():
     assert (kept, fallbacks) == (7601, 194)
 
 
+def _hyp_sum_fixed_generic(top, bottom, d, terms):
+    """The generic fixed-point kernel that `_hyp5f4_fixed` replaced, with
+    every parameter an integer A_i / d or B_i / d and the term ratio
+    d^max(q-p, 0) prod(A_i + d j) / (d^max(p-q, 0) (j+1) prod(B_i + d j))."""
+    shift = len(bottom) - len(top)
+    num_scale, den_scale = d ** max(shift, 0), d ** max(-shift, 0)
+    term = total = 1 << FIXED_BITS
+    err = err_total = 0
+    for j in range(terms - 1):
+        dj = d * j
+        rn = num_scale
+        for a in top:
+            rn *= a + dj
+        rd = den_scale * (j + 1)
+        for b in bottom:
+            rd *= b + dj
+        term = term * rn // rd
+        err = -(err * -abs(rn) // abs(rd)) + 1
+        total += term
+        err_total += err
+    return total, err_total
+
+
+def _over_common_denominator(k, t, p, e):
+    """The 5F4's parameters at alpha = p/2^e, all over d = 2^(e+1), as the
+    generic kernel took them: (top, bottom, d)."""
+    q = 1 << e
+    top = (-2 * k * q, 2 * q * (k + t), q * t, q * (t + 1) + p, q * (t + 3) - p)
+    return top, (2 * q * t, q * (t + 1), q * (t + 2), q * (t + 3)), 2 * q
+
+
+def _sweep_orders(lo, hi, rng):
+    """Integer orders, orders within 1e-6 of both edges, orders across the
+    interval, and tiny and subnormal orders, as floats."""
+    yield from (float(a) for a in rng.sample(range(lo + 1, hi), 3))
+    yield from (lo + rng.uniform(1e-12, 1e-6), hi - rng.uniform(1e-12, 1e-6))
+    yield from (rng.uniform(lo, hi) for _ in range(3))
+    yield from (5e-324, 1e-300, -2.5e-310)
+
+
+def test_own_kernel_matches_the_generic_kernel_bit_for_bit():
+    rng = random.Random(20261019)
+    cells = 0
+    for D in range(2, 13):
+        for n in sorted(rng.sample(range(1, 171), 10)):
+            for l in sorted({0, n // 2, n - 1}):
+                k, t = n - l - 1, 2 * l + D - 1
+                lo, hi = make_state(D, n, l, 1.0).momentum_interval()
+                for alpha in _sweep_orders(lo, hi, rng):
+                    assert lo < alpha < hi
+                    p, q = alpha.as_integer_ratio()
+                    e = q.bit_length() - 1
+                    generic = _hyp_sum_fixed_generic(*_over_common_denominator(k, t, p, e), k + 1)
+                    assert _hyp5f4_fixed(k, t, p, e) == generic, (D, n, l, alpha)
+                    cells += 1
+    assert cells > 3000
+
+
 def _exact_partial_sum(top, bottom, d, terms):
     """The first `terms` terms of sum_j prod (A_i/d)_j / (prod (B_i/d)_j j!)."""
     a, b = [Fraction(x, d) for x in top], [Fraction(x, d) for x in bottom]
@@ -186,18 +246,20 @@ def _exact_partial_sum(top, bottom, d, terms):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    e=st.integers(0, 53),
-    top=st.lists(st.integers(-2 ** 60, 2 ** 60), min_size=5, max_size=5),
-    bottom=st.lists(st.integers(1, 2 ** 60), min_size=4, max_size=4),
-    terms=st.integers(1, 60),
+    k=st.integers(0, 60),
+    t=st.integers(1, 200),
+    e=st.integers(0, 60),
+    x=st.fractions(-1, 1),
 )
-def test_fixed_point_kernel_bound_holds(e, top, bottom, terms):
-    d = 2 ** (e + 1)
-    total, err = hyp_sum_fixed(top, bottom, d, terms)
-    exact = _exact_partial_sum(top, bottom, d, terms)
+def test_fixed_point_kernel_bound_holds(k, t, e, x):
+    # alpha = p/2^e runs up to 40 past either edge of the domain (-t-1, t+3),
+    # where the series cancels heavily and a parameter can cross zero
+    p = math.floor((1 + (t + 42) * x) * 2 ** e)
+    total, err = _hyp5f4_fixed(k, t, p, e)
+    exact = _exact_partial_sum(*_over_common_denominator(k, t, p, e), k + 1)
     # |S / 2^P - exact| <= E / 2^P, on integers
     assert abs(total * exact.denominator - (exact.numerator << FIXED_BITS)) <= err * exact.denominator
-    assert err >= 0 and (terms > 1 or (total, err) == (1 << FIXED_BITS, 0))
+    assert err >= 0 and (k > 0 or (total, err) == (1 << FIXED_BITS, 0))
 
 
 # (D, n, l, Z, alpha) within 1e-6 of an edge, and away from the edges with
@@ -263,3 +325,25 @@ def test_float_reflect_stays_in_its_bound():
                 assert _within(res, _momentum_reference(s, 2 - Fraction(a))), (s, a, res)
                 checked += 1
     assert checked > 1000
+
+
+# The kernel's shift 2e at both extremes: integer orders in float mode
+# (e = 0, no shift) and orders whose dyadic exponent e exceeds 1,000
+SHIFT_EXTREMES = [
+    (3, 20, 0, 3.0), (5, 12, 3, -2.0), (2, 40, 1, 1.0), (8, 31, 0, 5.0), (4, 9, 4, 7.0),
+    (3, 20, 0, 1e-300), (6, 17, 2, 5e-324), (2, 31, 0, -2.5e-310), (9, 40, 20, 1e-300),
+]
+
+
+@pytest.mark.parametrize("D, n, l, alpha", SHIFT_EXTREMES)
+def test_shift_extremes_stay_in_their_bound(D, n, l, alpha):
+    s = make_state(D, n, l, ZS[(n + l + D) % len(ZS)])
+    e = alpha.as_integer_ratio()[1].bit_length() - 1
+    assert e == 0 or e > 1000
+    for route, method in (("single", Method.SINGLE_SUM), ("hyp5f4", Method.HYP5F4)):
+        res = p_moment(s, alpha, mode="float", route=route)
+        assert res.method is method
+        assert _within(res, _momentum_reference(s, alpha)), (route, res)
+    res = reflect(s, alpha, mode="float")
+    assert res.method is Method.REFLECTION
+    assert _within(res, _momentum_reference(s, 2 - Fraction(alpha))), res
