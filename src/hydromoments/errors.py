@@ -37,6 +37,13 @@ class FloatUnderflow(HydromomentsError):
     it triggers no quadrature retry."""
 
 
+class ExactTooLarge(HydromomentsError):
+    """An exact position moment whose order-driven factors would exceed
+    `posmom.EXACT_BITS` bits, estimated before they are built; its cost
+    grows without bound in the order, and mode="float" answers at a cost
+    independent of the order (or raises a range error)."""
+
+
 class NotCircular(HydromomentsError):
     pass
 

@@ -16,9 +16,10 @@ In float mode `hyp5f4` is `single`: both sum the series in
 `_single_sum_float`, on integers in 128-bit fixed point at the dyadic
 rational alpha = p/2^e is stored as (`_hyp5f4_fixed`, the 5F4's own loop:
 each parameter over its own denominator 1, 2 or 2^(e+1), the leftover
-2^(2e) one right shift), with a rigorous integer error bound, and round it
-with the prefactor's rational part once (`specfun.round_quotient`, shared
-with the float double route).  Float paths
+2^(2e) a right shift before each floor division, which by nested floors
+leaves the generic kernel's bits), with a rigorous integer error bound, and
+round it with the prefactor's rational part once (`specfun.round_quotient`,
+shared with the float double route).  Float paths
 read the integers 2nu and 2eta rather than build the Fractions nu and eta.
 Closed forms cover even orders, circular states, the mean momentum and the
 average inverse momentum.  Integer orders evaluate exactly.  Each float

@@ -111,6 +111,12 @@ class HydrogenicState:
             p, q = q, 2 * p
         return (p ** a, q ** a) if a >= 0 else (q ** -a, p ** -a)
 
+    def scale_bits(self, a: int) -> int:
+        """An upper bound on the bits of both integers of `scale(a, space)`
+        in either space, found without building them."""
+        z_num, z_den = self.Z.as_integer_ratio()
+        return abs(a) * (z_num.bit_length() + z_den.bit_length() + self.two_eta.bit_length() + 2)
+
     def scale_logs(self, alpha: float, space: Space) -> list[float]:
         """The log terms of the space's scale at order alpha, with ln Z and ln
         eta taken alone, so no product of Z can leave the double range."""

@@ -152,6 +152,15 @@ def test_compute_beyond_the_double_range_is_a_numerical_failure(capsys, alpha, m
     assert err.count("\n") == 1 and err.startswith("error:") and "double range" in err
 
 
+def test_compute_beyond_the_exact_size_budget_is_a_numerical_failure(capsys):
+    code, out, err = run(capsys, [
+        "compute", "--space", "r", "--D", "3", "--n", "2", "--l", "0", "--alpha", "100000000",
+    ])
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and 'mode="float"' in err
+
+
 def test_table_marks_a_value_below_the_double_range(capsys):
     code, out, _ = run(capsys, [
         "table", "--space", "r", "--D-range", "3:3", "--n-range", "150:150", "--l", "149",

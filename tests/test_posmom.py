@@ -1,6 +1,7 @@
 """Position-moment routes: 3F2, closed forms, ground-state formula."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -18,14 +19,16 @@ from hydromoments import (
     r_moment_closed,
     r_moment_ground,
 )
-from hydromoments import oracle, p_moment_even_closed
+from hydromoments import oracle, p_moment_even_closed, posmom
 from hydromoments.errors import (
+    ExactTooLarge,
     FloatOverflow,
     FloatUnderflow,
     OrderOutOfDomain,
     UnsupportedArgument,
 )
 from hydromoments.posmom import CANCELLATION_LIMIT, series_or_quadrature
+from hydromoments.specfun import pochhammer
 
 GRID = [
     (D, n, l)
@@ -300,3 +303,35 @@ def test_position_domain_is_checked_before_the_mode():
         r_moment(s, -99, mode="bogus")
     with pytest.raises(UnsupportedArgument):
         r_moment(s, 2, mode="bogus")
+
+
+@pytest.mark.parametrize("call", [
+    lambda a: r_moment(make_state(3, 2, 0, 1.0), a),
+    lambda a: r_moment_ground(3, 1.0, a),
+], ids=["r_moment", "r_moment_ground"])
+def test_exact_order_beyond_the_size_budget_raises_at_once(call):
+    # 10^8 would build about 3e9 bits and run for hours
+    start = time.perf_counter()
+    with pytest.raises(ExactTooLarge, match='mode="float"'):
+        call(10 ** 8)
+    assert time.perf_counter() - start < 0.01
+    assert call(2000).is_exact
+
+
+@pytest.mark.parametrize("D, n, l, Z, a", [
+    (3, 2, 0, 1.0, 3000), (3, 2, 0, 0.1, 700), (3, 2, 0, 1e-300, 60),
+    (8, 40, 3, 3.906504, 500), (3, 300, 250, 1.0, -500), (6, 1, 0, 0.1, 900),
+])
+def test_exact_size_estimate_bounds_the_factors_it_counts(monkeypatch, D, n, l, Z, a):
+    """The estimate is at least the bits of the rising product and the
+    scale's power that the call builds, and at most 1.25 times as many."""
+    s = make_state(D, n, l, Z)
+    t = s.two_nu
+    rising = pochhammer(t, a + 1) if a >= -1 else 1 / pochhammer(t + a + 1, -a - 1)
+    sn, sd = s.scale(a, Space.POSITION)
+    built = sum(x.bit_length() for x in (rising.numerator, rising.denominator, sn, sd))
+    monkeypatch.setattr(posmom, "EXACT_BITS", built - 1)
+    with pytest.raises(ExactTooLarge):
+        r_moment(s, a)
+    monkeypatch.setattr(posmom, "EXACT_BITS", built * 5 // 4)
+    assert r_moment(s, a).is_exact
