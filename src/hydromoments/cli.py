@@ -20,7 +20,7 @@ from .errors import (
     ParameterOutOfRange, QuantumNumberOutOfRange, UnsupportedArgument,
 )
 from .posmom import MomentResult
-from .specfun import ExactValue
+from .specfun import ExactValue, fraction_str, int_str
 from .states import HydrogenicState, Space, make_state
 
 SCHEMA_VERSION = "hydromoments/1"
@@ -45,10 +45,15 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def ratio_str(x) -> str:
+    """A Fraction as "numerator/denominator", at any size."""
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
+
+
 def exact_to_dict(v: ExactValue) -> dict:
     return {
-        "coeff": f"{v.coeff.numerator}/{v.coeff.denominator}",
-        "piPow": f"{v.pi_pow.numerator}/{v.pi_pow.denominator}",
+        "coeff": ratio_str(v.coeff),
+        "piPow": ratio_str(v.pi_pow),
         "decimal": fmt_float(v.to_float()),
     }
 
@@ -74,8 +79,8 @@ def result_to_csv_row(res: MomentResult, mode: str) -> list:
     return [
         s.D, s.n, s.l, fmt_float(s.Z), res.space.value, fmt_float(res.alpha), mode,
         fmt_float(res.as_float()),
-        f"{exact.coeff.numerator}/{exact.coeff.denominator}" if exact else "",
-        f"{exact.pi_pow.numerator}/{exact.pi_pow.denominator}" if exact else "",
+        ratio_str(exact.coeff) if exact else "",
+        ratio_str(exact.pi_pow) if exact else "",
         fmt_float(res.error_estimate),
         "ok",
     ]
@@ -118,7 +123,7 @@ def cmd_compute(args) -> int:
         if res.is_exact:
             v = res.value
             pi = "" if v.pi_pow == 0 else f" * pi^{v.pi_pow}"
-            print(f"<{res.space.value}^{res.alpha:g}> = {v.coeff}{pi} = {value:.12g}")
+            print(f"<{res.space.value}^{res.alpha:g}> = {fraction_str(v.coeff)}{pi} = {value:.12g}")
         else:
             print(
                 f"<{res.space.value}^{res.alpha:g}> = {value:.12g}"
@@ -154,7 +159,7 @@ def _table_cell(D, n, l, Z, space: Space, alpha: float, mode: str) -> tuple[list
 
 
 def cmd_table(args) -> int:
-    """Sweep the grid cell by cell; `--parallel` is accepted and ignored."""
+    """Sweep the grid cell by cell."""
     Ds = sorted(_parse_range(args.D_range))
     ns = sorted(_parse_range(args.n_range))
     alphas = sorted(float(x) for x in args.alpha_list.split(",") if x)
@@ -257,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--Z", type=float, default=1.0)
     t.add_argument("--mode", choices=["auto", "exact", "float", "oracle"], default="auto")
     t.add_argument("--format", choices=["json", "csv"], default="csv")
-    t.add_argument("--parallel", action="store_true", help="accepted and ignored")
     t.set_defaults(func=cmd_table)
 
     v = sub.add_parser("verify", help="run cross-checking suites")

@@ -3,13 +3,16 @@
 Four mutually checking routes: the default single finite sum (k+1 terms),
 the raw terminating-5F4 form, the double-sum rewriting, and the reflection
 identity.  For integer orders the single sum is the 5F4 series itself, so
-`single` and `hyp5f4` share one integer prefactor (`_momentum_prefactor`)
-and one integer kernel, and each builds one Fraction at the end: `single`
-calls the kernel `specfun.hyp_sum_doubled` directly, `hyp5f4` goes through
-`specfun.hyp_sum`.  Comparing the two therefore checks only one kernel call
-against the other; `double` is the independent exact cross-check.  Its inner
-sums are the square of one integer polynomial (`_double_sum_parts`),
-recomputed per call without a cache, and it calls neither 5F4 kernel entry.
+`single` and `hyp5f4` share one integer prefactor (`_momentum_prefactor`),
+the doubled parameters of `_hyp5f4_doubled` and one integer kernel, and each
+builds one Fraction at the end: `single` calls the kernel
+`specfun.hyp_sum_doubled` directly, `hyp5f4` passes the same integers
+through `specfun.hyp_sum`, which checks them as a `HypSumSpec` and returns
+the kernel's unreduced pair.  Comparing the two therefore checks only one
+kernel call against the other; `double` is the independent exact
+cross-check.  Its inner sums are the square of one integer polynomial
+(`_double_sum_parts`), recomputed per call without a cache, and it calls
+neither 5F4 kernel entry.
 Both of its modes sum the outer series exactly at a dyadic rational x
 (`_double_sum_series`), so its float mode rounds once.
 In float mode `hyp5f4` is `single`: both sum the series in
@@ -169,17 +172,10 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
 
 
 def _hyp5f4_exact(state: HydrogenicState, a: int) -> ExactValue:
+    """The single sum's prefactor and series, the series through `hyp_sum`."""
     num, den, two_pi = _momentum_prefactor(state, a)
-    top2, bottom2 = _hyp5f4_doubled(state, a)
-    spec = HypSumSpec(
-        top=tuple(Fraction(x, 2) for x in top2),
-        bottom=tuple(Fraction(x, 2) for x in bottom2),
-        terms=state.k + 1,
-    )
-    series = hyp_sum(spec, "exact").coeff
-    return ExactValue(
-        Fraction(num * series.numerator, den * series.denominator), Fraction(two_pi, 2)
-    )
+    s_num, s_den = hyp_sum(HypSumSpec(*_hyp5f4_doubled(state, a), state.k + 1), "exact")
+    return ExactValue(Fraction(num * s_num, den * s_den), Fraction(two_pi, 2))
 
 
 def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int, int]:

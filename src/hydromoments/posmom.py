@@ -126,7 +126,7 @@ def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[list[float], 
         log_gamma((t + 1) + alpha),  # 2L+alpha+3, rounded once
         -log_gamma(float(t)),
     ]
-    spec = HypSumSpec(top=(-k, -alpha - 1, alpha + 2), bottom=(float(t), 1.0), terms=k + 1)
+    spec = HypSumSpec(top=(-2 * k, -2 * alpha - 2, 2 * alpha + 4), bottom=(2 * t, 2), terms=k + 1)
     s, bound = hyp_sum(spec, "float")
     return logs, s, bound
 
@@ -167,11 +167,11 @@ def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
         else:
             ratio = pochhammer(t + a + 1, -a - 1)
             num, den = ratio.denominator, ratio.numerator
-        spec = HypSumSpec(top=(-k, -a - 1, a + 2), bottom=(t, 1), terms=k + 1)
-        series = hyp_sum(spec, "exact").coeff
+        spec = HypSumSpec(top=(-2 * k, -2 * a - 2, 2 * a + 4), bottom=(2 * t, 2), terms=k + 1)
+        s_num, s_den = hyp_sum(spec, "exact")
         # eta^(a-1) / (2^(a+1) Z^a) = (eta/2Z)^a / (2eta)
         sn, sd = state.scale(a, Space.POSITION)
-        value = ExactValue(Fraction(num * series.numerator * sn, den * series.denominator * sd * state.two_eta))
+        value = ExactValue(Fraction(num * s_num * sn, den * s_den * sd * state.two_eta))
         return MomentResult(value, 0.0, Method.HYP3F2, Space.POSITION, alpha_f, state)
 
     return series_or_quadrature(_r_series_float, state, alpha_f, Method.HYP3F2, Space.POSITION)

@@ -2,16 +2,20 @@
 
 Exact rational-times-pi arithmetic (ExactValue), gamma-family evaluation for
 integer and half-integer arguments, the exact rational part of digamma at
-half-integers, summation of terminating hypergeometric series (one integer
-term-ratio kernel in exact mode, compensated summation in float mode), the
+half-integers, summation of terminating hypergeometric series, the
 once-rounded quotient of two integers, and float prefactors evaluated from
-their logarithms with a rounding bound.  The momentum 5F4 at a real order
-is summed in fixed point by its own loop, `momom._hyp5f4_fixed`, whose term
-ratio keeps each parameter over its own denominator.
+their logarithms with a rounding bound.  A series carries its parameters
+doubled (`HypSumSpec`), the integers the exact kernel `hyp_sum_doubled` sums
+on: exact `hyp_sum` is that kernel behind the spec's checks, and float
+`hyp_sum` halves each parameter once and sums in compensated floating point.
+The momentum 5F4 at a real order is summed in fixed point by its own loop,
+`momom._hyp5f4_fixed`, whose term ratio keeps each parameter over its own
+denominator.  `int_str` prints an integer of any size.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from dataclasses import dataclass
@@ -131,8 +135,20 @@ class ExactValue:
 
     def __repr__(self):
         if self.pi_pow == 0:
-            return f"ExactValue({self.coeff})"
-        return f"ExactValue({self.coeff} * pi^{self.pi_pow})"
+            return f"ExactValue({fraction_str(self.coeff)})"
+        return f"ExactValue({fraction_str(self.coeff)} * pi^{self.pi_pow})"
+
+
+def int_str(n: int) -> str:
+    """str(n) at any size: CPython refuses to convert an int of more than
+    sys.get_int_max_str_digits() digits (4,300 by default), decimal does not."""
+    return format(decimal.Decimal(n), "f")
+
+
+def fraction_str(x: Fraction) -> str:
+    """str(x) at any size."""
+    num = int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
 def _coerce(x) -> ExactValue:
@@ -141,7 +157,6 @@ def _coerce(x) -> ExactValue:
     return ExactValue(as_fraction(x))
 
 
-EXACT_ONE = ExactValue(Fraction(1))
 SQRT_PI = ExactValue(Fraction(1), Fraction(1, 2))
 
 
@@ -173,10 +188,14 @@ def exp_sum(terms) -> tuple[float, float]:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
+    """ln Gamma(x) for x > 0; FloatOverflow where it exceeds the double
+    range, above x of about 2.5e305."""
     if x <= 0:
         raise NonpositiveArgument(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise FloatOverflow(f"ln Gamma({x:.6g}) exceeds the double range") from None
 
 
 @lru_cache(maxsize=None)
@@ -271,8 +290,10 @@ def digamma_half_exact(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class HypSumSpec:
-    """A terminating hypergeometric sum: sum_{j=0}^{terms-1} of
-    prod (top_i)_j / prod (bottom_i)_j / j!, evaluated at unit argument."""
+    """The terminating sum_{j=0}^{terms-1} prod (a_i)_j / prod (b_i)_j / j!
+    at unit argument, its parameters doubled as every exact kernel takes
+    them: `top` holds 2 a_i, starting at -2k for k+1 terms, and `bottom`
+    2 b_i, a pole where it is even in (-2k, 0]."""
 
     top: tuple
     bottom: tuple
@@ -283,13 +304,13 @@ class HypSumSpec:
             raise NonTerminating("need at least one term")
         k = self.terms - 1
         first = self.top[0]
-        if not is_integral(first) or round(float(first)) != -k:
+        if not is_integral(first) or first != -2 * k:
             raise NonTerminating(
-                f"first top parameter must be -{k} for a {self.terms}-term sum"
+                f"first doubled top parameter must be -{2 * k} for a {self.terms}-term sum"
             )
         for b in self.bottom:
-            if is_integral(b) and -k < float(b) <= 0:
-                raise PoleInBottomParameter(f"bottom parameter {b} hits a pole")
+            if is_integral(b) and b % 2 == 0 and -2 * k < b <= 0:
+                raise PoleInBottomParameter(f"doubled bottom parameter {b} hits a pole")
 
 
 def hyp_sum_doubled(top2, bottom2, terms: int) -> tuple[int, int]:
@@ -334,33 +355,24 @@ def round_quotient(num: int, den: int) -> tuple[float, int]:
     return quotient, shift
 
 
-def hyp_sum_fraction(spec: HypSumSpec) -> Fraction:
-    """The exact sum as a Fraction: `hyp_sum_doubled` on the doubled
-    half-integer parameters, reduced once."""
-    doubled = []
-    for p in (*spec.top, *spec.bottom):
-        p = as_fraction(p)
-        if p.denominator not in (1, 2):
-            raise UnsupportedArgument("exact hyp_sum needs half-integer parameters")
-        doubled.append(2 * p.numerator // p.denominator)
-    ntop = len(spec.top)
-    return Fraction(*hyp_sum_doubled(doubled[:ntop], doubled[ntop:], spec.terms))
-
-
 def hyp_sum(spec: HypSumSpec, mode: str = "exact"):
     """Evaluate a terminating hypergeometric sum.
 
-    Exact mode returns an ExactValue (rational); float mode returns
+    Exact mode is `hyp_sum_doubled` on the spec's doubled parameters, which
+    must be ints: it returns the unreduced (numerator, denominator).  Float
+    mode halves each parameter once, which is exact in binary, and returns
     (value, error_bound) using exactly rounded summation of the signed terms
     plus a per-term rounding bound, so cancellation is visible to callers.
     A term that overflows gives (nan, inf).
     """
     if mode == "exact":
-        return ExactValue(hyp_sum_fraction(spec))
+        if not all(type(x) is int for x in (*spec.top, *spec.bottom)):
+            raise UnsupportedArgument("exact hyp_sum needs int doubled parameters")
+        return hyp_sum_doubled(spec.top, spec.bottom, spec.terms)
 
     k = spec.terms - 1
-    top = [float(a) for a in spec.top]
-    bottom = [float(b) for b in spec.bottom]
+    top = [float(a) / 2 for a in spec.top]
+    bottom = [float(b) / 2 for b in spec.bottom]
     nops = len(top) + len(bottom) + 1
     term = 1.0
     terms = [1.0]

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
-from hydromoments import ExactValue, cli, momom, verify
+from hydromoments import ExactValue, cli, make_state, momom, verify
 
 
 def run(capsys, argv):
@@ -207,14 +208,42 @@ def test_exact_mode_with_real_order_is_an_input_error(capsys):
     assert "integer order" in err
 
 
-def test_table_parallel_matches_serial(capsys):
-    argv = [
-        "table", "--space", "r", "--D-range", "2:4", "--n-range", "1:3", "--l", "all",
-        "--alpha-list=-1,1,2",
-    ]
-    _, serial, _ = run(capsys, argv)
-    _, parallel, _ = run(capsys, argv + ["--parallel"])
-    assert serial == parallel
+@pytest.fixture
+def int_str_limit_640():
+    """CPython's limit on int-to-str conversion, lowered from 4,300 to 640
+    digits so that a cheap exact value crosses it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+# 3D nS, n = 800, l = 0: the coefficient of <p^3> has 690 digits over 697
+BIG = ["--space", "p", "--alpha", "3", "--D", "3", "--n", "800", "--l", "0"]
+
+
+def test_exact_values_beyond_the_int_str_limit_print(capsys, int_str_limit_640):
+    coeff = momom.p_moment(make_state(3, 800, 0, 1.0), 3).value.coeff
+    with pytest.raises(ValueError):  # the limit is in force
+        str(coeff.numerator)
+    sys.set_int_max_str_digits(0)
+    num, den = str(coeff.numerator), str(coeff.denominator)
+    sys.set_int_max_str_digits(640)
+    assert len(num) > 640 and len(den) > 640
+    assert repr(ExactValue(coeff, Fraction(-1))) == f"ExactValue({num}/{den} * pi^-1)"
+
+    code, out, _ = run(capsys, ["compute", *BIG, "--format", "json"])
+    assert code == 0 and json.loads(out)["value"]["coeff"] == f"{num}/{den}"
+    code, out, _ = run(capsys, ["compute", *BIG, "--format", "csv"])
+    assert code == 0 and list(csv.reader(io.StringIO(out)))[1][8] == f"{num}/{den}"
+    code, out, _ = run(capsys, ["compute", *BIG])
+    assert code == 0 and f" = {num}/{den} * pi^-1 = " in out
+    code, out, _ = run(capsys, [
+        "table", "--space", "p", "--D-range", "3", "--n-range", "2,800", "--l", "0", "--alpha-list=3",
+    ])
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code == 0 and [r[-1] for r in rows[1:]] == ["ok", "ok"]
+    assert rows[2][8] == f"{num}/{den}"
 
 
 def test_table_json_stream(capsys):

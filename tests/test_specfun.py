@@ -18,7 +18,6 @@ from hydromoments.errors import (
     UnsupportedArgument,
 )
 from hydromoments.specfun import (
-    EXACT_ONE,
     SQRT_PI,
     ExactValue,
     HypSumSpec,
@@ -32,6 +31,7 @@ from hydromoments.specfun import (
     log_gamma,
     pochhammer,
 )
+from hydromoments import p_moment, r_moment, r_moment_ground
 from hydromoments.states import Space, make_state
 
 
@@ -53,7 +53,7 @@ class TestExactValue:
 
     def test_mixed_pi_addition_rejected(self):
         with pytest.raises(UnsupportedArgument):
-            EXACT_ONE + SQRT_PI
+            ExactValue(1) + SQRT_PI
 
     def test_scalar_coercion(self):
         assert 2 * SQRT_PI == ExactValue(Fraction(2), Fraction(1, 2))
@@ -70,7 +70,7 @@ class TestExactValue:
 
 class TestGamma:
     def test_integers(self):
-        assert gamma_exact(1) == EXACT_ONE
+        assert gamma_exact(1) == ExactValue(1)
         assert gamma_exact(5) == ExactValue(Fraction(24))
 
     def test_half_integers(self):
@@ -95,7 +95,7 @@ class TestGamma:
         assert (Fraction(num, den), two_pi) == (Fraction(1, 2), 1)
         for top, bottom in [((9, 2, 5), (5, 8)), ((1, 3), (4,)), ((), (7, 1))]:
             num, den, two_pi = gamma_ratio_doubled(top, bottom)
-            want = EXACT_ONE
+            want = ExactValue(1)
             for x in top:
                 want = want * gamma_exact(Fraction(x, 2))
             for x in bottom:
@@ -111,7 +111,7 @@ class TestGamma:
     )
     def test_ratio_of_doubled_arguments_is_the_product_of_gammas(self, top, bottom):
         num, den, two_pi = gamma_ratio_doubled(top, bottom)
-        want = EXACT_ONE
+        want = ExactValue(1)
         for x in top:
             want = want * gamma_exact(Fraction(x, 2))
         for x in bottom:
@@ -182,26 +182,30 @@ def test_ratio_power():
 
 
 class TestHypSum:
+    """Every spec carries its parameters doubled: 2 a_i on top, 2 b_i below."""
+
     def test_termination_validation(self):
         with pytest.raises(NonTerminating):
-            HypSumSpec(top=(1.5, 2.0), bottom=(3.0,), terms=4)
+            HypSumSpec(top=(3.0, 4.0), bottom=(6.0,), terms=4)
         with pytest.raises(PoleInBottomParameter):
-            HypSumSpec(top=(-3, 1.0), bottom=(-2,), terms=4)
+            HypSumSpec(top=(-6, 2.0), bottom=(-4,), terms=4)
+
+    def test_odd_nonpositive_doubled_bottom_is_not_a_pole(self):
+        # 2b = -3: b = -3/2 is a half-integer, so (b)_j never vanishes
+        spec = HypSumSpec(top=(-6, 2), bottom=(-3,), terms=4)
+        assert Fraction(*hyp_sum(spec, "exact")) == _hyp_sum_reference((-6, 2), (-3,), 4)
 
     def test_gauss_chu_vandermonde(self):
-        # 2F1(-k, b; c; 1) = (c-b)_k / (c)_k
-        k, b, c = 5, Fraction(3, 2), Fraction(7, 2)
-        spec = HypSumSpec(top=(-k, b), bottom=(c,), terms=k + 1)
-        expect = pochhammer(c - b, k) / pochhammer(c, k)
-        assert hyp_sum(spec, "exact") == ExactValue(expect)
+        # 2F1(-k, b; c; 1) = (c-b)_k / (c)_k, here with b = 3/2 and c = 7/2
+        k, b2, c2 = 5, 3, 7
+        spec = HypSumSpec(top=(-2 * k, b2), bottom=(c2,), terms=k + 1)
+        expect = pochhammer(Fraction(c2 - b2, 2), k) / pochhammer(Fraction(c2, 2), k)
+        assert Fraction(*hyp_sum(spec, "exact")) == expect
 
     def test_float_tracks_exact_with_bound(self):
-        spec = HypSumSpec(
-            top=(-6, Fraction(-5, 2), Fraction(7, 2)),
-            bottom=(4, Fraction(1)),
-            terms=7,
-        )
-        exact = hyp_sum(spec, "exact").to_float()
+        # top (-6, -5/2, 7/2), bottom (4, 1)
+        spec = HypSumSpec(top=(-12, -5, 7), bottom=(8, 2), terms=7)
+        exact = float(Fraction(*hyp_sum(spec, "exact")))
         value, bound = hyp_sum(spec, "float")
         assert abs(value - exact) <= bound + 1e-15 * abs(exact)
 
@@ -212,16 +216,17 @@ class TestHypSum:
         c2=st.integers(2, 60),  # twice the bottom parameter
     )
     def test_property_float_within_bound_of_exact(self, k, b2, c2):
-        spec = HypSumSpec(
-            top=(-k, Fraction(b2, 2)), bottom=(Fraction(c2, 2),), terms=k + 1
-        )
-        exact = hyp_sum(spec, "exact").to_float()
+        spec = HypSumSpec(top=(-2 * k, b2), bottom=(c2,), terms=k + 1)
+        exact = float(Fraction(*hyp_sum(spec, "exact")))
         value, bound = hyp_sum(spec, "float")
         assert abs(value - exact) <= bound + 1e-14 * abs(exact) + 1e-300
 
 
-def _hyp_sum_reference(top, bottom, terms):
-    """Term-by-term Fraction sum: each term is the previous times the ratio."""
+def _hyp_sum_reference(top2, bottom2, terms):
+    """Term-by-term Fraction sum at the halved parameters: each term is the
+    previous times the ratio."""
+    top = [Fraction(a, 2) for a in top2]
+    bottom = [Fraction(b, 2) for b in bottom2]
     term = total = Fraction(1)
     for j in range(terms - 1):
         for a in top:
@@ -233,18 +238,15 @@ def _hyp_sum_reference(top, bottom, terms):
     return total
 
 
-def _half_integer(lo, hi):
-    return st.integers(2 * lo, 2 * hi).map(lambda m: Fraction(m, 2))
-
-
 @st.composite
 def _exact_specs(draw):
+    """Doubled parameters: top starts at -2k; an even doubled bottom
+    parameter in (-2k, 0] is a pole, an odd one never is."""
     k = draw(st.integers(0, 30))
     n_top = draw(st.sampled_from((2, 3, 5)))
     n_bottom = draw(st.sampled_from((1, 2, 4)))
-    top = [Fraction(-k)] + draw(st.lists(_half_integer(-20, 40), min_size=n_top - 1, max_size=n_top - 1))
-    # integral bottom parameters in (-k, 0] are poles; half-odd ones never are
-    pole_free = _half_integer(-20, 40).filter(lambda b: not (b.denominator == 1 and -k < b <= 0))
+    top = [-2 * k] + draw(st.lists(st.integers(-40, 80), min_size=n_top - 1, max_size=n_top - 1))
+    pole_free = st.integers(-40, 80).filter(lambda b: not (b % 2 == 0 and -2 * k < b <= 0))
     bottom = draw(st.lists(pole_free, min_size=n_bottom, max_size=n_bottom))
     return top, bottom, k + 1
 
@@ -255,26 +257,34 @@ class TestHypSumExactKernel:
     def test_matches_term_by_term_fractions(self, spec):
         top, bottom, terms = spec
         got = hyp_sum(HypSumSpec(top=tuple(top), bottom=tuple(bottom), terms=terms), "exact")
-        assert got == ExactValue(_hyp_sum_reference(top, bottom, terms))
+        assert Fraction(*got) == _hyp_sum_reference(top, bottom, terms)
 
     @settings(max_examples=300, deadline=None)
     @given(spec=_exact_specs())
     def test_doubled_core_matches_term_by_term_fractions(self, spec):
         top, bottom, terms = spec
-        num, den = hyp_sum_doubled([int(2 * a) for a in top], [int(2 * b) for b in bottom], terms)
+        num, den = hyp_sum_doubled(top, bottom, terms)
         assert Fraction(num, den) == _hyp_sum_reference(top, bottom, terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_exact_specs())
+    def test_exact_hyp_sum_is_the_unreduced_kernel_pair(self, spec):
+        top, bottom, terms = spec
+        got = hyp_sum(HypSumSpec(top=tuple(top), bottom=tuple(bottom), terms=terms), "exact")
+        assert got == hyp_sum_doubled(top, bottom, terms)
 
     @pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (5, 4), (2, 4), (5, 1), (3, 1)])
     def test_top_and_bottom_of_different_lengths(self, p, q):
         # the common denominator enters the term ratio as d^(q-p)
-        top = (-7,) + tuple(Fraction(2 * i + 3, 2) for i in range(p - 1))
-        bottom = tuple(Fraction(2 * i + 5, 2) for i in range(q))
+        top = (-14,) + tuple(2 * i + 3 for i in range(p - 1))
+        bottom = tuple(2 * i + 5 for i in range(q))
         got = hyp_sum(HypSumSpec(top=top, bottom=bottom, terms=8), "exact")
-        assert got == ExactValue(_hyp_sum_reference(top, bottom, 8))
+        assert Fraction(*got) == _hyp_sum_reference(top, bottom, 8)
 
     def test_rejects_non_half_integer_parameters(self):
+        # 2a = 2/3: a = 1/3 is not a half-integer
         with pytest.raises(UnsupportedArgument):
-            hyp_sum(HypSumSpec(top=(-2, Fraction(1, 3)), bottom=(1,), terms=3), "exact")
+            hyp_sum(HypSumSpec(top=(-4, Fraction(2, 3)), bottom=(2,), terms=3), "exact")
 
 
 EPS = 2.0 ** -53
@@ -363,6 +373,20 @@ class TestExpSum:
             exp_sum([-800.0, -800.0])
         with pytest.raises(FloatUnderflow):  # math.exp(-inf) is 0
             exp_sum([800.0, -math.inf])
+
+
+def test_log_gamma_beyond_the_double_range_is_a_library_error():
+    # math.lgamma raised a bare OverflowError above about 2.5e305
+    assert log_gamma(1e305) == math.lgamma(1e305)
+    with pytest.raises(FloatOverflow):
+        log_gamma(1e306)
+    s = make_state(3, 10 ** 306, 10 ** 306 - 1, 1.0)
+    with pytest.raises(FloatOverflow):
+        r_moment(s, 0.5, mode="float")
+    with pytest.raises(FloatOverflow):
+        p_moment(s, 0.5, mode="float")
+    with pytest.raises(FloatOverflow):
+        r_moment_ground(10 ** 306, 1.0, 0.5)
 
 
 def test_to_float_raises_below_the_normal_double_range():
