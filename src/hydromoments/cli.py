@@ -41,6 +41,14 @@ _DOMAIN_ERRORS = (
 )
 
 
+def _failure(exc: HydromomentsError) -> tuple[int, str]:
+    """The exit code and table status of a library error: invalid input is
+    out of domain, anything else a numerical failure."""
+    if isinstance(exc, _DOMAIN_ERRORS):
+        return EXIT_DOMAIN, "out-of-domain"
+    return EXIT_NUMERICAL, "numerical-failure"
+
+
 def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
@@ -105,12 +113,9 @@ def cmd_compute(args) -> int:
         state = make_state(args.D, args.n, args.l, args.Z)
         mode, res = _compute_one(state, Space(args.space), args.alpha, args.mode)
         value = res.as_float()  # an exact value beyond the double range raises FloatOverflow
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except HydromomentsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _failure(exc)[0]
     if args.format == "json":
         print(json.dumps(result_to_dict(res)))
     elif args.format == "csv":
@@ -145,10 +150,8 @@ def _table_cell(D, n, l, Z, space: Space, alpha: float, mode: str) -> tuple[list
     try:
         mode_used, res = _compute_one(make_state(D, n, l, Z), space, alpha, mode)
         return result_to_csv_row(res, mode_used), result_to_dict(res)
-    except _DOMAIN_ERRORS as exc:
-        status, message = "out-of-domain", str(exc)
     except HydromomentsError as exc:
-        status, message = "numerical-failure", str(exc)
+        status, message = _failure(exc)[1], str(exc)
     row = [D, n, l, fmt_float(Z), space.value, fmt_float(alpha), mode, "", "", "", "", status]
     return row, {
         "schemaVersion": SCHEMA_VERSION,
@@ -222,12 +225,9 @@ def cmd_limits(args) -> int:
                 est = asympt.rydberg_p(state, args.alpha)
             ex = _compute_one(state, space, args.alpha, "float")[1].as_float()
             rows.append((param, ex, est.leading, est.corrected, ex / est.corrected - 1))
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except HydromomentsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _failure(exc)[0]
     w = csv.writer(sys.stdout)
     w.writerow(["parameter", "exact", "leading", "corrected", "ratio_minus_1"])
     for row in rows:

@@ -38,10 +38,11 @@ class FloatUnderflow(HydromomentsError):
 
 
 class ExactTooLarge(HydromomentsError):
-    """An exact position moment whose order-driven factors would exceed
-    `posmom.EXACT_BITS` bits, estimated before they are built; its cost
-    grows without bound in the order, and mode="float" answers at a cost
-    independent of the order (or raises a range error)."""
+    """An exact value too large to build: an exact position moment whose
+    order-driven factors would exceed `posmom.EXACT_BITS` bits, estimated
+    before they are built (mode="float" answers at a cost independent of
+    the order, or raises a range error), or a `specfun.gamma_exact` beyond
+    the argument limit of math.factorial, which exact moments at huge D reach."""
 
 
 class NotCircular(HydromomentsError):

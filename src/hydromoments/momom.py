@@ -4,9 +4,9 @@ Four mutually checking routes: the default single finite sum (k+1 terms),
 the raw terminating-5F4 form, the double-sum rewriting, and the reflection
 identity.  For integer orders the single sum is the 5F4 series itself, so
 `single` and `hyp5f4` share one integer prefactor (`_momentum_prefactor`),
-the doubled parameters of `_hyp5f4_doubled` and one integer kernel, and each
-builds one Fraction at the end: `single` calls the kernel
-`specfun.hyp_sum_doubled` directly, `hyp5f4` passes the same integers
+the doubled parameters of `_hyp5f4_doubled` and one integer kernel:
+`single` calls the kernel `specfun.hyp_sum_doubled` directly, `hyp5f4`
+passes the same integers
 through `specfun.hyp_sum`, which checks them as a `HypSumSpec` and returns
 the kernel's unreduced pair.  Comparing the two therefore checks only one
 kernel call against the other; `double` is the independent exact
@@ -25,13 +25,17 @@ round it with the prefactor's rational part once (`specfun.round_quotient`,
 shared with the float double route).  Float paths
 read the integers 2nu and 2eta rather than build the Fractions nu and eta.
 Closed forms cover even orders, circular states, the mean momentum and the
-average inverse momentum.  Integer orders evaluate exactly.  Each float
+average inverse momentum.  Integer orders evaluate exactly: each generic
+exact evaluator returns an unreduced, Z-free (numerator, denominator, twice
+the pi power), and `posmom.exact` multiplies it by (Z/eta)^a and reduces it
+once; the tabulated closed forms keep their own arithmetic in Z.  Each float
 series returns the logs of its Z-free prefactor, its sum and the sum's own
 bound; `posmom.series_or_quadrature` replaces it by the quadrature oracle when
 the bound shows cancellation (for the single sum: beyond what 128 bits carry),
 else `posmom.rounded` adds the logs of (Z/eta)^alpha and rounds once, as for
 the float circular form, under `specfun.exp_sum`'s one error model.
-Float `reflect` is the single sum at alpha called at 2 - alpha.
+Float and exact `reflect` are the single sum at alpha called at 2 - alpha,
+so `verify` checks `reflect` against `double`.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from .specfun import (
     pochhammer,
     round_quotient,
 )
-from .posmom import CANCELLATION_LIMIT, Method, MomentResult, resolve_mode, rounded, series_or_quadrature
+from .posmom import CANCELLATION_LIMIT, Method, MomentResult, exact, resolve_mode, rounded, series_or_quadrature
 from .states import HydrogenicState, Space, require_order
 
 # CANCELLATION_LIMIT as the exact ratio of two integers
@@ -74,8 +78,8 @@ def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
 
 
 def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
-    """The exact prefactor of the 5F4 series at integer order a,
-    (Z/eta)^a 2(k+nu)/k! Gamma(k+2nu)/Gamma(2nu+1)
+    """The exact prefactor of the 5F4 series at integer order a without
+    (Z/eta)^a, 2(k+nu)/k! Gamma(k+2nu)/Gamma(2nu+1)
     * Gamma(nu+(a+1)/2) Gamma(nu+(3-a)/2) / (Gamma(nu+1/2) Gamma(nu+3/2)),
     as an unreduced (numerator, denominator, twice the pi power).
 
@@ -88,8 +92,7 @@ def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
         (2 * k + 2 * t, t + a + 1, t + 3 - a), (2 * t + 2, t + 1, t + 3)
     )
     # 2(k+nu) = 2k + 2nu
-    zn, zd = state.scale(a, Space.MOMENTUM)
-    return num * (2 * k + t) * zn, den * math.factorial(k) * zd, two_pi
+    return num * (2 * k + t), den * math.factorial(k), two_pi
 
 
 def _hyp5f4_doubled(state: HydrogenicState, a: int) -> tuple[tuple, tuple]:
@@ -99,18 +102,16 @@ def _hyp5f4_doubled(state: HydrogenicState, a: int) -> tuple[tuple, tuple]:
     return (-2 * k, 2 * k + 2 * t, t, t + a + 1, t + 3 - a), (2 * t, t + 1, t + 2, t + 3)
 
 
-def _single_sum_exact(state: HydrogenicState, a: int, scale: tuple[int, int] = (1, 1)) -> ExactValue:
-    """The single sum at integer order a times the integer ratio
-    scale[0]/scale[1], as one Fraction."""
+def _single_sum_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
+    """The single sum at integer order a times its prefactor without
+    (Z/eta)^a, as an unreduced (numerator, denominator, twice the pi power)."""
     # The single sum over j of (-1)^j C(k,j) (2nu+j)_k / (2nu)_k * nu/(nu+j)
     # * (nu+(a+1)/2)_j (nu+(3-a)/2)_j / ((nu+1/2)_j (nu+3/2)_j) is, term
     # for term, the 5F4 series; this route calls the integer kernel directly,
     # hyp5f4 reaches it through hyp_sum.
     num, den, two_pi = _momentum_prefactor(state, a)
     s_num, s_den = hyp_sum_doubled(*_hyp5f4_doubled(state, a), state.k + 1)
-    return ExactValue(
-        Fraction(num * s_num * scale[0], den * s_den * scale[1]), Fraction(two_pi, 2)
-    )
+    return num * s_num, den * s_den, two_pi
 
 
 def _hyp5f4_fixed(k: int, t: int, p: int, e: int) -> tuple[int, int]:
@@ -171,11 +172,11 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
     return [*logs, shift * math.log(2.0)], quotient, quotient * (err / total)
 
 
-def _hyp5f4_exact(state: HydrogenicState, a: int) -> ExactValue:
+def _hyp5f4_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """The single sum's prefactor and series, the series through `hyp_sum`."""
     num, den, two_pi = _momentum_prefactor(state, a)
     s_num, s_den = hyp_sum(HypSumSpec(*_hyp5f4_doubled(state, a), state.k + 1), "exact")
-    return ExactValue(Fraction(num * s_num, den * s_den), Fraction(two_pi, 2))
+    return num * s_num, den * s_den, two_pi
 
 
 def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int, int]:
@@ -220,19 +221,16 @@ def _double_sum_series(state: HydrogenicState, x_num: int, x_exp: int) -> tuple[
     return total, den << (2 * k * x_exp), two_pi
 
 
-def _double_sum_exact(state: HydrogenicState, a: int) -> ExactValue:
-    """4 eta (Z/eta)^a Gamma(l+(D-a)/2+1) Gamma(x) / (Gamma(A) k!) times
-    sum_s P(s) (x)_s with x = l+(D+a)/2 and A = n+l+D-2, as one Fraction."""
+def _double_sum_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
+    """4 eta Gamma(l+(D-a)/2+1) Gamma(x) / (Gamma(A) k!) times sum_s P(s) (x)_s
+    with x = l+(D+a)/2 and A = n+l+D-2, the double sum without (Z/eta)^a, as
+    an unreduced (numerator, denominator, twice the pi power)."""
     x2 = 2 * state.l + state.D + a
     total, den, two_pi = _double_sum_series(state, x2, 1)
     pn, pd, p_two_pi = gamma_ratio_doubled(
         (2 * state.l + state.D - a + 2, x2), (2 * (state.n + state.l + state.D - 2),)
     )
-    zn, zd = state.scale(a, Space.MOMENTUM)
-    coeff = Fraction(
-        2 * state.two_eta * pn * zn * total, pd * zd * math.factorial(state.k) * den
-    )
-    return ExactValue(coeff, Fraction(two_pi + p_two_pi, 2))
+    return 2 * state.two_eta * pn * total, pd * math.factorial(state.k) * den, two_pi + p_two_pi
 
 
 def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
@@ -277,9 +275,8 @@ def p_moment(
     exact_route, float_route, method = _ROUTES[route]
 
     if mode == "exact":
-        value = exact_route(state, int(round(alpha_f)))
-        return MomentResult(value, 0.0, method, Space.MOMENTUM, alpha_f, state)
-
+        a = int(round(alpha_f))
+        return exact(*exact_route(state, a), method, Space.MOMENTUM, a, state)
     return series_or_quadrature(float_route, state, alpha_f, method, Space.MOMENTUM)
 
 
@@ -320,8 +317,7 @@ def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     sum at alpha times the scale (Z/eta)^(2-alpha) in place of (Z/eta)^alpha.
     In float mode `series_or_quadrature` applies the scale at 2 - alpha to the
     single sum at alpha, so the result is rounded once and is returned
-    wherever it lies in the double range.  In exact mode the single sum at a
-    is multiplied by (Z/eta)^(2-2a) as integers into one Fraction."""
+    wherever it lies in the double range; in exact mode `posmom.exact` does."""
     mode = resolve_mode(alpha, mode)
     alpha_f = require_order(state, alpha, Space.MOMENTUM)
     require_order(state, 2 - alpha_f, Space.MOMENTUM)
@@ -332,8 +328,7 @@ def reflect(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
             Method.REFLECTION, Space.MOMENTUM,
         )
     a = int(round(alpha_f))
-    value = _single_sum_exact(state, a, state.scale(2 - 2 * a, Space.MOMENTUM))
-    return MomentResult(value, 0.0, Method.REFLECTION, Space.MOMENTUM, 2 - alpha_f, state)
+    return exact(*_single_sum_exact(state, a), Method.REFLECTION, Space.MOMENTUM, 2 - a, state)
 
 
 def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
@@ -345,10 +340,8 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
     if mode == "exact":
         # (Z/eta)^a Gamma(eta+(a+1)/2) Gamma(eta+(3-a)/2) / (Gamma(eta+1/2) Gamma(eta+3/2))
         a, e = int(round(alpha_f)), state.two_eta
-        num, den, two_pi = gamma_ratio_doubled((e + a + 1, e + 3 - a), (e + 1, e + 3))
-        zn, zd = state.scale(a, Space.MOMENTUM)
-        value = ExactValue(Fraction(num * zn, den * zd), Fraction(two_pi, 2))
-        return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state)
+        ratio = gamma_ratio_doubled((e + a + 1, e + 3 - a), (e + 1, e + 3))
+        return exact(*ratio, Method.CLOSED_FORM, Space.MOMENTUM, a, state)
     # nu = eta on a circular state
     logs = _gamma_quotient_logs(state.two_eta / 2, alpha_f)
     return rounded(logs, 1.0, 0.0, Method.CLOSED_FORM, Space.MOMENTUM, alpha_f, state)

@@ -4,7 +4,9 @@ Two routes: the general terminating-3F2 formula (valid for any real order
 above -D-2l) and the tabulated closed forms for alpha in
 {1, 2, -1, -2, -3, -4, -6}.  Integer orders evaluate exactly; real orders
 sum the 3F2 in compensated floating point (`specfun.hyp_sum`).  The scale
-(eta/2Z)^alpha comes from `HydrogenicState`.  `rounded` builds every float
+(eta/2Z)^alpha comes from `HydrogenicState`.  `exact` builds every generic
+exact result of both spaces from unreduced Z-free integers, applying the
+scale and reducing once; `rounded`, its float twin, builds every float
 result of both spaces under `specfun.exp_sum`'s one error model, and
 `series_or_quadrature`, the one fallback rule, hands it every float series:
 the 3F2 here, and the momentum series, whose single sum runs in 128-bit
@@ -98,6 +100,18 @@ def rounded(
     return MomentResult(value, (bound / s + rel) * value, method, space, alpha, state)
 
 
+def exact(
+    num: int, den: int, two_pi: int, method: Method, space: Space, a: int, state: HydrogenicState
+) -> MomentResult:
+    """The one assembler of every generic exact moment, `rounded`'s twin:
+    num/den * pi^(two_pi/2) times the space's scale at the integer order a,
+    for the unreduced integers of a Z-free prefactor and sum, reduced once
+    into one Fraction."""
+    sn, sd = state.scale(a, space)
+    value = ExactValue(Fraction(num * sn, den * sd), Fraction(two_pi, 2))
+    return MomentResult(value, 0.0, method, space, float(a), state)
+
+
 def series_or_quadrature(
     evaluate, state: HydrogenicState, alpha: float, method: Method, space: Space
 ) -> MomentResult:
@@ -148,32 +162,32 @@ def _require_exact_size(state: HydrogenicState, a: int, x: int, y: int) -> None:
         )
 
 
+def _r_series_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
+    """<r^a> without (eta/2Z)^a: Gamma(2L+a+3) / (2eta Gamma(2L+2)) times the
+    exact 3F2 series, as an unreduced (numerator, denominator, twice the pi
+    power).  ExactTooLarge comes before any order-driven factor is built."""
+    k, t = state.k, state.two_nu  # 2L+2, an integer
+    _require_exact_size(state, a, t + a + 1, t)
+    # Gamma(2L+a+3)/Gamma(2L+2) as a Pochhammer symbol of |a+1| factors;
+    # the order check keeps 2L+a+3 >= 1
+    if a >= -1:
+        ratio = pochhammer(t, a + 1)
+        num, den = ratio.numerator, ratio.denominator
+    else:
+        ratio = pochhammer(t + a + 1, -a - 1)
+        num, den = ratio.denominator, ratio.numerator
+    spec = HypSumSpec(top=(-2 * k, -2 * a - 2, 2 * a + 4), bottom=(2 * t, 2), terms=k + 1)
+    s_num, s_den = hyp_sum(spec, "exact")
+    return num * s_num, den * s_den * state.two_eta, 0
+
+
 def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """<r^alpha> via the hypergeometric-3F2 formula.  An exact order whose
     factors would exceed EXACT_BITS bits raises ExactTooLarge."""
     alpha_f = require_order(state, alpha, Space.POSITION)
-    mode = resolve_mode(alpha, mode)
-
-    if mode == "exact":
+    if resolve_mode(alpha, mode) == "exact":
         a = int(round(alpha_f))
-        k = state.k
-        t = state.two_nu  # 2L+2, an integer
-        _require_exact_size(state, a, t + a + 1, t)
-        # Gamma(2L+a+3)/Gamma(2L+2) as a Pochhammer symbol of |a+1| factors;
-        # the order check keeps 2L+a+3 >= 1
-        if a >= -1:
-            ratio = pochhammer(t, a + 1)
-            num, den = ratio.numerator, ratio.denominator
-        else:
-            ratio = pochhammer(t + a + 1, -a - 1)
-            num, den = ratio.denominator, ratio.numerator
-        spec = HypSumSpec(top=(-2 * k, -2 * a - 2, 2 * a + 4), bottom=(2 * t, 2), terms=k + 1)
-        s_num, s_den = hyp_sum(spec, "exact")
-        # eta^(a-1) / (2^(a+1) Z^a) = (eta/2Z)^a / (2eta)
-        sn, sd = state.scale(a, Space.POSITION)
-        value = ExactValue(Fraction(num * s_num * sn, den * s_den * sd * state.two_eta))
-        return MomentResult(value, 0.0, Method.HYP3F2, Space.POSITION, alpha_f, state)
-
+        return exact(*_r_series_exact(state, a), Method.HYP3F2, Space.POSITION, a, state)
     return series_or_quadrature(_r_series_float, state, alpha_f, Method.HYP3F2, Space.POSITION)
 
 
@@ -225,9 +239,7 @@ def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult
     if resolve_mode(alpha, mode) == "exact":
         a = int(round(alpha_f))
         _require_exact_size(state, a, D + a, D)
-        sn, sd = state.scale(a, Space.POSITION)
-        num, den, _ = gamma_ratio_doubled((2 * (D + a),), (2 * D,))  # the order check keeps D+a >= 1
-        value = ExactValue(Fraction(sn * num, sd * den))
-        return MomentResult(value, 0.0, Method.CLOSED_FORM, Space.POSITION, alpha_f, state)
+        ratio = gamma_ratio_doubled((2 * (D + a),), (2 * D,))  # the order check keeps D+a >= 1
+        return exact(*ratio, Method.CLOSED_FORM, Space.POSITION, a, state)
     logs = [log_gamma(D + alpha_f), -log_gamma(D)]
     return rounded(logs, 1.0, 0.0, Method.CLOSED_FORM, Space.POSITION, alpha_f, state)

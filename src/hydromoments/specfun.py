@@ -24,6 +24,7 @@ from functools import lru_cache
 from numbers import Integral, Rational
 
 from .errors import (
+    ExactTooLarge,
     FloatOverflow,
     FloatUnderflow,
     NonpositiveArgument,
@@ -217,6 +218,9 @@ def gamma_exact(x) -> ExactValue:
         raise NonpositiveArgument(f"gamma_exact requires x > 0, got {x}")
     if den not in (1, 2):
         raise UnsupportedArgument(f"gamma_exact needs denominator 1 or 2, got {x}")
+    # both forms take the factorial of num - 1
+    if num - 1 > sys.maxsize:
+        raise ExactTooLarge(f"gamma_exact of a {num.bit_length()}-bit argument exceeds math.factorial's limit")
     return _gamma_exact_cached(num, den)
 
 

@@ -66,6 +66,9 @@ class HydrogenicState:
             raise ParameterOutOfRange(
                 f"Z must lie in the normal double range [2^-1022, {_DOUBLE_MAX:.6g}]"
             )
+        # 2eta bounds 2nu, n and D - 1, which the float paths read as doubles
+        if self.two_eta > _DOUBLE_MAX:
+            raise ParameterOutOfRange(f"2 eta = 2n + D - 3 must not exceed {_DOUBLE_MAX:.6g}")
 
     @property
     def eta(self) -> Fraction:

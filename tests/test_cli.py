@@ -1,6 +1,7 @@
 """CLI behavior: formats, determinism, exit codes, sweeps, verification."""
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from hydromoments import ExactValue, cli, make_state, momom, verify
+from hydromoments.momom import _momentum_prefactor
 
 
 def run(capsys, argv):
@@ -96,6 +98,17 @@ def test_invalid_input_is_a_domain_error(capsys, argv):
     assert code == cli.EXIT_DOMAIN
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("space, alpha, mode", [("r", "0.5", "float"), ("p", "1", "exact"), ("p", "0.5", "oracle")])
+def test_compute_at_a_dimension_beyond_the_double_range_is_a_domain_error(capsys, space, alpha, mode):
+    # each mode printed a traceback from a bare OverflowError
+    code, out, err = run(capsys, [
+        "compute", "--space", space, "--alpha", alpha, "--D", str(10 ** 309), "--n", "1", "--l", "0", "--mode", mode,
+    ])
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and "2 eta" in err
 
 
 def test_table_marks_an_invalid_dimension_out_of_domain(capsys):
@@ -289,12 +302,35 @@ def test_verify_reports_a_wrong_route(capsys, monkeypatch):
     exact, float_route, method = momom._ROUTES["double"]
 
     def wrong(state, a):
-        return exact(state, a) * ExactValue(Fraction(2)) if state.D == 3 else exact(state, a)
+        num, den, two_pi = exact(state, a)
+        return 2 * num if state.D == 3 else num, den, two_pi
 
     monkeypatch.setitem(momom._ROUTES, "double", (wrong, float_route, method))
     code, out, _ = run(capsys, ["verify", "--suite", "routes", "--grid", "small"])
     assert code == 1
     assert out == "routes: FAIL (536 checks, 58 failures, worst deviation 0)\n"
+
+
+def _doubled_reflect(state, alpha, mode):
+    res = momom.reflect(state, alpha, mode)
+    return dataclasses.replace(res, value=res.value * ExactValue(Fraction(2)))
+
+
+def _doubled_prefactor(state, a):
+    num, den, two_pi = _momentum_prefactor(state, a)
+    return 2 * num, den, two_pi
+
+
+@pytest.mark.parametrize("target, name, wrong", [
+    (verify, "reflect", _doubled_reflect),
+    # shared by reflect and the single route, which therefore agree
+    (momom, "_momentum_prefactor", _doubled_prefactor),
+])
+def test_verify_reports_a_wrong_reflection(capsys, monkeypatch, target, name, wrong):
+    monkeypatch.setattr(target, name, wrong)
+    code, out, _ = run(capsys, ["verify", "--suite", "reflection", "--grid", "small"])
+    assert code == 1
+    assert out == "reflection: FAIL (268 checks, 268 failures, worst deviation 0)\n"
 
 
 def test_limits_rydberg(capsys):

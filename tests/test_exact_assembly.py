@@ -9,10 +9,14 @@ import pytest
 
 from hydromoments import (
     ExactValue,
+    inverse_momentum,
     make_state,
+    mean_momentum,
     p_moment,
     p_moment_circular,
+    p_moment_even_closed,
     r_moment,
+    r_moment_closed,
     r_moment_ground,
     reflect,
 )
@@ -133,3 +137,44 @@ def test_exact_routes_compose_no_exact_values(monkeypatch):
             assert p_moment_circular(make_state(D, n, n - 1, 1.5), a, mode="exact").is_exact
             assert r_moment_ground(D, 1.5, a, mode="exact").is_exact
         assert r_moment(s, -2, mode="exact").is_exact
+
+
+def _momentum(a):
+    return a
+
+
+def _position(a):
+    return -a
+
+
+def _reflected(a):
+    return 2 - a
+
+
+# entry point -> (its exact result at charge Z and order a, orders, power of Z at order a)
+_SCALED = {
+    "single": (lambda Z, a: p_moment(make_state(5, 4, 1, Z), a, "exact", "single"), range(-6, 9), _momentum),
+    "hyp5f4": (lambda Z, a: p_moment(make_state(5, 4, 1, Z), a, "exact", "hyp5f4"), range(-6, 9), _momentum),
+    "double": (lambda Z, a: p_moment(make_state(5, 4, 1, Z), a, "exact", "double"), range(-6, 9), _momentum),
+    "reflect": (lambda Z, a: reflect(make_state(5, 4, 1, Z), a, "exact"), range(-6, 9), _reflected),
+    "circular": (lambda Z, a: p_moment_circular(make_state(5, 4, 3, Z), a, "exact"), range(-10, 13), _momentum),
+    "even_closed": (lambda Z, a: p_moment_even_closed(make_state(5, 4, 1, Z), a), (0, 2, -2, 4, 6), _momentum),
+    "mean_nS": (lambda Z, a: mean_momentum(make_state(3, 4, 0, Z)), (1,), _momentum),
+    "mean_circular": (lambda Z, a: mean_momentum(make_state(3, 4, 3, Z)), (1,), _momentum),
+    "inverse_nS": (lambda Z, a: inverse_momentum(make_state(3, 4, 0, Z)), (-1,), _momentum),
+    "inverse_circular": (lambda Z, a: inverse_momentum(make_state(3, 4, 3, Z)), (-1,), _momentum),
+    "r_moment": (lambda Z, a: r_moment(make_state(5, 4, 1, Z), a, "exact"), range(-6, 10), _position),
+    "r_closed": (lambda Z, a: r_moment_closed(make_state(5, 4, 1, Z), a), (1, 2, -1, -2, -3, -4, -6), _position),
+    "r_ground": (lambda Z, a: r_moment_ground(5, Z, a, "exact"), range(-4, 10), _position),
+}
+
+
+@pytest.mark.parametrize("Z", [2.0, 0.1, Fraction(3, 7)], ids=str)
+@pytest.mark.parametrize("entry", _SCALED)
+def test_every_exact_entry_point_scales_with_the_charge(entry, Z):
+    """Each exact value at Z is exactly its value at Z = 1 times Z^a in
+    momentum (Z^(2-a) for `reflect`, which returns <p^(2-a)>) and Z^-a in
+    position."""
+    result, orders, power = _SCALED[entry]
+    for a in orders:
+        assert result(Z, a).value == result(1.0, a).value * ExactValue(Fraction(Z) ** power(a)), a

@@ -6,10 +6,11 @@ it needs no overflow signal of its own either.  A charge anywhere in
 [2^-1022, sys.float_info.max] is accepted, so only `states` forms the scales
 (Z/eta)^alpha and (eta/2Z)^alpha, exactly or as logs with ln Z taken alone;
 elsewhere Z is read only inside math.log, where no product of it can leave
-the range first.  One error model covers every float built from logarithms
-(`specfun.exp_sum`), so only `specfun` calls math.lgamma, and rounding
-allowances in units of eps appear only in `specfun` and in the quadrature
-oracle's own Gauss-sum terms."""
+the range first, and the exact scale is applied only by `posmom.exact`, the
+one assembler of every generic exact moment.  One error model covers every
+float built from logarithms (`specfun.exp_sum`), so only `specfun` calls
+math.lgamma, and rounding allowances in units of eps appear only in
+`specfun` and in the quadrature oracle's own Gauss-sum terms."""
 
 import ast
 from pathlib import Path
@@ -129,4 +130,23 @@ def test_eps_allowances_live_only_in_specfun_and_the_oracle():
                 found.append(f"{path.name}:{node.lineno} reads _EPS")
             elif _is_unit_roundoff(node):
                 found.append(f"{path.name}:{node.lineno} writes a power of 2 near eps")
+    assert found == []
+
+
+def test_only_posmom_exact_applies_the_exact_scale():
+    """Outside `states`, `.scale(` is called only inside `posmom.exact`: every
+    other exact evaluator returns Z-free integers, as every float evaluator
+    returns Z-free logs for `posmom.rounded`."""
+    found = []
+    for path in _modules():
+        if path.name == "states.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "posmom.py":
+            exact = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "exact"]
+            allowed = {id(node) for f in exact for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node) == "scale" and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno} calls .scale outside posmom.exact")
     assert found == []

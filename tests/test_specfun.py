@@ -1,6 +1,7 @@
 """Exact arithmetic, gamma family, half-integer digamma, and hypergeometric summation."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -10,10 +11,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hydromoments.errors import (
+    ExactTooLarge,
     FloatOverflow,
     FloatUnderflow,
     NonpositiveArgument,
     NonTerminating,
+    ParameterOutOfRange,
     PoleInBottomParameter,
     UnsupportedArgument,
 )
@@ -31,7 +34,7 @@ from hydromoments.specfun import (
     log_gamma,
     pochhammer,
 )
-from hydromoments import p_moment, r_moment, r_moment_ground
+from hydromoments import p_moment, p_moment_circular, r_moment, r_moment_ground, reflect
 from hydromoments.states import Space, make_state
 
 
@@ -387,6 +390,40 @@ def test_log_gamma_beyond_the_double_range_is_a_library_error():
         p_moment(s, 0.5, mode="float")
     with pytest.raises(FloatOverflow):
         r_moment_ground(10 ** 306, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: r_moment(s, 0.5, mode="float"),
+    lambda s: p_moment(s, 0.5, mode="float"),
+    lambda s: p_moment_circular(s, 0.5, mode="float"),
+    lambda s: reflect(s, 0.5, mode="float"),
+])
+def test_a_dimension_beyond_the_double_range_is_a_library_error(call):
+    # D = 10^309 raised a bare OverflowError in every float path; the
+    # largest accepted 2eta reaches a range error instead
+    with pytest.raises(ParameterOutOfRange, match="2 eta"):
+        call(make_state(10 ** 309, 1, 0, 1.0))
+    edge = make_state(int(sys.float_info.max) + 1, 1, 0, 1.0)
+    assert edge.two_eta == sys.float_info.max
+    with pytest.raises(FloatOverflow):
+        call(edge)
+
+
+def test_ground_state_beyond_the_double_range_is_a_library_error():
+    with pytest.raises(ParameterOutOfRange, match="2 eta"):
+        r_moment_ground(10 ** 309, 1.0, 0.5)
+    with pytest.raises(FloatOverflow):
+        r_moment_ground(int(sys.float_info.max) + 1, 1.0, 0.5)
+
+
+def test_gamma_beyond_the_factorial_limit_is_a_library_error():
+    # math.factorial raised a bare OverflowError, reached by exact momentum at huge D
+    with pytest.raises(ExactTooLarge, match="math.factorial"):
+        gamma_exact(sys.maxsize + 2)
+    with pytest.raises(ExactTooLarge, match="math.factorial"):
+        gamma_exact(Fraction(sys.maxsize + 2, 2))
+    with pytest.raises(ExactTooLarge, match="math.factorial"):
+        p_moment(make_state(2 * 10 ** 19, 1, 0, 1.0), 1)
 
 
 def test_to_float_raises_below_the_normal_double_range():
