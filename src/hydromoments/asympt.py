@@ -1,8 +1,9 @@
 """Asymptotic estimators for extreme regimes.
 
 Rydberg (n -> infinity) and high-dimensional (D -> infinity) limits of the
-radial moments.  Estimates are returned unconditionally; accuracy claims
-(the empirical convergence orders) live in the test suite only.  Each
+radial moments.  Estimates are returned wherever the moment converges
+(OrderOutOfRegime outside its interval); accuracy claims (the empirical
+convergence orders) live in the test suite only.  Each
 estimate is exponentiated from its logarithms by `specfun.exp_sum`, so one
 outside the double range raises FloatOverflow or FloatUnderflow, and values
 may differ in their last digits from the same power taken directly.
@@ -18,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import OrderOutOfRegime, UnsupportedArgument
+from .errors import NotCircular, OrderOutOfRegime, UnsupportedArgument
 from .specfun import EULER_GAMMA, exp_sum, log_gamma
 from .states import HydrogenicState, Space, make_state
 
@@ -43,6 +44,15 @@ def _exp_times(terms, c: float = 1.0) -> float:
     if c == 0:
         return 0.0
     return math.copysign(exp_sum([*terms, math.log(abs(c))])[0], c)
+
+
+def _interval(state: HydrogenicState, alpha: float, space: Space) -> tuple[float, float]:
+    """The open interval of orders at which the moment in space converges;
+    OrderOutOfRegime where alpha lies outside it and the moment diverges."""
+    lo, hi = state.momentum_interval() if space is Space.MOMENTUM else (state.position_lower_bound(), math.inf)
+    if not lo < alpha < hi:
+        raise OrderOutOfRegime(f"the {space.name.lower()} moment diverges at order {alpha}, outside ({lo}, {hi})")
+    return lo, hi
 
 
 def gamma_ratio_asym(x: float, a: float, b: float) -> float:
@@ -98,7 +108,10 @@ def rydberg_p(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
 
 def rydberg_circular_p(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
     """Rydberg circular-state <p^alpha> (D=3 form), with 1/n correction."""
+    if not state.is_circular:
+        raise NotCircular(f"state has l={state.l}, n={state.n}")
     alpha = float(alpha)
+    _interval(state, alpha, Space.MOMENTUM)
     n = state.n
     scale = [alpha * (math.log(state.Z) - math.log(n))]
     leading = _exp_times(scale)
@@ -130,8 +143,7 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
     characteristic moments (D^2/4Z)^alpha and (2Z/D)^alpha."""
     alpha = float(alpha)
     D, n, l = state.D, state.n, state.l
-    if not alpha > -D - 2 * l:
-        raise OrderOutOfRegime(f"order {alpha} must exceed {-D - 2 * l}")
+    lo, hi = _interval(state, alpha, space)
     if space is Space.MOMENTUM:
         leading = _exp_times([alpha * math.log(2.0), alpha * math.log(state.Z), -alpha * math.log(D)])
         eta = float(state.eta)
@@ -140,7 +152,7 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
             [alpha * (math.log(state.Z) - math.log(eta))],
             1 + alpha * (alpha - 2) * (2 * n - 2 * l - 1) / (4 * nu),
         )
-        return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {-D - 2 * l}")
+        return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"{lo} < alpha < {hi}")
     leading = _exp_times([2 * alpha * math.log(D), -alpha * math.log(4.0), -alpha * math.log(state.Z)])
     M = D + 2 * l - 1
     k = state.k
@@ -157,4 +169,4 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
         [(alpha - 1) * math.log(eta), (alpha + 1) * math.log((M + alpha / 2) / 2), -alpha * math.log(state.Z)],
         series,
     )
-    return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {-D - 2 * l}")
+    return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {lo}")

@@ -41,8 +41,10 @@ class ExactTooLarge(HydromomentsError):
     """An exact value too large to build: an exact position moment whose
     order-driven factors would exceed `posmom.EXACT_BITS` bits, estimated
     before they are built (mode="float" answers at a cost independent of
-    the order, or raises a range error), or a `specfun.gamma_exact` beyond
-    the argument limit of math.factorial, which exact moments at huge D reach."""
+    the order, or raises a range error), the inner sums of the `double`
+    momentum route beyond the same budget in either mode (route="single"
+    answers), or a `specfun.gamma_exact` beyond the argument limit of
+    math.factorial, which exact moments at huge D reach."""
 
 
 class NotCircular(HydromomentsError):

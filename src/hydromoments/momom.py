@@ -12,7 +12,8 @@ the kernel's unreduced pair.  Comparing the two therefore checks only one
 kernel call against the other; `double` is the independent exact
 cross-check.  Its inner sums are the square of one integer polynomial
 (`_double_sum_parts`), recomputed per call without a cache, and it calls
-neither 5F4 kernel entry.
+neither 5F4 kernel entry; where their factors would pass `posmom.EXACT_BITS`
+bits, it raises ExactTooLarge in both modes before building them.
 Both of its modes sum the outer series exactly at a dyadic rational x
 (`_double_sum_series`), so its float mode rounds once.
 In float mode `hyp5f4` is `single`: both sum the series in
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import NotCircular, OrderOutOfDomain, UnsupportedArgument
+from .errors import ExactTooLarge, NotCircular, OrderOutOfDomain, UnsupportedArgument
 from .specfun import (
     TO_FLOAT_REL,
     ExactValue,
@@ -57,7 +58,7 @@ from .specfun import (
     pochhammer,
     round_quotient,
 )
-from .posmom import CANCELLATION_LIMIT, Method, MomentResult, exact, resolve_mode, rounded, series_or_quadrature
+from .posmom import CANCELLATION_LIMIT, EXACT_BITS, Method, MomentResult, exact, resolve_mode, rounded, series_or_quadrature
 from .states import HydrogenicState, Space, require_order
 
 # CANCELLATION_LIMIT as the exact ratio of two integers
@@ -175,7 +176,7 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
 def _hyp5f4_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """The single sum's prefactor and series, the series through `hyp_sum`."""
     num, den, two_pi = _momentum_prefactor(state, a)
-    s_num, s_den = hyp_sum(HypSumSpec(*_hyp5f4_doubled(state, a), state.k + 1), "exact")
+    s_num, s_den = hyp_sum(HypSumSpec(*_hyp5f4_doubled(state, a)), "exact")
     return num * s_num, den * s_den, two_pi
 
 
@@ -190,6 +191,13 @@ def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int, int]:
     h_i = C(k,i) (A)_i 2^i prod_{i<=m<k} (2B+2m)."""
     k = state.k
     A, two_b, C = state.n + state.l + state.D - 2, 2 * state.l + state.D, 2 * state.l + state.D + 1
+    # Gamma(A)^2/Gamma(B)^2 and (C+2k-1)! take 2(A-B) + C+2k-1 factors below 2A
+    bits = (2 * A - two_b + C + 2 * k - 1) * (2 * A).bit_length()
+    if bits > EXACT_BITS:
+        raise ExactTooLarge(
+            f"the double route's inner sums would build about {bits} bits, over {EXACT_BITS}; "
+            'use route="single"'
+        )
     suffix = [1] * (k + 1)
     for m in range(k - 1, -1, -1):
         suffix[m] = suffix[m + 1] * (two_b + 2 * m)

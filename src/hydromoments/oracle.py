@@ -39,10 +39,9 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
 from .posmom import Method, MomentResult, rounded
-from .specfun import ExactValue, exp_sum, gamma_exact, log_gamma
+from .specfun import _EPS, ExactValue, exp_sum, gamma_exact, log_gamma
 from .states import HydrogenicState, Space
 
-_EPS = 2.0 ** -53
 # At x >= 2^64, e^(-x/2) puts R_{n,l} below the double range unless k + l
 # or D exceeds 10^15; x is clipped there, where the recurrence stays finite
 _X_FAR = 2.0 ** 64

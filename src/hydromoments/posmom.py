@@ -3,7 +3,9 @@
 Two routes: the general terminating-3F2 formula (valid for any real order
 above -D-2l) and the tabulated closed forms for alpha in
 {1, 2, -1, -2, -3, -4, -6}.  Integer orders evaluate exactly; real orders
-sum the 3F2 in compensated floating point (`specfun.hyp_sum`).  The scale
+sum the 3F2 in compensated floating point (`specfun.hyp_sum`); at an integer
+order a both sum only its min(k, a+1)+1 (a >= -1) or min(k, -a-2)+1 nonzero
+terms, the length `specfun.HypSumSpec` reads off its parameters.  The scale
 (eta/2Z)^alpha comes from `HydrogenicState`.  `exact` builds every generic
 exact result of both spaces from unreduced Z-free integers, applying the
 scale and reducing once; `rounded`, its float twin, builds every float
@@ -140,7 +142,7 @@ def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[list[float], 
         log_gamma((t + 1) + alpha),  # 2L+alpha+3, rounded once
         -log_gamma(float(t)),
     ]
-    spec = HypSumSpec(top=(-2 * k, -2 * alpha - 2, 2 * alpha + 4), bottom=(2 * t, 2), terms=k + 1)
+    spec = HypSumSpec(top=(-2 * k, -2 * alpha - 2, 2 * alpha + 4), bottom=(2 * t, 2))
     s, bound = hyp_sum(spec, "float")
     return logs, s, bound
 
@@ -176,7 +178,7 @@ def _r_series_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     else:
         ratio = pochhammer(t + a + 1, -a - 1)
         num, den = ratio.denominator, ratio.numerator
-    spec = HypSumSpec(top=(-2 * k, -2 * a - 2, 2 * a + 4), bottom=(2 * t, 2), terms=k + 1)
+    spec = HypSumSpec(top=(-2 * k, -2 * a - 2, 2 * a + 4), bottom=(2 * t, 2))
     s_num, s_den = hyp_sum(spec, "exact")
     return num * s_num, den * s_den * state.two_eta, 0
 

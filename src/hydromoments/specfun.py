@@ -6,8 +6,8 @@ half-integers, summation of terminating hypergeometric series, the
 once-rounded quotient of two integers, and float prefactors evaluated from
 their logarithms with a rounding bound.  A series carries its parameters
 doubled (`HypSumSpec`), the integers the exact kernel `hyp_sum_doubled` sums
-on: exact `hyp_sum` is that kernel behind the spec's checks, and float
-`hyp_sum` halves each parameter once and sums in compensated floating point.
+on, and ends where its first factor vanishes: exact `hyp_sum` is that kernel
+over the spec's terms, and float `hyp_sum` halves each parameter once.
 The momentum 5F4 at a real order is summed in fixed point by its own loop,
 `momom._hyp5f4_fixed`, whose term ratio keeps each parameter over its own
 denominator.  `int_str` prints an integer of any size.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import decimal
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral, Rational
@@ -295,26 +295,24 @@ def digamma_half_exact(n: int) -> Fraction:
 @dataclass(frozen=True)
 class HypSumSpec:
     """The terminating sum_{j=0}^{terms-1} prod (a_i)_j / prod (b_i)_j / j!
-    at unit argument, its parameters doubled as every exact kernel takes
-    them: `top` holds 2 a_i, starting at -2k for k+1 terms, and `bottom`
-    2 b_i, a pole where it is even in (-2k, 0]."""
+    at unit argument, `top` holding 2 a_i and `bottom` 2 b_i as every exact
+    kernel takes them.  Its first factor to vanish, at the largest even top
+    x <= 0, sets `terms` = 1 - x/2; an even bottom in (x, 0] is a pole."""
 
     top: tuple
     bottom: tuple
-    terms: int
+    terms: int = field(init=False)
 
     def __post_init__(self):
-        if self.terms < 1:
-            raise NonTerminating("need at least one term")
-        k = self.terms - 1
-        first = self.top[0]
-        if not is_integral(first) or first != -2 * k:
-            raise NonTerminating(
-                f"first doubled top parameter must be -{2 * k} for a {self.terms}-term sum"
-            )
+        # x % 2 == 0 holds only for an even integer, of any number type
+        ends = [x for x in self.top if x <= 0 and x % 2 == 0]
+        if not ends:
+            raise NonTerminating(f"no doubled top parameter of {self.top} is an even integer <= 0")
+        x = max(ends)
         for b in self.bottom:
-            if is_integral(b) and b % 2 == 0 and -2 * k < b <= 0:
+            if x < b <= 0 and b % 2 == 0:
                 raise PoleInBottomParameter(f"doubled bottom parameter {b} hits a pole")
+        object.__setattr__(self, "terms", 1 - int(x) // 2)
 
 
 def hyp_sum_doubled(top2, bottom2, terms: int) -> tuple[int, int]:

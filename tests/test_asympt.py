@@ -17,7 +17,7 @@ from hydromoments import (
     rydberg_r,
 )
 from hydromoments.asympt import Regime
-from hydromoments.errors import FloatOverflow, FloatUnderflow, OrderOutOfRegime, UnsupportedArgument
+from hydromoments.errors import FloatOverflow, FloatUnderflow, NotCircular, OrderOutOfRegime, UnsupportedArgument
 from hydromoments.momom import inverse_momentum, mean_momentum
 
 
@@ -124,7 +124,7 @@ def test_estimates_outside_the_double_range_raise():
     with pytest.raises(FloatOverflow):
         rydberg_r(make_state(3, 1, 0, 1.0), 1100)
     with pytest.raises(FloatUnderflow):
-        rydberg_circular_p(make_state(3, 100, 99, 1.0), 400)
+        rydberg_circular_p(make_state(3, 300, 299, 1.0), 400)
     with pytest.raises(FloatOverflow):
         highD(make_state(16, 1, 0, 1.0), 150, Space.POSITION)
 
@@ -139,3 +139,25 @@ def test_negative_correction_factor_keeps_its_sign():
 def test_highd_domain():
     with pytest.raises(OrderOutOfRegime):
         highD(make_state(16, 1, 0, 1.0), -16.5, Space.POSITION)
+
+
+@pytest.mark.parametrize(
+    "estimate, state, alpha",
+    [
+        (lambda s, a: highD(s, a, Space.MOMENTUM), make_state(16, 2, 0, 1.0), 23.0),
+        (lambda s, a: highD(s, a, Space.MOMENTUM), make_state(16, 2, 0, 1.0), 18.0),
+        (lambda s, a: highD(s, a, Space.MOMENTUM), make_state(16, 2, 0, 1.0), -16.0),
+        (lambda s, a: highD(s, a, Space.POSITION), make_state(16, 2, 0, 1.0), -16.0),
+        (rydberg_circular_p, make_state(3, 20, 19, 1.0), 46.0),
+        (rydberg_circular_p, make_state(3, 20, 19, 1.0), -41.0),
+    ],
+)
+def test_estimates_refuse_orders_where_the_moment_diverges(estimate, state, alpha):
+    with pytest.raises(OrderOutOfRegime):
+        estimate(state, alpha)
+
+
+def test_rydberg_circular_p_needs_a_circular_state():
+    # 5D 10s has <p> = 0.0594, not the circular form's 0.0975
+    with pytest.raises(NotCircular):
+        rydberg_circular_p(make_state(5, 10, 0, 1.0), 1.0)

@@ -20,6 +20,7 @@ from hydromoments import (
     r_moment_ground,
     reflect,
 )
+from hydromoments import posmom
 from hydromoments.specfun import (
     SQRT_PI,
     HypSumSpec,
@@ -47,7 +48,7 @@ def _hyp5f4_spec(state, a):
     k, nu = state.k, state.nu
     top = _doubled(-k, k + 2 * nu, nu, nu + Fraction(a + 1, 2), nu + Fraction(3 - a, 2))
     bottom = _doubled(2 * nu, nu + Fraction(1, 2), nu + 1, nu + Fraction(3, 2))
-    return HypSumSpec(top=top, bottom=bottom, terms=k + 1)
+    return HypSumSpec(top=top, bottom=bottom)
 
 
 def _single_composed(state, a):
@@ -95,12 +96,12 @@ def _r_moment_composed(state, a):
     else:
         ratio = 1 / pochhammer(2 * L + a + 3, -a - 1)
     pref = ExactValue(eta ** (a - 1) / (Fraction(2) ** (a + 1) * state.Z_exact ** a) * ratio)
-    spec = HypSumSpec(
-        top=_doubled(-k, Fraction(-a - 1), Fraction(a + 2)),
-        bottom=_doubled(2 * L + 2, Fraction(1)),
-        terms=k + 1,
-    )
-    return pref * ExactValue(Fraction(*hyp_sum(spec, "exact")))
+    # 3F2(-k, -a-1, a+2; 2L+2, 1; 1) term by term over all k+1 terms, zeros included
+    term = series = Fraction(1)
+    for j in range(k):
+        term *= Fraction((j - k) * (j - a - 1) * (j + a + 2)) / ((2 * L + 2 + j) * (j + 1) ** 2)
+        series += term
+    return pref * ExactValue(series)
 
 
 @pytest.mark.parametrize("D", range(2, 9))
@@ -119,6 +120,35 @@ def test_r_moment_equals_the_composed_formula(D):
         for a in ORDERS:
             if a > s.position_lower_bound():
                 assert r_moment(s, a).value == _r_moment_composed(s, a), (s, a)
+
+
+@pytest.mark.parametrize("D", range(2, 13))
+def test_r_moment_at_small_orders_equals_the_full_series_and_the_closed_forms(D):
+    for s in _states(D):
+        if s.n > 40:
+            continue
+        for a in range(-5, 6):
+            if a > s.position_lower_bound():
+                got = r_moment(s, a).value
+                assert got == _r_moment_composed(s, a), (s, a)
+                if a in (1, 2, -1, -2, -3, -4):
+                    assert got == r_moment_closed(s, a).value, (s, a)
+
+
+def test_r_moment_sums_only_the_nonzero_terms(monkeypatch):
+    # at a = 3 the 3F2 ends after min(k, a+1)+1 = 5 terms, whatever k
+    lengths = []
+
+    def traced(spec, mode="exact"):
+        lengths.append(spec.terms)
+        return hyp_sum(spec, mode)
+
+    monkeypatch.setattr(posmom, "hyp_sum", traced)
+    s = make_state(3, 5000, 0, 1.0)
+    r_moment(s, 3, mode="exact")
+    r_moment(s, 3.0, mode="float")
+    r_moment(s, -2, mode="exact")  # min(k, -a-2)+1 = 1 term
+    assert lengths == [5, 5, 1]
 
 
 def test_exact_routes_compose_no_exact_values(monkeypatch):

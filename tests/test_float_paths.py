@@ -63,7 +63,7 @@ def _r_series_fraction(state, alpha):
         log_gamma(float(2 * L + 3) + alpha),
         -log_gamma(float(2 * L + 2)),
     ]
-    spec = HypSumSpec(top=(-2 * k, -2 * alpha - 2, 2 * alpha + 4), bottom=(float(4 * L + 4), 2.0), terms=k + 1)
+    spec = HypSumSpec(top=(-2 * k, -2 * alpha - 2, 2 * alpha + 4), bottom=(float(4 * L + 4), 2.0))
     s, bound = hyp_sum(spec, "float")
     return logs, s, bound
 

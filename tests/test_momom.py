@@ -1,6 +1,7 @@
 """Momentum-moment routes, reflection, closed forms, and appendix identities."""
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -25,6 +26,7 @@ from hydromoments import (
 )
 from hydromoments import momom, oracle, specfun
 from hydromoments.errors import (
+    ExactTooLarge,
     FloatOverflow,
     FloatUnderflow,
     NotCircular,
@@ -447,3 +449,18 @@ def test_argument_checks_keep_their_order():
         p_moment(s, 99, route="nope")
     with pytest.raises(OrderOutOfDomain):
         p_moment(s, 99)
+
+
+@pytest.mark.parametrize("mode, alpha", [("exact", 1), ("float", 1.5)])
+def test_double_route_at_a_huge_dimension_raises_at_once(mode, alpha):
+    # the inner sums' Gamma products would take about D/2 factors each
+    s = make_state(2 * 10 ** 19, 1, 0, 1.0)
+    t0 = time.perf_counter()
+    with pytest.raises(ExactTooLarge, match='route="single"'):
+        p_moment(s, alpha, mode=mode, route="double")
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_double_route_within_the_size_budget_still_answers():
+    s = make_state(30000, 5, 0, 1.0)
+    assert p_moment(s, 3, mode="exact", route="double").value == p_moment(s, 3, mode="exact").value

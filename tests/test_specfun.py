@@ -189,25 +189,31 @@ class TestHypSum:
 
     def test_termination_validation(self):
         with pytest.raises(NonTerminating):
-            HypSumSpec(top=(3.0, 4.0), bottom=(6.0,), terms=4)
+            HypSumSpec(top=(3.0, 4.0), bottom=(6.0,))
         with pytest.raises(PoleInBottomParameter):
-            HypSumSpec(top=(-6, 2.0), bottom=(-4,), terms=4)
+            HypSumSpec(top=(-6, 2.0), bottom=(-4,))
 
     def test_odd_nonpositive_doubled_bottom_is_not_a_pole(self):
         # 2b = -3: b = -3/2 is a half-integer, so (b)_j never vanishes
-        spec = HypSumSpec(top=(-6, 2), bottom=(-3,), terms=4)
+        spec = HypSumSpec(top=(-6, 2), bottom=(-3,))
         assert Fraction(*hyp_sum(spec, "exact")) == _hyp_sum_reference((-6, 2), (-3,), 4)
+
+    def test_a_bottom_zero_past_the_end_is_no_pole(self):
+        # 2a = -4 ends the series after 3 terms, before 2b = -6 would vanish
+        spec = HypSumSpec(top=(-12, -4), bottom=(-6,))
+        assert spec.terms == 3
+        assert Fraction(*hyp_sum(spec, "exact")) == _hyp_sum_reference((-12, -4), (-6,), 3)
 
     def test_gauss_chu_vandermonde(self):
         # 2F1(-k, b; c; 1) = (c-b)_k / (c)_k, here with b = 3/2 and c = 7/2
         k, b2, c2 = 5, 3, 7
-        spec = HypSumSpec(top=(-2 * k, b2), bottom=(c2,), terms=k + 1)
+        spec = HypSumSpec(top=(-2 * k, b2), bottom=(c2,))
         expect = pochhammer(Fraction(c2 - b2, 2), k) / pochhammer(Fraction(c2, 2), k)
         assert Fraction(*hyp_sum(spec, "exact")) == expect
 
     def test_float_tracks_exact_with_bound(self):
         # top (-6, -5/2, 7/2), bottom (4, 1)
-        spec = HypSumSpec(top=(-12, -5, 7), bottom=(8, 2), terms=7)
+        spec = HypSumSpec(top=(-12, -5, 7), bottom=(8, 2))
         exact = float(Fraction(*hyp_sum(spec, "exact")))
         value, bound = hyp_sum(spec, "float")
         assert abs(value - exact) <= bound + 1e-15 * abs(exact)
@@ -219,7 +225,7 @@ class TestHypSum:
         c2=st.integers(2, 60),  # twice the bottom parameter
     )
     def test_property_float_within_bound_of_exact(self, k, b2, c2):
-        spec = HypSumSpec(top=(-2 * k, b2), bottom=(c2,), terms=k + 1)
+        spec = HypSumSpec(top=(-2 * k, b2), bottom=(c2,))
         exact = float(Fraction(*hyp_sum(spec, "exact")))
         value, bound = hyp_sum(spec, "float")
         assert abs(value - exact) <= bound + 1e-14 * abs(exact) + 1e-300
@@ -254,12 +260,27 @@ def _exact_specs(draw):
     return top, bottom, k + 1
 
 
+@st.composite
+def _early_ending_specs(draw):
+    """Doubled parameters whose top starts at -2k while a later one, -2m with
+    m < k, vanishes first; no other top parameter is even in (-2m, 0], and no
+    bottom one even in (-2k, 0], so the k+1-term sum is defined."""
+    k = draw(st.integers(1, 30))
+    m = draw(st.integers(0, k - 1))
+    others = st.integers(-40, 80).filter(lambda x: not (x % 2 == 0 and -2 * m < x <= 0))
+    rest = draw(st.lists(others, min_size=0, max_size=3))
+    rest.insert(draw(st.integers(0, len(rest))), -2 * m)
+    pole_free = st.integers(-40, 80).filter(lambda b: not (b % 2 == 0 and -2 * k < b <= 0))
+    bottom = draw(st.lists(pole_free, min_size=1, max_size=4))
+    return [-2 * k, *rest], bottom, m, k
+
+
 class TestHypSumExactKernel:
     @settings(max_examples=300, deadline=None)
     @given(spec=_exact_specs())
     def test_matches_term_by_term_fractions(self, spec):
         top, bottom, terms = spec
-        got = hyp_sum(HypSumSpec(top=tuple(top), bottom=tuple(bottom), terms=terms), "exact")
+        got = hyp_sum(HypSumSpec(top=tuple(top), bottom=tuple(bottom)), "exact")
         assert Fraction(*got) == _hyp_sum_reference(top, bottom, terms)
 
     @settings(max_examples=300, deadline=None)
@@ -272,22 +293,33 @@ class TestHypSumExactKernel:
     @settings(max_examples=100, deadline=None)
     @given(spec=_exact_specs())
     def test_exact_hyp_sum_is_the_unreduced_kernel_pair(self, spec):
-        top, bottom, terms = spec
-        got = hyp_sum(HypSumSpec(top=tuple(top), bottom=tuple(bottom), terms=terms), "exact")
-        assert got == hyp_sum_doubled(top, bottom, terms)
+        top, bottom, _ = spec
+        spec = HypSumSpec(top=tuple(top), bottom=tuple(bottom))
+        assert hyp_sum(spec, "exact") == hyp_sum_doubled(top, bottom, spec.terms)
 
     @pytest.mark.parametrize("p, q", [(2, 1), (3, 2), (5, 4), (2, 4), (5, 1), (3, 1)])
     def test_top_and_bottom_of_different_lengths(self, p, q):
         # the common denominator enters the term ratio as d^(q-p)
         top = (-14,) + tuple(2 * i + 3 for i in range(p - 1))
         bottom = tuple(2 * i + 5 for i in range(q))
-        got = hyp_sum(HypSumSpec(top=top, bottom=bottom, terms=8), "exact")
+        got = hyp_sum(HypSumSpec(top=top, bottom=bottom), "exact")
         assert Fraction(*got) == _hyp_sum_reference(top, bottom, 8)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_early_ending_specs())
+    def test_a_later_top_parameter_that_vanishes_first_sets_the_length(self, spec):
+        top, bottom, m, k = spec
+        s = HypSumSpec(top=tuple(top), bottom=tuple(bottom))
+        assert s.terms == m + 1
+        full = _hyp_sum_reference(top, bottom, k + 1)
+        assert Fraction(*hyp_sum(s, "exact")) == full
+        value, bound = hyp_sum(s, "float")
+        assert abs(value - float(full)) <= bound + 1e-14 * abs(float(full)) + 1e-300
 
     def test_rejects_non_half_integer_parameters(self):
         # 2a = 2/3: a = 1/3 is not a half-integer
         with pytest.raises(UnsupportedArgument):
-            hyp_sum(HypSumSpec(top=(-4, Fraction(2, 3)), bottom=(2,), terms=3), "exact")
+            hyp_sum(HypSumSpec(top=(-4, Fraction(2, 3)), bottom=(2,)), "exact")
 
 
 EPS = 2.0 ** -53
