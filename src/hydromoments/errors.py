@@ -38,13 +38,9 @@ class FloatUnderflow(HydromomentsError):
 
 
 class ExactTooLarge(HydromomentsError):
-    """An exact value too large to build: an exact position moment whose
-    order-driven factors would exceed `posmom.EXACT_BITS` bits, estimated
-    before they are built (mode="float" answers at a cost independent of
-    the order, or raises a range error), the inner sums of the `double`
-    momentum route beyond the same budget in either mode (route="single"
-    answers), or a `specfun.gamma_exact` beyond the argument limit of
-    math.factorial, which exact moments at huge D reach."""
+    """A value whose cost would pass `specfun.COST_BUDGET`: each exact route,
+    and `double` in both modes, states its cost before it builds anything
+    (`specfun.require_cost`), and the message names a cheaper route or mode."""
 
 
 class NotCircular(HydromomentsError):

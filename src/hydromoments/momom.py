@@ -12,8 +12,10 @@ the kernel's unreduced pair.  Comparing the two therefore checks only one
 kernel call against the other; `double` is the independent exact
 cross-check.  Its inner sums are the square of one integer polynomial
 (`_double_sum_parts`), recomputed per call without a cache, and it calls
-neither 5F4 kernel entry; where their factors would pass `posmom.EXACT_BITS`
-bits, it raises ExactTooLarge in both modes before building them.
+neither 5F4 kernel entry.  Every exact route, and `double` in both modes,
+states its cost to `specfun.require_cost` before it builds anything
+(`_momentum_prefactor` for the single sum, `_double_sum_size` for the
+double sum) and raises ExactTooLarge past the one budget.
 Both of its modes sum the outer series exactly at a dyadic rational x
 (`_double_sum_series`), so its float mode rounds once.
 In float mode `hyp5f4` is `single`: both sum the series in
@@ -44,21 +46,23 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ExactTooLarge, NotCircular, OrderOutOfDomain, UnsupportedArgument
+from .errors import NotCircular, OrderOutOfDomain, UnsupportedArgument
 from .specfun import (
     TO_FLOAT_REL,
     ExactValue,
     HypSumSpec,
     digamma_half_exact,
+    gamma_bits,
     gamma_exact,
     gamma_ratio_doubled,
     hyp_sum,
     hyp_sum_doubled,
     log_gamma,
     pochhammer,
+    require_cost,
     round_quotient,
 )
-from .posmom import CANCELLATION_LIMIT, EXACT_BITS, Method, MomentResult, exact, resolve_mode, rounded, series_or_quadrature
+from .posmom import CANCELLATION_LIMIT, Method, MomentResult, exact, resolve_mode, rounded, series_or_quadrature
 from .states import HydrogenicState, Space, require_order
 
 # CANCELLATION_LIMIT as the exact ratio of two integers
@@ -78,6 +82,15 @@ def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
     ]
 
 
+def _quotient_bits(t: int, a: int) -> int:
+    """An upper bound on the bits `gamma_ratio_doubled` builds for
+    Gamma((t+a+1)/2) Gamma((t+3-a)/2) / (Gamma((t+1)/2) Gamma((t+3)/2)): at
+    even a all four share a parity and pair, into at most |a-2| factors below
+    t+|a|+3; at odd a none pairs."""
+    m = t + abs(a) + 3
+    return 4 * gamma_bits(m | 1) if a & 1 else abs(a - 2) * (2 * m).bit_length()
+
+
 def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """The exact prefactor of the 5F4 series at integer order a without
     (Z/eta)^a, 2(k+nu)/k! Gamma(k+2nu)/Gamma(2nu+1)
@@ -89,9 +102,15 @@ def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     paper's 2^(1-2nu) sqrt(pi) (k+nu)/k! Gamma(k+2nu) Gamma(nu+(a+1)/2)
     Gamma(nu+(3-a)/2) / (Gamma(nu+1/2)^2 Gamma(nu+1) Gamma(nu+3/2))."""
     k, t = state.k, state.two_nu
-    num, den, two_pi = gamma_ratio_doubled(
-        (2 * k + 2 * t, t + a + 1, t + 3 - a), (2 * t + 2, t + 1, t + 3)
-    )
+    # the cost of the single sum every exact caller builds next.  Its Gamma
+    # ratio: Gamma(k+nu)/Gamma(nu+1) pairs into k-1 factors, or at odd a a top
+    # takes 2t+2 in its place with at most |a|+1 factors, and the rest is
+    # `_quotient_bits`.  Then k! and the k+1-term series, whose steps take nine
+    # factors below B = 4k+2t+6, j+1 and 2: at most 11 bitlen(B) bits a term.
+    bits = (k + abs(a) + 1) * (4 * k + 4 * t + 2 * abs(a) + 6).bit_length() + _quotient_bits(t, a)
+    bits += 11 * (k + 1) * (4 * k + 2 * t + 6).bit_length()
+    require_cost(bits, 12 * k + 7 * (bits >> 6), 'mode="float"')
+    num, den, two_pi = gamma_ratio_doubled((2 * k + 2 * t, t + a + 1, t + 3 - a), (2 * t + 2, t + 1, t + 3))
     # 2(k+nu) = 2k + 2nu
     return num * (2 * k + t), den * math.factorial(k), two_pi
 
@@ -191,13 +210,6 @@ def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int, int]:
     h_i = C(k,i) (A)_i 2^i prod_{i<=m<k} (2B+2m)."""
     k = state.k
     A, two_b, C = state.n + state.l + state.D - 2, 2 * state.l + state.D, 2 * state.l + state.D + 1
-    # Gamma(A)^2/Gamma(B)^2 and (C+2k-1)! take 2(A-B) + C+2k-1 factors below 2A
-    bits = (2 * A - two_b + C + 2 * k - 1) * (2 * A).bit_length()
-    if bits > EXACT_BITS:
-        raise ExactTooLarge(
-            f"the double route's inner sums would build about {bits} bits, over {EXACT_BITS}; "
-            'use route="single"'
-        )
     suffix = [1] * (k + 1)
     for m in range(k - 1, -1, -1):
         suffix[m] = suffix[m + 1] * (two_b + 2 * m)
@@ -214,6 +226,21 @@ def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int, int]:
         nums[s] = (-1) ** s * conv * tail
         tail *= C + s - 1
     return nums, gd * suffix[0] ** 2 * math.factorial(C + 2 * k - 1), two_pi
+
+
+def _double_sum_size(state: HydrogenicState, x_num: int, x_exp: int) -> tuple[int, int]:
+    """(bits, products) of `_double_sum_series` at x = x_num / 2^x_exp: two of
+    the h_i < 2^k (2A+2k)^k and their (k+1)^2/2 products; Gamma(A)^2/Gamma(B)^2
+    as `gamma_ratio_doubled` builds it, two pairs of A-B factors at even D and
+    four factorials at odd D, where 2A and 2B differ in parity; (C+2k-1)! with
+    the tail and suffix squared (C+6k-1 factors below C+2k); the outer (x)_s
+    with its shifts."""
+    D, k, A, C = state.D, state.k, state.n + state.l + state.D - 2, 2 * state.l + state.D + 1
+    h = k * ((2 * A + 2 * k).bit_length() + 1)
+    ratio = 2 * gamma_bits(2 * A) + 2 * gamma_bits(C - 1) if D & 1 else (2 * A - C + 1) * (2 * A + C - 1).bit_length()
+    bits = 2 * h + ratio + (C + 6 * k - 1) * (C + 2 * k).bit_length()
+    bits += 2 * k * ((x_num + (2 * k << x_exp)).bit_length() + x_exp)
+    return bits, 6 * k + 3 * (bits >> 6) + (k + 1) ** 2 * h * h // (4 * bits)
 
 
 def _double_sum_series(state: HydrogenicState, x_num: int, x_exp: int) -> tuple[int, int, int]:
@@ -233,11 +260,18 @@ def _double_sum_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """4 eta Gamma(l+(D-a)/2+1) Gamma(x) / (Gamma(A) k!) times sum_s P(s) (x)_s
     with x = l+(D+a)/2 and A = n+l+D-2, the double sum without (Z/eta)^a, as
     an unreduced (numerator, denominator, twice the pi power)."""
-    x2 = 2 * state.l + state.D + a
-    total, den, two_pi = _double_sum_series(state, x2, 1)
-    pn, pd, p_two_pi = gamma_ratio_doubled(
-        (2 * state.l + state.D - a + 2, x2), (2 * (state.n + state.l + state.D - 2),)
+    x, two_a = 2 * state.l + state.D, 2 * (state.n + state.l + state.D - 2)
+    x2 = x + a
+    # k! and the prefactor's Gammas: its tops x-a+2 and x2 = x+a, at most m,
+    # stay unpaired at odd x2, and at even x2 the larger pairs with 2A
+    m = (x + abs(a) + 2) | 1
+    pre = state.k * state.k.bit_length() + gamma_bits(m) + (
+        gamma_bits(m) + gamma_bits(two_a) if x2 & 1 else (abs(two_a - x) + abs(a) + 2) // 2 * (two_a + m).bit_length()
     )
+    bits, products = _double_sum_size(state, x2, 1)
+    require_cost(bits + pre, products + 2 * (pre >> 6), 'route="single"')
+    total, den, two_pi = _double_sum_series(state, x2, 1)
+    pn, pd, p_two_pi = gamma_ratio_doubled((x - a + 2, x2), (two_a,))
     return 2 * state.two_eta * pn * total, pd * math.factorial(state.k) * den, two_pi + p_two_pi
 
 
@@ -249,7 +283,9 @@ def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
     D, n, l = state.D, state.n, state.l
     p, q = alpha.as_integer_ratio()  # q = 2^e
     # x = l + (D+alpha)/2 = ((2l+D) q + p) / 2^(e+1)
-    total, den, two_pi = _double_sum_series(state, (2 * l + D) * q + p, q.bit_length())
+    x_num, x_exp = (2 * l + D) * q + p, q.bit_length()
+    require_cost(*_double_sum_size(state, x_num, x_exp), 'route="single"')
+    total, den, two_pi = _double_sum_series(state, x_num, x_exp)
     quotient, shift = round_quotient(total, den)
     logs = [
         math.log(2 * state.two_eta),  # 4 eta
@@ -348,6 +384,8 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
     if mode == "exact":
         # (Z/eta)^a Gamma(eta+(a+1)/2) Gamma(eta+(3-a)/2) / (Gamma(eta+1/2) Gamma(eta+3/2))
         a, e = int(round(alpha_f)), state.two_eta
+        bits = _quotient_bits(e, a)  # its Gammas or rising products, reduced once
+        require_cost(bits, abs(a) + 6 * (bits >> 6), 'mode="float"')
         ratio = gamma_ratio_doubled((e + a + 1, e + 3 - a), (e + 1, e + 3))
         return exact(*ratio, Method.CLOSED_FORM, Space.MOMENTUM, a, state)
     # nu = eta on a circular state
@@ -413,8 +451,8 @@ def appendix_constants(state: HydrogenicState) -> tuple[ExactValue, ExactValue]:
     <p> and <p^{-1}> respectively."""
     eta, L, k = state.eta, state.L, state.k
     base = (
-        ExactValue(Fraction(2) ** int(2 * L + 2))
-        * gamma_exact(L + 1) ** 2
+        gamma_exact(L + 1) ** 2  # priced before 2^(2L+2) is built
+        * ExactValue(Fraction(2) ** int(2 * L + 2))
         * ExactValue(Fraction(math.factorial(k), 2), Fraction(-1))
         / gamma_exact(eta + L + 1)
     )

@@ -37,9 +37,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .errors import NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
+from .errors import ExactTooLarge, NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
 from .posmom import Method, MomentResult, rounded
-from .specfun import _EPS, ExactValue, exp_sum, gamma_exact, log_gamma
+from .specfun import _EPS, ExactValue, exp_sum, gamma_exact, log_gamma, require_cost
 from .states import HydrogenicState, Space
 
 # At x >= 2^64, e^(-x/2) puts R_{n,l} below the double range unless k + l
@@ -170,7 +170,14 @@ def _jacobi_log_mu0_terms(a: float, b: float) -> list[float]:
 
 
 def gauss_jacobi(m: int, a: float, b: float):
-    """Nodes and weights of the m-point Gauss rule for (1-x)^a (1+x)^b on (-1, 1)."""
+    """Nodes and weights of the m-point Gauss rule for (1-x)^a (1+x)^b on (-1, 1).
+    ?stemr's m eigenvectors take 8 m^2 bytes, priced before anything is built:
+    at m = 4,000 they took 1.5 s and 123 MB, so past the budget, above
+    m = 2,401, the rule raises QuadratureFailure."""
+    try:  # the 64 m^2 bits of the eigenvectors, at about 1,000 passes (measured)
+        require_cost(64 * m * m, 1024, 'an integer order in mode="exact"')
+    except ExactTooLarge as e:
+        raise QuadratureFailure(f"a {m}-node Gauss-Jacobi rule: {e}") from None
     a, b = float(a), float(b)
     alphas, betas = _jacobi_recurrence(m, a, b)
     return _golub_welsch(alphas, betas, sum(_jacobi_log_mu0_terms(a, b)))

@@ -13,7 +13,9 @@ result of both spaces under `specfun.exp_sum`'s one error model, and
 `series_or_quadrature`, the one fallback rule, hands it every float series:
 the 3F2 here, and the momentum series, whose single sum runs in 128-bit
 fixed point and reports an infinite bound where its cancellation exceeds
-CANCELLATION_LIMIT.
+CANCELLATION_LIMIT.  An exact position moment states its cost, the rising
+product, the scale's power and the series, to `specfun.require_cost`
+before it builds them, and raises ExactTooLarge past the one budget.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ExactTooLarge, OrderOutOfDomain, UnsupportedArgument
+from .errors import OrderOutOfDomain, UnsupportedArgument
 from .specfun import (
     ExactValue,
     HypSumSpec,
@@ -33,16 +35,13 @@ from .specfun import (
     is_integral,
     log_gamma,
     pochhammer,
+    require_cost,
 )
 from .states import HydrogenicState, Space, make_state, require_order
 
 
 # Relative error-bound threshold above which float routes defer to quadrature.
 CANCELLATION_LIMIT = 2e-11
-
-# Size limit of an exact position moment's order-driven factors: just under
-# it, r_moment_ground(3, 1.0, 50819) took 0.9 s (x86-64, Python 3.11).
-EXACT_BITS = 1 << 20
 
 
 class Method(enum.Enum):
@@ -147,29 +146,18 @@ def _r_series_float(state: HydrogenicState, alpha: float) -> tuple[list[float], 
     return logs, s, bound
 
 
-def _require_exact_size(state: HydrogenicState, a: int, x: int, y: int) -> None:
-    """Raise ExactTooLarge where the factors an exact position moment builds
-    for its order, the rising product Gamma(x)/Gamma(y) of |x-y| integers
-    and the scale's a-th power, would exceed EXACT_BITS bits.  A bit-length
-    bound on integers comes first, so small orders pay a few integer
-    operations; past it each factor of the rising product counts log2 of
-    their mean, an upper bound that needs no lgamma (which overflows)."""
-    scale = state.scale_bits(a)
-    if scale + abs(x - y) * (x + y).bit_length() <= EXACT_BITS:
-        return
-    bits = scale + abs(x - y) * (math.log2(x + y - 1) - 1)
-    if bits > EXACT_BITS:
-        raise ExactTooLarge(
-            f"exact <r^{a}> would build about {bits:.3g} bits, over {EXACT_BITS}; use mode=\"float\""
-        )
-
-
 def _r_series_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """<r^a> without (eta/2Z)^a: Gamma(2L+a+3) / (2eta Gamma(2L+2)) times the
     exact 3F2 series, as an unreduced (numerator, denominator, twice the pi
     power).  ExactTooLarge comes before any order-driven factor is built."""
     k, t = state.k, state.two_nu  # 2L+2, an integer
-    _require_exact_size(state, a, t + a + 1, t)
+    spec = HypSumSpec(top=(-2 * k, -2 * a - 2, 2 * a + 4), bottom=(2 * t, 2))
+    # the rising product's |a+1| factors (mean below t + a/2 + 1/2), the scale's
+    # power and the series (each step takes five factors below m, j+1 and 2)
+    f, m = abs(a + 1), max(2 * k, 2 * abs(a) + 4, 2 * t) + 2 * spec.terms
+    bits = f * ((2 * t + a).bit_length() - 1) + 1 + state.scale_bits(a)
+    bits += spec.terms * (5 * m.bit_length() + spec.terms.bit_length() + 1)
+    require_cost(bits, 6 * f + 16 * spec.terms + 11 * (bits >> 6), 'mode="float"')
     # Gamma(2L+a+3)/Gamma(2L+2) as a Pochhammer symbol of |a+1| factors;
     # the order check keeps 2L+a+3 >= 1
     if a >= -1:
@@ -178,14 +166,13 @@ def _r_series_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     else:
         ratio = pochhammer(t + a + 1, -a - 1)
         num, den = ratio.denominator, ratio.numerator
-    spec = HypSumSpec(top=(-2 * k, -2 * a - 2, 2 * a + 4), bottom=(2 * t, 2))
     s_num, s_den = hyp_sum(spec, "exact")
     return num * s_num, den * s_den * state.two_eta, 0
 
 
 def r_moment(state: HydrogenicState, alpha, mode: str = "auto") -> MomentResult:
     """<r^alpha> via the hypergeometric-3F2 formula.  An exact order whose
-    factors would exceed EXACT_BITS bits raises ExactTooLarge."""
+    cost would pass `specfun.COST_BUDGET` raises ExactTooLarge."""
     alpha_f = require_order(state, alpha, Space.POSITION)
     if resolve_mode(alpha, mode) == "exact":
         a = int(round(alpha_f))
@@ -240,8 +227,11 @@ def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult
     alpha_f = require_order(state, alpha, Space.POSITION)
     if resolve_mode(alpha, mode) == "exact":
         a = int(round(alpha_f))
-        _require_exact_size(state, a, D + a, D)
-        ratio = gamma_ratio_doubled((2 * (D + a),), (2 * D,))  # the order check keeps D+a >= 1
+        # the rising product's |a| doubled factors, of mean below 2D+a and each
+        # with a 2 below it, and the scale's power; the order check keeps D+a >= 1
+        bits = abs(a) * (4 * D + 2 * a).bit_length() + state.scale_bits(a)
+        require_cost(bits, 6 * abs(a) + 11 * (bits >> 6), 'mode="float"')
+        ratio = gamma_ratio_doubled((2 * (D + a),), (2 * D,))
         return exact(*ratio, Method.CLOSED_FORM, Space.POSITION, a, state)
     logs = [log_gamma(D + alpha_f), -log_gamma(D)]
     return rounded(logs, 1.0, 0.0, Method.CLOSED_FORM, Space.POSITION, alpha_f, state)

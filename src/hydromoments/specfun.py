@@ -10,7 +10,9 @@ on, and ends where its first factor vanishes: exact `hyp_sum` is that kernel
 over the spec's terms, and float `hyp_sum` halves each parameter once.
 The momentum 5F4 at a real order is summed in fixed point by its own loop,
 `momom._hyp5f4_fixed`, whose term ratio keeps each parameter over its own
-denominator.  `int_str` prints an integer of any size.
+denominator.  `int_str` prints an integer of any size.  `require_cost` is
+the one cost model: every exact route states the bits and passes it will
+build before it builds them, against the one COST_BUDGET.
 """
 
 from __future__ import annotations
@@ -199,14 +201,43 @@ def log_gamma(x: float) -> float:
         raise FloatOverflow(f"ln Gamma({x:.6g}) exceeds the double range") from None
 
 
+# The one budget, about 3.8e11 bit-passes: with each route's weights every
+# route ran at 2e11-6e11 a second (x86-64, Python 3.11), so a call just under
+# it took at most about 1.2 s, and the costliest cell the tests touch, 0.9 s.
+COST_BUDGET = 11 << 35
+
+
+def require_cost(bits: int, products: int, instead: str) -> None:
+    """The one cost model and the only reader of COST_BUDGET: a call that
+    builds `bits` bits in all in `products` passes over them costs their
+    product.  A product by a one-word factor is one pass; a product of two
+    big integers, a factorial or a reduction of b bits counts b/64, their
+    schoolbook cost, and each route weighs its steps and passes as measured.
+    Past the budget this raises ExactTooLarge naming `instead`, a cheaper
+    route or mode, before the caller builds anything."""
+    cost = bits * products
+    if cost > COST_BUDGET:
+        raise ExactTooLarge(f"this call would cost about 2^{math.log2(cost):.1f} bit-passes, "
+                            f"over the budget of 2^{math.log2(COST_BUDGET):.1f}; use {instead}")
+
+
+def gamma_bits(z: int) -> int:
+    """An upper bound on the bits of Gamma(z/2)'s coefficient: (m-1)! < m^(m-1)
+    for even z = 2m, and (2m-1)!! < z^m over 2^m for odd z = 2m+1.  For odd
+    z it also bounds every z' < z."""
+    return (z - 1) // 2 * (z.bit_length() + 2 * (z & 1) - 1)
+
+
 @lru_cache(maxsize=None)
 def _gamma_exact_cached(num: int, den: int) -> ExactValue:
-    x = Fraction(num, den)
+    bits = gamma_bits(2 * num // den)
+    require_cost(bits, 8 * (bits >> 6), 'mode="float"')  # its factorials and their product
     if den == 1:
         return ExactValue(Fraction(math.factorial(num - 1)))
-    # x = m + 1/2 with m >= 0: Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi)
+    # x = m + 1/2 with m >= 0: Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi), whose
+    # numerator comb(2m, m) m! = 2^m (2m-1)!! leaves the odd (2m-1)!! over 2^m
     m = (num - 1) // 2
-    coeff = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+    coeff = Fraction((math.comb(2 * m, m) * math.factorial(m)) >> m, 1 << m)
     return ExactValue(coeff, Fraction(1, 2))
 
 
@@ -218,9 +249,6 @@ def gamma_exact(x) -> ExactValue:
         raise NonpositiveArgument(f"gamma_exact requires x > 0, got {x}")
     if den not in (1, 2):
         raise UnsupportedArgument(f"gamma_exact needs denominator 1 or 2, got {x}")
-    # both forms take the factorial of num - 1
-    if num - 1 > sys.maxsize:
-        raise ExactTooLarge(f"gamma_exact of a {num.bit_length()}-bit argument exceeds math.factorial's limit")
     return _gamma_exact_cached(num, den)
 
 
@@ -289,6 +317,8 @@ def digamma_half_exact(n: int) -> Fraction:
     symbolic so they can cancel exactly in downstream brackets."""
     if n < 1:
         raise NonpositiveArgument("digamma_half_exact requires n >= 1")
+    # n Fraction additions on a pair below 4^n n, each some 128 passes (measured)
+    require_cost(4 * n + n.bit_length(), 128 * n, "asympt.rydberg_inverse_p")
     return 2 * sum(Fraction(1, 2 * k - 1) for k in range(1, n + 1))
 
 

@@ -116,9 +116,10 @@ class HydrogenicState:
 
     def scale_bits(self, a: int) -> int:
         """An upper bound on the bits of both integers of `scale(a, space)`
-        in either space, found without building them."""
+        in either space, found without building them: their product is at
+        most x^|a| with x = 4 z_num z_den 2eta, and 4 log2(x) < bitlen(x^4)."""
         z_num, z_den = self.Z.as_integer_ratio()
-        return abs(a) * (z_num.bit_length() + z_den.bit_length() + self.two_eta.bit_length() + 2)
+        return -(-abs(a) * ((4 * z_num * z_den * self.two_eta) ** 4).bit_length() // 4) + 2
 
     def scale_logs(self, alpha: float, space: Space) -> list[float]:
         """The log terms of the space's scale at order alpha, with ln Z and ln

@@ -19,7 +19,7 @@ from hydromoments import (
     r_moment_closed,
     r_moment_ground,
 )
-from hydromoments import oracle, p_moment_even_closed, posmom
+from hydromoments import oracle, p_moment_even_closed, posmom, specfun
 from hydromoments.errors import (
     ExactTooLarge,
     FloatOverflow,
@@ -28,7 +28,7 @@ from hydromoments.errors import (
     UnsupportedArgument,
 )
 from hydromoments.posmom import CANCELLATION_LIMIT, series_or_quadrature
-from hydromoments.specfun import pochhammer
+from hydromoments.specfun import gamma_ratio_doubled
 
 GRID = [
     (D, n, l)
@@ -318,20 +318,42 @@ def test_exact_order_beyond_the_size_budget_raises_at_once(call):
     assert call(2000).is_exact
 
 
+def _stated_cost_bounds_what_is_built(monkeypatch, call, built):
+    """The bits the call states to `specfun.require_cost` are at least
+    `built` and at most 1.25 times as many, and the one budget is compared
+    with exactly the cost it states: one bit-pass less raises."""
+    stated = []
+    monkeypatch.setattr(posmom, "require_cost", lambda *args: stated.append(args[:2]))
+    assert call().is_exact
+    [(bits, products)] = stated
+    assert built <= bits <= 1.25 * built
+    monkeypatch.setattr(posmom, "require_cost", specfun.require_cost)
+    monkeypatch.setattr(specfun, "COST_BUDGET", bits * products - 1)
+    with pytest.raises(ExactTooLarge, match='mode="float"'):
+        call()
+    monkeypatch.setattr(specfun, "COST_BUDGET", bits * products)
+    assert call().is_exact
+
+
 @pytest.mark.parametrize("D, n, l, Z, a", [
     (3, 2, 0, 1.0, 3000), (3, 2, 0, 0.1, 700), (3, 2, 0, 1e-300, 60),
     (8, 40, 3, 3.906504, 500), (3, 300, 250, 1.0, -500), (6, 1, 0, 0.1, 900),
 ])
 def test_exact_size_estimate_bounds_the_factors_it_counts(monkeypatch, D, n, l, Z, a):
-    """The estimate is at least the bits of the rising product and the
-    scale's power that the call builds, and at most 1.25 times as many."""
+    """r_moment builds its unreduced triple (the rising product times the
+    series) and the scale's power."""
     s = make_state(D, n, l, Z)
-    t = s.two_nu
-    rising = pochhammer(t, a + 1) if a >= -1 else 1 / pochhammer(t + a + 1, -a - 1)
+    num, den, _ = posmom._r_series_exact(s, a)
     sn, sd = s.scale(a, Space.POSITION)
-    built = sum(x.bit_length() for x in (rising.numerator, rising.denominator, sn, sd))
-    monkeypatch.setattr(posmom, "EXACT_BITS", built - 1)
-    with pytest.raises(ExactTooLarge):
-        r_moment(s, a)
-    monkeypatch.setattr(posmom, "EXACT_BITS", built * 5 // 4)
-    assert r_moment(s, a).is_exact
+    built = sum(x.bit_length() for x in (num, den, sn, sd))
+    _stated_cost_bounds_what_is_built(monkeypatch, lambda: r_moment(s, a), built)
+
+
+@pytest.mark.parametrize("D, Z, a", [(6, 0.1, 900), (3, 1.0, 3000), (5, 1e-300, -4)])
+def test_ground_state_size_estimate_bounds_the_factors_it_counts(monkeypatch, D, Z, a):
+    """r_moment_ground builds the rising product Gamma(D+a)/Gamma(D) and the
+    scale's power."""
+    num, den, _ = gamma_ratio_doubled((2 * (D + a),), (2 * D,))
+    sn, sd = make_state(D, 1, 0, Z).scale(a, Space.POSITION)
+    built = sum(x.bit_length() for x in (num, den, sn, sd))
+    _stated_cost_bounds_what_is_built(monkeypatch, lambda: r_moment_ground(D, Z, a), built)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -20,8 +21,10 @@ from hydromoments.errors import (
     PoleInBottomParameter,
     UnsupportedArgument,
 )
+from hydromoments import specfun
 from hydromoments.specfun import (
     SQRT_PI,
+    _gamma_exact_cached,
     ExactValue,
     HypSumSpec,
     digamma_half_exact,
@@ -449,13 +452,46 @@ def test_ground_state_beyond_the_double_range_is_a_library_error():
 
 
 def test_gamma_beyond_the_factorial_limit_is_a_library_error():
-    # math.factorial raised a bare OverflowError, reached by exact momentum at huge D
-    with pytest.raises(ExactTooLarge, match="math.factorial"):
-        gamma_exact(sys.maxsize + 2)
-    with pytest.raises(ExactTooLarge, match="math.factorial"):
-        gamma_exact(Fraction(sys.maxsize + 2, 2))
-    with pytest.raises(ExactTooLarge, match="math.factorial"):
+    # math.factorial raised a bare OverflowError past sys.maxsize, reached by
+    # exact momentum at huge D, and ran for seconds at 10^6; the one budget
+    # prices the factorial first
+    for x in (sys.maxsize + 2, Fraction(sys.maxsize + 2, 2), 10 ** 6, Fraction(10 ** 6 + 1, 2)):
+        t0 = time.perf_counter()
+        with pytest.raises(ExactTooLarge, match='budget.*mode="float"'):
+            gamma_exact(x)
+        assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(ExactTooLarge, match="budget"):
         p_moment(make_state(2 * 10 ** 19, 1, 0, 1.0), 1)
+
+
+def test_gamma_exact_is_priced_by_its_factorial(monkeypatch):
+    """gamma_exact's cost is the bits of its factorial, read against the one
+    budget: at one bit-pass below it a value raises, at it the value builds."""
+    bits = 20_000 * ((40_001).bit_length() + 1)  # (2m-1)!! < (2m+1)^m over 2^m, m = 20,000
+    cost = bits * 8 * (bits >> 6)
+    monkeypatch.setattr(specfun, "COST_BUDGET", cost - 1)
+    _gamma_exact_cached.cache_clear()
+    with pytest.raises(ExactTooLarge):
+        gamma_exact(Fraction(40_001, 2))
+    monkeypatch.setattr(specfun, "COST_BUDGET", cost)
+    assert gamma_exact(Fraction(40_001, 2)).pi_pow == Fraction(1, 2)
+
+
+def test_half_integer_gamma_is_bit_identical_to_the_factorial_quotient(monkeypatch):
+    """Gamma(m + 1/2)/sqrt(pi) = (2m)!/(4^m m!), reduced, for m in 0-2,000 and
+    at m = 20,000.  The build takes no gcd of two big integers: every gcd
+    that Fraction runs is against a power of two."""
+    real_gcd = math.gcd
+    for m in [*range(2001), 20_000]:
+        gcds = []
+        monkeypatch.setattr(math, "gcd", lambda *args: gcds.append(args) or real_gcd(*args))
+        _gamma_exact_cached.cache_clear()
+        value = gamma_exact(Fraction(2 * m + 1, 2))
+        monkeypatch.undo()
+        old = Fraction(math.factorial(2 * m), 4 ** m * math.factorial(m))
+        assert (value.coeff.numerator, value.coeff.denominator) == (old.numerator, old.denominator), m
+        assert value.pi_pow == Fraction(1, 2)
+        assert gcds and all(b & (b - 1) == 0 for _, b in gcds), m
 
 
 def test_to_float_raises_below_the_normal_double_range():
