@@ -3,13 +3,13 @@
 Four mutually checking routes: the default single finite sum (k+1 terms),
 the raw terminating-5F4 form, the double-sum rewriting, and the reflection
 identity.  For integer orders the single sum is the 5F4 series itself, so
-`single` and `hyp5f4` share one integer prefactor (`_momentum_prefactor`),
-the doubled parameters of `_hyp5f4_doubled` and one integer kernel:
-`single` calls the kernel `specfun.hyp_sum_doubled` directly, `hyp5f4`
-passes the same integers
-through `specfun.hyp_sum`, which checks them as a `HypSumSpec` and returns
-the kernel's unreduced pair.  Comparing the two therefore checks only one
-kernel call against the other; `double` is the independent exact
+`single` and `hyp5f4` share one integer prefactor (`_momentum_prefactor`)
+and sum the same series with two kernels: `single` (and exact `reflect`)
+with the 5F4's own integer loop `_hyp5f4_rational`, whose term ratio is
+written out on t = 2nu and a, `hyp5f4` with the generic exact
+`specfun.hyp_sum` on the doubled parameters of `_hyp5f4_doubled`, checked
+as a `HypSumSpec`.  Comparing the two checks one kernel against the other,
+not the 5F4's parameters or the prefactor; `double` is the independent exact
 cross-check.  Its inner sums are the square of one integer polynomial
 (`_double_sum_parts`), recomputed per call without a cache, and it calls
 neither 5F4 kernel entry.  Every exact route, and `double` in both modes,
@@ -56,7 +56,6 @@ from .specfun import (
     gamma_exact,
     gamma_ratio_doubled,
     hyp_sum,
-    hyp_sum_doubled,
     log_gamma,
     pochhammer,
     require_cost,
@@ -122,15 +121,34 @@ def _hyp5f4_doubled(state: HydrogenicState, a: int) -> tuple[tuple, tuple]:
     return (-2 * k, 2 * k + 2 * t, t, t + a + 1, t + 3 - a), (2 * t, t + 1, t + 2, t + 3)
 
 
+def _hyp5f4_rational(k: int, t: int, a: int) -> tuple[int, int]:
+    """The k+1 terms of the 5F4 series of `_hyp5f4_doubled` at t = 2nu and
+    the integer order a, exactly, as an unreduced (numerator, denominator):
+    the exact twin of `_hyp5f4_fixed`.
+
+    The doubled parameters' term ratio with its common factor 4 cancelled is
+    N_j / D_j with N_j = (j-k)(k+t+j)(t+2j)(t+2j+a+1)(t+2j+3-a) and
+    D_j = (j+1)(t+j)(t+2j+1)(t+2j+2)(t+2j+3) > 0.  The sum runs backwards
+    on one numerator and denominator, as in `specfun.hyp_sum_doubled`: each
+    step multiplies the small N_j and D_j into them, D_j den formed once."""
+    num = den = 1
+    b, c = a + 1, 3 - a
+    for j in range(k - 1, -1, -1):
+        u = t + 2 * j
+        rd = (j + 1) * (t + j) * (u + 1) * (u + 2) * (u + 3) * den
+        num = rd + (j - k) * (k + t + j) * u * (u + b) * (u + c) * num
+        den = rd
+    return num, den
+
+
 def _single_sum_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """The single sum at integer order a times its prefactor without
-    (Z/eta)^a, as an unreduced (numerator, denominator, twice the pi power)."""
-    # The single sum over j of (-1)^j C(k,j) (2nu+j)_k / (2nu)_k * nu/(nu+j)
-    # * (nu+(a+1)/2)_j (nu+(3-a)/2)_j / ((nu+1/2)_j (nu+3/2)_j) is, term
-    # for term, the 5F4 series; this route calls the integer kernel directly,
-    # hyp5f4 reaches it through hyp_sum.
+    (Z/eta)^a, as an unreduced (numerator, denominator, twice the pi power).
+    The single sum over j of (-1)^j C(k,j) (2nu+j)_k / (2nu)_k * nu/(nu+j)
+    * (nu+(a+1)/2)_j (nu+(3-a)/2)_j / ((nu+1/2)_j (nu+3/2)_j) is, term for
+    term, the 5F4 series, summed by its own loop `_hyp5f4_rational`."""
     num, den, two_pi = _momentum_prefactor(state, a)
-    s_num, s_den = hyp_sum_doubled(*_hyp5f4_doubled(state, a), state.k + 1)
+    s_num, s_den = _hyp5f4_rational(state.k, state.two_nu, a)
     return num * s_num, den * s_den, two_pi
 
 
@@ -193,7 +211,9 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
 
 
 def _hyp5f4_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
-    """The single sum's prefactor and series, the series through `hyp_sum`."""
+    """The single sum's prefactor and its 5F4 series through the generic
+    exact `hyp_sum` on the doubled parameters of `_hyp5f4_doubled`, not
+    through the series' own loop `_hyp5f4_rational` that `single` takes."""
     num, den, two_pi = _momentum_prefactor(state, a)
     s_num, s_den = hyp_sum(HypSumSpec(*_hyp5f4_doubled(state, a)), "exact")
     return num * s_num, den * s_den, two_pi

@@ -107,9 +107,10 @@ def exact(
     """The one assembler of every generic exact moment, `rounded`'s twin:
     num/den * pi^(two_pi/2) times the space's scale at the integer order a,
     for the unreduced integers of a Z-free prefactor and sum, reduced once
-    into one Fraction."""
+    into one Fraction, from which the ExactValue is built without a second
+    coercion."""
     sn, sd = state.scale(a, space)
-    value = ExactValue(Fraction(num * sn, den * sd), Fraction(two_pi, 2))
+    value = ExactValue.reduced(Fraction(num * sn, den * sd), two_pi)
     return MomentResult(value, 0.0, method, space, float(a), state)
 
 

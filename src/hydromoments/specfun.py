@@ -8,11 +8,13 @@ their logarithms with a rounding bound.  A series carries its parameters
 doubled (`HypSumSpec`), the integers the exact kernel `hyp_sum_doubled` sums
 on, and ends where its first factor vanishes: exact `hyp_sum` is that kernel
 over the spec's terms, and float `hyp_sum` halves each parameter once.
-The momentum 5F4 at a real order is summed in fixed point by its own loop,
-`momom._hyp5f4_fixed`, whose term ratio keeps each parameter over its own
-denominator.  `int_str` prints an integer of any size.  `require_cost` is
-the one cost model: every exact route states the bits and passes it will
-build before it builds them, against the one COST_BUDGET.
+The momentum 5F4 has loops of its own, whose term ratio keeps each
+parameter over its own denominator: in fixed point at a real order
+(`momom._hyp5f4_fixed`) and exactly at an integer one
+(`momom._hyp5f4_rational`, for `single` and `reflect`).  `int_str` prints
+an integer of any size.  `require_cost` is the one cost model: every exact
+route states the bits and passes it will build before it builds them,
+against the one COST_BUDGET.
 """
 
 from __future__ import annotations
@@ -83,6 +85,18 @@ class ExactValue:
             pi_pow = Fraction(0)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "pi_pow", pi_pow)
+
+    @classmethod
+    def reduced(cls, coeff: Fraction, two_pi: int) -> "ExactValue":
+        """coeff * pi^(two_pi/2) for a Fraction coeff and an int two_pi,
+        built without `__post_init__`'s coercion: two_pi/2 is a half-integer
+        by construction, and zero still carries pi^0."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "coeff", coeff)
+        if not coeff:
+            two_pi = 0
+        object.__setattr__(value, "pi_pow", Fraction(two_pi, 2) if two_pi & 1 else Fraction(two_pi >> 1))
+        return value
 
     def __mul__(self, other) -> "ExactValue":
         other = _coerce(other)
@@ -242,9 +256,13 @@ def _gamma_exact_cached(num: int, den: int) -> ExactValue:
 
 
 def gamma_exact(x) -> ExactValue:
-    """Gamma(x) for positive integer or half-integer rational x."""
-    x = as_fraction(x)
-    num, den = x.numerator, x.denominator
+    """Gamma(x) for positive integer or half-integer rational x; a plain int
+    is read as is, without building a Fraction."""
+    if type(x) is int:
+        num, den = x, 1
+    else:
+        x = as_fraction(x)
+        num, den = x.numerator, x.denominator
     if num <= 0:
         raise NonpositiveArgument(f"gamma_exact requires x > 0, got {x}")
     if den not in (1, 2):
@@ -261,7 +279,8 @@ def gamma_ratio_doubled(top2, bottom2) -> tuple[int, int, int]:
     of its parity still free, and the pair's quotient is a rising product on
     integers: Gamma(x/2)/Gamma(y/2) = prod_{m = y, y+2, ..., x-2} m/2 for
     x >= y, inverted for x < y.  Only the arguments left unpaired, the
-    smallest of their parity, are read off gamma_exact's coefficient.  Every
+    smallest of their parity, are read off gamma_exact's coefficient, at the
+    int x/2 for an even x and at Fraction(x, 2) only for an odd one.  Every
     argument is checked first, since a pair's product would hide a zero."""
     tops = sorted(top2, reverse=True)
     bottoms = sorted(bottom2, reverse=True)
@@ -283,12 +302,12 @@ def gamma_ratio_doubled(top2, bottom2) -> tuple[int, int, int]:
                     den *= math.prod(range(x, y, 2))
                 break
         else:
-            c = gamma_exact(Fraction(x, 2)).coeff
+            c = gamma_exact(Fraction(x, 2) if x & 1 else x >> 1).coeff
             num *= c.numerator
             den *= c.denominator
             two_pi += x & 1
     for y in bottoms:
-        c = gamma_exact(Fraction(y, 2)).coeff
+        c = gamma_exact(Fraction(y, 2) if y & 1 else y >> 1).coeff
         num *= c.denominator
         den *= c.numerator
         two_pi -= y & 1
@@ -355,10 +374,11 @@ def hyp_sum_doubled(top2, bottom2, terms: int) -> tuple[int, int]:
     when every doubled parameter is even, else 2), the term ratio is
     r_j = prod(A_i + d j) d^(q-p) / ((j+1) prod(B_i + d j)) for p top and q
     bottom parameters.  The sum 1 + r_0 (1 + r_1 (1 + ... (1 + r_{k-1})))
-    runs backwards on one integer numerator and denominator, so each step
-    costs O(1) integer products, and the caller reduces once at the end (as
-    in Haible & Papanikolaou, "Fast multiprecision evaluation of series of
-    rational numbers", 1998)."""
+    runs backwards on one integer numerator and denominator: with r_j = rn/rd,
+    num/den becomes (rd den + rn num)/(rd den), so each step takes two
+    products of a big integer by a small one, rd den formed once, and the
+    caller reduces once at the end (as in Haible & Papanikolaou, "Fast
+    multiprecision evaluation of series of rational numbers", 1998)."""
     if all(x % 2 == 0 for x in (*top2, *bottom2)):
         d, top, bottom = 1, [x // 2 for x in top2], [x // 2 for x in bottom2]
     else:
@@ -373,8 +393,9 @@ def hyp_sum_doubled(top2, bottom2, terms: int) -> tuple[int, int]:
         rd = den_scale * (j + 1)
         for b in bottom:
             rd *= b + d * j
-        num = rd * den + rn * num
-        den *= rd
+        rd *= den
+        num = rd + rn * num
+        den = rd
     return num, den
 
 

@@ -193,9 +193,8 @@ def daubechies_thakkar(
 def _fermion_logs(D: int, alpha: float, k: float) -> list[float]:
     """The log terms of F(D, alpha, k) = t^t alpha^{1+2k/D} (Omega_D B)^{-k/D}
     (k^k / (t alpha + k)^{t alpha + k})^{1/alpha}, t = 1 + k/D, B = B(D/alpha,
-    2 + D/k), with ln Omega_D from the integers of its exact value."""
-    from .oracle import _log, solid_angle
-
+    2 + D/k), with ln Omega_D = ln 2 + (D/2) ln pi - ln Gamma(D/2) one log per
+    term."""
     if alpha <= 0 or k <= 0:
         raise NonpositiveParameters("alpha and k must be positive")
     beta_log = log_gamma(D / alpha) + log_gamma(2 + D / k) - log_gamma(D / alpha + 2 + D / k)
@@ -203,7 +202,8 @@ def _fermion_logs(D: int, alpha: float, k: float) -> list[float]:
     s = t * alpha + k
     return [
         t * math.log(t), (1 + 2 * k / D) * math.log(alpha),
-        -k / D * (_log(solid_angle(D)) + beta_log), (k * math.log(k) - s * math.log(s)) / alpha,
+        -k / D * math.log(2.0), -k / 2 * math.log(math.pi), k / D * log_gamma(D / 2),
+        -k / D * beta_log, (k * math.log(k) - s * math.log(s)) / alpha,
     ]
 
 

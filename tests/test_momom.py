@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydromoments import (
     ExactValue,
@@ -24,7 +26,7 @@ from hydromoments import (
     quad_p_moment,
     reflect,
 )
-from hydromoments import momom, oracle, specfun
+from hydromoments import momom, oracle, specfun, verify
 from hydromoments.errors import (
     ExactTooLarge,
     FloatOverflow,
@@ -131,6 +133,53 @@ def test_single_route_matches_direct_sum(D):
         for alpha in (-3, -1, 1, 3, 5):
             if lo < alpha < hi:
                 assert p_moment(s, alpha, route="single").value == _single_sum_quadratic(s, alpha)
+
+
+def _generic_5f4(k, t, a):
+    """The 5F4 series through the generic kernel, on the doubled parameters
+    of the s state with that k and 2nu = t, which has D = t+1."""
+    s = make_state(t + 1, k + 1, 0, 1.0)
+    return Fraction(*specfun.hyp_sum_doubled(*momom._hyp5f4_doubled(s, a), k + 1))
+
+
+def test_own_exact_loop_matches_the_generic_kernel():
+    cells = 0
+    for D in range(2, 13):
+        for n in range(1, 13):
+            for l in range(n):
+                s = make_state(D, n, l, 1.0)
+                lo, hi = s.momentum_interval()
+                for a in range(lo + 1, hi):
+                    own = momom._hyp5f4_rational(s.k, s.two_nu, a)
+                    assert Fraction(*own) == _generic_5f4(s.k, s.two_nu, a), (D, n, l, a)
+                    if s.k == 0:
+                        assert own == (1, 1)
+                    cells += 1
+    assert cells == 25_454
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(0, 60), t=st.integers(1, 400), a=st.integers(-500, 500))
+def test_own_exact_loop_is_the_series_for_any_parameters(k, t, a):
+    # a runs far past the domain (-t-1, t+3), where a top parameter can
+    # vanish before the series ends
+    assert Fraction(*momom._hyp5f4_rational(k, t, a)) == _generic_5f4(k, t, a)
+
+
+def test_routes_suite_fails_on_a_mutant_of_the_own_loop(monkeypatch):
+    def mutant(k, t, a):
+        # D_j with t+2j+4 in place of t+2j+3
+        num = den = 1
+        for j in range(k - 1, -1, -1):
+            u = t + 2 * j
+            rd = (j + 1) * (t + j) * (u + 1) * (u + 2) * (u + 4) * den
+            num = rd + (j - k) * (k + t + j) * u * (u + a + 1) * (u + 3 - a) * num
+            den = rd
+        return num, den
+
+    assert verify.routes(verify.grid("small")).fails == 0
+    monkeypatch.setattr(momom, "_hyp5f4_rational", mutant)
+    assert verify.routes(verify.grid("small")).fails > 0
 
 
 def test_exact_single_route_builds_no_pochhammer(monkeypatch):

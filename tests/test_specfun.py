@@ -57,6 +57,14 @@ class TestExactValue:
         assert z.pi_pow == 0
         assert z + SQRT_PI == SQRT_PI
 
+    def test_reduced_keeps_the_invariants_of_the_coerced_form(self):
+        for coeff in (Fraction(0), Fraction(-3, 4), Fraction(5)):
+            for two_pi in range(-5, 6):
+                v = ExactValue.reduced(coeff, two_pi)
+                assert v == ExactValue(coeff, Fraction(two_pi, 2))
+                assert type(v.pi_pow) is Fraction and v.pi_pow.denominator in (1, 2)
+                assert v.pi_pow == (two_pi / 2 if coeff else 0)
+
     def test_mixed_pi_addition_rejected(self):
         with pytest.raises(UnsupportedArgument):
             ExactValue(1) + SQRT_PI
@@ -138,6 +146,14 @@ class TestGamma:
     def test_a_nonpositive_argument_raises_even_where_it_would_pair(self, top, bottom):
         with pytest.raises(NonpositiveArgument):
             gamma_ratio_doubled(top, bottom)
+
+    def test_a_plain_int_reads_as_its_fraction(self):
+        for m in range(1, 61):
+            assert gamma_exact(m) == gamma_exact(Fraction(m))
+        for m in (0, -3):
+            for x in (m, Fraction(m)):
+                with pytest.raises(NonpositiveArgument):
+                    gamma_exact(x)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NonpositiveArgument):

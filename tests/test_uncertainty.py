@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import mpmath
 import pytest
@@ -16,7 +17,8 @@ from hydromoments import (
 )
 from hydromoments import uncertainty
 from hydromoments.errors import FloatOverflow, NonpositiveParameters, NotSWave, OrderOutOfDomain
-from hydromoments.uncertainty import fermion_factor, momentum_space_constant
+from hydromoments.specfun import exp_sum
+from hydromoments.uncertainty import _fermion_logs, fermion_factor, momentum_space_constant
 
 
 def test_heisenberg_general_classic_case():
@@ -150,6 +152,34 @@ def test_fermion_product_parameters():
         fermion_product(s, 2.0, 2.0, N=0)
     with pytest.raises(NonpositiveParameters):
         fermion_factor(3, -1.0, 2.0)
+
+
+def _fermion_factor_reference(D, alpha, k):
+    """F(D, alpha, k) at 30 digits, with Omega_D = 2 pi^(D/2) / Gamma(D/2)."""
+    with mpmath.workdps(30):
+        D, alpha, k = mpmath.mpf(D), mpmath.mpf(alpha), mpmath.mpf(k)
+        t = 1 + k / D
+        s = t * alpha + k
+        omega = 2 * mpmath.pi ** (D / 2) / mpmath.gamma(D / 2)
+        b = mpmath.beta(D / alpha, 2 + D / k)
+        return t ** t * alpha ** (1 + 2 * k / D) * (omega * b) ** (-k / D) * (k ** k / s ** s) ** (1 / alpha)
+
+
+@pytest.mark.parametrize("D", [*range(2, 13), 1_001])
+def test_fermion_factor_is_within_its_bound_of_the_reference(D):
+    for alpha, k in ((2.0, 2.0), (1.0, 3.0), (0.5, 1.5), (3.0, 0.25)):
+        value, rel = exp_sum(_fermion_logs(D, alpha, k))
+        assert fermion_factor(D, alpha, k) == value
+        assert abs(value / _fermion_factor_reference(D, alpha, k) - 1) <= rel, (D, alpha, k)
+
+
+def test_fermion_factor_at_a_huge_dimension_answers_at_once():
+    # ln Omega_D came from the exact Gamma(D/2), which past D of about
+    # 180,000 raised ExactTooLarge naming an argument this function lacks
+    t0 = time.perf_counter()
+    value = fermion_factor(200_001, 2.0, 2.0)
+    assert time.perf_counter() - t0 < 0.1
+    assert math.isfinite(value)
 
 
 def test_reports_serialize_to_json():
