@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import NotCircular, OrderOutOfRegime, UnsupportedArgument
 from .specfun import EULER_GAMMA, exp_sum, log_gamma
-from .states import HydrogenicState, Space, make_state
+from .states import HydrogenicState, Space, finite_order, make_state
 
 
 class Regime(enum.Enum):
@@ -62,7 +62,7 @@ def gamma_ratio_asym(x: float, a: float, b: float) -> float:
 
 def rydberg_r(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
     """Leading n -> infinity form of <r^alpha> at fixed l, D."""
-    alpha = float(alpha)
+    alpha = finite_order(alpha, Space.POSITION)
     eta = float(state.eta)
     L = float(state.L)
     if alpha > -1.5:
@@ -94,7 +94,7 @@ def rydberg_r(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
 
 def rydberg_p(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
     """Leading n -> infinity form of <p^alpha>, valid only on -1 < alpha < 3."""
-    alpha = float(alpha)
+    alpha = finite_order(alpha, Space.MOMENTUM)
     if not -1 < alpha < 3:
         raise OrderOutOfRegime(f"Rydberg momentum order must lie in (-1, 3), got {alpha}")
     value = _exp_times([
@@ -110,7 +110,7 @@ def rydberg_circular_p(state: HydrogenicState, alpha: float) -> AsymptoticEstima
     """Rydberg circular-state <p^alpha> (D=3 form), with 1/n correction."""
     if not state.is_circular:
         raise NotCircular(f"state has l={state.l}, n={state.n}")
-    alpha = float(alpha)
+    alpha = finite_order(alpha, Space.MOMENTUM)
     _interval(state, alpha, Space.MOMENTUM)
     n = state.n
     scale = [alpha * (math.log(state.Z) - math.log(n))]
@@ -141,7 +141,7 @@ def rydberg_inverse_p(n: int, Z: float, family: str) -> AsymptoticEstimate:
 def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstimate:
     """D -> infinity estimates at fixed (n, l).  Leading values are the
     characteristic moments (D^2/4Z)^alpha and (2Z/D)^alpha."""
-    alpha = float(alpha)
+    alpha = finite_order(alpha, space)
     D, n, l = state.D, state.n, state.l
     lo, hi = _interval(state, alpha, space)
     if space is Space.MOMENTUM:

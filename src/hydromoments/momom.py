@@ -12,7 +12,12 @@ as a `HypSumSpec`.  Comparing the two checks one kernel against the other,
 not the 5F4's parameters or the prefactor; `double` is the independent exact
 cross-check.  Its inner sums are the square of one integer polynomial
 (`_double_sum_parts`), recomputed per call without a cache, and it calls
-neither 5F4 kernel entry.  Every exact route, and `double` in both modes,
+neither 5F4 kernel entry.  Each exact route builds one Gamma ratio, whose
+same-parity pairs cancel before anything is multiplied out: the single
+sum's rational part is the binomial (2k+2nu) C(2nu+k-1, k) / (2nu), so
+`gamma_ratio_doubled` sees only the four Gammas of its quotient, and exact
+`double` hands its prefactor's Gammas to its inner sums' ratio, where one
+Gamma(n+l+D-2) cancels.  Every exact route, and `double` in both modes,
 states its cost to `specfun.require_cost` before it builds anything
 (`_momentum_prefactor` for the single sum, `_double_sum_size` for the
 double sum) and raises ExactTooLarge past the one budget.
@@ -94,24 +99,26 @@ def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """The exact prefactor of the 5F4 series at integer order a without
     (Z/eta)^a, 2(k+nu)/k! Gamma(k+2nu)/Gamma(2nu+1)
     * Gamma(nu+(a+1)/2) Gamma(nu+(3-a)/2) / (Gamma(nu+1/2) Gamma(nu+3/2)),
-    as an unreduced (numerator, denominator, twice the pi power).
+    as an unreduced (numerator, denominator, twice the pi power).  Its
+    rational part cancels to the binomial (2k+t) C(t+k-1, k) / t at t = 2nu,
+    so `gamma_ratio_doubled` builds only the four Gammas of the quotient.
 
     By Legendre's duplication formula,
     Gamma(2nu+1) = 2^(2nu) Gamma(nu+1/2) Gamma(nu+1) / sqrt(pi), this is the
     paper's 2^(1-2nu) sqrt(pi) (k+nu)/k! Gamma(k+2nu) Gamma(nu+(a+1)/2)
     Gamma(nu+(3-a)/2) / (Gamma(nu+1/2)^2 Gamma(nu+1) Gamma(nu+3/2))."""
     k, t = state.k, state.two_nu
-    # the cost of the single sum every exact caller builds next.  Its Gamma
-    # ratio: Gamma(k+nu)/Gamma(nu+1) pairs into k-1 factors, or at odd a a top
-    # takes 2t+2 in its place with at most |a|+1 factors, and the rest is
-    # `_quotient_bits`.  Then k! and the k+1-term series, whose steps take nine
-    # factors below B = 4k+2t+6, j+1 and 2: at most 11 bitlen(B) bits a term.
-    bits = (k + abs(a) + 1) * (4 * k + 4 * t + 2 * abs(a) + 6).bit_length() + _quotient_bits(t, a)
+    # the cost of the single sum every exact caller builds next.  Its rational
+    # part: C(t+k-1, k) < (2k+t)^k and 2k+t, k+1 factors of bitlen(2k+t) bits;
+    # its Gamma quotient, `_quotient_bits`.  Then the k+1-term series, whose steps
+    # take nine factors below B = 4k+2t+6, j+1 and 2: at most 11 bitlen(B)
+    # bits a term.
+    bits = (k + 1) * (2 * k + t).bit_length() + _quotient_bits(t, a)
     bits += 11 * (k + 1) * (4 * k + 2 * t + 6).bit_length()
     require_cost(bits, 12 * k + 7 * (bits >> 6), 'mode="float"')
-    num, den, two_pi = gamma_ratio_doubled((2 * k + 2 * t, t + a + 1, t + 3 - a), (2 * t + 2, t + 1, t + 3))
-    # 2(k+nu) = 2k + 2nu
-    return num * (2 * k + t), den * math.factorial(k), two_pi
+    num, den, two_pi = gamma_ratio_doubled((t + a + 1, t + 3 - a), (t + 1, t + 3))
+    # 2(k+nu) Gamma(k+2nu) / (k! Gamma(2nu+1)) = (2k+t) C(t+k-1, k) / t
+    return num * (2 * k + t) * math.comb(t + k - 1, k), den * t, two_pi
 
 
 def _hyp5f4_doubled(state: HydrogenicState, a: int) -> tuple[tuple, tuple]:
@@ -219,15 +226,18 @@ def _hyp5f4_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     return num * s_num, den * s_den, two_pi
 
 
-def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int, int]:
-    """The inner sums P(s), s = 0..2k, of the double-sum form as integer
-    numerators over one common denominator, with twice their pi power.
+def _double_sum_parts(state: HydrogenicState, top=(), bottom=()) -> tuple[list[int], int, int]:
+    """The inner sums P(s), s = 0..2k, of the double-sum form times the
+    Gammas at the doubled arguments top over bottom, as integer numerators
+    over one common denominator, with twice their pi power.
 
     The inner sum over i+j = s squares one polynomial,
     P(s) = (-1)^s (g*g)_s / Gamma(C+s), with g_i = C(k,i) Gamma(A+i)/Gamma(B+i),
     A = n+l+D-2, B = l+D/2 and C = 2l+D+1.  Over W = 2^k (B)_k, which is the
     integer prod_{m<k} (2B+2m), g_i = Gamma(A)/Gamma(B) h_i / W with the integer
-    h_i = C(k,i) (A)_i 2^i prod_{i<=m<k} (2B+2m)."""
+    h_i = C(k,i) (A)_i 2^i prod_{i<=m<k} (2B+2m).  Gamma(A)^2/Gamma(B)^2 and the
+    extra Gammas are one `gamma_ratio_doubled` call, so what cancels between
+    them is never built."""
     k = state.k
     A, two_b, C = state.n + state.l + state.D - 2, 2 * state.l + state.D, 2 * state.l + state.D + 1
     suffix = [1] * (k + 1)
@@ -237,7 +247,7 @@ def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int, int]:
     for i in range(k + 1):
         h.append(math.comb(k, i) * rising * suffix[i])
         rising *= 2 * (A + i)
-    gn, gd, two_pi = gamma_ratio_doubled((2 * A, 2 * A), (two_b, two_b))
+    gn, gd, two_pi = gamma_ratio_doubled((2 * A, 2 * A, *top), (two_b, two_b, *bottom))
     # over the common Gamma(C+2k), P(s) carries (C+s)_{2k-s}
     nums, tail = [0] * (2 * k + 1), gn
     for s in range(2 * k, -1, -1):
@@ -263,11 +273,12 @@ def _double_sum_size(state: HydrogenicState, x_num: int, x_exp: int) -> tuple[in
     return bits, 6 * k + 3 * (bits >> 6) + (k + 1) ** 2 * h * h // (4 * bits)
 
 
-def _double_sum_series(state: HydrogenicState, x_num: int, x_exp: int) -> tuple[int, int, int]:
-    """sum_s P(s) (x)_s exactly at the dyadic rational x = x_num / 2^x_exp, as an
+def _double_sum_series(state: HydrogenicState, x_num: int, x_exp: int, top=(), bottom=()) -> tuple[int, int, int]:
+    """sum_s P(s) (x)_s exactly at the dyadic rational x = x_num / 2^x_exp,
+    times the Gammas at the doubled arguments top over bottom, as an
     unreduced (numerator, denominator, twice the pi power)."""
     k = state.k
-    nums, den, two_pi = _double_sum_parts(state)
+    nums, den, two_pi = _double_sum_parts(state, top, bottom)
     # (x)_s = prod_{m<s} (x_num + m 2^x_exp) / 2^(s x_exp), scaled by 2^(2k x_exp)
     total, rising = 0, 1
     for s, num in enumerate(nums):
@@ -279,20 +290,23 @@ def _double_sum_series(state: HydrogenicState, x_num: int, x_exp: int) -> tuple[
 def _double_sum_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """4 eta Gamma(l+(D-a)/2+1) Gamma(x) / (Gamma(A) k!) times sum_s P(s) (x)_s
     with x = l+(D+a)/2 and A = n+l+D-2, the double sum without (Z/eta)^a, as
-    an unreduced (numerator, denominator, twice the pi power)."""
+    an unreduced (numerator, denominator, twice the pi power).  The
+    prefactor's Gammas join the inner sums' Gamma(A)^2/Gamma(B)^2 in one
+    ratio, where one Gamma(A) cancels before it is built."""
     x, two_a = 2 * state.l + state.D, 2 * (state.n + state.l + state.D - 2)
     x2 = x + a
-    # k! and the prefactor's Gammas: its tops x-a+2 and x2 = x+a, at most m,
-    # stay unpaired at odd x2, and at even x2 the larger pairs with 2A
+    # k! and the prefactor's Gammas, priced as if built in a ratio of their
+    # own: its tops x-a+2 and x2 = x+a, at most m, unpaired at odd x2, and at
+    # even x2 the larger paired with 2A.  Built in the inner sums' ratio,
+    # where one Gamma(A) cancels, the two ratios cost no more than this
     m = (x + abs(a) + 2) | 1
     pre = state.k * state.k.bit_length() + gamma_bits(m) + (
         gamma_bits(m) + gamma_bits(two_a) if x2 & 1 else (abs(two_a - x) + abs(a) + 2) // 2 * (two_a + m).bit_length()
     )
     bits, products = _double_sum_size(state, x2, 1)
     require_cost(bits + pre, products + 2 * (pre >> 6), 'route="single"')
-    total, den, two_pi = _double_sum_series(state, x2, 1)
-    pn, pd, p_two_pi = gamma_ratio_doubled((x - a + 2, x2), (two_a,))
-    return 2 * state.two_eta * pn * total, pd * math.factorial(state.k) * den, two_pi + p_two_pi
+    total, den, two_pi = _double_sum_series(state, x2, 1, (x - a + 2, x2), (two_a,))
+    return 2 * state.two_eta * total, math.factorial(state.k) * den, two_pi
 
 
 def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:

@@ -40,7 +40,7 @@ from scipy.linalg import get_lapack_funcs
 from .errors import ExactTooLarge, NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
 from .posmom import Method, MomentResult, rounded
 from .specfun import _EPS, ExactValue, exp_sum, gamma_exact, log_gamma, require_cost
-from .states import HydrogenicState, Space
+from .states import HydrogenicState, Space, finite_order
 
 # At x >= 2^64, e^(-x/2) puts R_{n,l} below the double range unless k + l
 # or D exceeds 10^15; x is clipped there, where the recurrence stays finite
@@ -169,15 +169,20 @@ def _jacobi_log_mu0_terms(a: float, b: float) -> list[float]:
     return [(a + b + 1) * math.log(2.0), log_gamma(a + 1), log_gamma(b + 1), -log_gamma(a + b + 2)]
 
 
-def gauss_jacobi(m: int, a: float, b: float):
-    """Nodes and weights of the m-point Gauss rule for (1-x)^a (1+x)^b on (-1, 1).
-    ?stemr's m eigenvectors take 8 m^2 bytes, priced before anything is built:
-    at m = 4,000 they took 1.5 s and 123 MB, so past the budget, above
-    m = 2,401, the rule raises QuadratureFailure."""
+def _require_rule(m: int, instead: str) -> None:
+    """Price an m-node Gauss-Jacobi rule before anything is built: ?stemr's m
+    eigenvectors take 8 m^2 bytes, and at m = 4,000 they took 1.5 s and
+    123 MB, so past the budget, above m = 2,401, raise QuadratureFailure."""
     try:  # the 64 m^2 bits of the eigenvectors, at about 1,000 passes (measured)
-        require_cost(64 * m * m, 1024, 'an integer order in mode="exact"')
+        require_cost(64 * m * m, 1024, instead)
     except ExactTooLarge as e:
         raise QuadratureFailure(f"a {m}-node Gauss-Jacobi rule: {e}") from None
+
+
+def gauss_jacobi(m: int, a: float, b: float):
+    """Nodes and weights of the m-point Gauss rule for (1-x)^a (1+x)^b on
+    (-1, 1), priced first by `_require_rule`."""
+    _require_rule(m, 'an integer order in mode="exact"')
     a, b = float(a), float(b)
     alphas, betas = _jacobi_recurrence(m, a, b)
     return _golub_welsch(alphas, betas, sum(_jacobi_log_mu0_terms(a, b)))
@@ -229,7 +234,7 @@ def _rule_size(k: int) -> int:
 def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     """<r^alpha> from the position density by generalized Gauss-Laguerre rules
     of m = k+1 and m+1 nodes, weighted by one Christoffel pass."""
-    alpha = float(alpha)
+    alpha = finite_order(alpha, Space.POSITION)
     b = 2 * state.l + state.D - 2  # Laguerre index of the radial polynomial
     m = _rule_size(state.k)
     c = b + 1 + alpha  # the rules' weight is x^c e^{-x}
@@ -261,7 +266,7 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     (Z/eta)^alpha and the peak squared are exponentiated with ln of the sum.
     The bound adds 2 k^2 eps s for the nodes' rounding, which both rules
     share: by Markov's inequality |p'| <= k^2 max |p| on [-1, 1]."""
-    alpha = float(alpha)
+    alpha = finite_order(alpha, Space.MOMENTUM)
     nu = state.two_nu / 2  # float(nu), without building the Fraction
     k, m = state.k, _rule_size(state.k)
     # exact where a or b nears -1: there the moment is as sensitive to a+1 or
@@ -396,7 +401,12 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
         lv += 2 * q * _log_radial(state, x, log_amp)[1] + (D - 1) * np.log(x)
         return lv.max() + math.log(np.exp(lv - lv.max()).sum())
 
-    m = 20 + int(q * np.diff(ends).max(initial=0.0) / 2)
+    # in Python floats, which reach inf rather than warn past the double range;
+    # any width past 2^62 is far past the budget, and both runs are priced
+    # before either builds a rule
+    width = q * float(np.diff(ends).max(initial=0.0)) / 2
+    m = 20 + int(min(width, 2.0 ** 62))
+    _require_rule(m + 8, "a smaller q")
     log_int, log_int2 = run(m), run(m + 8)
     if abs(log_int - log_int2) > 1e-10:
         raise QuadratureFailure(f"W_{q:g} rules of {m} and {m + 8} nodes differ by {abs(log_int - log_int2):.2g}")

@@ -225,6 +225,7 @@ def r_moment_closed(state: HydrogenicState, alpha: int) -> MomentResult:
 def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult:
     """Ground-state <r^alpha> = ((D-1)/4Z)^alpha Gamma(D+alpha)/Gamma(D); (D-1)/4Z = eta/2Z."""
     state = make_state(D, 1, 0, Z)
+    D = state.D  # an int, whatever Integral D was given as
     alpha_f = require_order(state, alpha, Space.POSITION)
     if resolve_mode(alpha, mode) == "exact":
         a = int(round(alpha_f))

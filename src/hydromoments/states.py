@@ -157,6 +157,21 @@ def check_order(state: HydrogenicState, order: MomentOrder) -> bool:
     return True
 
 
+def finite_order(alpha, space: Space) -> float:
+    """float(alpha) for the estimators and the quadrature oracle, which check
+    their own intervals: raise OrderOutOfDomain unless it is a finite double.
+    A real alpha is compared exactly with the double range before float()
+    could overflow, as in `require_order`; a float skips that check, which
+    costs more than the rest of this function."""
+    if type(alpha) is not float:
+        if isinstance(alpha, Real) and not -_DOUBLE_MAX <= alpha <= _DOUBLE_MAX:  # true for nan
+            alpha = math.inf
+        alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise OrderOutOfDomain(f"{space.name.lower()} order is not a finite double")
+    return alpha
+
+
 def require_order(state: HydrogenicState, alpha, space: Space) -> float:
     """The float that callers compute with, once alpha is checked: raise
     UnsupportedArgument unless alpha is a real number, and OrderOutOfDomain

@@ -222,10 +222,11 @@ def fermion_product(
     require_order(state, alpha, Space.POSITION)
     require_order(state, k, Space.MOMENTUM)
     D = state.D
+    # K_D(k) F(D, alpha, k) first: it rejects alpha <= 0 before k / alpha
+    script_f = [*_fermion_logs(D, alpha, k), *_momentum_space_logs(D, k)]
     ra = r_moment(state, alpha, mode="float").as_float()
     pk = p_moment(state, k, mode="float").as_float()
     lhs = _exp([k / alpha * math.log(ra), math.log(pk)])
-    script_f = [*_fermion_logs(D, alpha, k), *_momentum_space_logs(D, k)]  # K_D(k) F(D, alpha, k)
     rhs = _exp([*script_f, -k / D * math.log(q), (1 + k * (1 / alpha + 1 / D)) * math.log(N)])
     params = {"state": state, "alpha": alpha, "k": k, "q": q, "N": N}
     sib = []

@@ -11,8 +11,10 @@ and D^(-alpha), so the draws reach far outside it on both sides."""
 import math
 import os
 import sys
+from fractions import Fraction
 
 import mpmath
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +34,7 @@ from hydromoments import (
     rydberg_p,
     rydberg_r,
 )
-from hydromoments.errors import FloatOverflow, FloatUnderflow, HydromomentsError
+from hydromoments.errors import FloatOverflow, FloatUnderflow, HydromomentsError, OrderOutOfDomain
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -174,3 +176,22 @@ def test_every_float_moment_lies_within_its_error_estimate(case):
             refs[key] = reference.moment(space.value, state.D, state.n, state.l, state.Z, alpha, REF_DIGITS)
         ratio = _error_over_bound(res, refs[key])
         assert ratio <= 1, (path, args, res.method, ratio)
+
+
+_ORDER_CALLS = {
+    "rydberg_p": lambda o: rydberg_p(make_state(3, 3, 0, 1.0), o),
+    "rydberg_r": lambda o: rydberg_r(make_state(3, 3, 0, 1.0), o),
+    "rydberg_circular_p": lambda o: rydberg_circular_p(make_state(3, 3, 2, 1.0), o),
+    "highD": lambda o: highD(make_state(16, 2, 0, 1.0), o, Space.MOMENTUM),
+    "quad_p_moment": lambda o: quad_p_moment(make_state(3, 3, 0, 1.0), o),
+    "quad_r_moment": lambda o: quad_r_moment(make_state(3, 3, 0, 1.0), o),
+}
+_NONFINITE = [10 ** 400, -10 ** 400, Fraction(10 ** 400, 3), math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("order", _NONFINITE, ids=["1e400", "-1e400", "fraction", "inf", "-inf", "nan"])
+@pytest.mark.parametrize("call", _ORDER_CALLS.values(), ids=_ORDER_CALLS.keys())
+def test_an_order_that_is_not_a_finite_double_is_out_of_domain(call, order):
+    # float() overflowed at 10^400, and rydberg_r reached fsum at inf
+    with pytest.raises(OrderOutOfDomain, match="not a finite double"):
+        call(order)

@@ -5,7 +5,9 @@ A call either answers or raises a HydromomentsError at once, with a message
 that names a cheaper route or mode."""
 
 import ast
+import math
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,10 +110,26 @@ def test_double_estimate_bounds_what_its_inner_sums_build(D):
     assert built <= bits <= 1.25 * built
 
 
+@pytest.mark.parametrize("D", [30_000, 30_001])
+def test_exact_double_states_at_least_what_it_builds(monkeypatch, D):
+    """Exact mode prices k! and its prefactor's Gammas as if they were built
+    apart from the inner sums' ratio; built in it, where one Gamma(A)
+    cancels, they still cost no more than that statement."""
+    s = make_state(D, 5, 0, 1.0)
+    stated = []
+    monkeypatch.setattr(momom, "require_cost", lambda bits, products, instead: stated.append(bits))
+    momom._double_sum_exact(s, 3)
+    x, two_a = 2 * s.l + D, 2 * (s.n + s.l + D - 2)
+    nums, den, _ = momom._double_sum_parts(s, (x - 1, x + 3), (two_a,))
+    built = max(v.bit_length() for v in nums) + den.bit_length() + math.factorial(s.k).bit_length()
+    assert stated[0] >= built
+
+
 def _no_rule_is_built(monkeypatch):
     fail = lambda *args: pytest.fail("the rule was built")  # noqa: E731
     monkeypatch.setattr(oracle, "_jacobi_recurrence", fail)
     monkeypatch.setattr(oracle, "_golub_welsch", fail)
+    monkeypatch.setattr(oracle, "_gauss_laguerre_log", fail)
 
 
 @pytest.mark.parametrize("m", [2_402, 50_001])
@@ -128,6 +146,19 @@ def test_a_momentum_fallback_at_large_n_raises_before_its_rule(monkeypatch):
     _no_rule_is_built(monkeypatch)
     with pytest.raises(QuadratureFailure, match="budget"):
         quad_p_moment(_nS(50_000), 0.3)
+
+
+@pytest.mark.parametrize("q", [3_000, 1e308, 2 ** 53 + 1])
+def test_an_entropic_moment_beyond_the_budget_raises_before_its_rules(monkeypatch, q):
+    # at q = 3,000 a 5,216-node Laguerre rule took 0.7-0.9 s before the Jacobi
+    # rule's budget raised; 1e308 overflowed numpy, 2^53+1 ran out of memory
+    _no_rule_is_built(monkeypatch)
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="node.*budget.*a smaller q"):
+            oracle.entropic_moment(make_state(3, 3, 0, 1.0), q)
+    assert time.perf_counter() - t0 < 0.1
 
 
 class _Built(Exception):

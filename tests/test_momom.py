@@ -513,3 +513,24 @@ def test_double_route_at_a_huge_dimension_raises_at_once(mode, alpha):
 def test_double_route_within_the_size_budget_still_answers():
     s = make_state(30000, 5, 0, 1.0)
     assert p_moment(s, 3, mode="exact", route="double").value == p_moment(s, 3, mode="exact").value
+
+
+def test_single_sum_prefactor_cancels_before_it_is_built():
+    """Its rational part 2(k+nu) Gamma(k+2nu) / (k! Gamma(2nu+1)) is the
+    binomial (2k+2nu) C(2nu+k-1, k) / (2nu): at 3D nS n = 2,000, a = 3 the
+    whole prefactor fits in 64 bits, where the rising product over k! took
+    21,066.  Its value: 4000 C(2000, 1999) / 2 times
+    Gamma(3) Gamma(1) / (Gamma(3/2) Gamma(5/2)) = 16 / (3 pi)."""
+    num, den, two_pi = momom._momentum_prefactor(make_state(3, 2_000, 0, 1.0), 3)
+    assert max(num.bit_length(), den.bit_length()) <= 64
+    assert (Fraction(num, den), two_pi) == (Fraction(64_000_000, 3), -2)
+
+
+@pytest.mark.parametrize("D, parent_bits", [(30_000, 866_103), (30_001, 1_037_559)])
+def test_double_sum_cancels_its_gammas_before_building_them(D, parent_bits):
+    """The prefactor's Gamma(l+(D-a)/2+1) Gamma(l+(D+a)/2) / Gamma(A) joins
+    the inner sums' Gamma(A)^2 / Gamma(B)^2 in one ratio, so one Gamma(A)
+    cancels before it is built: the larger integer of the unreduced triple
+    has at most 0.8 of the bits it had with two ratios (parent_bits)."""
+    num, den, _ = momom._double_sum_exact(make_state(D, 5, 0, 1.0), 3)
+    assert max(num.bit_length(), den.bit_length()) <= 0.8 * parent_bits

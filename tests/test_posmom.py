@@ -120,6 +120,14 @@ def test_ground_state_formula_matches_general_route():
                 assert g.value == r_moment(s, alpha).value
 
 
+@pytest.mark.parametrize("D", [np.int64(3), np.int32(7)])
+def test_ground_state_takes_a_numpy_dimension(D):
+    # its cost line read D.bit_length(), which numpy integers lack
+    for a in (-1, 1, 4):
+        assert r_moment_ground(D, 1.0, a).value == r_moment_ground(int(D), 1.0, a).value
+    assert r_moment_ground(D, 1.0, 0.5).value == r_moment_ground(int(D), 1.0, 0.5).value
+
+
 def test_ground_state_float_mode():
     g = r_moment_ground(3, 1.0, 0.5)
     exact_ish = r_moment(make_state(3, 1, 0, 1.0), 0.5).as_float()

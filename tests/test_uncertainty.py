@@ -154,6 +154,13 @@ def test_fermion_product_parameters():
         fermion_factor(3, -1.0, 2.0)
 
 
+@pytest.mark.parametrize("alpha, k", [(0, 2), (0.0, 2.0), (-1.0, 2.0), (2.0, 0)])
+def test_fermion_product_rejects_a_nonpositive_order_before_dividing_by_it(alpha, k):
+    # alpha = 0 divided k by zero before F(D, alpha, k) could reject it
+    with pytest.raises(NonpositiveParameters):
+        fermion_product(make_state(3, 1, 0, 1.0), alpha, k)
+
+
 def _fermion_factor_reference(D, alpha, k):
     """F(D, alpha, k) at 30 digits, with Omega_D = 2 pi^(D/2) / Gamma(D/2)."""
     with mpmath.workdps(30):
