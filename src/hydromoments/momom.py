@@ -482,17 +482,15 @@ def breit_pauli_moment(state: HydrogenicState) -> MomentResult:
 
 def appendix_constants(state: HydrogenicState) -> tuple[ExactValue, ExactValue]:
     """Exact prefactors multiplying the Gegenbauer integrals that reproduce
-    <p> and <p^{-1}> respectively."""
-    eta, L, k = state.eta, state.L, state.k
-    base = (
-        gamma_exact(L + 1) ** 2  # priced before 2^(2L+2) is built
-        * ExactValue(Fraction(2) ** int(2 * L + 2))
-        * ExactValue(Fraction(math.factorial(k), 2), Fraction(-1))
-        / gamma_exact(eta + L + 1)
-    )
-    k_mean = ExactValue(state.Z_exact) * base
-    k_inv = ExactValue(eta ** 2 / state.Z_exact) * base
-    return k_mean, k_inv
+    <p> and <p^{-1}>: Z and eta^2/Z times Gamma(L+1)^2 2^(2L+2) k! / (2 pi
+    Gamma(eta+L+1)), one Gamma ratio, since eta+L+1 = k+2nu."""
+    k, t = state.k, state.two_nu  # t = 2nu = 2L+2
+    # under t paired factors below 2k+2t, two Gammas of gamma_bits(t) bits, 2^(t-1)
+    bits = t * (2 * k + 2 * t).bit_length() + 2 * gamma_bits(t) + t
+    require_cost(bits, t + 8 * (bits >> 6), 'mode="float"')
+    num, den, two_pi = gamma_ratio_doubled((t, t, 2 * k + 2), (2 * k + 2 * t,))
+    base = ExactValue.reduced(Fraction(num << (t - 1), den), two_pi - 2)
+    return ExactValue(state.Z_exact) * base, ExactValue(state.eta ** 2 / state.Z_exact) * base
 
 
 def appendix_integral_circular_exact(state: HydrogenicState) -> ExactValue:

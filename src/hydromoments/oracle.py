@@ -27,6 +27,8 @@ polynomial value, so they cannot overflow.
 Entropic moments integrate |R|^(2q), which is not a polynomial, with Gauss
 rules between the zeros of R; they keep rules of m and m+8 nodes, whose
 difference does measure truncation.
+No float path builds an exact number: `position_norm_sq`, `momentum_norm_sq`
+and `solid_angle` are exact references only.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import ExactTooLarge, NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
 from .posmom import Method, MomentResult, rounded
-from .specfun import _EPS, ExactValue, exp_sum, gamma_exact, log_gamma, require_cost
+from .specfun import _EPS, ExactValue, exp_sum, gamma_exact, log_gamma, require_cost, solid_angle_logs
 from .states import HydrogenicState, Space, finite_order
 
 # At x >= 2^64, e^(-x/2) puts R_{n,l} below the double range unless k + l
@@ -81,23 +83,24 @@ def _jacobi_recurrence(m: int, a: float, b: float):
 
 
 def _golub_welsch(alphas, betas, log_mu0: float):
-    """Nodes and weights from the Jacobi matrix by ?stemr, which needs the
-    off-diagonal padded to length m and overwrites it."""
+    """Nodes and log-weights ln(mu0 v_0^2) from the Jacobi matrix by
+    ?stemr, which needs the off-diagonal padded to length m and overwrites it."""
     m = len(alphas)
     off = np.zeros(m)
     off[:-1] = np.sqrt(betas)
     found, nodes, vecs, info = _STEMR(alphas, off, 0, 0.0, 0.0, 0, 0, lwork=18 * m, liwork=10 * m)
     if info or found < m:
         raise QuadratureFailure(f"?stemr returned info={info} with {found} of {m} eigenpairs")
-    w = exp_sum([log_mu0])[0] * vecs[0] ** 2
     # MRRR sets each eigenvector to 0 outside the support it computes, which drops
     # some weights far below eps mu0 that the other weights keep to full relative
     # accuracy; the Christoffel function 1/sum_j p_j^2 gives those back
+    w = vecs[0] ** 2  # also 0 where |v_0| < 1e-162; the Christoffel function gives those back too
     lost = w == 0
+    log_w = log_mu0 + np.log(w + lost)  # ln 1, not ln 0, until replaced below
     if lost.any():
         _, scale, total = _scaled_recurrence(alphas, betas, -0.5 * log_mu0, nodes[lost])
-        w[lost] = np.exp(-(np.log(total) + 2 * scale))
-    return nodes, w
+        log_w[lost] = -(np.log(total) + 2 * scale)
+    return nodes, log_w
 
 
 def _scaled_recurrence(alphas, betas, log_p0: float, x):
@@ -185,7 +188,10 @@ def gauss_jacobi(m: int, a: float, b: float):
     _require_rule(m, 'an integer order in mode="exact"')
     a, b = float(a), float(b)
     alphas, betas = _jacobi_recurrence(m, a, b)
-    return _golub_welsch(alphas, betas, sum(_jacobi_log_mu0_terms(a, b)))
+    log_mu0 = sum(_jacobi_log_mu0_terms(a, b))
+    exp_sum([log_mu0])  # FloatOverflow or FloatUnderflow where mu0 leaves the double range
+    x, log_w = _golub_welsch(alphas, betas, log_mu0)
+    return x, np.exp(log_w)
 
 
 def laguerre_orthonormal(k: int, b: float, x):
@@ -212,18 +218,14 @@ def gegenbauer_orthonormal(k: int, nu: float, x):
     return p
 
 
-def _gegenbauer_log_norm_sq(k: int, nu: float) -> float:
-    """ln h_k, h_k = pi 2^(1-2nu) Gamma(k+2nu) / (k! (k+nu) Gamma(nu)^2), the
-    squared norm of C_k^(nu)."""
-    return (
+def gegenbauer(k: int, nu: float, x):
+    """Plain Gegenbauer polynomial C_k^(nu)(x) = sqrt(h_k) C~_k(x), with
+    h_k = pi 2^(1-2nu) Gamma(k+2nu) / (k! (k+nu) Gamma(nu)^2) its squared norm."""
+    log_h = (
         math.log(math.pi) + (1 - 2 * nu) * math.log(2.0) + log_gamma(k + 2 * nu)
         - log_gamma(k + 1) - math.log(k + nu) - 2 * log_gamma(nu)
     )
-
-
-def gegenbauer(k: int, nu: float, x):
-    """Plain Gegenbauer polynomial C_k^(nu)(x) = sqrt(h_k) C~_k(x)."""
-    return math.exp(0.5 * _gegenbauer_log_norm_sq(k, nu)) * gegenbauer_orthonormal(k, nu, x)
+    return math.exp(0.5 * log_h) * gegenbauer_orthonormal(k, nu, x)
 
 
 def _rule_size(k: int) -> int:
@@ -308,21 +310,20 @@ def momentum_norm_sq(state: HydrogenicState) -> ExactValue:
     )
 
 
-def _log(v: ExactValue) -> float:
-    """ln of a positive exact value, from its integer numerator and denominator."""
-    return math.log(v.coeff.numerator) - math.log(v.coeff.denominator) + float(v.pi_pow) * math.log(math.pi)
+def _log_amplitude(state: HydrogenicState, space: Space) -> float:
+    """ln of the radial wavefunction's factor in front of its orthonormal
+    polynomial.  Against p~_k for x^b e^{-x}, b = 2l+D-2, it is
+    K^2 Gamma(k+b+1)/k! = (2Z/eta)^D/(2 eta), as k+b+1 = n+l+D-2; against
+    C~_k, K'^2 h_k = (eta/Z)^D 2^(2l+D+1), as k+2nu = n+l+D-2 and k+nu = eta."""
+    if space is Space.POSITION:
+        return -0.5 * (math.fsum(state.scale_logs(state.D, space)) + math.log(state.two_eta))
+    return 0.5 * (math.fsum(state.scale_logs(-state.D, space)) + (2 * state.l + state.D + 1) * math.log(2.0))
 
 
-def _position_log_amplitude(state: HydrogenicState) -> float:
-    """ln of the factor of R_{n,l}(r) in front of the orthonormal Laguerre polynomial."""
-    b = 2 * state.l + state.D - 2
-    # orthonormal Laguerre carries 1/||L||; restore the conventional scale
-    return 0.5 * (_log(position_norm_sq(state)) + log_gamma(state.k + b + 1) - log_gamma(state.k + 1))
-
-
-def _log_radial(state: HydrogenicState, x, log_amp: float):
-    """The sign and ln|R_{n,l}| at x = 2Zr/eta, given log_amp from _position_log_amplitude."""
+def _log_radial(state: HydrogenicState, x):
+    """The sign and ln|R_{n,l}| at x = 2Zr/eta."""
     q, s, _ = _laguerre_scaled(state.k, 2 * state.l + state.D - 2, x)
+    log_amp = _log_amplitude(state, Space.POSITION)
     with np.errstate(divide="ignore"):  # 0 * log 0 would be nan: l log x enters only for l > 0
         log_r = log_amp - x / 2 + np.log(np.abs(q)) + s + (state.l * np.log(x) if state.l else 0)
     return np.sign(q), log_r
@@ -336,20 +337,15 @@ def _signed_exp(sign, log_v):
     return sign * np.exp(log_v)
 
 
-def _radial_position(state: HydrogenicState, r, log_amp: float):
-    """R_{n,l}(r) given its log-amplitude from _position_log_amplitude, with
-    x = 2Zr/eta formed from ln r and the position scale's logs."""
+def radial_position(state: HydrogenicState, r):
+    """Radial position wavefunction R_{n,l}(r), with x = 2Zr/eta formed from
+    ln r and the position scale's logs."""
     r = np.asarray(r, dtype=float)
     if (r < 0).any():
         raise UnsupportedArgument("a radius must be nonnegative")
     with np.errstate(divide="ignore", over="ignore"):  # x = 0 at r = 0, inf past the range
         x = np.exp(np.log(r) - math.fsum(state.scale_logs(1, Space.POSITION)))
-    return _signed_exp(*_log_radial(state, np.minimum(x, _X_FAR), log_amp))
-
-
-def radial_position(state: HydrogenicState, r):
-    """Radial position wavefunction R_{n,l}(r)."""
-    return _radial_position(state, r, _position_log_amplitude(state))
+    return _signed_exp(*_log_radial(state, np.minimum(x, _X_FAR)))
 
 
 def radial_momentum(state: HydrogenicState, p):
@@ -359,7 +355,7 @@ def radial_momentum(state: HydrogenicState, p):
     logs, and y = (1 - t^2) / (1 + t^2) = -tanh(ln t)."""
     p = np.asarray(p, dtype=float)
     nu, l = state.two_nu / 2, state.l
-    log_amp = 0.5 * (_log(momentum_norm_sq(state)) + _gegenbauer_log_norm_sq(state.k, nu))
+    log_amp = _log_amplitude(state, Space.MOMENTUM)
     with np.errstate(divide="ignore"):  # y = 1 at p = 0; 0 * ln 0 would be nan, so l ln t only for l > 0
         log_t = np.log(np.abs(p)) + math.fsum(state.scale_logs(-1, Space.MOMENTUM))
         c = gegenbauer_orthonormal(state.k, nu, -np.tanh(log_t))
@@ -384,21 +380,22 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
         raise NonpositiveParameters(f"entropic order q must be positive and finite, got {q}")
     q, D, k = float(q), state.D, state.k
     ends = np.concatenate(([0.0], _laguerre_nodes(k, D - 2) if k else []))
-    panels = ((ends[:-1][:1], ends[1:2], D - 1), (ends[1:-1], ends[2:], 2 * q))  # [0, z_1], [z_j, z_j+1]
+    # [0, z_1] from k = 1 and [z_j, z_j+1] from k = 2: an empty panel would still build a rule
+    panels = ((ends[:1], ends[1:2], D - 1), (ends[1:-1], ends[2:], 2 * q))[:min(k, 2)]
     c = 2 * q if k else D - 1  # the tail's factor at its left end
-    log_amp = _position_log_amplitude(state)  # exact norm, once per call rather than per rule
 
     def run(m):
-        """ln of the integral over x by m-node rules."""
+        """ln of the integral over x by m-node rules, their weights kept as logs:
+        mu0 of the rule on [0, z_1] leaves the double range from D of about 1,050."""
         t, log_w = _gauss_laguerre_log(m, c)
         xs, logs = [ends[-1] + t / q], [log_w - c * np.log(t) + t - math.log(q)]
         for left, right, b in panels:
-            t, w = gauss_jacobi(m, 2 * q, b)
+            t, log_w = _golub_welsch(*_jacobi_recurrence(m, 2 * q, b), sum(_jacobi_log_mu0_terms(2 * q, b)))
             h = (right - left)[:, None] / 2
             xs.append((left[:, None] + h * (1 + t)).ravel())
-            logs.append((np.log(h * w) - 2 * q * np.log1p(-t) - b * np.log1p(t)).ravel())
+            logs.append((np.log(h) + log_w - 2 * q * np.log1p(-t) - b * np.log1p(t)).ravel())
         x, lv = np.concatenate(xs), np.concatenate(logs)
-        lv += 2 * q * _log_radial(state, x, log_amp)[1] + (D - 1) * np.log(x)
+        lv += 2 * q * _log_radial(state, x)[1] + (D - 1) * np.log(x)
         return lv.max() + math.log(np.exp(lv - lv.max()).sum())
 
     # in Python floats, which reach inf rather than warn past the double range;
@@ -410,4 +407,4 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
     log_int, log_int2 = run(m), run(m + 8)
     if abs(log_int - log_int2) > 1e-10:
         raise QuadratureFailure(f"W_{q:g} rules of {m} and {m + 8} nodes differ by {abs(log_int - log_int2):.2g}")
-    return exp_sum([(1 - q) * _log(solid_angle(D)), *state.scale_logs(D, Space.POSITION), log_int2])[0]
+    return exp_sum([*((1 - q) * t for t in solid_angle_logs(D)), *state.scale_logs(D, Space.POSITION), log_int2])[0]

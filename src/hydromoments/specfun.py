@@ -215,6 +215,11 @@ def log_gamma(x: float) -> float:
         raise FloatOverflow(f"ln Gamma({x:.6g}) exceeds the double range") from None
 
 
+def solid_angle_logs(D: int) -> list[float]:
+    """The log terms of Omega_D = 2 pi^(D/2) / Gamma(D/2), the unit (D-1)-sphere's surface."""
+    return [math.log(2.0), D / 2 * math.log(math.pi), -log_gamma(D / 2)]
+
+
 # The one budget, about 3.8e11 bit-passes: with each route's weights every
 # route ran at 2e11-6e11 a second (x86-64, Python 3.11), so a call just under
 # it took at most about 1.2 s, and the costliest cell the tests touch, 0.9 s.

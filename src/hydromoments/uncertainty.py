@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .errors import NonpositiveParameters, OrderOutOfDomain
 from .momom import p_moment
 from .posmom import r_moment
-from .specfun import exp_sum, log_gamma
+from .specfun import exp_sum, log_gamma, solid_angle_logs
 from .states import HydrogenicState, Space, require_order
 
 
@@ -193,8 +193,7 @@ def daubechies_thakkar(
 def _fermion_logs(D: int, alpha: float, k: float) -> list[float]:
     """The log terms of F(D, alpha, k) = t^t alpha^{1+2k/D} (Omega_D B)^{-k/D}
     (k^k / (t alpha + k)^{t alpha + k})^{1/alpha}, t = 1 + k/D, B = B(D/alpha,
-    2 + D/k), with ln Omega_D = ln 2 + (D/2) ln pi - ln Gamma(D/2) one log per
-    term."""
+    2 + D/k), with ln Omega_D one log per term of `solid_angle_logs`."""
     if alpha <= 0 or k <= 0:
         raise NonpositiveParameters("alpha and k must be positive")
     beta_log = log_gamma(D / alpha) + log_gamma(2 + D / k) - log_gamma(D / alpha + 2 + D / k)
@@ -202,7 +201,7 @@ def _fermion_logs(D: int, alpha: float, k: float) -> list[float]:
     s = t * alpha + k
     return [
         t * math.log(t), (1 + 2 * k / D) * math.log(alpha),
-        -k / D * math.log(2.0), -k / 2 * math.log(math.pi), k / D * log_gamma(D / 2),
+        *(-k / D * term for term in solid_angle_logs(D)),
         -k / D * beta_log, (k * math.log(k) - s * math.log(s)) / alpha,
     ]
 

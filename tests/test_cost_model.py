@@ -8,6 +8,7 @@ import ast
 import math
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from hydromoments import (
 )
 from hydromoments import momom, oracle
 from hydromoments.errors import ExactTooLarge, QuadratureFailure
+from hydromoments.specfun import ExactValue
 
 SRC = Path(hydromoments.__file__).parent
 
@@ -95,6 +97,15 @@ def test_large_dimensions_under_the_budget_still_answer(D):
     single = p_moment(s, 3, mode="exact")
     assert single.is_exact
     assert p_moment(s, 3, mode="exact", route="double").value == single.value
+
+
+def test_appendix_constants_at_a_million_answer_at_once():
+    # math.factorial(999,999) took 7.5 s, unpriced, before Gamma(eta+L+1) raised
+    t0 = time.perf_counter()
+    k_mean, k_inv = momom.appendix_constants(_nS(10 ** 6))
+    assert time.perf_counter() - t0 < 0.1
+    assert k_mean == ExactValue(Fraction(1, 500_000), -1)
+    assert k_inv == ExactValue(2_000_000, -1)
 
 
 @pytest.mark.parametrize("D", [30_000, 30_001])

@@ -1,11 +1,13 @@
 """Quadrature oracle: rules, wavefunctions, norms, and entropic moments."""
 
+import ast
 import math
 import os
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -15,6 +17,7 @@ from scipy.special import roots_genlaguerre
 
 import hydromoments
 from hydromoments import (
+    Space,
     entropic_moment,
     make_state,
     p_moment,
@@ -38,6 +41,7 @@ from hydromoments.oracle import (
     momentum_norm_sq,
     position_norm_sq,
 )
+from hydromoments.specfun import ExactValue, gamma_exact
 
 
 def test_gauss_laguerre_exactness():
@@ -247,22 +251,88 @@ def test_entropic_moments_ground_state():
         assert entropic_moment(s, q) == pytest.approx(expect, rel=1e-9)
 
 
-def test_entropic_moment_takes_the_exact_norm_once(monkeypatch):
+def test_entropic_moment_keeps_its_value_without_the_exact_norm():
+    # 0.0011787266575962437 when the exact K^2 and Omega_D entered its logs
+    assert entropic_moment(make_state(4, 3, 0, 1.0), 1.5) == pytest.approx(0.0011787266575962437, rel=1e-13, abs=0)
+
+
+_EXACT_NAMES = {"gamma_exact", "ExactValue", "Fraction"}
+_EXACT_REFERENCES = {"position_norm_sq", "momentum_norm_sq", "solid_angle"}
+
+
+def _exact_names(node):
+    """The exact-arithmetic names a node uses: gamma_exact, ExactValue,
+    Fraction and math.factorial."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id in _EXACT_NAMES:
+            found.append(sub.id)
+        elif isinstance(sub, ast.Attribute) and (sub.attr in _EXACT_NAMES or sub.attr == "factorial"):
+            found.append(sub.attr)
+    return found
+
+
+def test_only_the_exact_references_build_exact_numbers():
+    """In the oracle only its three exact references name exact arithmetic,
+    and nothing in the package calls them: the float paths take elementary
+    amplitudes and ln Omega_D from logs."""
+    src = Path(hydromoments.__file__).parent
+    tree = ast.parse((src / "oracle.py").read_text())
+    naming = [
+        f"{getattr(node, 'name', type(node).__name__)}: {name}"
+        for node in tree.body
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "name", None) not in _EXACT_REFERENCES
+        for name in _exact_names(node)
+    ]
+    assert naming == []
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in _EXACT_REFERENCES:
+                    callers.append(f"{path.name}:{node.lineno} {name}")
+    assert callers == []
+
+
+def _log_exact(v):
+    """ln of a positive ExactValue, from its integers."""
+    return math.log(v.coeff.numerator) - math.log(v.coeff.denominator) + float(v.pi_pow) * math.log(math.pi)
+
+
+def test_wavefunction_amplitudes_are_the_exact_norms():
+    """ln A and ln A' are half the log of K^2 Gamma(k+b+1)/k!, b = 2l+D-2, and
+    of K'^2 h_k, h_k = pi 2^(1-2nu) Gamma(k+2nu) / (k! (k+nu) Gamma(nu)^2) the
+    squared norm of C_k^(nu), both built exactly."""
     from hydromoments import oracle
 
-    calls = []
+    for D in range(2, 13):
+        for n in range(1, 12):
+            for l in range(n):
+                for Z in (1.0, 0.37, 2.5):
+                    s = make_state(D, n, l, Z)
+                    k, nu = s.k, s.nu
+                    position = position_norm_sq(s) * gamma_exact(k + 2 * l + D - 1) / math.factorial(k)
+                    h_k = (
+                        ExactValue(Fraction(2) ** (1 - s.two_nu), 1) * gamma_exact(k + s.two_nu)
+                        / (ExactValue(math.factorial(k) * (k + nu)) * gamma_exact(nu) ** 2)
+                    )
+                    for space, exact in ((Space.POSITION, position), (Space.MOMENTUM, momentum_norm_sq(s) * h_k)):
+                        assert abs(oracle._log_amplitude(s, space) - 0.5 * _log_exact(exact)) <= 1e-13, (s, space)
 
-    def counting(state):
-        calls.append(state)
-        return position_norm_sq(state)
 
-    s = make_state(4, 3, 0, 1.0)
-    want = entropic_moment(s, 1.5)
-    monkeypatch.setattr(oracle, "position_norm_sq", counting)
-    assert entropic_moment(s, 1.5) == want
-    assert calls == [s]
-    r = np.array([0.5, 2.0, 9.0])
-    assert np.array_equal(radial_position(s, r), oracle._radial_position(s, r, oracle._position_log_amplitude(s)))
+def test_wavefunctions_answer_at_two_hundred_thousand():
+    # both built the exact k! = 199,999! for 0.5-0.8 s, then raised ExactTooLarge;
+    # at the origin |R| = 2 n^(-3/2) and |M| = sqrt(32/pi) n^(5/2), measured
+    # within 3e-9 and 1.3e-7 after 199,999 recurrence steps
+    n = 200_000
+    s = make_state(3, n, 0, 1.0)
+    R = radial_position(s, [0.0, 1.0, 1e5])
+    M = radial_momentum(s, [0.0, 1e-6, 1e-5])
+    assert np.isfinite(R).all() and np.isfinite(M).all()
+    assert (R != 0).all() and (M != 0).all()
+    assert abs(R[0]) == pytest.approx(2 * n ** -1.5, rel=1e-8)
+    assert abs(M[0]) == pytest.approx(math.sqrt(32 / math.pi) * n ** 2.5, rel=1e-6)
 
 
 def test_wavefunctions_take_a_fraction_charge():
@@ -304,6 +374,18 @@ def test_entropic_moment_matches_an_mpmath_reference():
 
 def test_entropic_moment_normalizes_a_rydberg_state():
     assert abs(entropic_moment(make_state(5, 300, 0, 1.0), 1.0) - 1) <= 1e-10
+
+
+@pytest.mark.parametrize("D, n", [(1_401, 1), (2_001, 1), (10_001, 1), (2_001, 2), (2_001, 3)])
+def test_entropic_moment_normalizes_a_state_of_large_dimension(D, n):
+    # the weight integral mu0 of the Jacobi rule on [0, z_1], built even at k = 0
+    # where that panel is empty, left the double range: FloatOverflow from D = 1,050
+    assert abs(entropic_moment(make_state(D, n, 0, 1.0), 1.0) - 1) <= 1e-10
+
+
+def test_entropic_moment_past_the_rule_budget_still_raises():
+    with pytest.raises(QuadratureFailure, match="5028-node.*budget"):
+        entropic_moment(make_state(10_001, 2, 0, 1.0), 1.0)
 
 
 def test_entropic_moment_states_its_domain():
