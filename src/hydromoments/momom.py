@@ -57,6 +57,7 @@ from .specfun import (
     ExactValue,
     HypSumSpec,
     digamma_half_exact,
+    digamma_half_float,
     gamma_bits,
     gamma_exact,
     gamma_ratio_doubled,
@@ -456,9 +457,29 @@ def _inverse_ns(n: int, Z: Fraction) -> ExactValue:
     return ExactValue(Fraction(4 * n) / Z * bracket, Fraction(-1))
 
 
+# Above this n, float <p^{-1}> of a 3D nS state takes psi from its asymptotic
+# series: the exact digamma sum it would round takes 7 ms at n = 1,000
+# (x86-64, Python 3.11) and grows as n^2, while the series' first omitted
+# term there is below 4e-21
+_PSI_SERIES_N = 1_000
+
+
+def _inverse_ns_float(state: HydrogenicState) -> MomentResult:
+    """Float <p^{-1}> of a 3D nS state, the float twin of `_inverse_ns`:
+    (n/Z) (4/pi) times the bracket r - 2n^2/(4n^2-1), which
+    `specfun.digamma_half_float` returns with its bound."""
+    n = state.n
+    s, bound = digamma_half_float(n, Fraction(2 * n * n, 4 * n * n - 1))
+    logs = [math.log(4.0), -math.log(math.pi)]
+    return rounded(logs, s, bound, Method.CLOSED_FORM, Space.MOMENTUM, -1.0, state)
+
+
 def inverse_momentum(state: HydrogenicState, mode: str = "exact") -> MomentResult:
     """<p^{-1}>; for 3D nS states the exact digamma decomposition keeps the
-    value rational over pi."""
+    value rational over pi, and float mode above n = 1,000 takes psi from its
+    asymptotic series (`_inverse_ns_float`)."""
+    if state.D == 3 and state.l == 0 and state.n > _PSI_SERIES_N and resolve_mode(-1, mode) == "float":
+        return _inverse_ns_float(state)
     return _low_order_moment(state, -1, mode, _inverse_ns)
 
 

@@ -321,12 +321,14 @@ def _log_amplitude(state: HydrogenicState, space: Space) -> float:
 
 
 def _log_radial(state: HydrogenicState, x):
-    """The sign and ln|R_{n,l}| at x = 2Zr/eta."""
+    """The sign and ln|R_{n,l}| at x = 2Zr/eta.  The orthonormal p~_k has a
+    positive leading coefficient and L_k^(2L+1) the sign (-1)^k, so R's sign
+    is (-1)^k that of p~_k."""
     q, s, _ = _laguerre_scaled(state.k, 2 * state.l + state.D - 2, x)
     log_amp = _log_amplitude(state, Space.POSITION)
     with np.errstate(divide="ignore"):  # 0 * log 0 would be nan: l log x enters only for l > 0
         log_r = log_amp - x / 2 + np.log(np.abs(q)) + s + (state.l * np.log(x) if state.l else 0)
-    return np.sign(q), log_r
+    return (-np.sign(q) if state.k & 1 else np.sign(q)), log_r
 
 
 def _signed_exp(sign, log_v):
@@ -338,8 +340,12 @@ def _signed_exp(sign, log_v):
 
 
 def radial_position(state: HydrogenicState, r):
-    """Radial position wavefunction R_{n,l}(r), with x = 2Zr/eta formed from
-    ln r and the position scale's logs."""
+    """Radial position wavefunction R_{n,l}(r) = K (2Zr/eta)^l e^(-Zr/eta)
+    L_k^(2L+1)(2Zr/eta), with the sign of L_k, so R_{n,0}(0) > 0, and with
+    x = 2Zr/eta formed from ln r and the position scale's logs.
+
+    The values carry no error bound.  The Laguerre recurrence drifts with k:
+    at 3D nS n = 200,000, |R(0)| is 3e-9 relative off 2 n^(-3/2)."""
     r = np.asarray(r, dtype=float)
     if (r < 0).any():
         raise UnsupportedArgument("a radius must be nonnegative")
@@ -352,7 +358,11 @@ def radial_momentum(state: HydrogenicState, p):
     """Radial momentum wavefunction M_{n,l}(p).  Its factors are summed as logs
     and exponentiated once, so at large l it underflows only where M does.
     t = eta p / Z enters only as ln t, from ln p and the momentum scale's
-    logs, and y = (1 - t^2) / (1 + t^2) = -tanh(ln t)."""
+    logs, and y = (1 - t^2) / (1 + t^2) = -tanh(ln t).
+
+    The values carry no error bound.  The Gegenbauer recurrence drifts with
+    k, most near y = 1: at 3D nS n = 200,000, |M(0)| is 1.3e-7 relative off
+    sqrt(32/pi) n^(5/2)."""
     p = np.asarray(p, dtype=float)
     nu, l = state.two_nu / 2, state.l
     log_amp = _log_amplitude(state, Space.MOMENTUM)

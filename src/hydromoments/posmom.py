@@ -74,6 +74,20 @@ class MomentResult:
         return self.value
 
 
+def _result(
+    value, error_estimate: float, method: Method, space: Space, alpha: float, state: HydrogenicState
+) -> MomentResult:
+    """MomentResult(value, error_estimate, method, space, alpha, state) for
+    `exact` and `rounded`, which pass checked fields: the frozen instance's
+    fields are filled directly, without the generated __init__, as
+    `ExactValue.reduced` does."""
+    result = object.__new__(MomentResult)
+    result.__dict__.update(
+        value=value, error_estimate=error_estimate, method=method, space=space, alpha=alpha, state=state
+    )
+    return result
+
+
 def resolve_mode(alpha, mode: str) -> str:
     """The evaluation mode, "exact" or "float", for a mode argument of
     "auto", "exact" or "float".  "auto" picks exact for integer orders;
@@ -98,7 +112,7 @@ def rounded(
     prefactor, a sum s > 0 in its units and an absolute bound on s before it
     was rounded.  Range errors come only from that exp_sum."""
     value, rel = exp_sum([*logs, *state.scale_logs(alpha, space), math.log(s)])
-    return MomentResult(value, (bound / s + rel) * value, method, space, alpha, state)
+    return _result(value, (bound / s + rel) * value, method, space, alpha, state)
 
 
 def exact(
@@ -111,7 +125,7 @@ def exact(
     coercion."""
     sn, sd = state.scale(a, space)
     value = ExactValue.reduced(Fraction(num * sn, den * sd), two_pi)
-    return MomentResult(value, 0.0, method, space, float(a), state)
+    return _result(value, 0.0, method, space, float(a), state)
 
 
 def series_or_quadrature(

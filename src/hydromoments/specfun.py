@@ -2,9 +2,10 @@
 
 Exact rational-times-pi arithmetic (ExactValue), gamma-family evaluation for
 integer and half-integer arguments, the exact rational part of digamma at
-half-integers, summation of terminating hypergeometric series, the
-once-rounded quotient of two integers, and float prefactors evaluated from
-their logarithms with a rounding bound.  A series carries its parameters
+half-integers and its float twin from psi's asymptotic series, summation of
+terminating hypergeometric series, the once-rounded quotient of two
+integers, and float prefactors evaluated from their logarithms with a
+rounding bound.  A series carries its parameters
 doubled (`HypSumSpec`), the integers the exact kernel `hyp_sum_doubled` sums
 on, and ends where its first factor vanishes: exact `hyp_sum` is that kernel
 over the spec's terms, and float `hyp_sum` halves each parameter once.
@@ -68,6 +69,10 @@ def is_integral(x) -> bool:
     return isinstance(x, Integral)
 
 
+# two_pi -> Fraction(two_pi, 2), handed out by `ExactValue.reduced`: a Fraction is immutable
+_PI_POWS = {two_pi: Fraction(two_pi, 2) for two_pi in range(-8, 9)}
+
+
 @dataclass(frozen=True)
 class ExactValue:
     """A number of the form coeff * pi**pi_pow with rational coeff and
@@ -90,12 +95,16 @@ class ExactValue:
     def reduced(cls, coeff: Fraction, two_pi: int) -> "ExactValue":
         """coeff * pi^(two_pi/2) for a Fraction coeff and an int two_pi,
         built without `__post_init__`'s coercion: two_pi/2 is a half-integer
-        by construction, and zero still carries pi^0."""
+        by construction, and zero still carries pi^0.  The pi power comes
+        from `_PI_POWS` where |two_pi| <= 8, the orders every route reaches."""
         value = object.__new__(cls)
         object.__setattr__(value, "coeff", coeff)
         if not coeff:
             two_pi = 0
-        object.__setattr__(value, "pi_pow", Fraction(two_pi, 2) if two_pi & 1 else Fraction(two_pi >> 1))
+        pi_pow = _PI_POWS.get(two_pi)
+        if pi_pow is None:
+            pi_pow = Fraction(two_pi, 2)
+        object.__setattr__(value, "pi_pow", pi_pow)
         return value
 
     def __mul__(self, other) -> "ExactValue":
@@ -342,8 +351,25 @@ def digamma_half_exact(n: int) -> Fraction:
     if n < 1:
         raise NonpositiveArgument("digamma_half_exact requires n >= 1")
     # n Fraction additions on a pair below 4^n n, each some 128 passes (measured)
-    require_cost(4 * n + n.bit_length(), 128 * n, "asympt.rydberg_inverse_p")
+    require_cost(4 * n + n.bit_length(), 128 * n, 'mode="float"')
     return 2 * sum(Fraction(1, 2 * k - 1) for k in range(1, n + 1))
+
+
+def digamma_half_float(n: int, c: Fraction) -> tuple[float, float]:
+    """r - c and a bound on its error, for the float twin of
+    `digamma_half_exact`, r = psi(n + 1/2) + gamma + 2 ln 2, and a rational
+    c in [0, 1].  r comes from psi's asymptotic series
+    r = ln 4n + gamma + 1/(24n^2) - 7/(960n^4) + R, whose remainder R lies
+    between 0 and the first omitted term 31/(8064n^6) (against 60-digit
+    mpmath from n = 1), so the bound is small only at large n.  One fsum adds
+    the terms and -c: ln 4n is off by at most 2 eps ln 4n, gamma, c and the
+    sum by eps times their size, so 4 eps (ln 4n + 1) bounds the rounding."""
+    if n < 1:
+        raise NonpositiveArgument("digamma_half_float requires n >= 1")
+    x = 1 / (n * n)  # 0.0 from n of about 1e154, where its terms are far below eps
+    log4n = math.log(4 * n)
+    value = math.fsum((log4n, EULER_GAMMA, x / 24, -7 * x * x / 960, -float(c)))
+    return value, 31 * x ** 3 / 8064 + 4 * _EPS * (log4n + 1)
 
 
 @dataclass(frozen=True)
@@ -358,11 +384,13 @@ class HypSumSpec:
     terms: int = field(init=False)
 
     def __post_init__(self):
-        # x % 2 == 0 holds only for an even integer, of any number type
-        ends = [x for x in self.top if x <= 0 and x % 2 == 0]
-        if not ends:
+        x = None
+        for a in self.top:
+            # a % 2 == 0 holds only for an even integer, of any number type
+            if a <= 0 and a % 2 == 0 and (x is None or a > x):
+                x = a
+        if x is None:
             raise NonTerminating(f"no doubled top parameter of {self.top} is an even integer <= 0")
-        x = max(ends)
         for b in self.bottom:
             if x < b <= 0 and b % 2 == 0:
                 raise PoleInBottomParameter(f"doubled bottom parameter {b} hits a pole")
@@ -384,10 +412,13 @@ def hyp_sum_doubled(top2, bottom2, terms: int) -> tuple[int, int]:
     products of a big integer by a small one, rd den formed once, and the
     caller reduces once at the end (as in Haible & Papanikolaou, "Fast
     multiprecision evaluation of series of rational numbers", 1998)."""
-    if all(x % 2 == 0 for x in (*top2, *bottom2)):
-        d, top, bottom = 1, [x // 2 for x in top2], [x // 2 for x in bottom2]
+    d, top, bottom = 1, top2, bottom2
+    for x in (*top2, *bottom2):
+        if x & 1:
+            d = 2
+            break
     else:
-        d, top, bottom = 2, top2, bottom2
+        top, bottom = [x >> 1 for x in top2], [x >> 1 for x in bottom2]
     shift = len(bottom) - len(top)
     num_scale, den_scale = d ** max(shift, 0), d ** max(-shift, 0)
     num = den = 1
@@ -424,8 +455,9 @@ def hyp_sum(spec: HypSumSpec, mode: str = "exact"):
     A term that overflows gives (nan, inf).
     """
     if mode == "exact":
-        if not all(type(x) is int for x in (*spec.top, *spec.bottom)):
-            raise UnsupportedArgument("exact hyp_sum needs int doubled parameters")
+        for x in (*spec.top, *spec.bottom):
+            if type(x) is not int:
+                raise UnsupportedArgument("exact hyp_sum needs int doubled parameters")
         return hyp_sum_doubled(spec.top, spec.bottom, spec.terms)
 
     k = spec.terms - 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral, Real
 
@@ -41,6 +41,12 @@ class HydrogenicState:
     n: int
     l: int
     Z: float
+    # derived once in __post_init__ and read on every call: 2 eta = 2n + D - 3,
+    # 2 nu = 2l + D - 1 and k = n - l - 1; they follow from the four labels,
+    # so they stay out of eq, hash and repr, and `dataclasses.replace` recomputes them
+    two_eta: int = field(init=False, compare=False, repr=False)
+    two_nu: int = field(init=False, compare=False, repr=False)
+    k: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # a plain int or float first: the ABC checks cost more than the rest
@@ -66,6 +72,10 @@ class HydrogenicState:
             raise ParameterOutOfRange(
                 f"Z must lie in the normal double range [2^-1022, {_DOUBLE_MAX:.6g}]"
             )
+        D, n, l = self.D, self.n, self.l
+        object.__setattr__(self, "two_eta", 2 * n + D - 3)
+        object.__setattr__(self, "two_nu", 2 * l + D - 1)
+        object.__setattr__(self, "k", n - l - 1)
         # 2eta bounds 2nu, n and D - 1, which the float paths read as doubles
         if self.two_eta > _DOUBLE_MAX:
             raise ParameterOutOfRange(f"2 eta = 2n + D - 3 must not exceed {_DOUBLE_MAX:.6g}")
@@ -81,20 +91,6 @@ class HydrogenicState:
     @property
     def nu(self) -> Fraction:
         return self.L + 1
-
-    @property
-    def two_eta(self) -> int:
-        """2 eta = 2n + D - 3."""
-        return 2 * self.n + self.D - 3
-
-    @property
-    def two_nu(self) -> int:
-        """2 nu = 2l + D - 1."""
-        return 2 * self.l + self.D - 1
-
-    @property
-    def k(self) -> int:
-        return self.n - self.l - 1
 
     @property
     def Z_exact(self) -> Fraction:

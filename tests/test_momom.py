@@ -324,6 +324,35 @@ def test_mean_momentum_families():
     )
 
 
+def _inverse_ns_reference(n, Z):
+    """<p^-1> of the 3D nS state at 40 digits, 4n/(pi Z) (psi(n+1/2) + gamma + 2 ln 2 - 2n^2/(4n^2-1))."""
+    with mpmath.workdps(40):
+        N = mpmath.mpf(n)
+        r = mpmath.digamma(N + mpmath.mpf(1) / 2) + mpmath.euler + 2 * mpmath.log(2)
+        return 4 * N / (mpmath.pi * mpmath.mpf(Z)) * (r - 2 * N * N / (4 * N * N - 1))
+
+
+@pytest.mark.parametrize("n", [40_000, 10 ** 9, 10 ** 300])
+def test_float_inverse_momentum_on_ns_takes_psi_from_its_series(n):
+    # it rounded the exact digamma sum: 0.15 s at n = 10,000 and ExactTooLarge at 40,000
+    for Z in (1.0, 0.375):
+        res = inverse_momentum(make_state(3, n, 0, Z), mode="float")
+        assert res.method is Method.CLOSED_FORM and not res.is_exact
+        assert abs(res.value - _inverse_ns_reference(n, Z)) <= res.error_estimate <= 1e-12 * res.value
+
+
+def test_float_inverse_momentum_on_ns_agrees_with_the_exact_route():
+    # up to n = 1,000 the float value is the exact one rounded (n = 1 is circular,
+    # with its own float form); above, the series
+    for n in (1, 2, 10, 999, 1000, 1001, 1500, 2000):
+        for Z in (1.0, 0.375):
+            s = make_state(3, n, 0, Z)
+            res, exact = inverse_momentum(s, mode="float"), inverse_momentum(s).value.to_float()
+            assert abs(res.value - exact) <= res.error_estimate + specfun.TO_FLOAT_REL * exact, (n, Z)
+            if 1 < n <= 1000:
+                assert res.value == exact
+
+
 def test_inverse_momentum_families():
     for n in (1, 2, 7):
         s = make_state(3, n, 0, 1.0)

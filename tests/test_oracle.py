@@ -206,6 +206,28 @@ def test_position_wavefunction_finite_and_normalized_at_large_n_and_l(D, n, l):
     assert norm == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
+def test_position_wavefunction_is_positive_at_the_origin_for_s_states():
+    # R_n0(0) = 2 n^(-3/2) at 3D, Z = 1; n = 2 and 4 came out negative, as the
+    # orthonormal Laguerre polynomial's leading coefficient is positive and L_k's is (-1)^k/k!
+    for n in range(1, 5):
+        assert radial_position(make_state(3, n, 0, 1.0), [0.0])[0] == pytest.approx(2 * n ** -1.5, rel=1e-14)
+
+
+@pytest.mark.parametrize("D, n, l", [(3, 2, 0), (3, 3, 0), (3, 4, 1), (4, 5, 2), (6, 6, 0), (2, 7, 3)])
+def test_position_wavefunction_matches_its_laguerre_form(D, n, l):
+    # R = K x^l e^(-x/2) L_k^(2l+D-2)(x) at x = 2Zr/eta, with K^2 = position_norm_sq, sign included
+    s = make_state(D, n, l, 1.0)
+    r = np.array([0.05, 0.7, 2.3, 5.5, 13.0, 30.0])
+    got = radial_position(s, r)
+    with mpmath.workdps(30):
+        K2 = position_norm_sq(s)
+        amp = mpmath.sqrt(mpmath.mpf(K2.coeff.numerator) / K2.coeff.denominator)
+        for ri, gi in zip(r, got):
+            x = 2 * mpmath.mpf(ri) / (mpmath.mpf(s.two_eta) / 2)
+            want = amp * x ** l * mpmath.exp(-x / 2) * mpmath.laguerre(s.k, 2 * l + D - 2, x)
+            assert abs(gi - want) <= 1e-12 * abs(amp), (D, n, l, ri)
+
+
 def _radial_momentum_reference(s, p):
     """M_{n,l}(p) at 30 digits from the exact K'^2 and mpmath's Gegenbauer polynomial."""
     with mpmath.workdps(30):
@@ -331,7 +353,7 @@ def test_wavefunctions_answer_at_two_hundred_thousand():
     M = radial_momentum(s, [0.0, 1e-6, 1e-5])
     assert np.isfinite(R).all() and np.isfinite(M).all()
     assert (R != 0).all() and (M != 0).all()
-    assert abs(R[0]) == pytest.approx(2 * n ** -1.5, rel=1e-8)
+    assert R[0] == pytest.approx(2 * n ** -1.5, rel=1e-8)
     assert abs(M[0]) == pytest.approx(math.sqrt(32 / math.pi) * n ** 2.5, rel=1e-6)
 
 

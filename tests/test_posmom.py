@@ -1,5 +1,6 @@
 """Position-moment routes: 3F2, closed forms, ground-state formula."""
 
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -19,7 +20,7 @@ from hydromoments import (
     r_moment_closed,
     r_moment_ground,
 )
-from hydromoments import oracle, p_moment_even_closed, posmom, specfun
+from hydromoments import momom, oracle, p_moment_even_closed, posmom, specfun
 from hydromoments.errors import (
     ExactTooLarge,
     FloatOverflow,
@@ -365,3 +366,45 @@ def test_ground_state_size_estimate_bounds_the_factors_it_counts(monkeypatch, D,
     sn, sd = make_state(D, 1, 0, Z).scale(a, Space.POSITION)
     built = sum(x.bit_length() for x in (num, den, sn, sd))
     _stated_cost_bounds_what_is_built(monkeypatch, lambda: r_moment_ground(D, Z, a), built)
+
+
+def test_exact_position_moments_obey_the_kramers_relation():
+    """The D-dimensional Kramers relation, with c = 2l+D-2,
+    (s+1)(Z/eta)^2 <r^s> - (2s+1) Z <r^(s-1)> + (s/4)(c^2 - s^2) <r^(s-2)> = 0,
+    holds exactly on every window with all three orders in the domain, from
+    s = -D-2l+3 to 2l+D+11, on D 2-9, n <= 8, every l and Z in {1, 3/8}.
+    It shares no code with `r_moment`; it is homogeneous, so <r^0> = 1 and
+    the virial value <r^-1> = Z/eta^2 anchor it."""
+    windows = 0
+    for D in range(2, 10):
+        for n in range(1, 9):
+            for l in range(n):
+                for Z in (1.0, 0.375):
+                    s = make_state(D, n, l, Z)
+                    Zq, eta, c = Fraction(Z), s.eta, 2 * l + D - 2
+                    lo, hi = s.position_lower_bound() + 1, 2 * l + D + 11
+                    m = {}
+                    for a in range(lo, hi + 1):
+                        v = r_moment(s, a, mode="exact").value
+                        assert v.pi_pow == 0, (s, a)
+                        m[a] = v.coeff
+                    assert m[0] == 1 and m[-1] == Zq / eta ** 2, s
+                    for t in range(lo + 2, hi + 1):
+                        lhs = (t + 1) * (Zq / eta) ** 2 * m[t] - (2 * t + 1) * Zq * m[t - 1]
+                        assert lhs + Fraction(t * (c * c - t * t), 4) * m[t - 2] == 0, (s, t)
+                        windows += 1
+    assert windows == 16_896
+
+
+def test_directly_built_results_match_dataclass_built_ones():
+    """`exact` and `rounded` fill MomentResult's frozen fields without its
+    __init__; the result equals, hashes and prints like the dataclass-built
+    one and stays frozen."""
+    s = make_state(4, 3, 1, 0.375)
+    for res in (r_moment(s, 3, mode="exact"), r_moment(s, 0.37, mode="float"), momom.p_moment(s, -1, mode="exact")):
+        built = posmom.MomentResult(res.value, res.error_estimate, res.method, res.space, res.alpha, res.state)
+        assert type(res) is posmom.MomentResult
+        assert res == built and hash(res) == hash(built) and repr(res) == repr(built)
+        assert dataclasses.replace(res) == res
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            res.value = 0.0

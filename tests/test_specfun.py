@@ -28,6 +28,7 @@ from hydromoments.specfun import (
     ExactValue,
     HypSumSpec,
     digamma_half_exact,
+    digamma_half_float,
     exp_sum,
     gamma_exact,
     gamma_ratio_doubled,
@@ -58,10 +59,12 @@ class TestExactValue:
         assert z + SQRT_PI == SQRT_PI
 
     def test_reduced_keeps_the_invariants_of_the_coerced_form(self):
+        # inside and outside the table of pi powers for |two_pi| <= 8
         for coeff in (Fraction(0), Fraction(-3, 4), Fraction(5)):
-            for two_pi in range(-5, 6):
-                v = ExactValue.reduced(coeff, two_pi)
-                assert v == ExactValue(coeff, Fraction(two_pi, 2))
+            for two_pi in range(-20, 21):
+                v, coerced = ExactValue.reduced(coeff, two_pi), ExactValue(coeff, Fraction(two_pi, 2))
+                assert v == coerced and hash(v) == hash(coerced) and repr(v) == repr(coerced)
+                assert (v.pi_pow.numerator, v.pi_pow.denominator) == (coerced.pi_pow.numerator, coerced.pi_pow.denominator)
                 assert type(v.pi_pow) is Fraction and v.pi_pow.denominator in (1, 2)
                 assert v.pi_pow == (two_pi / 2 if coeff else 0)
 
@@ -171,6 +174,19 @@ class TestDigamma:
             r = float(digamma_half_exact(n))
             expect = float(mpmath.digamma(n + 0.5) + mpmath.euler + 2 * mpmath.log(2))
             assert r == pytest.approx(expect, rel=1e-13)
+
+    def test_half_float_is_within_its_bound(self):
+        # the series' remainder lies below its first omitted term from n = 1 on
+        for n in (*range(1, 40), 1001, 40_000, 10 ** 9, 10 ** 300):
+            for c in (Fraction(0), Fraction(2 * n * n, 4 * n * n - 1), Fraction(1)):
+                value, bound = digamma_half_float(n, c)
+                with mpmath.workdps(40):
+                    N = mpmath.mpf(n)
+                    r = mpmath.digamma(N + mpmath.mpf(1) / 2) + mpmath.euler + 2 * mpmath.log(2)
+                    assert abs(value - (r - mpmath.mpf(c.numerator) / c.denominator)) <= bound, (n, c)
+        assert digamma_half_float(2000, Fraction(0))[1] < 1e-14
+        with pytest.raises(NonpositiveArgument):
+            digamma_half_float(0, Fraction(0))
 
 
 def test_is_integral():

@@ -1,5 +1,6 @@
 """State construction, derived symbols, and domain predicates."""
 
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -103,6 +104,21 @@ def test_state_is_frozen_and_hashable():
     s = make_state(3, 2, 0, 1.0)
     assert s == HydrogenicState(3, 2, 0, 1.0)
     assert hash(s) == hash(HydrogenicState(3, 2, 0, 1.0))
+
+
+def test_derived_integers_stay_out_of_eq_hash_and_repr():
+    # two_eta, two_nu and k are fields computed once in __post_init__
+    s = make_state(5, 4, 1, 1.5)
+    assert (s.two_eta, s.two_nu, s.k) == (10, 6, 2)
+    assert [f.name for f in dataclasses.fields(s) if f.compare] == ["D", "n", "l", "Z"]
+    assert repr(s) == "HydrogenicState(D=5, n=4, l=1, Z=1.5)"
+    assert hash(s) == hash((5, 4, 1, 1.5)) == hash(HydrogenicState(np.int64(5), 4, 1, 1.5))
+    t = dataclasses.replace(s, n=7, D=np.int32(6))
+    assert (t.D, t.two_eta, t.two_nu, t.k) == (6, 17, 7, 5) and type(t.two_eta) is int
+    with pytest.raises(ValueError):  # init=False: replace cannot set them apart from the labels
+        dataclasses.replace(s, k=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.k = 0
 
 
 def test_doubled_symbols_are_integers():
