@@ -1,9 +1,11 @@
 """Asymptotic estimators for extreme regimes.
 
 Rydberg (n -> infinity) and high-dimensional (D -> infinity) limits of the
-radial moments.  Estimates are returned wherever the moment converges
-(OrderOutOfRegime outside its interval); accuracy claims (the empirical
-convergence orders) live in the test suite only.  Each
+radial moments.  Every order passes `states.require_order`, so estimates are
+returned only where the moment converges: an order it rejects is re-raised
+as OrderOutOfRegime, an OrderOutOfDomain, and a bool or a non-real order
+raises UnsupportedArgument.  Accuracy claims (the empirical convergence
+orders) live in the test suite only.  Each
 estimate is exponentiated from its logarithms by `specfun.exp_sum`, so one
 outside the double range raises FloatOverflow or FloatUnderflow, and values
 may differ in their last digits from the same power taken directly.
@@ -19,9 +21,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import NotCircular, OrderOutOfRegime, UnsupportedArgument
+from .errors import NotCircular, OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument
 from .specfun import EULER_GAMMA, exp_sum, log_gamma
-from .states import HydrogenicState, Space, finite_order, make_state
+from .states import HydrogenicState, Space, make_state, require_order
 
 
 class Regime(enum.Enum):
@@ -46,13 +48,13 @@ def _exp_times(terms, c: float = 1.0) -> float:
     return math.copysign(exp_sum([*terms, math.log(abs(c))])[0], c)
 
 
-def _interval(state: HydrogenicState, alpha: float, space: Space) -> tuple[float, float]:
-    """The open interval of orders at which the moment in space converges;
-    OrderOutOfRegime where alpha lies outside it and the moment diverges."""
-    lo, hi = state.momentum_interval() if space is Space.MOMENTUM else (state.position_lower_bound(), math.inf)
-    if not lo < alpha < hi:
-        raise OrderOutOfRegime(f"the {space.name.lower()} moment diverges at order {alpha}, outside ({lo}, {hi})")
-    return lo, hi
+def _order(state: HydrogenicState, alpha, space: Space) -> float:
+    """`require_order`'s float of alpha, with an order where the moment in
+    space diverges re-raised as OrderOutOfRegime."""
+    try:
+        return require_order(state, alpha, space)
+    except OrderOutOfDomain as exc:
+        raise OrderOutOfRegime(str(exc)) from None
 
 
 def gamma_ratio_asym(x: float, a: float, b: float) -> float:
@@ -62,7 +64,7 @@ def gamma_ratio_asym(x: float, a: float, b: float) -> float:
 
 def rydberg_r(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
     """Leading n -> infinity form of <r^alpha> at fixed l, D."""
-    alpha = finite_order(alpha, Space.POSITION)
+    alpha = _order(state, alpha, Space.POSITION)
     eta = float(state.eta)
     L = float(state.L)
     if alpha > -1.5:
@@ -74,11 +76,9 @@ def rydberg_r(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
             -log_gamma(alpha + 2),
         ])
         return AsymptoticEstimate(value, value, Regime.RYDBERG, "alpha > -3/2")
-    beta = -alpha
-    if not 1.5 < beta < 2 * L + 3:
-        raise OrderOutOfRegime(
-            f"negative-branch order needs 3/2 < {beta} < 2L+3 = {2 * L + 3}"
-        )
+    beta = -alpha  # below 2L+3 = D+2l, where the moment converges
+    if not beta > 1.5:
+        raise OrderOutOfRegime(f"negative-branch order needs -alpha > 3/2, got {beta}")
     value = _exp_times([
         beta * math.log(state.Z),
         -3 * math.log(eta),
@@ -94,7 +94,7 @@ def rydberg_r(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
 
 def rydberg_p(state: HydrogenicState, alpha: float) -> AsymptoticEstimate:
     """Leading n -> infinity form of <p^alpha>, valid only on -1 < alpha < 3."""
-    alpha = finite_order(alpha, Space.MOMENTUM)
+    alpha = _order(state, alpha, Space.MOMENTUM)
     if not -1 < alpha < 3:
         raise OrderOutOfRegime(f"Rydberg momentum order must lie in (-1, 3), got {alpha}")
     value = _exp_times([
@@ -110,8 +110,7 @@ def rydberg_circular_p(state: HydrogenicState, alpha: float) -> AsymptoticEstima
     """Rydberg circular-state <p^alpha> (D=3 form), with 1/n correction."""
     if not state.is_circular:
         raise NotCircular(f"state has l={state.l}, n={state.n}")
-    alpha = finite_order(alpha, Space.MOMENTUM)
-    _interval(state, alpha, Space.MOMENTUM)
+    alpha = _order(state, alpha, Space.MOMENTUM)
     n = state.n
     scale = [alpha * (math.log(state.Z) - math.log(n))]
     leading = _exp_times(scale)
@@ -141,10 +140,10 @@ def rydberg_inverse_p(n: int, Z: float, family: str) -> AsymptoticEstimate:
 def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstimate:
     """D -> infinity estimates at fixed (n, l).  Leading values are the
     characteristic moments (D^2/4Z)^alpha and (2Z/D)^alpha."""
-    alpha = finite_order(alpha, space)
+    alpha = _order(state, alpha, space)
     D, n, l = state.D, state.n, state.l
-    lo, hi = _interval(state, alpha, space)
     if space is Space.MOMENTUM:
+        lo, hi = state.momentum_interval()
         leading = _exp_times([alpha * math.log(2.0), alpha * math.log(state.Z), -alpha * math.log(D)])
         eta = float(state.eta)
         nu = float(state.nu)
@@ -169,4 +168,4 @@ def highD(state: HydrogenicState, alpha: float, space: Space) -> AsymptoticEstim
         [(alpha - 1) * math.log(eta), (alpha + 1) * math.log((M + alpha / 2) / 2), -alpha * math.log(state.Z)],
         series,
     )
-    return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {lo}")
+    return AsymptoticEstimate(leading, corrected, Regime.HIGHD, f"alpha > {state.position_lower_bound()}")

@@ -16,8 +16,8 @@ import sys
 
 from . import asympt, momom, oracle, posmom, verify
 from .errors import (
-    DimensionTooSmall, HydromomentsError, NonpositiveCharge, OrderOutOfDomain, OrderOutOfRegime,
-    ParameterOutOfRange, QuantumNumberOutOfRange, UnsupportedArgument,
+    DimensionTooSmall, HydromomentsError, NonpositiveCharge, OrderOutOfDomain, ParameterOutOfRange,
+    QuantumNumberOutOfRange, UnsupportedArgument,
 )
 from .posmom import MomentResult
 from .specfun import ExactValue, fraction_str, int_str
@@ -34,9 +34,10 @@ CSV_COLUMNS = [
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 
-# invalid input: every command exits EXIT_DOMAIN, and a table cell is out-of-domain
+# invalid input: every command exits EXIT_DOMAIN, and a table cell is out-of-domain;
+# OrderOutOfRegime is an OrderOutOfDomain
 _DOMAIN_ERRORS = (
-    OrderOutOfDomain, OrderOutOfRegime, UnsupportedArgument, DimensionTooSmall,
+    OrderOutOfDomain, UnsupportedArgument, DimensionTooSmall,
     QuantumNumberOutOfRange, NonpositiveCharge, ParameterOutOfRange,
 )
 

@@ -21,8 +21,9 @@ class OrderOutOfDomain(HydromomentsError):
     pass
 
 
-class OrderOutOfRegime(HydromomentsError):
-    pass
+class OrderOutOfRegime(OrderOutOfDomain):
+    """An order outside an asymptotic estimate's regime: where the moment it
+    estimates diverges, or outside the narrower interval its form holds on."""
 
 
 class FloatOverflow(HydromomentsError):

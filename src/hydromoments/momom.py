@@ -39,9 +39,9 @@ the pi power), and `posmom.exact` multiplies it by (Z/eta)^a and reduces it
 once; the tabulated closed forms keep their own arithmetic in Z.  Each float
 series returns the logs of its Z-free prefactor, its sum and the sum's own
 bound; `posmom.series_or_quadrature` replaces it by the quadrature oracle when
-the bound shows cancellation (for the single sum: beyond what 128 bits carry),
-else `posmom.rounded` adds the logs of (Z/eta)^alpha and rounds once, as for
-the float circular form, under `specfun.exp_sum`'s one error model.
+the bound shows cancellation, else `posmom.rounded` adds the logs of
+(Z/eta)^alpha and rounds once, as for the float circular form, under
+`specfun.exp_sum`'s one error model.
 Float and exact `reflect` are the single sum at alpha called at 2 - alpha,
 so `verify` checks `reflect` against `double`.
 """
@@ -67,11 +67,8 @@ from .specfun import (
     require_cost,
     round_quotient,
 )
-from .posmom import CANCELLATION_LIMIT, Method, MomentResult, exact, resolve_mode, rounded, series_or_quadrature
+from .posmom import Method, MomentResult, exact, resolve_mode, rounded, series_or_quadrature
 from .states import HydrogenicState, Space, require_order
-
-# CANCELLATION_LIMIT as the exact ratio of two integers
-_LIMIT_NUM, _LIMIT_DEN = CANCELLATION_LIMIT.as_integer_ratio()
 
 # Working precision of `_hyp5f4_fixed`: terms in units of 2^-FIXED_BITS.
 FIXED_BITS = 128
@@ -202,14 +199,15 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
     (`_hyp5f4_fixed`, each parameter over its own denominator and 2^(2e) a
     shift), and the rational part of the prefactor joins it in one integer
     quotient, rounded once; the bound is the kernel's alone, as exp_sum's
-    model covers the quotient's rounding.  Where the bound exceeds
-    CANCELLATION_LIMIT times the sum, compared on integers, the bound is
-    infinite, so `series_or_quadrature` falls back."""
+    model covers the quotient's rounding.  Where the sum is not positive or
+    its bound reaches it, the bound is infinite; otherwise it is the quotient
+    times err/total < 1, which cannot overflow, and `series_or_quadrature`
+    compares it with CANCELLATION_LIMIT."""
     k, t = state.k, state.two_nu
     p, q = alpha.as_integer_ratio()  # q = 2^e
     total, err = _hyp5f4_fixed(k, t, p, q.bit_length() - 1)
     logs = _gamma_quotient_logs(t / 2, alpha)
-    if total <= 0 or err * _LIMIT_DEN > _LIMIT_NUM * total:
+    if total <= 0 or err >= total:
         return logs, 0.0, math.inf
     # 2(k+nu) Gamma(k+2nu) / (k! Gamma(2nu+1)) = (2k+t) (t)_k / (t k!)
     quotient, shift = round_quotient(
@@ -368,9 +366,10 @@ _EVEN_CLOSED = (0, 2, -2, 4, 6)
 
 def p_moment_even_closed(state: HydrogenicState, alpha: int) -> MomentResult:
     """Tabulated even-order closed forms: alpha in {0, 2, -2, 4, 6}."""
+    alpha = require_order(state, alpha, Space.MOMENTUM)
     if alpha not in _EVEN_CLOSED:
         raise OrderOutOfDomain(f"no closed form for momentum order {alpha}")
-    require_order(state, alpha, Space.MOMENTUM)
+    alpha = int(alpha)  # so (Z/eta)^alpha stays a Fraction
     eta, L, nu, k = state.eta, state.L, state.nu, state.k
     Z = state.Z_exact
     if alpha == 0:

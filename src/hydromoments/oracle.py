@@ -11,6 +11,8 @@ their weights from the Christoffel function 1/sum_j p_j(x_i)^2, summed in
 linear space over one rescaled recurrence pass; the log-weights lie within
 1.6e-13 of 50-digit sums for m <= 160 and c <= 300.
 
+Each moment takes its order through `states.require_order`, so an order
+where the moment diverges raises OrderOutOfDomain before a rule is built.
 Both moment integrands reduce to (orthonormal polynomial of degree k)^2
 against a classical weight, so a Gauss rule of k+1 nodes is exact.  Each
 moment is summed by a pair of exact rules, of k+1 and k+2 nodes: their
@@ -42,7 +44,7 @@ from scipy.linalg import get_lapack_funcs
 from .errors import ExactTooLarge, NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
 from .posmom import Method, MomentResult, rounded
 from .specfun import _EPS, ExactValue, exp_sum, gamma_exact, log_gamma, require_cost, solid_angle_logs
-from .states import HydrogenicState, Space, finite_order
+from .states import HydrogenicState, Space, require_order
 
 # At x >= 2^64, e^(-x/2) puts R_{n,l} below the double range unless k + l
 # or D exceeds 10^15; x is clipped there, where the recurrence stays finite
@@ -236,7 +238,7 @@ def _rule_size(k: int) -> int:
 def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     """<r^alpha> from the position density by generalized Gauss-Laguerre rules
     of m = k+1 and m+1 nodes, weighted by one Christoffel pass."""
-    alpha = finite_order(alpha, Space.POSITION)
+    alpha = require_order(state, alpha, Space.POSITION)
     b = 2 * state.l + state.D - 2  # Laguerre index of the radial polynomial
     m = _rule_size(state.k)
     c = b + 1 + alpha  # the rules' weight is x^c e^{-x}
@@ -268,7 +270,7 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     (Z/eta)^alpha and the peak squared are exponentiated with ln of the sum.
     The bound adds 2 k^2 eps s for the nodes' rounding, which both rules
     share: by Markov's inequality |p'| <= k^2 max |p| on [-1, 1]."""
-    alpha = finite_order(alpha, Space.MOMENTUM)
+    alpha = require_order(state, alpha, Space.MOMENTUM)
     nu = state.two_nu / 2  # float(nu), without building the Fraction
     k, m = state.k, _rule_size(state.k)
     # exact where a or b nears -1: there the moment is as sensitive to a+1 or

@@ -12,10 +12,11 @@ scale and reducing once; `rounded`, its float twin, builds every float
 result of both spaces under `specfun.exp_sum`'s one error model, and
 `series_or_quadrature`, the one fallback rule, hands it every float series:
 the 3F2 here, and the momentum series, whose single sum runs in 128-bit
-fixed point and reports an infinite bound where its cancellation exceeds
-CANCELLATION_LIMIT.  An exact position moment states its cost, the rising
-product, the scale's power and the series, to `specfun.require_cost`
-before it builds them, and raises ExactTooLarge past the one budget.
+fixed point and reports an infinite bound where its bound reaches the sum.
+Only `series_or_quadrature` compares a bound with CANCELLATION_LIMIT.  An
+exact position moment states its cost, the rising product, the scale's power
+and the series, to `specfun.require_cost` before it builds them, and raises
+ExactTooLarge past the one budget.
 """
 
 from __future__ import annotations
@@ -90,10 +91,8 @@ def _result(
 
 def resolve_mode(alpha, mode: str) -> str:
     """The evaluation mode, "exact" or "float", for a mode argument of
-    "auto", "exact" or "float".  "auto" picks exact for integer orders;
-    exact needs an integer order.  A bool is not an order."""
-    if isinstance(alpha, bool):
-        raise UnsupportedArgument(f"a bool is not an order, got {alpha!r}")
+    "auto", "exact" or "float" and an order that `require_order` accepted.
+    "auto" picks exact for integer orders; exact needs an integer order."""
     if mode == "auto":
         return "exact" if is_integral(alpha) else "float"
     if mode not in ("exact", "float"):
@@ -200,9 +199,10 @@ _CLOSED_ALPHAS = (1, 2, -1, -2, -3, -4, -6)
 
 def r_moment_closed(state: HydrogenicState, alpha: int) -> MomentResult:
     """Tabulated exact closed forms for alpha in {1, 2, -1, -2, -3, -4, -6}."""
+    alpha = require_order(state, alpha, Space.POSITION)
     if alpha not in _CLOSED_ALPHAS:
         raise OrderOutOfDomain(f"no closed form for position order {alpha}")
-    require_order(state, alpha, Space.POSITION)
+    alpha = int(alpha)
     eta = state.eta
     L = state.L
     Z = state.Z_exact

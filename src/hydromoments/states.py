@@ -5,6 +5,11 @@ A bound state of the D-dimensional hydrogenic system is labeled by
 eta = n + (D-3)/2, L = l + (D-3)/2, nu = L + 1 and k = n - l - 1, which are
 kept as exact rationals so half-integer cases (even D) stay exact.  The
 integer kernels take 2 nu and 2 eta, which are integers for every D.
+
+`require_order` is the one gate a moment order passes: every public function
+that takes an order, the exact and float routes, the closed forms, the
+quadrature oracle, the asymptotic estimators and the uncertainty checkers,
+calls it before any work that depends on the order.
 """
 
 from __future__ import annotations
@@ -145,7 +150,8 @@ def make_state(D: int, n: int, l: int, Z: float) -> HydrogenicState:
 
 def check_order(state: HydrogenicState, order: MomentOrder) -> bool:
     """True iff `require_order` accepts the order: it is finite and lies in
-    the open validity interval for its space."""
+    the open validity interval for its space.  An order that is not a real
+    number, a bool among them, raises UnsupportedArgument as it does there."""
     try:
         require_order(state, order.alpha, order.space)
     except OrderOutOfDomain:
@@ -153,47 +159,32 @@ def check_order(state: HydrogenicState, order: MomentOrder) -> bool:
     return True
 
 
-def finite_order(alpha, space: Space) -> float:
-    """float(alpha) for the estimators and the quadrature oracle, which check
-    their own intervals: raise OrderOutOfDomain unless it is a finite double.
-    A real alpha is compared exactly with the double range before float()
-    could overflow, as in `require_order`; a float skips that check, which
-    costs more than the rest of this function."""
-    if type(alpha) is not float:
-        if isinstance(alpha, Real) and not -_DOUBLE_MAX <= alpha <= _DOUBLE_MAX:  # true for nan
-            alpha = math.inf
-        alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise OrderOutOfDomain(f"{space.name.lower()} order is not a finite double")
-    return alpha
-
-
 def require_order(state: HydrogenicState, alpha, space: Space) -> float:
     """The float that callers compute with, once alpha is checked: raise
-    UnsupportedArgument unless alpha is a real number, and OrderOutOfDomain
-    unless it lies within the double range and its float in the open
-    validity interval for space.  An int or Fraction is compared exactly with
-    the double range before float() could overflow; the interval's bounds
-    are integers, so a float inside it means alpha is inside too.  The one
-    domain rule: it takes alpha and space rather than a MomentOrder, which
-    costs more to build than the comparison, and every exact moment calls it."""
+    UnsupportedArgument unless alpha is a real number other than a bool, and
+    OrderOutOfDomain unless it lies within the double range and its float in
+    the open validity interval for space.  An int or Fraction is compared
+    exactly with the double range before float() could overflow; the
+    interval's bounds are integers, so a float inside it means alpha is
+    inside too.  The one domain rule: it takes alpha and space rather than a
+    MomentOrder, which costs more to build than the comparison, and every
+    moment order passes it; a float order skips the type checks."""
     if type(alpha) is not float:
         # int first: the ABC check costs more than the rest of this function
-        if not isinstance(alpha, (int, Real)):
-            raise UnsupportedArgument(f"an order must be a real number, got {alpha!r}")
+        if isinstance(alpha, bool) or not isinstance(alpha, (int, Real)):
+            raise UnsupportedArgument(f"an order must be a real number and not a bool, got {alpha!r}")
         if not -_DOUBLE_MAX <= alpha <= _DOUBLE_MAX:  # false for nan
             raise OrderOutOfDomain(f"{space.name.lower()} order is not a finite double")
         alpha = float(alpha)
     if space is Space.POSITION:
-        if state.position_lower_bound() < alpha <= _DOUBLE_MAX:  # false for inf and nan
+        lo, hi = state.position_lower_bound(), math.inf
+        if lo < alpha <= _DOUBLE_MAX:  # false for inf and nan
             return alpha
-        raise OrderOutOfDomain(
-            f"position order {alpha} outside "
-            f"({state.position_lower_bound()}, inf) for D={state.D}, l={state.l}"
-        )
-    lo, hi = state.momentum_interval()
-    if lo < alpha < hi:
-        return alpha
-    raise OrderOutOfDomain(
-        f"momentum order {alpha} outside ({lo}, {hi}) for D={state.D}, l={state.l}"
-    )
+    else:
+        lo, hi = state.momentum_interval()
+        if lo < alpha < hi:
+            return alpha
+    name = space.name.lower()
+    if not math.isfinite(alpha):
+        raise OrderOutOfDomain(f"{name} order is not a finite double")
+    raise OrderOutOfDomain(f"{name} order {alpha} outside ({lo}, {hi}) for D={state.D}, l={state.l}")

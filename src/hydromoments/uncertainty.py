@@ -82,10 +82,10 @@ def _dim_logs(D: int, c: float) -> list[float]:
 def heisenberg_general(state: HydrogenicState, a: float, b: float) -> InequalityReport:
     """<r^a>^{2/a} <p^b>^{2/b} against the dimensional product bound, with
     the classic D^2/4, (l+D/2)^2 and 3D variants attached as siblings."""
-    if a <= 0 or b <= 0:
-        raise NonpositiveParameters("both orders must be positive")
     require_order(state, a, Space.POSITION)
     require_order(state, b, Space.MOMENTUM)
+    if a <= 0 or b <= 0:
+        raise NonpositiveParameters("both orders must be positive")
     D = state.D
     ra = r_moment(state, a, mode="float").as_float()
     pb = p_moment(state, b, mode="float").as_float()
@@ -123,11 +123,11 @@ def heisenberg_general(state: HydrogenicState, a: float, b: float) -> Inequality
 def pitt_beckner(state: HydrogenicState, alpha: float) -> InequalityReport:
     """<p^alpha> >= 2^alpha [Gamma((D+alpha)/4)/Gamma((D-alpha)/4)]^2
     <r^{-alpha}> for 0 <= alpha < D."""
+    require_order(state, alpha, Space.MOMENTUM)
+    require_order(state, -alpha, Space.POSITION)
     D = state.D
     if not 0 <= alpha < D:
         raise OrderOutOfDomain(f"need 0 <= alpha < D = {D}, got {alpha}")
-    require_order(state, alpha, Space.MOMENTUM)
-    require_order(state, -alpha, Space.POSITION)
     pa = p_moment(state, alpha, mode="float").as_float()
     rma = r_moment(state, -alpha, mode="float").as_float()
     rhs = _exp([
@@ -165,9 +165,9 @@ def daubechies_thakkar(
     for k < 0.  D=3, q=2 emits the c_k variant as a sibling."""
     from . import oracle
 
+    require_order(state, k, Space.MOMENTUM)
     if k == 0:
         raise OrderOutOfDomain(f"momentum order {k} invalid for the state")
-    require_order(state, k, Space.MOMENTUM)
     D = state.D
     w = oracle.entropic_moment(state, 1 + k / D)  # raises NotSWave for l != 0
     pk = p_moment(state, k, mode="float").as_float()

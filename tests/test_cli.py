@@ -85,6 +85,22 @@ def test_compute_out_of_domain_exit_code(capsys):
     assert "error" in err
 
 
+def test_oracle_mode_rejects_an_order_outside_the_domain_as_float_mode_does(capsys):
+    # the oracle built its Gauss-Jacobi rule first and exited 3 with
+    # "Jacobi exponents must exceed -1"
+    argv = ["compute", "--space", "p", "--D", "3", "--n", "2", "--l", "0", "--alpha=-9", "--mode"]
+    code, out, err = run(capsys, [*argv, "oracle"])
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert (code, out, err) == run(capsys, [*argv, "float"])
+    assert err == "error: momentum order -9.0 outside (-3, 5) for D=3, l=0\n"
+    code, out, _ = run(capsys, [
+        "table", "--space", "p", "--D-range", "3", "--n-range", "2", "--l", "0", "--alpha-list=-9,1", "--mode", "oracle",
+    ])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [(r[5], r[-1]) for r in rows[1:]] == [("-9", "out-of-domain"), ("1", "ok")]
+
+
 @pytest.mark.parametrize("argv", [
     ["compute", "--space", "p", "--alpha", "1", "--D", "3", "--n", "0", "--l", "0"],
     ["compute", "--space", "p", "--alpha", "1", "--D", "1", "--n", "1", "--l", "0"],

@@ -396,6 +396,40 @@ def test_exact_position_moments_obey_the_kramers_relation():
     assert windows == 16_896
 
 
+def test_exact_momentum_moments_obey_the_four_term_relation():
+    """The momentum twin of the Kramers relation, in steps of 2: with
+    b = a+2, m_j = <p^(a+2j)>, eps = eta/Z, c = 2l+D-2,
+    Q = 3b^3 + (16 eta^2 - 3c^2 - 4) b and K = 16 eta^2 - 4,
+    b (b^2 - c^2)(m_0 + eps^6 m_3) + eps^2 (Q + K) m_1 + eps^4 (Q - K) m_2 = 0
+    holds exactly on every window of four integer orders in the domain, on
+    D 2-8, n <= 6, every l and Z in {1, 1/2}.  It shares no code with
+    `p_moment`; it is homogeneous, so <p^0> = 1, <p^2> = (Z/eta)^2 and the
+    `double` route's <p^1> anchor it."""
+    windows = 0
+    for D in range(2, 9):
+        for n in range(1, 7):
+            for l in range(n):
+                for Z in (1, Fraction(1, 2)):
+                    s = make_state(D, n, l, Z)
+                    lo, hi = s.momentum_interval()
+                    values = {a: momom.p_moment(s, a, mode="exact").value for a in range(lo + 1, hi)}
+                    assert values[1] == momom.p_moment(s, 1, mode="exact", route="double").value, s
+                    m = {a: v.coeff for a, v in values.items()}
+                    eta, c = s.eta, 2 * l + D - 2
+                    eps = eta / s.Z_exact
+                    assert m[0] == 1 and m[2] == eps ** -2, s
+                    K = 16 * eta ** 2 - 4
+                    for a in range(lo + 1, hi - 6):
+                        # one pi power per window: the orders share a parity
+                        assert len({values[a + 2 * j].pi_pow for j in range(4)}) == 1, (s, a)
+                        b = a + 2
+                        Q = 3 * b ** 3 + (16 * eta ** 2 - 3 * c * c - 4) * b
+                        lhs = b * (b * b - c * c) * (m[a] + eps ** 6 * m[a + 6])
+                        assert lhs + eps ** 2 * (Q + K) * m[a + 2] + eps ** 4 * (Q - K) * m[a + 4] == 0, (s, a)
+                        windows += 1
+    assert windows == 3_442
+
+
 def test_directly_built_results_match_dataclass_built_ones():
     """`exact` and `rounded` fill MomentResult's frozen fields without its
     __init__; the result equals, hashes and prints like the dataclass-built

@@ -222,3 +222,31 @@ def test_constants_and_products_are_taken_from_logs():
     # D/(k+D) divided by zero at k = -D
     with pytest.raises(NonpositiveParameters):
         momentum_space_constant(3, -3)
+
+
+def _reports(rep):
+    """A report and every sibling below it."""
+    yield rep
+    for sib in rep.siblings:
+        yield from _reports(sib)
+
+
+def test_no_rigorous_report_is_violated_on_the_uncertainty_grid():
+    """On D in {2, 3, 4, 5, 7}, n <= 5 and every l, every report flagged
+    rigorous holds: `heisenberg_general` at each pair of orders a, b from
+    the list below with b inside the momentum domain, and `pitt_beckner` at
+    each of its five orders alpha < D.  `HEISENBERG_3D_AB` is rigorous only
+    for a >= 2, below which the 3D ground state violates it."""
+    orders = (0.25, 0.5, 1, 1.5, 2, 2.5, 3, 4, 5)
+    rigorous = 0
+    for D in (2, 3, 4, 5, 7):
+        for n in range(1, 6):
+            for l in range(n):
+                s = make_state(D, n, l, 1.0)
+                hi = s.momentum_interval()[1]
+                reps = [heisenberg_general(s, a, b) for a in orders for b in orders if b < hi]
+                reps += [pitt_beckner(s, alpha) for alpha in (0.5, 1, 1.5, 2, 2.5) if alpha < D]
+                for rep in (r for top in reps for r in _reports(top) if r.rigorous):
+                    assert rep.satisfied, (rep.name, rep.params, rep.ratio)
+                    rigorous += 1
+    assert rigorous == 19_465
