@@ -58,6 +58,7 @@ from .specfun import (
     HypSumSpec,
     digamma_half_exact,
     digamma_half_float,
+    exp_sum,
     gamma_bits,
     gamma_exact,
     gamma_ratio_doubled,
@@ -528,14 +529,20 @@ def appendix_integral_circular_exact(state: HydrogenicState) -> ExactValue:
 
 def appendix_integrals(state: HydrogenicState) -> tuple[float, float]:
     """The Gegenbauer-squared integrals I (mean momentum) and J (inverse
-    momentum), evaluated by Gauss-Jacobi quadrature."""
+    momentum) by Gauss-Jacobi quadrature, each summed from the rule's
+    log-weights, the rescaled Gegenbauer values and ln h_k and exponentiated
+    once by `exp_sum`, which raises FloatOverflow or FloatUnderflow."""
+    import numpy as np
+
     from . import oracle
 
-    nu = float(state.nu)
-    k = state.k
-    nodes = max(k + 2, 8)
-    x_i, w_i = oracle.gauss_jacobi(nodes, nu, nu)
-    I = math.fsum(w_i * oracle.gegenbauer(k, nu, x_i) ** 2)
-    x_j, w_j = oracle.gauss_jacobi(nodes, nu - 1, nu + 1)
-    J = math.fsum(w_j * oracle.gegenbauer(k, nu, x_j) ** 2)
-    return I, J
+    nu, k = float(state.nu), state.k
+    sums = []
+    for a, b in ((nu, nu), (nu - 1, nu + 1)):
+        x, log_w = oracle.gauss_jacobi(max(k + 2, 8), a, b)
+        q, s = oracle.gegenbauer_orthonormal(k, nu, x)
+        with np.errstate(divide="ignore"):  # ln 0 at a zero of C_k
+            log_terms = log_w + 2 * (np.log(np.abs(q)) + s)
+        top = float(log_terms.max())
+        sums.append(exp_sum([oracle._gegenbauer_log_norm(k, nu), top, math.log(np.exp(log_terms - top).sum())])[0])
+    return sums[0], sums[1]

@@ -9,7 +9,9 @@ to 0 come from the Christoffel function instead.  Gauss-Laguerre rules
 take their nodes from ?stevd (eigenvalues only, through a second handle) and
 their weights from the Christoffel function 1/sum_j p_j(x_i)^2, summed in
 linear space over one rescaled recurrence pass; the log-weights lie within
-1.6e-13 of 50-digit sums for m <= 160 and c <= 300.
+1.6e-13 of 50-digit sums for m <= 160 and c <= 300.  Every rule keeps its
+weights as logs, and both polynomial families come from one rescaled
+recurrence as pairs (q, s), value q e^s, so none leaves the double range.
 
 Each moment takes its order through `states.require_order`, so an order
 where the moment diverges raises OrderOutOfDomain before a rule is built.
@@ -19,13 +21,12 @@ moment is summed by a pair of exact rules, of k+1 and k+2 nodes: their
 difference measures rounding drift, not truncation.  The two Laguerre rules
 share one Christoffel pass of degree k+1, whose extra term p_{k+1}^2
 vanishes at the smaller rule's nodes up to second order in their rounding.
-Each moment passes its Gauss sum s and a bound on s, |s - s2| plus the
-roundings both rules share, to `posmom.rounded`, which adds the scale's logs
-and exponentiates them with ln s in one `specfun.exp_sum`, so a moment inside
-the double range is returned even when its scale is not, and one outside it
-raises FloatUnderflow or FloatOverflow; so does a Jacobi weight integral mu0
-outside it.  The Gauss sums are taken relative to their largest term or
-polynomial value, so they cannot overflow.
+Both moments sum their pair in logs by `_pair_sum`, relative to the largest
+term, and pass the sum s and a bound on s, |s - s2| plus the roundings both
+rules share, to `posmom.rounded`, which adds the scale's logs and
+exponentiates them with ln s in one `specfun.exp_sum`, so a moment inside the
+double range is returned even when its scale or a rule's mass mu0 is not,
+and one outside it raises FloatUnderflow or FloatOverflow.
 Entropic moments integrate |R|^(2q), which is not a polynomial, with Gauss
 rules between the zeros of R; they keep rules of m and m+8 nodes, whose
 difference does measure truncation.
@@ -43,7 +44,7 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import ExactTooLarge, NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
 from .posmom import Method, MomentResult, rounded
-from .specfun import _EPS, ExactValue, exp_sum, gamma_exact, log_gamma, require_cost, solid_angle_logs
+from .specfun import _EPS, ExactValue, exp_sum, exp_sum_rel, gamma_exact, log_gamma, require_cost, solid_angle_logs
 from .states import HydrogenicState, Space, require_order
 
 # At x >= 2^64, e^(-x/2) puts R_{n,l} below the double range unless k + l
@@ -100,8 +101,7 @@ def _golub_welsch(alphas, betas, log_mu0: float):
     lost = w == 0
     log_w = log_mu0 + np.log(w + lost)  # ln 1, not ln 0, until replaced below
     if lost.any():
-        _, scale, total = _scaled_recurrence(alphas, betas, -0.5 * log_mu0, nodes[lost])
-        log_w[lost] = -(np.log(total) + 2 * scale)
+        log_w[lost] = _christoffel_log_weights(alphas, betas, log_mu0, nodes[lost])
     return nodes, log_w
 
 
@@ -112,16 +112,14 @@ def _scaled_recurrence(alphas, betas, log_p0: float, x):
     Each node is rescaled on its own, so values far outside the oscillatory
     region do not overflow."""
     alphas, roots = alphas.tolist(), np.sqrt(betas).tolist()
-    q_prev = np.zeros_like(x)
-    q = np.ones_like(x)
-    total = np.ones_like(x)
-    scale = np.full_like(x, log_p0)
+    q_prev, q = np.zeros(x.shape), np.ones(x.shape)
+    total, scale = q.copy(), np.full(x.shape, log_p0)
     for j in range(len(roots)):
         beta_this = roots[j - 1] if j else 0.0
         q, q_prev = ((x - alphas[j]) * q - beta_this * q_prev) / roots[j], q
         total += q * q
-        # |q| > 1e120 implies total > 1e240, so one reduction guards the common case
-        if total.max() > 1e240:
+        # |q| > 1e120 implies total > 1e240, so one reduction (0 for no nodes) guards the common case
+        if total.max(initial=0.0) > 1e240:
             big = np.abs(q) > 1e120
             f = np.where(big, np.abs(q), 1.0)
             scale = scale + np.log(f)
@@ -131,41 +129,29 @@ def _scaled_recurrence(alphas, betas, log_p0: float, x):
     return q, scale, total
 
 
-def _laguerre_scaled(k: int, b: float, x):
-    """_scaled_recurrence for the orthonormal Laguerre polynomials against x^b e^{-x}."""
-    return _scaled_recurrence(*_laguerre_recurrence(k + 1, b), -0.5 * log_gamma(b + 1), x)
-
-
-def _laguerre_nodes(m: int, c: float):
-    """Nodes of the m-point Gauss rule for x^c e^{-x}, by ?stevd (eigenvalues only)."""
-    alphas, betas = _laguerre_recurrence(m, c)
-    if m == 1:  # ?stevd rejects a 1x1 matrix
+def _laguerre_nodes(alphas, betas):
+    """Nodes of the Gauss rule of a Laguerre table, by ?stevd (eigenvalues only)."""
+    if len(alphas) == 1:  # ?stevd rejects a 1x1 matrix
         return alphas
     x, _, info = _STEVD(alphas, np.sqrt(betas), compute_v=0)
     if info:
-        raise QuadratureFailure(f"?stevd returned info={info} for a {m}-node Laguerre rule")
+        raise QuadratureFailure(f"?stevd returned info={info} for a {len(alphas)}-node Laguerre rule")
     return x
 
 
-def _laguerre_log_weights(m: int, c: float, x):
-    """-ln sum_{j<=m} p_j(x)^2 against x^c e^{-x}: the log-weights of the Gauss
-    rule whose nodes x are the zeros of p_{m+1}, summed in linear space on the
-    rescaled recurrence values for tail-robust relative accuracy."""
-    _, scale, total = _laguerre_scaled(m, c, x)
+def _christoffel_log_weights(alphas, betas, log_mu0: float, x):
+    """-ln sum_{j<m} p_j(x)^2 for the m-entry table of a weight of mass mu0: its Gauss rule's
+    log-weights at its nodes x, summed in linear space on the rescaled values for tail-robust accuracy."""
+    _, scale, total = _scaled_recurrence(alphas, betas, -0.5 * log_mu0, x)
     return -(np.log(total) + 2 * scale)
 
 
-def _gauss_laguerre_log(m: int, c: float):
-    """Nodes and log-weights for weight x^c e^{-x}; the weights are the
-    Christoffel function 1/sum_j p_j(x_i)^2."""
-    x = _laguerre_nodes(m, c)
-    return x, _laguerre_log_weights(m - 1, c, x)
-
-
-def gauss_laguerre(m: int, b: float):
-    """Nodes and weights of the m-point Gauss rule for x^b e^{-x} on (0, inf)."""
-    x, log_w = _gauss_laguerre_log(m, float(b))
-    return x, np.exp(log_w)
+def gauss_laguerre(m: int, c: float):
+    """Nodes and log-weights of the m-point Gauss rule for x^c e^{-x} on
+    (0, inf); the weights are the Christoffel function 1/sum_j p_j(x_i)^2."""
+    table = _laguerre_recurrence(m, c)
+    x = _laguerre_nodes(*table)
+    return x, _christoffel_log_weights(*table, log_gamma(c + 1), x)
 
 
 def _jacobi_log_mu0_terms(a: float, b: float) -> list[float]:
@@ -174,65 +160,79 @@ def _jacobi_log_mu0_terms(a: float, b: float) -> list[float]:
     return [(a + b + 1) * math.log(2.0), log_gamma(a + 1), log_gamma(b + 1), -log_gamma(a + b + 2)]
 
 
-def _require_rule(m: int, instead: str) -> None:
-    """Price an m-node Gauss-Jacobi rule before anything is built: ?stemr's m
-    eigenvectors take 8 m^2 bytes, and at m = 4,000 they took 1.5 s and
-    123 MB, so past the budget, above m = 2,401, raise QuadratureFailure."""
-    try:  # the 64 m^2 bits of the eigenvectors, at about 1,000 passes (measured)
-        require_cost(64 * m * m, 1024, instead)
+def _require_rule(rule: str, bits: int, passes: int, instead: str) -> None:
+    """Price a Gauss rule before anything of it is built; past the budget raise QuadratureFailure."""
+    try:
+        require_cost(bits, passes, instead)
     except ExactTooLarge as e:
-        raise QuadratureFailure(f"a {m}-node Gauss-Jacobi rule: {e}") from None
+        raise QuadratureFailure(f"a {rule}: {e}") from None
+
+
+def _require_jacobi(m: int, instead: str) -> None:
+    """Price an m-node Gauss-Jacobi rule: ?stemr's m eigenvectors, 8 m^2 bytes, took 1.5 s and
+    123 MB at m = 4,000; their 64 m^2 bits at about 1,000 passes (measured) pass the budget above m = 2,401."""
+    _require_rule(f"{m}-node Gauss-Jacobi rule", 64 * m * m, 1024, instead)
 
 
 def gauss_jacobi(m: int, a: float, b: float):
-    """Nodes and weights of the m-point Gauss rule for (1-x)^a (1+x)^b on
-    (-1, 1), priced first by `_require_rule`."""
-    _require_rule(m, 'an integer order in mode="exact"')
+    """Nodes and log-weights of the m-point Gauss rule for (1-x)^a (1+x)^b on
+    (-1, 1), priced first by `_require_jacobi`.  The weights stay logs, so a
+    rule is built even where their sum mu0 leaves the double range."""
+    _require_jacobi(m, 'an integer order in mode="exact"')
     a, b = float(a), float(b)
-    alphas, betas = _jacobi_recurrence(m, a, b)
-    log_mu0 = sum(_jacobi_log_mu0_terms(a, b))
-    exp_sum([log_mu0])  # FloatOverflow or FloatUnderflow where mu0 leaves the double range
-    x, log_w = _golub_welsch(alphas, betas, log_mu0)
-    return x, np.exp(log_w)
+    return _golub_welsch(*_jacobi_recurrence(m, a, b), sum(_jacobi_log_mu0_terms(a, b)))
 
 
 def laguerre_orthonormal(k: int, b: float, x):
-    """p_k(x), orthonormal against x^b e^{-x} on (0, inf)."""
-    q, s, _ = _laguerre_scaled(k, float(b), np.asarray(x, dtype=float))
-    return q * np.exp(s)
+    """p~_k(x), orthonormal against x^b e^{-x} on (0, inf), as the rescaled
+    pair (q, s) with p~_k(x) = q e^s."""
+    b, x = float(b), np.asarray(x, dtype=float)
+    q, s, _ = _scaled_recurrence(*_laguerre_recurrence(k + 1, b), -0.5 * log_gamma(b + 1), x)
+    return q, s
 
 
 def gegenbauer_orthonormal(k: int, nu: float, x):
-    """C~_k(x), orthonormal against (1-x^2)^(nu-1/2) on (-1, 1)."""
-    x = np.asarray(x, dtype=float)
-    a = nu - 0.5
-    # the symmetric Jacobi table has zero diagonal, so only the betas enter
-    _, betas = _jacobi_recurrence(k + 1, a, a)
-    roots = np.sqrt(betas).tolist()
-    log_mu0 = (
-        (2 * a + 1) * math.log(2.0) + 2 * log_gamma(a + 1) - log_gamma(2 * a + 2)
-    )
-    p_prev = np.zeros_like(x)
-    p = np.full_like(x, math.exp(-0.5 * log_mu0))
-    for j in range(k):
-        beta_this = roots[j - 1] if j else 0.0
-        p, p_prev = (x * p - beta_this * p_prev) / roots[j], p
-    return p
+    """C~_k(x), orthonormal against (1-x^2)^(nu-1/2) on (-1, 1), as the
+    rescaled pair (q, s) with C~_k(x) = q e^s: `_scaled_recurrence` on the
+    symmetric Jacobi table, whose diagonal is 0."""
+    a, x = nu - 0.5, np.asarray(x, dtype=float)
+    q, s, _ = _scaled_recurrence(*_jacobi_recurrence(k + 1, a, a), -0.5 * sum(_jacobi_log_mu0_terms(a, a)), x)
+    return q, s
 
 
-def gegenbauer(k: int, nu: float, x):
-    """Plain Gegenbauer polynomial C_k^(nu)(x) = sqrt(h_k) C~_k(x), with
-    h_k = pi 2^(1-2nu) Gamma(k+2nu) / (k! (k+nu) Gamma(nu)^2) its squared norm."""
-    log_h = (
+def _gegenbauer_log_norm(k: int, nu: float) -> float:
+    """ln h_k = ln(pi 2^(1-2nu) Gamma(k+2nu) / (k! (k+nu) Gamma(nu)^2)), the
+    squared norm of C_k^(nu), so C_k^(nu) = sqrt(h_k) C~_k."""
+    return (
         math.log(math.pi) + (1 - 2 * nu) * math.log(2.0) + log_gamma(k + 2 * nu)
         - log_gamma(k + 1) - math.log(k + nu) - 2 * log_gamma(nu)
     )
-    return math.exp(0.5 * log_h) * gegenbauer_orthonormal(k, nu, x)
 
 
-def _rule_size(k: int) -> int:
-    """k+1 nodes make a Gauss rule exact for a degree-2k integrand."""
-    return k + 1
+def gegenbauer(k: int, nu: float, x):
+    """Plain Gegenbauer polynomial C_k^(nu)(x) = sqrt(h_k) C~_k(x), summed as
+    logs and exponentiated once by `_signed_exp`."""
+    q, s = gegenbauer_orthonormal(k, nu, x)
+    with np.errstate(divide="ignore"):  # ln 0 at a zero of C_k
+        return _signed_exp(np.sign(q), 0.5 * _gegenbauer_log_norm(k, nu) + s + np.log(np.abs(q)))
+
+
+def _pair_sum(q, q_scale, log_w, m: int):
+    """(top, s, bound): the Gauss sum e^top s of p^2, p = q e^q_scale, by the
+    m-node rule of the m- and (m+1)-node rules whose values and log-weights are
+    concatenated, taken relative to the largest term, and a bound on s that
+    covers its drift |s - s2| and the roundings both rules share."""
+    with np.errstate(divide="ignore"):
+        log_p2 = 2 * (np.log(np.abs(q)) + q_scale)
+    log_terms = log_p2 + log_w
+    top = log_terms.max()
+    terms = np.exp(log_terms - top)
+    s, s2 = float(np.add.reduce(terms[:m])), float(np.add.reduce(terms[m:]))
+    # each term is exp of logs of size |ln w| + |ln p^2| that cancel; their rounding
+    # is a relative error of a few ulps of that size, shared by both rules and so
+    # unseen by |s - s2|
+    size = np.where(terms[:m] > 0, np.abs(log_w[:m]) + np.abs(log_p2[:m]), 0.0)
+    return float(top), s, abs(s - s2) + 50 * m * _EPS * s + 4 * _EPS * float(np.dot(terms[:m], size))
 
 
 def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
@@ -240,53 +240,40 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     of m = k+1 and m+1 nodes, weighted by one Christoffel pass."""
     alpha = require_order(state, alpha, Space.POSITION)
     b = 2 * state.l + state.D - 2  # Laguerre index of the radial polynomial
-    m = _rule_size(state.k)
+    m = state.k + 1  # k+1 nodes make a Gauss rule exact for the degree-2k integrand
     c = b + 1 + alpha  # the rules' weight is x^c e^{-x}
-    x = np.concatenate((_laguerre_nodes(m, c), _laguerre_nodes(m + 1, c)))
-    # the (m+1)-node rule's Christoffel sum runs to p_m, which vanishes at the
-    # m-node rule's nodes, so one pass weights both rules
-    logw = _laguerre_log_weights(m, c, x)
-    q, q_scale, _ = _laguerre_scaled(state.k, b, x)
-    with np.errstate(divide="ignore"):
-        logp = np.log(np.abs(q)) + q_scale
-    log_terms = 2 * logp + logw
-    top = log_terms.max()  # the sums are taken relative to e^top, so no term leaves the double range
-    terms = np.exp(log_terms - top)
-    s, s2 = float(terms[:m].sum()), float(terms[m:].sum())
-    # each term is exp of logs of size |ln w| + 2|ln p| that cancel; their rounding
-    # is a relative error of a few ulps of that size, shared by both rules and so
-    # unseen by |s - s2|
-    size = np.where(terms[:m] > 0, np.abs(logw[:m]) + 2 * np.abs(logp[:m]), 0.0)
-    bound = abs(s - s2) + 50 * (state.k + 1) * _EPS * s + 4 * _EPS * float(np.dot(terms[:m], size))
-    logs = [float(top), -math.log(state.two_eta)]
-    return rounded(logs, s, bound, Method.QUADRATURE, Space.POSITION, alpha, state)
+    # ?stevd and about 2m recurrence steps over the 2m+1 nodes took 0.49 s at m = 2,500
+    # (x86-64): their 64 (2m+1) bits at about 450 m passes, past the budget above m = 2,561
+    _require_rule(f"{m}-node Gauss-Laguerre rule pair", 64 * (2 * m + 1), 450 * m, 'an integer order in mode="exact"')
+    # the m-node rule's table starts the (m+1)-node rule's, whose Christoffel sum runs to
+    # p_m, which vanishes at the m-node rule's nodes: one table and one pass serve both
+    alphas, betas = _laguerre_recurrence(m + 1, c)
+    x = np.concatenate((_laguerre_nodes(alphas[:m], betas[:m - 1]), _laguerre_nodes(alphas, betas)))
+    q, q_scale = laguerre_orthonormal(state.k, b, x)
+    top, s, bound = _pair_sum(q, q_scale, _christoffel_log_weights(alphas, betas, log_gamma(c + 1), x), m)
+    return rounded([top, -math.log(state.two_eta)], s, bound, Method.QUADRATURE, Space.POSITION, alpha, state)
 
 
 def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     """<p^alpha> from the momentum density by Gauss-Jacobi rules of m = k+1 and
     m+1 nodes, both exact for the degree-2k integrand, so |s - s2| measures
-    rounding drift.  Their Gegenbauer values come from one recurrence pass and
-    are divided by their peak, so each Gauss sum stays below mu0; the scale
-    (Z/eta)^alpha and the peak squared are exponentiated with ln of the sum.
+    rounding drift.  Their Gegenbauer values come from one recurrence pass,
+    and the sums are taken in logs by `_pair_sum`, as `quad_r_moment`'s are.
     The bound adds 2 k^2 eps s for the nodes' rounding, which both rules
-    share: by Markov's inequality |p'| <= k^2 max |p| on [-1, 1]."""
+    share (by Markov's inequality |p'| <= k^2 max |p| on [-1, 1]), and the
+    rounding of ln mu0's terms, which both rules' log-weights carry."""
     alpha = require_order(state, alpha, Space.MOMENTUM)
     nu = state.two_nu / 2  # float(nu), without building the Fraction
-    k, m = state.k, _rule_size(state.k)
+    k, m = state.k, state.k + 1
     # exact where a or b nears -1: there the moment is as sensitive to a+1 or
     # b+1 as 1/(a+1) or 1/(b+1), and nu + (alpha - 1)/2 would round it
     a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
-    x, w = gauss_jacobi(m, a, b)
-    x2, w2 = gauss_jacobi(m + 1, a, b)
-    vals = gegenbauer_orthonormal(k, nu, np.concatenate((x, x2)))
-    peak = float(np.abs(vals).max())
-    sq = (vals / peak) ** 2
-    s, s2 = float(np.dot(w, sq[:m])), float(np.dot(w2, sq[m:]))
-    # both rules scale their weights by mu0 = exp(log mu0), so |s - s2| cannot
-    # see the rounding of log mu0's terms
-    _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
-    bound = abs(s - s2) + ((50 * (k + 1) + 2 * k * k) * _EPS + mu0_rel) * s
-    return rounded([2 * math.log(peak)], s, bound, Method.QUADRATURE, Space.MOMENTUM, alpha, state)
+    x, log_w = gauss_jacobi(m, a, b)
+    x2, log_w2 = gauss_jacobi(m + 1, a, b)
+    q, q_scale = gegenbauer_orthonormal(k, nu, np.concatenate((x, x2)))
+    top, s, bound = _pair_sum(q, q_scale, np.concatenate((log_w, log_w2)), m)
+    bound += (2 * k * k * _EPS + exp_sum_rel(_jacobi_log_mu0_terms(a, b))) * s
+    return rounded([top], s, bound, Method.QUADRATURE, Space.MOMENTUM, alpha, state)
 
 
 def position_norm_sq(state: HydrogenicState) -> ExactValue:
@@ -326,7 +313,7 @@ def _log_radial(state: HydrogenicState, x):
     """The sign and ln|R_{n,l}| at x = 2Zr/eta.  The orthonormal p~_k has a
     positive leading coefficient and L_k^(2L+1) the sign (-1)^k, so R's sign
     is (-1)^k that of p~_k."""
-    q, s, _ = _laguerre_scaled(state.k, 2 * state.l + state.D - 2, x)
+    q, s = laguerre_orthonormal(state.k, 2 * state.l + state.D - 2, x)
     log_amp = _log_amplitude(state, Space.POSITION)
     with np.errstate(divide="ignore"):  # 0 * log 0 would be nan: l log x enters only for l > 0
         log_r = log_amp - x / 2 + np.log(np.abs(q)) + s + (state.l * np.log(x) if state.l else 0)
@@ -363,17 +350,17 @@ def radial_momentum(state: HydrogenicState, p):
     logs, and y = (1 - t^2) / (1 + t^2) = -tanh(ln t).
 
     The values carry no error bound.  The Gegenbauer recurrence drifts with
-    k, most near y = 1: at 3D nS n = 200,000, |M(0)| is 1.3e-7 relative off
+    k, most near y = 1: at 3D nS n = 200,000, |M(0)| is 1.7e-7 relative off
     sqrt(32/pi) n^(5/2)."""
     p = np.asarray(p, dtype=float)
     nu, l = state.two_nu / 2, state.l
     log_amp = _log_amplitude(state, Space.MOMENTUM)
     with np.errstate(divide="ignore"):  # y = 1 at p = 0; 0 * ln 0 would be nan, so l ln t only for l > 0
         log_t = np.log(np.abs(p)) + math.fsum(state.scale_logs(-1, Space.MOMENTUM))
-        c = gegenbauer_orthonormal(state.k, nu, -np.tanh(log_t))
-        log_m = log_amp - (l + (state.D + 1) / 2) * np.logaddexp(0.0, 2 * log_t) + np.log(np.abs(c)) \
+        q, s = gegenbauer_orthonormal(state.k, nu, -np.tanh(log_t))
+        log_m = log_amp - (l + (state.D + 1) / 2) * np.logaddexp(0.0, 2 * log_t) + np.log(np.abs(q)) + s \
             + (l * log_t if l else 0)
-    return _signed_exp(np.sign(c) * np.sign(p) ** l, log_m)
+    return _signed_exp(np.sign(q) * np.sign(p) ** l, log_m)
 
 
 def solid_angle(D: int) -> ExactValue:
@@ -391,7 +378,7 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
     if not 0 < q < math.inf:
         raise NonpositiveParameters(f"entropic order q must be positive and finite, got {q}")
     q, D, k = float(q), state.D, state.k
-    ends = np.concatenate(([0.0], _laguerre_nodes(k, D - 2) if k else []))
+    ends = np.concatenate(([0.0], _laguerre_nodes(*_laguerre_recurrence(k, D - 2)) if k else []))
     # [0, z_1] from k = 1 and [z_j, z_j+1] from k = 2: an empty panel would still build a rule
     panels = ((ends[:1], ends[1:2], D - 1), (ends[1:-1], ends[2:], 2 * q))[:min(k, 2)]
     c = 2 * q if k else D - 1  # the tail's factor at its left end
@@ -399,10 +386,10 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
     def run(m):
         """ln of the integral over x by m-node rules, their weights kept as logs:
         mu0 of the rule on [0, z_1] leaves the double range from D of about 1,050."""
-        t, log_w = _gauss_laguerre_log(m, c)
+        t, log_w = gauss_laguerre(m, c)
         xs, logs = [ends[-1] + t / q], [log_w - c * np.log(t) + t - math.log(q)]
         for left, right, b in panels:
-            t, log_w = _golub_welsch(*_jacobi_recurrence(m, 2 * q, b), sum(_jacobi_log_mu0_terms(2 * q, b)))
+            t, log_w = gauss_jacobi(m, 2 * q, b)
             h = (right - left)[:, None] / 2
             xs.append((left[:, None] + h * (1 + t)).ravel())
             logs.append((np.log(h) + log_w - 2 * q * np.log1p(-t) - b * np.log1p(t)).ravel())
@@ -415,7 +402,7 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
     # before either builds a rule
     width = q * float(np.diff(ends).max(initial=0.0)) / 2
     m = 20 + int(min(width, 2.0 ** 62))
-    _require_rule(m + 8, "a smaller q")
+    _require_jacobi(m + 8, "a smaller q")
     log_int, log_int2 = run(m), run(m + 8)
     if abs(log_int - log_int2) > 1e-10:
         raise QuadratureFailure(f"W_{q:g} rules of {m} and {m + 8} nodes differ by {abs(log_int - log_int2):.2g}")

@@ -210,7 +210,12 @@ def exp_sum(terms) -> tuple[float, float]:
         raise FloatOverflow(f"exp({exponent:.6g}) exceeds the double range")
     if value < sys.float_info.min:
         raise FloatUnderflow(f"exp({exponent:.6g}) is below the double range")
-    return value, 4 * _EPS * (sum(map(abs, terms)) + _LOG_FLOOR * len(terms) + 1)
+    return value, exp_sum_rel(terms)
+
+
+def exp_sum_rel(terms) -> float:
+    """`exp_sum`'s relative bound for terms whose sum stays a log, in or out of the double range."""
+    return 4 * _EPS * (sum(map(abs, terms)) + _LOG_FLOOR * len(terms) + 1)
 
 
 def log_gamma(x: float) -> float:

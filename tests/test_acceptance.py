@@ -247,7 +247,8 @@ def test_criterion_9_uncertainty_suite():
 
 def _position_norm_gauss(s):
     b = 2 * s.l + s.D - 2
-    x, w = oracle.gauss_laguerre(s.k + 3, float(b))
+    x, log_w = oracle.gauss_laguerre(s.k + 3, float(b))
+    w = np.exp(log_w)
     scale = float(s.eta) / (2 * s.Z)
     r = x * scale
     vals = oracle.radial_position(s, r) ** 2 * r ** (s.D - 1) * scale
@@ -257,7 +258,8 @@ def _position_norm_gauss(s):
 def _momentum_norm_gauss(s):
     nu = float(s.nu)
     a, b = nu - 0.5, nu + 0.5
-    y, w = oracle.gauss_jacobi(s.k + 3, a, b)
+    y, log_w = oracle.gauss_jacobi(s.k + 3, a, b)
+    w = np.exp(log_w)
     u = (1 - y) / (1 + y)
     t = np.sqrt(u)
     p = t * s.Z / float(s.eta)

@@ -1,6 +1,7 @@
-"""One cost model: every exact route, `double` in both modes and the
-Gauss-Jacobi rule state their cost to `specfun.require_cost` before they
-build anything, and that function is the only reader of the one budget.
+"""One cost model: every exact route, `double` in both modes, the
+Gauss-Jacobi rule and the Gauss-Laguerre rule pair state their cost to
+`specfun.require_cost` before they build anything, and that function is the
+only reader of the one budget.
 A call either answers or raises a HydromomentsError at once, with a message
 that names a cheaper route or mode."""
 
@@ -20,6 +21,7 @@ from hydromoments import (
     p_moment,
     p_moment_circular,
     quad_p_moment,
+    quad_r_moment,
     r_moment,
     reflect,
 )
@@ -140,7 +142,7 @@ def _no_rule_is_built(monkeypatch):
     fail = lambda *args: pytest.fail("the rule was built")  # noqa: E731
     monkeypatch.setattr(oracle, "_jacobi_recurrence", fail)
     monkeypatch.setattr(oracle, "_golub_welsch", fail)
-    monkeypatch.setattr(oracle, "_gauss_laguerre_log", fail)
+    monkeypatch.setattr(oracle, "gauss_laguerre", fail)
 
 
 @pytest.mark.parametrize("m", [2_402, 50_001])
@@ -157,6 +159,17 @@ def test_a_momentum_fallback_at_large_n_raises_before_its_rule(monkeypatch):
     _no_rule_is_built(monkeypatch)
     with pytest.raises(QuadratureFailure, match="budget"):
         quad_p_moment(_nS(50_000), 0.3)
+
+
+@pytest.mark.parametrize("n", [2_562, 50_000])
+def test_a_position_fallback_at_large_n_raises_before_its_rules(monkeypatch, n):
+    # the m = n node Gauss-Laguerre pair took 0.49 s at m = 2,500 and over
+    # 108 s at m = 50,000; the largest pair under the budget has 2,561 nodes
+    monkeypatch.setattr(oracle, "_laguerre_recurrence", lambda *args: pytest.fail("a rule was built"))
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureFailure, match=f"{n}-node Gauss-Laguerre.*budget"):
+        quad_r_moment(_nS(n), 0.3)
+    assert time.perf_counter() - t0 < 0.1
 
 
 @pytest.mark.parametrize("q", [3_000, 1e308, 2 ** 53 + 1])
@@ -183,3 +196,6 @@ def test_the_largest_rule_under_the_budget_is_built(monkeypatch):
     monkeypatch.setattr(oracle, "_jacobi_recurrence", lambda *args: (_ for _ in ()).throw(_Built()))
     with pytest.raises(_Built):
         oracle.gauss_jacobi(2_401, 0.5, 1.5)
+    monkeypatch.setattr(oracle, "_laguerre_recurrence", lambda *args: (_ for _ in ()).throw(_Built()))
+    with pytest.raises(_Built):
+        quad_r_moment(_nS(2_561), 0.3)

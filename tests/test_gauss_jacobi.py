@@ -1,10 +1,11 @@
 """Gauss-Jacobi rules: ?stemr on the Jacobi matrix (Golub-Welsch),
 with the Christoffel function for the weights MRRR drops to 0.
 
-Its nodes and weights are checked against a 50-digit mpmath reference on the
-same Jacobi matrix, each weight also to a relative tolerance, a LAPACK
-failure must surface as QuadratureFailure, and no rule that the oracle
-builds on a wide sweep of states may fail."""
+Its nodes and weights, exponentiated from the log-weights it returns, are
+checked against a 50-digit mpmath reference on the same Jacobi matrix, each
+weight also to a relative tolerance, a LAPACK failure must surface as
+QuadratureFailure, and no rule that the oracle builds on a wide sweep of
+states may fail."""
 
 import math
 
@@ -72,7 +73,8 @@ def _reference_rule(m, a, b):
 ])
 def test_gauss_jacobi_matches_a_50_digit_reference(m, a, b):
     # MRRR's eigenvectors drop 7 weights of the last rule, from 3e-50 to 7e-37 mu0, to 0
-    x, w = gauss_jacobi(m, a, b)
+    x, log_w = gauss_jacobi(m, a, b)
+    w = np.exp(log_w)
     nodes, weights, mu0 = _reference_rule(m, a, b)
     dx = max(abs(float(x[i] - nodes[i])) for i in range(m))
     dw = max(abs(float((w[i] - weights[i]) / mu0)) for i in range(m))
@@ -106,14 +108,15 @@ def _checked_rules(monkeypatch):
     built = []
 
     def checked(m, a, b):
-        x, w = gauss_jacobi(m, a, b)
+        x, log_w = gauss_jacobi(m, a, b)
+        w = np.exp(log_w)
         mu0 = math.exp((a + b + 1) * math.log(2.0) + math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
         assert len(x) == len(w) == m, (m, a, b)
         assert np.all(np.diff(x) > 0) and -1 < x[0] and x[-1] < 1, (m, a, b)
         assert np.all(w > 0) and np.all(np.isfinite(w)), (m, a, b)
         assert math.fsum(w) == pytest.approx(mu0, rel=1e-12), (m, a, b)
         built.append((m, a, b))
-        return x, w
+        return x, log_w
 
     monkeypatch.setattr(oracle, "gauss_jacobi", checked)
     return built

@@ -511,6 +511,14 @@ def test_appendix_constants_reproduce_momentum_moments():
             )
 
 
+@pytest.mark.parametrize("n, l", [(1000, 300), (1500, 600)])
+def test_appendix_integrals_beyond_the_double_range_raise_a_library_error(n, l):
+    # I is about e^890 and e^1426; numpy overflowed at the first and
+    # math.exp(0.5 ln h_k) raised a bare OverflowError at the second
+    with pytest.raises(FloatOverflow):
+        appendix_integrals(make_state(3, n, l, 1.0))
+
+
 def test_appendix_circular_integral():
     s = make_state(3, 1, 0, 1.0)
     assert appendix_integral_circular_exact(s) == ExactValue(Fraction(4, 3))

@@ -30,7 +30,6 @@ from hydromoments import (
 )
 from hydromoments.errors import FloatOverflow, FloatUnderflow, NonpositiveParameters, NotSWave, QuadratureFailure
 from hydromoments.oracle import (
-    _gauss_laguerre_log,
     _jacobi_recurrence,
     _laguerre_recurrence,
     gauss_jacobi,
@@ -46,7 +45,8 @@ from hydromoments.specfun import ExactValue, gamma_exact
 
 def test_gauss_laguerre_exactness():
     # integral of x^j e^{-x} = j!
-    x, w = gauss_laguerre(6, 0.0)
+    x, log_w = gauss_laguerre(6, 0.0)
+    w = np.exp(log_w)
     for j in range(12):
         assert np.dot(w, x ** j) == pytest.approx(math.factorial(j), rel=1e-12)
 
@@ -56,7 +56,8 @@ def test_gauss_jacobi_exactness():
     import mpmath
 
     a, b = 1.5, 0.5
-    x, w = gauss_jacobi(5, a, b)
+    x, log_w = gauss_jacobi(5, a, b)
+    w = np.exp(log_w)
     # total mass 2^(a+b+1) B(a+1, b+1) = pi/2 for these exponents
     assert w.sum() == pytest.approx(math.pi / 2, rel=1e-13)
     m3 = float(mpmath.quad(lambda t: t ** 3 * (1 - t) ** a * (1 + t) ** b, [-1, 1]))
@@ -72,20 +73,25 @@ def test_recurrence_parameter_validation():
 
 def test_orthonormal_laguerre():
     b = 2.5
-    x, w = gauss_laguerre(12, b)
+    x, log_w = gauss_laguerre(12, b)
+    w = np.exp(log_w)
     for j in range(5):
-        pj = laguerre_orthonormal(j, b, x)
+        q, s = laguerre_orthonormal(j, b, x)
+        pj = q * np.exp(s)
         assert np.dot(w, pj * pj) == pytest.approx(1.0, rel=1e-12)
         if j:
-            pk = laguerre_orthonormal(j - 1, b, x)
+            q, s = laguerre_orthonormal(j - 1, b, x)
+            pk = q * np.exp(s)
             assert abs(np.dot(w, pj * pk)) < 1e-12
 
 
 def test_orthonormal_gegenbauer():
     nu = 2.0
-    x, w = gauss_jacobi(12, nu - 0.5, nu - 0.5)
+    x, log_w = gauss_jacobi(12, nu - 0.5, nu - 0.5)
+    w = np.exp(log_w)
     for j in range(5):
-        pj = gegenbauer_orthonormal(j, nu, x)
+        q, s = gegenbauer_orthonormal(j, nu, x)
+        pj = q * np.exp(s)
         assert np.dot(w, pj * pj) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -150,9 +156,48 @@ def test_error_bound_of_a_moment_near_the_top_of_the_double_range_is_finite():
 
 
 def test_jacobi_weight_integral_outside_the_double_range_raises():
-    # mu0 = 2^(a+b+1) B(a+1, b+1) is about e^1112 here; math.exp raised a bare OverflowError
+    # mu0 = 2^(a+b+1) B(a+1, b+1) is about e^1112 here, and the moment about
+    # e^11750; math.exp raised a bare OverflowError
     with pytest.raises(FloatOverflow):
         quad_p_moment(make_state(3, 800, 790, 1.0), -1582.999999)
+
+
+def test_a_moment_inside_the_double_range_answers_where_its_weight_integral_is_not():
+    # the same rules, whose mu0 is about e^1112, for a moment of about 20.5 at
+    # Z = 1670; the rules' linear weights raised FloatOverflow here
+    s, alpha = make_state(3, 800, 790, 1670.0), -1582.999999
+    res, dbl = quad_p_moment(s, alpha), p_moment(s, alpha, mode="float", route="double")
+    assert abs(res.value - dbl.value) <= res.error_estimate + dbl.error_estimate
+
+
+# Peak-normalised, the Gauss sums of these rules underflowed to 0, and
+# float p_moment raised ValueError from math.log(0) or, at 3D 2000 800,
+# returned nan at alpha = 0.5 after an overflow warning.
+LARGE_K_STATES = [(3, 1200, 240), (3, 2000, 800), (40, 1200, 300)]
+
+
+@pytest.mark.parametrize("D, n, l", LARGE_K_STATES)
+def test_momentum_quadrature_at_large_k_is_within_its_bound_of_the_exact_moment(D, n, l):
+    s = make_state(D, n, l, 1.0)
+    for alpha in (1, 2, 3):
+        exact = p_moment(s, alpha, mode="exact").value.to_float()
+        for res in (quad_p_moment(s, float(alpha)), p_moment(s, float(alpha), mode="float")):
+            assert abs(res.value - exact) <= res.error_estimate, (alpha, res, exact)
+    for res in (quad_p_moment(s, 0.5), p_moment(s, 0.5, mode="float")):
+        assert 0 < res.value < math.inf and 0 <= res.error_estimate < math.inf, res
+
+
+def test_wavefunctions_at_no_points_are_empty():
+    # the recurrence's overflow guard reduced a zero-size array: radial_position
+    # raised a bare ValueError on an empty input
+    s = make_state(3, 5, 1, 1.0)
+    for wavefunction in (radial_position, radial_momentum):
+        assert wavefunction(s, []).shape == (0,)
+
+
+def test_momentum_wavefunction_near_p_0_at_large_k_is_finite():
+    # the Gegenbauer recurrence overflowed at y near 1
+    assert np.isfinite(radial_momentum(make_state(3, 2000, 800, 1.0), [1e-4])).all()
 
 
 @pytest.mark.parametrize("alpha", [-602.999999, 604.999999])
@@ -197,7 +242,7 @@ def test_position_wavefunction_finite_and_normalized_at_large_n_and_l(D, n, l):
     s = make_state(D, n, l, 1.0)
     b = 2 * l + D - 2
     # R^2 r^(D-1) dr is a degree-2k polynomial against x^(b+1) e^-x in x = 2Zr/eta
-    x, log_w = _gauss_laguerre_log(s.k + 2, b + 1.0)
+    x, log_w = gauss_laguerre(s.k + 2, b + 1.0)
     scale = float(s.eta) / (2 * s.Z)
     r = x * scale
     R = radial_position(s, r)
@@ -421,13 +466,13 @@ def test_entropic_moment_states_its_domain():
 def test_entropic_moment_raises_when_its_rules_disagree(monkeypatch):
     from hydromoments import oracle
 
-    rule = oracle._gauss_laguerre_log
+    rule = oracle.gauss_laguerre
 
     def drifting(m, c):  # the tail weights shift with the rule size
         x, log_w = rule(m, c)
         return x, log_w + 1e-6 * m
 
-    monkeypatch.setattr(oracle, "_gauss_laguerre_log", drifting)
+    monkeypatch.setattr(oracle, "gauss_laguerre", drifting)
     with pytest.raises(QuadratureFailure):
         entropic_moment(make_state(3, 2, 0, 1.0), 1.5)
 

@@ -1,16 +1,19 @@
 """The oracle builds its Gegenbauer polynomials from the Jacobi coefficient
 table, and its Gauss-Laguerre rules from one ?stevd call and one rescaled
-recurrence whose Christoffel sum is added in linear space.  Copies of the
-earlier inline recurrences are kept here: the Gegenbauer values and the
-Laguerre nodes must equal theirs bit for bit, the log-weights must lie
-within a set tolerance of a 50-digit Christoffel sum and, up to one ulp, at
-least as close to it as their logaddexp fold, and <r^alpha> must agree with
-theirs within the two error estimates.  The moments sum rule pairs of k+1
-and k+2 nodes; a copy of the earlier pair of k+7 and k+15 nodes must agree
-with them within the two error estimates, and the one Christoffel pass that
-weights both Laguerre rules must match a separate pass per rule."""
+recurrence whose Christoffel sum is added in linear space.  The rescaled
+Gegenbauer pair must lie within a set tolerance of a 50-digit orthonormal
+Gegenbauer at the nodes quadrature evaluates it at.  A copy of the earlier
+inline Laguerre recurrence is kept here: the Laguerre nodes must equal its
+bit for bit, the log-weights must lie within a set tolerance of a 50-digit
+Christoffel sum and, up to one ulp, at least as close to it as their
+logaddexp fold, and <r^alpha> must agree with its within the two error
+estimates.  The moments sum rule pairs of k+1 and k+2 nodes; a copy of the
+earlier pair of k+7 and k+15 nodes must agree with them within the two
+error estimates, and the one Christoffel pass that weights both Laguerre
+rules must match a separate pass per rule."""
 
 import math
+from decimal import Decimal, localcontext
 from functools import lru_cache
 
 import mpmath
@@ -22,14 +25,13 @@ from hydromoments import make_state, oracle, quad_p_moment, quad_r_moment
 from hydromoments.errors import FloatOverflow, FloatUnderflow, QuadratureFailure
 from hydromoments.oracle import (
     _EPS,
-    _gauss_laguerre_log,
+    gauss_laguerre,
     _jacobi_log_mu0_terms,
-    _laguerre_log_weights,
     _laguerre_nodes,
     _laguerre_recurrence,
-    _laguerre_scaled,
     gauss_jacobi,
     gegenbauer_orthonormal,
+    laguerre_orthonormal,
 )
 from hydromoments.specfun import exp_sum, log_gamma
 
@@ -44,34 +46,30 @@ def _states(D):
             yield make_state(D, n, l, 1.0)
 
 
-def _gegenbauer_inline(k, nu, x):
-    x = np.asarray(x, dtype=float)
-    a = nu - 0.5
-    log_mu0 = (
-        (2 * a + 1) * math.log(2.0) + 2 * log_gamma(a + 1) - log_gamma(2 * a + 2)
-    )
-    p_prev = np.zeros_like(x)
-    p = np.full_like(x, math.exp(-0.5 * log_mu0))
-    for j in range(k):
-        ab = 2 * a
-        s = 2 * j + ab
-        if j == 0:
-            beta_next = 4 * (1 + a) ** 2 / ((ab + 2) ** 2 * (ab + 3))
-        else:
-            beta_next = (
-                4 * (j + 1) * (j + 1 + a) ** 2 * (j + 1 + ab)
-                / ((s + 2) ** 2 * (s + 3) * (s + 1))
-            )
-        if j == 0:
-            beta_this = 0.0
-        elif j == 1:
-            beta_this = 4 * (1 + a) ** 2 / ((ab + 2) ** 2 * (ab + 3))
-        else:
-            beta_this = (
-                4 * j * (j + a) ** 2 * (j + ab) / (s * s * (s + 1) * (s - 1))
-            )
-        p, p_prev = (x * p - math.sqrt(beta_this) * p_prev) / math.sqrt(beta_next), p
-    return p
+def _gegenbauer_reference(k, nu, x):
+    """The orthonormal Gegenbauer C~_k at the nodes x, by its three-term
+    recurrence in 50-digit decimal arithmetic, from 50-digit mpmath roots and
+    C~_0 = mu0^(-1/2)."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(nu) - mpmath.mpf(1) / 2
+        roots = []
+        for j in range(1, k + 1):
+            s = 2 * j + 2 * a
+            if j == 1:
+                beta = 4 * (1 + a) ** 2 / ((2 * a + 2) ** 2 * (2 * a + 3))
+            else:
+                beta = 4 * j * (j + a) ** 2 * (j + 2 * a) / (s * s * (s + 1) * (s - 1))
+            roots.append(Decimal(str(mpmath.sqrt(beta))))
+        p0 = Decimal(str(1 / mpmath.sqrt(2 ** (2 * a + 1) * mpmath.gamma(a + 1) ** 2 / mpmath.gamma(2 * a + 2))))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        out = []
+        for xi in x:
+            xi, p_prev, p = Decimal(float(xi)), Decimal(0), p0
+            for j in range(k):
+                p, p_prev = (xi * p - (roots[j - 1] * p_prev if j else 0)) / roots[j], p
+            out.append(p)
+        return out
 
 
 def _laguerre_log_values(k, b, x):
@@ -135,7 +133,13 @@ def _quad_r_moment_inline(state, alpha):
     return value, err
 
 
-def test_gegenbauer_matches_inline_recurrence_bit_for_bit():
+# Worst error measured on these states: 1.2e-13 of the largest |C~_k| at the
+# nodes, where C~_0 = mu0^(-1/2) is exponentiated from ln mu0 of about -500
+# (n = 160, l = 159).
+GEGENBAUER_TOL = 1e-12
+
+
+def test_gegenbauer_pair_matches_a_50_digit_orthonormal_gegenbauer():
     checked = 0
     for D in range(2, 13):
         for i, state in enumerate(_states(D)):
@@ -148,8 +152,10 @@ def test_gegenbauer_matches_inline_recurrence_bit_for_bit():
                 gauss_jacobi(state.k + 2, a, b)[0],
                 np.linspace(-1.0, 1.0, 9),
             ])
-            got = gegenbauer_orthonormal(state.k, nu, x)
-            assert np.array_equal(got, _gegenbauer_inline(state.k, nu, x)), (D, state.n, state.l)
+            q, s = gegenbauer_orthonormal(state.k, nu, x)
+            ref = _gegenbauer_reference(state.k, nu, x)
+            err = max(abs(float(r - Decimal(float(v)))) for v, r in zip(q * np.exp(s), ref))
+            assert err <= GEGENBAUER_TOL * float(max(map(abs, ref))), (D, state.n, state.l, err)
             checked += 1
     assert checked > 1000
 
@@ -169,7 +175,7 @@ RULES = [(m, c) for m in (1, 2, 8, 47, 160) for c in (-1 + 5e-7, 0.3, 17.0, 300.
 def test_laguerre_rule_nodes_match_inline_copy_bit_for_bit():
     for m in (1, 2, 7, 47, 168):
         for c in (-1 + 5e-7, 0.0, 0.3, 2.5, 17.0, 160.9, 300.0):
-            assert np.array_equal(_gauss_laguerre_log(m, c)[0], _gauss_laguerre_log_inline(m, c)[0]), (m, c)
+            assert np.array_equal(gauss_laguerre(m, c)[0], _gauss_laguerre_log_inline(m, c)[0]), (m, c)
 
 
 def _christoffel_log_weights(m, c, x):
@@ -199,7 +205,7 @@ def test_laguerre_log_weights_match_a_50_digit_christoffel_sum(m, c):
     """Each log-weight is within LOG_WEIGHT_TOL of the 50-digit sum at the same
     node, and the rule's worst error is no larger than the inline logaddexp
     fold's, up to one unit in the last place of its largest log-weight."""
-    x, log_w = _gauss_laguerre_log(m, c)
+    x, log_w = gauss_laguerre(m, c)
     ref = _christoffel_log_weights(m, c, x)
     err = max(abs(float(r - v)) for r, v in zip(ref, log_w))
     err_inline = max(abs(float(r - v)) for r, v in zip(ref, _gauss_laguerre_log_inline(m, c)[1]))
@@ -213,14 +219,15 @@ def test_a_lapack_error_raises_quadrature_failure(monkeypatch):
 
     monkeypatch.setattr(oracle, "_STEVD", failing)
     with pytest.raises(QuadratureFailure, match="info=5"):
-        _gauss_laguerre_log(12, 0.5)
+        gauss_laguerre(12, 0.5)
 
 
 def test_one_christoffel_pass_weights_both_laguerre_rules():
     for m, c in RULES:
-        x, x2 = _laguerre_nodes(m, c), _laguerre_nodes(m + 1, c)
-        log_w = _laguerre_log_weights(m, c, np.concatenate((x, x2)))
-        for nodes, got, rule in ((x, log_w[:m], _gauss_laguerre_log(m, c)), (x2, log_w[m:], _gauss_laguerre_log(m + 1, c))):
+        alphas, betas = _laguerre_recurrence(m + 1, c)
+        x, x2 = _laguerre_nodes(alphas[:m], betas[:m - 1]), _laguerre_nodes(alphas, betas)
+        log_w = oracle._christoffel_log_weights(alphas, betas, log_gamma(c + 1), np.concatenate((x, x2)))
+        for nodes, got, rule in ((x, log_w[:m], gauss_laguerre(m, c)), (x2, log_w[m:], gauss_laguerre(m + 1, c))):
             assert np.array_equal(nodes, rule[0]), (m, c, len(nodes))
             assert np.abs(got - rule[1]).max() <= LOG_WEIGHT_TOL, (m, c, len(nodes))
 
@@ -231,9 +238,10 @@ def _quad_p_k7_k15(state, alpha):
     a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
     sums = []
     for m in (state.k + 7, state.k + 15):
-        x, w = gauss_jacobi(m, a, b)
-        vals = gegenbauer_orthonormal(state.k, nu, x)
-        sums.append(float(np.dot(w, vals * vals)))
+        x, log_w = gauss_jacobi(m, a, b)
+        q, s = gegenbauer_orthonormal(state.k, nu, x)
+        vals = q * np.exp(s)
+        sums.append(float(np.dot(np.exp(log_w), vals * vals)))
     s, s2 = sums
     value, rel = exp_sum([alpha * (math.log(state.Z) - math.log(float(state.eta))), math.log(s)])
     _, mu0_rel = exp_sum(_jacobi_log_mu0_terms(a, b))
@@ -247,8 +255,8 @@ def _quad_r_k7_k15(state, alpha):
     eta = float(state.eta)
     log_sums = []
     for m in (state.k + 7, state.k + 15):
-        x, log_w = _gauss_laguerre_log(m, b + 1 + alpha)
-        q, q_scale, _ = _laguerre_scaled(state.k, b, x)
+        x, log_w = gauss_laguerre(m, b + 1 + alpha)
+        q, q_scale = laguerre_orthonormal(state.k, b, x)
         with np.errstate(divide="ignore"):
             log_p = np.log(np.abs(q)) + q_scale
         log_terms = 2 * log_p + log_w
