@@ -138,11 +138,22 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _parse_range(spec: str) -> list[int]:
+# argparse `type=` parsers: argparse turns their ValueError into a usage error
+
+def int_list(spec: str) -> list[int]:
+    """"lo:hi" (inclusive) or comma-separated integers."""
     if ":" in spec:
         lo, hi = spec.split(":")
         return list(range(int(lo), int(hi) + 1))
     return [int(x) for x in spec.split(",") if x]
+
+
+def float_list(spec: str) -> list[float]:
+    return [float(x) for x in spec.split(",") if x]
+
+
+def l_or_all(spec: str):
+    return spec if spec == "all" else int(spec)
 
 
 def _table_cell(D, n, l, Z, space: Space, alpha: float, mode: str) -> tuple[list, dict]:
@@ -164,15 +175,13 @@ def _table_cell(D, n, l, Z, space: Space, alpha: float, mode: str) -> tuple[list
 
 def cmd_table(args) -> int:
     """Sweep the grid cell by cell."""
-    Ds = sorted(_parse_range(args.D_range))
-    ns = sorted(_parse_range(args.n_range))
-    alphas = sorted(float(x) for x in args.alpha_list.split(",") if x)
+    Ds, ns, alphas = sorted(args.D_range), sorted(args.n_range), sorted(args.alpha_list)
     space = Space(args.space)
     cells = [
         _table_cell(D, n, l, args.Z, space, alpha, args.mode)
         for D in Ds
         for n in ns
-        for l in (range(n) if args.l == "all" else [int(args.l)])
+        for l in (range(n) if args.l == "all" else [args.l])
         if l < n
         for alpha in alphas
     ]
@@ -211,9 +220,9 @@ def cmd_limits(args) -> int:
     try:
         if args.regime == "rydberg":
             circular = args.family == "circular"
-            cases = [(n, make_state(3, n, n - 1 if circular else 0, args.Z)) for n in _parse_range(args.n_seq)]
+            cases = [(n, make_state(3, n, n - 1 if circular else 0, args.Z)) for n in args.n_seq]
         else:
-            cases = [(D, make_state(D, args.n, args.l, args.Z)) for D in _parse_range(args.D_seq)]
+            cases = [(D, make_state(D, args.n, args.l, args.Z)) for D in args.D_seq]
         rows = []
         for param, state in cases:
             if args.regime == "highd":
@@ -256,10 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("table", help="sweep a grid of states and orders")
     t.add_argument("--space", choices=["r", "p"], required=True)
-    t.add_argument("--D-range", dest="D_range", required=True)
-    t.add_argument("--n-range", dest="n_range", required=True)
-    t.add_argument("--l", default="all")
-    t.add_argument("--alpha-list", dest="alpha_list", required=True)
+    t.add_argument("--D-range", dest="D_range", type=int_list, required=True)
+    t.add_argument("--n-range", dest="n_range", type=int_list, required=True)
+    t.add_argument("--l", type=l_or_all, default="all")
+    t.add_argument("--alpha-list", dest="alpha_list", type=float_list, required=True)
     t.add_argument("--Z", type=float, default=1.0)
     t.add_argument("--mode", choices=["auto", "exact", "float", "oracle"], default="auto")
     t.add_argument("--format", choices=["json", "csv"], default="csv")
@@ -279,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     li.add_argument("--alpha", type=float, required=True)
     li.add_argument("--space", choices=["r", "p"], default="p")
     li.add_argument("--family", choices=["nS", "circular"], default="nS")
-    li.add_argument("--n-seq", dest="n_seq", default="20,40,80,160")
-    li.add_argument("--D-seq", dest="D_seq", default="16,32,64,128")
+    li.add_argument("--n-seq", dest="n_seq", type=int_list, default="20,40,80,160")
+    li.add_argument("--D-seq", dest="D_seq", type=int_list, default="16,32,64,128")
     li.add_argument("--n", type=int, default=1)
     li.add_argument("--l", type=int, default=0)
     li.add_argument("--Z", type=float, default=1.0)

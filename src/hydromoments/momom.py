@@ -15,9 +15,9 @@ cross-check.  Its inner sums are the square of one integer polynomial
 neither 5F4 kernel entry.  Each exact route builds one Gamma ratio, whose
 same-parity pairs cancel before anything is multiplied out: the single
 sum's rational part is the binomial (2k+2nu) C(2nu+k-1, k) / (2nu), so
-`gamma_ratio_doubled` sees only the four Gammas of its quotient, and exact
-`double` hands its prefactor's Gammas to its inner sums' ratio, where one
-Gamma(n+l+D-2) cancels.  Every exact route, and `double` in both modes,
+`gamma_ratio_doubled` sees only the four Gammas of its quotient, built per
+call with no cache, and exact `double` hands its prefactor's Gammas to its
+inner sums' ratio, where one Gamma(n+l+D-2) cancels.  Every exact route, and `double` in both modes,
 states its cost to `specfun.require_cost` before it builds anything
 (`_momentum_prefactor` for the single sum, `_double_sum_size` for the
 double sum) and raises ExactTooLarge past the one budget.
@@ -60,7 +60,6 @@ from .specfun import (
     digamma_half_float,
     exp_sum,
     gamma_bits,
-    gamma_exact,
     gamma_ratio_doubled,
     hyp_sum,
     log_gamma,
@@ -212,7 +211,7 @@ def _single_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float]
         return logs, 0.0, math.inf
     # 2(k+nu) Gamma(k+2nu) / (k! Gamma(2nu+1)) = (2k+t) (t)_k / (t k!)
     quotient, shift = round_quotient(
-        (2 * k + t) * pochhammer(t, k).numerator * total, t * math.factorial(k) << FIXED_BITS
+        (2 * k + t) * pochhammer(t, k) * total, t * math.factorial(k) << FIXED_BITS
     )
     return [*logs, shift * math.log(2.0)], quotient, quotient * (err / total)
 
@@ -516,15 +515,16 @@ def appendix_constants(state: HydrogenicState) -> tuple[ExactValue, ExactValue]:
 
 def appendix_integral_circular_exact(state: HydrogenicState) -> ExactValue:
     """Exact value of the mean-momentum Gegenbauer integral for circular
-    states (k = 0): I = 2^{2 nu + 1} Gamma(nu+1)^2 / Gamma(2 nu + 2)."""
+    states (k = 0): I = 2^{2 nu + 1} Gamma(nu+1)^2 / Gamma(2 nu + 2), one
+    Gamma ratio, priced before it is built."""
     if not state.is_circular:
         raise NotCircular(f"state has l={state.l}, n={state.n}")
-    nu = state.nu
-    return (
-        ExactValue(Fraction(2) ** int(2 * nu + 1))
-        * gamma_exact(nu + 1) ** 2
-        / gamma_exact(2 * nu + 2)
-    )
+    t = state.two_nu
+    # Gamma(nu+1)^2 / Gamma(2nu+2), whose bits bound the pair's product at even t, and 2^(t+1)
+    bits = 2 * gamma_bits(t + 2) + gamma_bits(2 * t + 4) + t + 1
+    require_cost(bits, t + 8 * (bits >> 6), 'mode="float"')
+    num, den, two_pi = gamma_ratio_doubled((t + 2, t + 2), (2 * t + 4,))
+    return ExactValue.reduced(Fraction(num << (t + 1), den), two_pi)
 
 
 def appendix_integrals(state: HydrogenicState) -> tuple[float, float]:

@@ -31,20 +31,22 @@ Entropic moments integrate |R|^(2q), which is not a polynomial, with Gauss
 rules between the zeros of R; they keep rules of m and m+8 nodes, whose
 difference does measure truncation.
 No float path builds an exact number: `position_norm_sq`, `momentum_norm_sq`
-and `solid_angle` are exact references only.
+and `solid_angle` are exact references only, each one priced Gamma ratio.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .errors import ExactTooLarge, NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
 from .posmom import Method, MomentResult, rounded
-from .specfun import _EPS, ExactValue, exp_sum, exp_sum_rel, gamma_exact, log_gamma, require_cost, solid_angle_logs
+from .specfun import (_EPS, ExactValue, exp_sum, exp_sum_rel, gamma_bits, gamma_ratio_doubled, log_gamma,
+                      require_cost, solid_angle_logs)
 from .states import HydrogenicState, Space, require_order
 
 # At x >= 2^64, e^(-x/2) puts R_{n,l} below the double range unless k + l
@@ -277,26 +279,27 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
 
 
 def position_norm_sq(state: HydrogenicState) -> ExactValue:
-    """K^2 in R(r) = K (2Zr/eta)^l e^{-Zr/eta} L_k^{(2L+1)}(2Zr/eta)."""
-    eta = state.eta
-    return (
-        ExactValue((2 * state.Z_exact / eta) ** state.D)
-        * ExactValue(Fraction(math.factorial(state.k), 1) / (2 * eta))
-        / gamma_exact(state.n + state.l + state.D - 2)
-    )
+    """K^2 in R(r) = K (2Zr/eta)^l e^{-Zr/eta} L_k^{(2L+1)}(2Zr/eta): (2Z/eta)^D
+    k! / (2 eta Gamma(k+2nu)), its power and Gamma ratio priced first."""
+    k, t, D = state.k, state.two_nu, state.D
+    # t-1 paired factors below 2k+2t and 2^(t-1), and the scale's power
+    bits = t * (2 * k + 2 * t).bit_length() + state.scale_bits(D)
+    require_cost(bits, t + 11 * (bits >> 6), 'mode="float"')
+    num, den, _ = gamma_ratio_doubled((2 * k + 2,), (2 * k + 2 * t,))
+    return ExactValue.reduced((2 * state.Z_exact / state.eta) ** D * Fraction(num, den * state.two_eta), 0)
 
 
 def momentum_norm_sq(state: HydrogenicState) -> ExactValue:
     """K'^2 in M(p) = K' (eta p/Z)^l (1 + (eta p/Z)^2)^{-(L+2)} C_k^(nu)(y),
-    y = (1 - (eta p/Z)^2) / (1 + (eta p/Z)^2)."""
-    eta, nu = state.eta, state.nu
-    return (
-        ExactValue((eta / state.Z_exact) ** state.D)
-        * ExactValue(Fraction(2) ** (4 * state.l + 2 * state.D - 1))
-        * ExactValue(Fraction(math.factorial(state.k)) * eta, Fraction(-1))
-        * gamma_exact(nu) ** 2
-        / gamma_exact(state.n + state.l + state.D - 2)
-    )
+    y = (1 - (eta p/Z)^2) / (1 + (eta p/Z)^2): (eta/Z)^D 2^(4l+2D-1) k! eta
+    Gamma(nu)^2 / (pi Gamma(k+2nu)), its power and Gamma ratio priced first."""
+    k, t, D = state.k, state.two_nu, state.D
+    # as `momom.appendix_constants`' ratio, the scale's power and 2^(4l+2D-2)
+    bits = t * (2 * k + 2 * t).bit_length() + 2 * gamma_bits(t) + state.scale_bits(D) + 4 * state.l + 2 * D
+    require_cost(bits, t + 11 * (bits >> 6), 'mode="float"')
+    num, den, two_pi = gamma_ratio_doubled((t, t, 2 * k + 2), (2 * k + 2 * t,))
+    coeff = (state.eta / state.Z_exact) ** D * Fraction(state.two_eta * num << (4 * state.l + 2 * D - 2), den)
+    return ExactValue.reduced(coeff, two_pi - 2)
 
 
 def _log_amplitude(state: HydrogenicState, space: Space) -> float:
@@ -365,7 +368,8 @@ def radial_momentum(state: HydrogenicState, p):
 
 def solid_angle(D: int) -> ExactValue:
     """Surface of the unit (D-1)-sphere: 2 pi^(D/2) / Gamma(D/2)."""
-    return ExactValue(Fraction(2), Fraction(D, 2)) / gamma_exact(Fraction(D, 2))
+    num, den, two_pi = gamma_ratio_doubled((), (D,))
+    return ExactValue.reduced(Fraction(2 * num, den), D + two_pi)
 
 
 def entropic_moment(state: HydrogenicState, q: float) -> float:
@@ -375,6 +379,8 @@ def entropic_moment(state: HydrogenicState, q: float) -> float:
     x = z_k + t/q the tail.  Raises QuadratureFailure if m and m+8 nodes differ by 1e-10."""
     if state.l:
         raise NotSWave(f"entropic moments implemented for l = 0, got l={state.l}")
+    if isinstance(q, bool) or not isinstance(q, Real):
+        raise UnsupportedArgument(f"entropic order q must be a real number and not a bool, got {q!r}")
     if not 0 < q < math.inf:
         raise NonpositiveParameters(f"entropic order q must be positive and finite, got {q}")
     q, D, k = float(q), state.D, state.k

@@ -14,9 +14,10 @@ result of both spaces under `specfun.exp_sum`'s one error model, and
 the 3F2 here, and the momentum series, whose single sum runs in 128-bit
 fixed point and reports an infinite bound where its bound reaches the sum.
 Only `series_or_quadrature` compares a bound with CANCELLATION_LIMIT.  An
-exact position moment states its cost, the rising product, the scale's power
-and the series, to `specfun.require_cost` before it builds them, and raises
-ExactTooLarge past the one budget.
+exact position moment states its cost, the rising product (a plain integer
+`specfun.pochhammer`), the scale's power and the series, to
+`specfun.require_cost` before it builds them, and raises ExactTooLarge past
+the one budget.
 """
 
 from __future__ import annotations
@@ -175,11 +176,9 @@ def _r_series_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     # Gamma(2L+a+3)/Gamma(2L+2) as a Pochhammer symbol of |a+1| factors;
     # the order check keeps 2L+a+3 >= 1
     if a >= -1:
-        ratio = pochhammer(t, a + 1)
-        num, den = ratio.numerator, ratio.denominator
+        num, den = pochhammer(t, a + 1), 1
     else:
-        ratio = pochhammer(t + a + 1, -a - 1)
-        num, den = ratio.denominator, ratio.numerator
+        num, den = 1, pochhammer(t + a + 1, -a - 1)
     s_num, s_den = hyp_sum(spec, "exact")
     return num * s_num, den * s_den * state.two_eta, 0
 

@@ -1,15 +1,15 @@
 """Special-function kernels.
 
-Exact rational-times-pi arithmetic (ExactValue), gamma-family evaluation for
-integer and half-integer arguments, the exact rational part of digamma at
-half-integers and its float twin from psi's asymptotic series, summation of
-terminating hypergeometric series, the once-rounded quotient of two
-integers, and float prefactors evaluated from their logarithms with a
-rounding bound.  A series carries its parameters
-doubled (`HypSumSpec`), the integers the exact kernel `hyp_sum_doubled` sums
-on, and ends where its first factor vanishes: exact `hyp_sum` is that kernel
-over the spec's terms, and float `hyp_sum` halves each parameter once.
-The momentum 5F4 has loops of its own, whose term ratio keeps each
+Exact rational-times-pi arithmetic (ExactValue), Gamma at doubled int
+arguments and Pochhammer symbols as plain integers built per call with no
+cache, the exact rational part of digamma at half-integers and its float
+twin from psi's asymptotic series, summation of terminating hypergeometric
+series, the once-rounded quotient of two integers, and float prefactors
+evaluated from their logarithms with a rounding bound.  A series carries its
+parameters doubled (`HypSumSpec`), the integers the exact kernel
+`hyp_sum_doubled` sums on, and ends where its first factor vanishes: exact
+`hyp_sum` is that kernel over the spec's terms, and float `hyp_sum` halves
+each parameter once.  The momentum 5F4 has loops of its own, whose term ratio keeps each
 parameter over its own denominator: in fixed point at a real order
 (`momom._hyp5f4_fixed`) and exactly at an integer one
 (`momom._hyp5f4_rational`, for `single` and `reflect`).  `int_str` prints
@@ -25,7 +25,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from numbers import Integral, Rational
 
 from .errors import (
@@ -261,32 +260,20 @@ def gamma_bits(z: int) -> int:
     return (z - 1) // 2 * (z.bit_length() + 2 * (z & 1) - 1)
 
 
-@lru_cache(maxsize=None)
-def _gamma_exact_cached(num: int, den: int) -> ExactValue:
-    bits = gamma_bits(2 * num // den)
+def gamma_exact(z2: int) -> tuple[int, int, int]:
+    """Gamma(z2/2) at an int z2 >= 1 as `gamma_ratio_doubled`'s triple, in
+    lowest terms and built per call: (m-1)! over 1 for z2 = 2m, and
+    Gamma(m + 1/2) = (2m)! / (4^m m!) sqrt(pi), the odd (2m-1)!! over 2^m,
+    for z2 = 2m+1."""
+    if z2 < 1:
+        raise NonpositiveArgument(f"gamma_exact needs a doubled argument >= 1, got {z2}")
+    bits = gamma_bits(z2)
     require_cost(bits, 8 * (bits >> 6), 'mode="float"')  # its factorials and their product
-    if den == 1:
-        return ExactValue(Fraction(math.factorial(num - 1)))
-    # x = m + 1/2 with m >= 0: Gamma(m + 1/2) = (2m)! / (4^m m!) * sqrt(pi), whose
-    # numerator comb(2m, m) m! = 2^m (2m-1)!! leaves the odd (2m-1)!! over 2^m
-    m = (num - 1) // 2
-    coeff = Fraction((math.comb(2 * m, m) * math.factorial(m)) >> m, 1 << m)
-    return ExactValue(coeff, Fraction(1, 2))
-
-
-def gamma_exact(x) -> ExactValue:
-    """Gamma(x) for positive integer or half-integer rational x; a plain int
-    is read as is, without building a Fraction."""
-    if type(x) is int:
-        num, den = x, 1
-    else:
-        x = as_fraction(x)
-        num, den = x.numerator, x.denominator
-    if num <= 0:
-        raise NonpositiveArgument(f"gamma_exact requires x > 0, got {x}")
-    if den not in (1, 2):
-        raise UnsupportedArgument(f"gamma_exact needs denominator 1 or 2, got {x}")
-    return _gamma_exact_cached(num, den)
+    m = z2 >> 1
+    if not z2 & 1:
+        return math.factorial(m - 1), 1, 0
+    # comb(2m, m) m! = (2m)!/m! = 2^m (2m-1)!!
+    return (math.comb(2 * m, m) * math.factorial(m)) >> m, 1 << m, 1
 
 
 def gamma_ratio_doubled(top2, bottom2) -> tuple[int, int, int]:
@@ -298,9 +285,9 @@ def gamma_ratio_doubled(top2, bottom2) -> tuple[int, int, int]:
     of its parity still free, and the pair's quotient is a rising product on
     integers: Gamma(x/2)/Gamma(y/2) = prod_{m = y, y+2, ..., x-2} m/2 for
     x >= y, inverted for x < y.  Only the arguments left unpaired, the
-    smallest of their parity, are read off gamma_exact's coefficient, at the
-    int x/2 for an even x and at Fraction(x, 2) only for an odd one.  Every
-    argument is checked first, since a pair's product would hide a zero."""
+    smallest of their parity, are built, by `gamma_exact` on the doubled
+    argument.  Every argument is checked first, since a pair's product would
+    hide a zero."""
     tops = sorted(top2, reverse=True)
     bottoms = sorted(bottom2, reverse=True)
     if (tops and tops[-1] < 1) or (bottoms and bottoms[-1] < 1):
@@ -321,32 +308,21 @@ def gamma_ratio_doubled(top2, bottom2) -> tuple[int, int, int]:
                     den *= math.prod(range(x, y, 2))
                 break
         else:
-            c = gamma_exact(Fraction(x, 2) if x & 1 else x >> 1).coeff
-            num *= c.numerator
-            den *= c.denominator
-            two_pi += x & 1
+            g_num, g_den, g_pi = gamma_exact(x)
+            num *= g_num
+            den *= g_den
+            two_pi += g_pi
     for y in bottoms:
-        c = gamma_exact(Fraction(y, 2) if y & 1 else y >> 1).coeff
-        num *= c.denominator
-        den *= c.numerator
-        two_pi -= y & 1
+        g_num, g_den, g_pi = gamma_exact(y)
+        num *= g_den
+        den *= g_num
+        two_pi -= g_pi
     return num, den, two_pi
 
 
-def pochhammer(a, j: int) -> Fraction:
-    """(a)_j = a (a+1) ... (a+j-1), with (a)_0 = 1, for an integer or
-    half-integer a."""
-    if j < 0:
-        raise UnsupportedArgument("pochhammer needs j >= 0")
-    if isinstance(a, int):
-        return Fraction(math.prod(range(a, a + j)))
-    a = as_fraction(a)
-    if a.denominator not in (1, 2):
-        raise UnsupportedArgument("pochhammer needs denominator 1 or 2")
-    prod = Fraction(1)
-    for i in range(j):
-        prod *= a + i
-    return prod
+def pochhammer(a: int, j: int) -> int:
+    """(a)_j = a (a+1) ... (a+j-1), with (a)_0 = 1, for integers a and j >= 0."""
+    return math.prod(range(a, a + j))
 
 
 def digamma_half_exact(n: int) -> Fraction:

@@ -14,10 +14,10 @@ import enum
 import math
 from dataclasses import dataclass, field
 
-from .errors import NonpositiveParameters, OrderOutOfDomain
+from .errors import NonpositiveParameters, OrderOutOfDomain, UnsupportedArgument
 from .momom import p_moment
 from .posmom import r_moment
-from .specfun import exp_sum, log_gamma, solid_angle_logs
+from .specfun import exp_sum, is_integral, log_gamma, solid_angle_logs
 from .states import HydrogenicState, Space, require_order
 
 
@@ -158,6 +158,15 @@ def momentum_space_constant(D: int, k: float) -> float:
     return _exp(_momentum_space_logs(D, k))
 
 
+def _require_counts(**counts) -> None:
+    """Refuse a count (q spin states, N particles) that is not an integer >= 1."""
+    for name, value in counts.items():
+        if not is_integral(value):
+            raise UnsupportedArgument(f"{name} must be a positive integer, got {value!r}")
+        if value < 1:
+            raise NonpositiveParameters(f"{name} must be a positive integer, got {value}")
+
+
 def daubechies_thakkar(
     state: HydrogenicState, k: float, q: int = 2
 ) -> InequalityReport:
@@ -165,6 +174,7 @@ def daubechies_thakkar(
     for k < 0.  D=3, q=2 emits the c_k variant as a sibling."""
     from . import oracle
 
+    _require_counts(q=q)
     require_order(state, k, Space.MOMENTUM)
     if k == 0:
         raise OrderOutOfDomain(f"momentum order {k} invalid for the state")
@@ -216,8 +226,7 @@ def fermion_product(
 ) -> InequalityReport:
     """<r^alpha>^{k/alpha} <p^k> >= K_D(k) F(D,alpha,k) q^{-k/D}
     N^{1+k(1/alpha+1/D)}."""
-    if N < 1 or q < 1:
-        raise NonpositiveParameters("q and N must be positive integers")
+    _require_counts(q=q, N=N)
     require_order(state, alpha, Space.POSITION)
     require_order(state, k, Space.MOMENTUM)
     D = state.D

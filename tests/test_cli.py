@@ -402,3 +402,19 @@ def test_limits_underflow_is_a_numerical_failure(capsys):
     assert code == cli.EXIT_NUMERICAL
     assert out == ""
     assert err.startswith("error:") and "double range" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["table", "--space", "r", "--D-range", "3", "--n-range", "x", "--alpha-list", "1"], "--n-range"),
+    (["table", "--space", "r", "--D-range", "3", "--n-range", "2", "--alpha-list", "1,abc"], "--alpha-list"),
+    (["table", "--space", "r", "--D-range", "3", "--n-range", "2", "--alpha-list", "1", "--l", "q"], "--l"),
+    (["limits", "--regime", "rydberg", "--alpha", "2", "--n-seq", "20,x"], "--n-seq"),
+])
+def test_a_malformed_list_is_a_usage_error(capsys, argv, option):
+    # each exited 1 with a bare ValueError traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {option}:" in err and "Traceback" not in err

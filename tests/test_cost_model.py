@@ -78,6 +78,9 @@ FAST_RAISES = {
     "mean_momentum circular n=500,000": lambda: mean_momentum(_circular(500_000)),
     "solid_angle D=10^7+1": lambda: oracle.solid_angle(10 ** 7 + 1),
     "appendix_constants D=10^7+1": lambda: momom.appendix_constants(make_state(10 ** 7 + 1, 1, 0, 1.0)),
+    "position_norm_sq D=10^7+1": lambda: oracle.position_norm_sq(make_state(10 ** 7 + 1, 1, 0, 1.0)),
+    "momentum_norm_sq D=10^7+1": lambda: oracle.momentum_norm_sq(make_state(10 ** 7 + 1, 1, 0, 1.0)),
+    "appendix_integral_circular_exact n=5*10^6": lambda: momom.appendix_integral_circular_exact(_circular(5 * 10 ** 6)),
     "r_moment order 10^8": lambda: r_moment(make_state(3, 2, 0, 1.0), 10 ** 8),
     "double D=2*10^19": lambda: p_moment(make_state(2 * 10 ** 19, 1, 0, 1.0), 1, route="double"),
 }

@@ -29,6 +29,14 @@ from hydromoments.specfun import (
     pochhammer,
 )
 
+
+def _gamma(x):
+    """Gamma(x) at an integer or half-integer x, from gamma_exact's triple."""
+    z2 = 2 * Fraction(x)
+    assert z2.denominator == 1, x
+    num, den, two_pi = gamma_exact(int(z2))
+    return ExactValue(Fraction(num, den), Fraction(two_pi, 2))
+
 ZS = (0.1, 0.5, 1.5, 3.906504)
 ORDERS = range(-3, 8)
 
@@ -56,13 +64,13 @@ def _single_composed(state, a):
     pref_rat = (
         Fraction(2, math.factorial(k))
         * (k + nu)
-        * gamma_exact(k + 2 * nu).coeff
-        / gamma_exact(2 * nu + 1).coeff
+        * _gamma(k + 2 * nu).coeff
+        / _gamma(2 * nu + 1).coeff
     )
     gq = (
-        gamma_exact(nu + Fraction(a + 1, 2))
-        * gamma_exact(nu + Fraction(3 - a, 2))
-        / (gamma_exact(nu + Fraction(1, 2)) * gamma_exact(nu + Fraction(3, 2)))
+        _gamma(nu + Fraction(a + 1, 2))
+        * _gamma(nu + Fraction(3 - a, 2))
+        / (_gamma(nu + Fraction(1, 2)) * _gamma(nu + Fraction(3, 2)))
     )
     series = Fraction(*hyp_sum(_hyp5f4_spec(state, a), "exact"))
     return ExactValue((state.Z_exact / state.eta) ** a) * ExactValue(pref_rat * series) * gq
@@ -76,13 +84,13 @@ def _hyp5f4_composed(state, a):
         ExactValue(Fraction(2) ** (1 - int(2 * nu)) / math.factorial(k))
         * SQRT_PI
         * ExactValue(k + nu)
-        * gamma_exact(k + 2 * nu)
-        * gamma_exact(nu + Fraction(a + 1, 2))
-        * gamma_exact(nu + Fraction(3 - a, 2))
+        * _gamma(k + 2 * nu)
+        * _gamma(nu + Fraction(a + 1, 2))
+        * _gamma(nu + Fraction(3 - a, 2))
         / (
-            gamma_exact(nu + Fraction(1, 2)) ** 2
-            * gamma_exact(nu + 1)
-            * gamma_exact(nu + Fraction(3, 2))
+            _gamma(nu + Fraction(1, 2)) ** 2
+            * _gamma(nu + 1)
+            * _gamma(nu + Fraction(3, 2))
         )
     )
     series = ExactValue(Fraction(*hyp_sum(_hyp5f4_spec(state, a), "exact")))
@@ -92,9 +100,9 @@ def _hyp5f4_composed(state, a):
 def _r_moment_composed(state, a):
     k, L, eta = state.k, state.L, state.eta
     if a >= -1:
-        ratio = pochhammer(2 * L + 2, a + 1)
+        ratio = Fraction(pochhammer(state.two_nu, a + 1))
     else:
-        ratio = 1 / pochhammer(2 * L + a + 3, -a - 1)
+        ratio = Fraction(1, pochhammer(state.two_nu + a + 1, -a - 1))
     pref = ExactValue(eta ** (a - 1) / (Fraction(2) ** (a + 1) * state.Z_exact ** a) * ratio)
     # 3F2(-k, -a-1, a+2; 2L+2, 1; 1) term by term over all k+1 terms, zeros included
     term = series = Fraction(1)

@@ -97,7 +97,13 @@ def _single_sum_quadratic(state, a):
     """The single-sum route as a direct O(k^2) Fraction sum: every term
     rebuilds its Pochhammer symbols."""
     k, nu = state.k, state.nu
-    poch = specfun.pochhammer
+
+    def poch(x, j):
+        prod = Fraction(1)
+        for i in range(j):
+            prod *= x + i
+        return prod
+
     total = Fraction(0)
     for j in range(k + 1):
         dj = (
@@ -108,16 +114,21 @@ def _single_sum_quadratic(state, a):
         )
         total += (-1) ** j * math.comb(k, j) * poch(2 * nu + j, k) * dj
     fk = total / poch(2 * nu, k)
+
+    def gamma(x):
+        num, den, two_pi = specfun.gamma_exact(int(2 * x))
+        return ExactValue(Fraction(num, den), Fraction(two_pi, 2))
+
     pref = (
         Fraction(2, math.factorial(k))
         * (k + nu)
-        * specfun.gamma_exact(k + 2 * nu).coeff
-        / specfun.gamma_exact(2 * nu + 1).coeff
+        * gamma(k + 2 * nu).coeff
+        / gamma(2 * nu + 1).coeff
     )
     gq = (
-        specfun.gamma_exact(nu + Fraction(a + 1, 2))
-        * specfun.gamma_exact(nu + Fraction(3 - a, 2))
-        / (specfun.gamma_exact(nu + Fraction(1, 2)) * specfun.gamma_exact(nu + Fraction(3, 2)))
+        gamma(nu + Fraction(a + 1, 2))
+        * gamma(nu + Fraction(3 - a, 2))
+        / (gamma(nu + Fraction(1, 2)) * gamma(nu + Fraction(3, 2)))
     )
     return ExactValue((state.Z_exact / state.eta) ** a * pref * fk) * gq
 

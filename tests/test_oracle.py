@@ -28,7 +28,9 @@ from hydromoments import (
     radial_position,
     solid_angle,
 )
-from hydromoments.errors import FloatOverflow, FloatUnderflow, NonpositiveParameters, NotSWave, QuadratureFailure
+from hydromoments.errors import (
+    FloatOverflow, FloatUnderflow, NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument,
+)
 from hydromoments.oracle import (
     _jacobi_recurrence,
     _laguerre_recurrence,
@@ -318,18 +320,25 @@ def test_entropic_moments_ground_state():
         assert entropic_moment(s, q) == pytest.approx(expect, rel=1e-9)
 
 
+@pytest.mark.parametrize("q", ["2", True])
+def test_entropic_moment_refuses_an_order_that_is_not_a_real_number(q):
+    # "2" raised a bare TypeError, and True returned W_1
+    with pytest.raises(UnsupportedArgument, match="real number"):
+        entropic_moment(make_state(3, 1, 0, 1.0), q)
+
+
 def test_entropic_moment_keeps_its_value_without_the_exact_norm():
     # 0.0011787266575962437 when the exact K^2 and Omega_D entered its logs
     assert entropic_moment(make_state(4, 3, 0, 1.0), 1.5) == pytest.approx(0.0011787266575962437, rel=1e-13, abs=0)
 
 
-_EXACT_NAMES = {"gamma_exact", "ExactValue", "Fraction"}
+_EXACT_NAMES = {"gamma_exact", "gamma_ratio_doubled", "ExactValue", "Fraction"}
 _EXACT_REFERENCES = {"position_norm_sq", "momentum_norm_sq", "solid_angle"}
 
 
 def _exact_names(node):
-    """The exact-arithmetic names a node uses: gamma_exact, ExactValue,
-    Fraction and math.factorial."""
+    """The exact-arithmetic names a node uses: gamma_exact,
+    gamma_ratio_doubled, ExactValue, Fraction and math.factorial."""
     found = []
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and sub.id in _EXACT_NAMES:
@@ -367,6 +376,12 @@ def _log_exact(v):
     return math.log(v.coeff.numerator) - math.log(v.coeff.denominator) + float(v.pi_pow) * math.log(math.pi)
 
 
+def _gamma(z2):
+    """Gamma(z2/2) as an ExactValue, from gamma_exact's triple."""
+    num, den, two_pi = gamma_exact(z2)
+    return ExactValue(Fraction(num, den), Fraction(two_pi, 2))
+
+
 def test_wavefunction_amplitudes_are_the_exact_norms():
     """ln A and ln A' are half the log of K^2 Gamma(k+b+1)/k!, b = 2l+D-2, and
     of K'^2 h_k, h_k = pi 2^(1-2nu) Gamma(k+2nu) / (k! (k+nu) Gamma(nu)^2) the
@@ -379,10 +394,10 @@ def test_wavefunction_amplitudes_are_the_exact_norms():
                 for Z in (1.0, 0.37, 2.5):
                     s = make_state(D, n, l, Z)
                     k, nu = s.k, s.nu
-                    position = position_norm_sq(s) * gamma_exact(k + 2 * l + D - 1) / math.factorial(k)
+                    position = position_norm_sq(s) * _gamma(2 * (k + 2 * l + D - 1)) / math.factorial(k)
                     h_k = (
-                        ExactValue(Fraction(2) ** (1 - s.two_nu), 1) * gamma_exact(k + s.two_nu)
-                        / (ExactValue(math.factorial(k) * (k + nu)) * gamma_exact(nu) ** 2)
+                        ExactValue(Fraction(2) ** (1 - s.two_nu), 1) * _gamma(2 * (k + s.two_nu))
+                        / (ExactValue(math.factorial(k) * (k + nu)) * _gamma(s.two_nu) ** 2)
                     )
                     for space, exact in ((Space.POSITION, position), (Space.MOMENTUM, momentum_norm_sq(s) * h_k)):
                         assert abs(oracle._log_amplitude(s, space) - 0.5 * _log_exact(exact)) <= 1e-13, (s, space)

@@ -16,7 +16,7 @@ from hydromoments import (
     pitt_beckner,
 )
 from hydromoments import uncertainty
-from hydromoments.errors import FloatOverflow, NonpositiveParameters, NotSWave, OrderOutOfDomain
+from hydromoments.errors import FloatOverflow, NonpositiveParameters, NotSWave, OrderOutOfDomain, UnsupportedArgument
 from hydromoments.specfun import exp_sum
 from hydromoments.uncertainty import _fermion_logs, fermion_factor, momentum_space_constant
 
@@ -152,6 +152,20 @@ def test_fermion_product_parameters():
         fermion_product(s, 2.0, 2.0, N=0)
     with pytest.raises(NonpositiveParameters):
         fermion_factor(3, -1.0, 2.0)
+
+
+@pytest.mark.parametrize("q", [0, -1])
+def test_daubechies_thakkar_refuses_a_count_below_one(q):
+    # math.log(q) raised a bare ValueError: math domain error
+    with pytest.raises(NonpositiveParameters, match="q must be a positive integer"):
+        daubechies_thakkar(make_state(3, 1, 0, 1.0), 1.0, q=q)
+
+
+@pytest.mark.parametrize("counts", [{"q": 2.5}, {"N": 1.5}, {"N": True}])
+def test_fermion_product_refuses_a_count_that_is_not_an_integer(counts):
+    # each computed a report silently
+    with pytest.raises(UnsupportedArgument, match="must be a positive integer"):
+        fermion_product(make_state(3, 1, 0, 1.0), 2.0, 2.0, **counts)
 
 
 @pytest.mark.parametrize("alpha, k", [(0, 2), (0.0, 2.0), (-1.0, 2.0), (2.0, 0)])
