@@ -20,7 +20,8 @@ call with no cache, and exact `double` hands its prefactor's Gammas to its
 inner sums' ratio, where one Gamma(n+l+D-2) cancels.  Every exact route, and `double` in both modes,
 states its cost to `specfun.require_cost` before it builds anything
 (`_momentum_prefactor` for the single sum, `_double_sum_size` for the
-double sum) and raises ExactTooLarge past the one budget.
+double sum) and raises ExactTooLarge past the one budget; `gamma_ratio_doubled`
+states each Gamma ratio's cost, so a route states only what it builds itself.
 Both of its modes sum the outer series exactly at a dyadic rational x
 (`_double_sum_series`), so its float mode rounds once.
 In float mode `hyp5f4` is `single`: both sum the series in
@@ -84,15 +85,6 @@ def _gamma_quotient_logs(nu: float, alpha: float) -> list[float]:
     ]
 
 
-def _quotient_bits(t: int, a: int) -> int:
-    """An upper bound on the bits `gamma_ratio_doubled` builds for
-    Gamma((t+a+1)/2) Gamma((t+3-a)/2) / (Gamma((t+1)/2) Gamma((t+3)/2)): at
-    even a all four share a parity and pair, into at most |a-2| factors below
-    t+|a|+3; at odd a none pairs."""
-    m = t + abs(a) + 3
-    return 4 * gamma_bits(m | 1) if a & 1 else abs(a - 2) * (2 * m).bit_length()
-
-
 def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     """The exact prefactor of the 5F4 series at integer order a without
     (Z/eta)^a, 2(k+nu)/k! Gamma(k+2nu)/Gamma(2nu+1)
@@ -106,13 +98,12 @@ def _momentum_prefactor(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     paper's 2^(1-2nu) sqrt(pi) (k+nu)/k! Gamma(k+2nu) Gamma(nu+(a+1)/2)
     Gamma(nu+(3-a)/2) / (Gamma(nu+1/2)^2 Gamma(nu+1) Gamma(nu+3/2))."""
     k, t = state.k, state.two_nu
-    # the cost of the single sum every exact caller builds next.  Its rational
-    # part: C(t+k-1, k) < (2k+t)^k and 2k+t, k+1 factors of bitlen(2k+t) bits;
-    # its Gamma quotient, `_quotient_bits`.  Then the k+1-term series, whose steps
-    # take nine factors below B = 4k+2t+6, j+1 and 2: at most 11 bitlen(B)
-    # bits a term.
-    bits = (k + 1) * (2 * k + t).bit_length() + _quotient_bits(t, a)
-    bits += 11 * (k + 1) * (4 * k + 2 * t + 6).bit_length()
+    # the cost of the single sum every exact caller builds besides the Gamma
+    # quotient, which `gamma_ratio_doubled` states itself.  Its rational part:
+    # C(t+k-1, k) < (2k+t)^k and 2k+t, k+1 factors of bitlen(2k+t) bits.  Then
+    # the k+1-term series, whose steps take nine factors below B = 4k+2t+6,
+    # j+1 and 2: at most 11 bitlen(B) bits a term.
+    bits = (k + 1) * (2 * k + t).bit_length() + 11 * (k + 1) * (4 * k + 2 * t + 6).bit_length()
     require_cost(bits, 12 * k + 7 * (bits >> 6), 'mode="float"')
     num, den, two_pi = gamma_ratio_doubled((t + a + 1, t + 3 - a), (t + 1, t + 3))
     # 2(k+nu) Gamma(k+2nu) / (k! Gamma(2nu+1)) = (2k+t) C(t+k-1, k) / t
@@ -239,6 +230,7 @@ def _double_sum_parts(state: HydrogenicState, top=(), bottom=()) -> tuple[list[i
     them is never built."""
     k = state.k
     A, two_b, C = state.n + state.l + state.D - 2, 2 * state.l + state.D, 2 * state.l + state.D + 1
+    gn, gd, two_pi = gamma_ratio_doubled((2 * A, 2 * A, *top), (two_b, two_b, *bottom), 'route="single"')
     suffix = [1] * (k + 1)
     for m in range(k - 1, -1, -1):
         suffix[m] = suffix[m + 1] * (two_b + 2 * m)
@@ -246,7 +238,6 @@ def _double_sum_parts(state: HydrogenicState, top=(), bottom=()) -> tuple[list[i
     for i in range(k + 1):
         h.append(math.comb(k, i) * rising * suffix[i])
         rising *= 2 * (A + i)
-    gn, gd, two_pi = gamma_ratio_doubled((2 * A, 2 * A, *top), (two_b, two_b, *bottom))
     # over the common Gamma(C+2k), P(s) carries (C+s)_{2k-s}
     nums, tail = [0] * (2 * k + 1), gn
     for s in range(2 * k, -1, -1):
@@ -259,8 +250,8 @@ def _double_sum_parts(state: HydrogenicState, top=(), bottom=()) -> tuple[list[i
 
 def _double_sum_size(state: HydrogenicState, x_num: int, x_exp: int) -> tuple[int, int]:
     """(bits, products) of `_double_sum_series` at x = x_num / 2^x_exp: two of
-    the h_i < 2^k (2A+2k)^k and their (k+1)^2/2 products; Gamma(A)^2/Gamma(B)^2
-    as `gamma_ratio_doubled` builds it, two pairs of A-B factors at even D and
+    the h_i < 2^k (2A+2k)^k and their (k+1)^2/2 products; their products with
+    Gamma(A)^2/Gamma(B)^2's numerator, two pairs of A-B factors at even D and
     four factorials at odd D, where 2A and 2B differ in parity; (C+2k-1)! with
     the tail and suffix squared (C+6k-1 factors below C+2k); the outer (x)_s
     with its shifts."""
@@ -294,14 +285,7 @@ def _double_sum_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     ratio, where one Gamma(A) cancels before it is built."""
     x, two_a = 2 * state.l + state.D, 2 * (state.n + state.l + state.D - 2)
     x2 = x + a
-    # k! and the prefactor's Gammas, priced as if built in a ratio of their
-    # own: its tops x-a+2 and x2 = x+a, at most m, unpaired at odd x2, and at
-    # even x2 the larger paired with 2A.  Built in the inner sums' ratio,
-    # where one Gamma(A) cancels, the two ratios cost no more than this
-    m = (x + abs(a) + 2) | 1
-    pre = state.k * state.k.bit_length() + gamma_bits(m) + (
-        gamma_bits(m) + gamma_bits(two_a) if x2 & 1 else (abs(two_a - x) + abs(a) + 2) // 2 * (two_a + m).bit_length()
-    )
+    pre = state.k * state.k.bit_length()  # k!; `gamma_ratio_doubled` states the Gammas
     bits, products = _double_sum_size(state, x2, 1)
     require_cost(bits + pre, products + 2 * (pre >> 6), 'route="single"')
     total, den, two_pi = _double_sum_series(state, x2, 1, (x - a + 2, x2), (two_a,))
@@ -418,8 +402,6 @@ def p_moment_circular(state: HydrogenicState, alpha, mode: str = "auto") -> Mome
     if mode == "exact":
         # (Z/eta)^a Gamma(eta+(a+1)/2) Gamma(eta+(3-a)/2) / (Gamma(eta+1/2) Gamma(eta+3/2))
         a, e = int(round(alpha_f)), state.two_eta
-        bits = _quotient_bits(e, a)  # its Gammas or rising products, reduced once
-        require_cost(bits, abs(a) + 6 * (bits >> 6), 'mode="float"')
         ratio = gamma_ratio_doubled((e + a + 1, e + 3 - a), (e + 1, e + 3))
         return exact(*ratio, Method.CLOSED_FORM, Space.MOMENTUM, a, state)
     # nu = eta on a circular state
@@ -505,9 +487,6 @@ def appendix_constants(state: HydrogenicState) -> tuple[ExactValue, ExactValue]:
     <p> and <p^{-1}>: Z and eta^2/Z times Gamma(L+1)^2 2^(2L+2) k! / (2 pi
     Gamma(eta+L+1)), one Gamma ratio, since eta+L+1 = k+2nu."""
     k, t = state.k, state.two_nu  # t = 2nu = 2L+2
-    # under t paired factors below 2k+2t, two Gammas of gamma_bits(t) bits, 2^(t-1)
-    bits = t * (2 * k + 2 * t).bit_length() + 2 * gamma_bits(t) + t
-    require_cost(bits, t + 8 * (bits >> 6), 'mode="float"')
     num, den, two_pi = gamma_ratio_doubled((t, t, 2 * k + 2), (2 * k + 2 * t,))
     base = ExactValue.reduced(Fraction(num << (t - 1), den), two_pi - 2)
     return ExactValue(state.Z_exact) * base, ExactValue(state.eta ** 2 / state.Z_exact) * base
@@ -516,13 +495,10 @@ def appendix_constants(state: HydrogenicState) -> tuple[ExactValue, ExactValue]:
 def appendix_integral_circular_exact(state: HydrogenicState) -> ExactValue:
     """Exact value of the mean-momentum Gegenbauer integral for circular
     states (k = 0): I = 2^{2 nu + 1} Gamma(nu+1)^2 / Gamma(2 nu + 2), one
-    Gamma ratio, priced before it is built."""
+    Gamma ratio, priced by `gamma_ratio_doubled` before it is built."""
     if not state.is_circular:
         raise NotCircular(f"state has l={state.l}, n={state.n}")
     t = state.two_nu
-    # Gamma(nu+1)^2 / Gamma(2nu+2), whose bits bound the pair's product at even t, and 2^(t+1)
-    bits = 2 * gamma_bits(t + 2) + gamma_bits(2 * t + 4) + t + 1
-    require_cost(bits, t + 8 * (bits >> 6), 'mode="float"')
     num, den, two_pi = gamma_ratio_doubled((t + 2, t + 2), (2 * t + 4,))
     return ExactValue.reduced(Fraction(num << (t + 1), den), two_pi)
 

@@ -31,7 +31,8 @@ Entropic moments integrate |R|^(2q), which is not a polynomial, with Gauss
 rules between the zeros of R; they keep rules of m and m+8 nodes, whose
 difference does measure truncation.
 No float path builds an exact number: `position_norm_sq`, `momentum_norm_sq`
-and `solid_angle` are exact references only, each one priced Gamma ratio.
+and `solid_angle` are exact references only, each one Gamma ratio priced
+by `gamma_ratio_doubled`; the first two state their scale's power first.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ from scipy.linalg import get_lapack_funcs
 
 from .errors import ExactTooLarge, NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument
 from .posmom import Method, MomentResult, rounded
-from .specfun import (_EPS, ExactValue, exp_sum, exp_sum_rel, gamma_bits, gamma_ratio_doubled, log_gamma,
-                      require_cost, solid_angle_logs)
-from .states import HydrogenicState, Space, require_order
+from .specfun import (_EPS, ExactValue, exp_sum, exp_sum_rel, gamma_ratio_doubled, log_gamma, require_cost,
+                      solid_angle_logs)
+from .states import HydrogenicState, Space, make_state, require_order
 
 # At x >= 2^64, e^(-x/2) puts R_{n,l} below the double range unless k + l
 # or D exceeds 10^15; x is clipped there, where the recurrence stays finite
@@ -248,11 +249,16 @@ def quad_r_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     # (x86-64): their 64 (2m+1) bits at about 450 m passes, past the budget above m = 2,561
     _require_rule(f"{m}-node Gauss-Laguerre rule pair", 64 * (2 * m + 1), 450 * m, 'an integer order in mode="exact"')
     # the m-node rule's table starts the (m+1)-node rule's, whose Christoffel sum runs to
-    # p_m, which vanishes at the m-node rule's nodes: one table and one pass serve both
-    alphas, betas = _laguerre_recurrence(m + 1, c)
-    x = np.concatenate((_laguerre_nodes(alphas[:m], betas[:m - 1]), _laguerre_nodes(alphas, betas)))
-    q, q_scale = laguerre_orthonormal(state.k, b, x)
-    top, s, bound = _pair_sum(q, q_scale, _christoffel_log_weights(alphas, betas, log_gamma(c + 1), x), m)
+    # p_m, which vanishes at the m-node rule's nodes: one table and one pass serve both.
+    # At huge orders (from 1e100 at 3D n = 5) the table or a square can leave the double range
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            alphas, betas = _laguerre_recurrence(m + 1, c)
+            x = np.concatenate((_laguerre_nodes(alphas[:m], betas[:m - 1]), _laguerre_nodes(alphas, betas)))
+            q, q_scale = laguerre_orthonormal(state.k, b, x)
+            top, s, bound = _pair_sum(q, q_scale, _christoffel_log_weights(alphas, betas, log_gamma(c + 1), x), m)
+    except FloatingPointError:
+        raise QuadratureFailure(f"the Gauss-Laguerre rule pair at order {alpha:.6g} leaves the double range") from None
     return rounded([top, -math.log(state.two_eta)], s, bound, Method.QUADRATURE, Space.POSITION, alpha, state)
 
 
@@ -270,6 +276,7 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
     # exact where a or b nears -1: there the moment is as sensitive to a+1 or
     # b+1 as 1/(a+1) or 1/(b+1), and nu + (alpha - 1)/2 would round it
     a, b = (nu - 0.5) + alpha / 2, (nu + 0.5) - alpha / 2
+    _require_jacobi(m + 1, 'an integer order in mode="exact"')  # the larger rule, before either is built
     x, log_w = gauss_jacobi(m, a, b)
     x2, log_w2 = gauss_jacobi(m + 1, a, b)
     q, q_scale = gegenbauer_orthonormal(k, nu, np.concatenate((x, x2)))
@@ -280,11 +287,10 @@ def quad_p_moment(state: HydrogenicState, alpha: float) -> MomentResult:
 
 def position_norm_sq(state: HydrogenicState) -> ExactValue:
     """K^2 in R(r) = K (2Zr/eta)^l e^{-Zr/eta} L_k^{(2L+1)}(2Zr/eta): (2Z/eta)^D
-    k! / (2 eta Gamma(k+2nu)), its power and Gamma ratio priced first."""
+    k! / (2 eta Gamma(k+2nu)), its power priced first."""
     k, t, D = state.k, state.two_nu, state.D
-    # t-1 paired factors below 2k+2t and 2^(t-1), and the scale's power
-    bits = t * (2 * k + 2 * t).bit_length() + state.scale_bits(D)
-    require_cost(bits, t + 11 * (bits >> 6), 'mode="float"')
+    bits = state.scale_bits(D)
+    require_cost(bits, 11 * (bits >> 6), 'mode="float"')
     num, den, _ = gamma_ratio_doubled((2 * k + 2,), (2 * k + 2 * t,))
     return ExactValue.reduced((2 * state.Z_exact / state.eta) ** D * Fraction(num, den * state.two_eta), 0)
 
@@ -292,11 +298,10 @@ def position_norm_sq(state: HydrogenicState) -> ExactValue:
 def momentum_norm_sq(state: HydrogenicState) -> ExactValue:
     """K'^2 in M(p) = K' (eta p/Z)^l (1 + (eta p/Z)^2)^{-(L+2)} C_k^(nu)(y),
     y = (1 - (eta p/Z)^2) / (1 + (eta p/Z)^2): (eta/Z)^D 2^(4l+2D-1) k! eta
-    Gamma(nu)^2 / (pi Gamma(k+2nu)), its power and Gamma ratio priced first."""
+    Gamma(nu)^2 / (pi Gamma(k+2nu)), its power and 2^(4l+2D-2) priced first."""
     k, t, D = state.k, state.two_nu, state.D
-    # as `momom.appendix_constants`' ratio, the scale's power and 2^(4l+2D-2)
-    bits = t * (2 * k + 2 * t).bit_length() + 2 * gamma_bits(t) + state.scale_bits(D) + 4 * state.l + 2 * D
-    require_cost(bits, t + 11 * (bits >> 6), 'mode="float"')
+    bits = state.scale_bits(D) + 4 * state.l + 2 * D
+    require_cost(bits, 11 * (bits >> 6), 'mode="float"')
     num, den, two_pi = gamma_ratio_doubled((t, t, 2 * k + 2), (2 * k + 2 * t,))
     coeff = (state.eta / state.Z_exact) ** D * Fraction(state.two_eta * num << (4 * state.l + 2 * D - 2), den)
     return ExactValue.reduced(coeff, two_pi - 2)
@@ -368,6 +373,7 @@ def radial_momentum(state: HydrogenicState, p):
 
 def solid_angle(D: int) -> ExactValue:
     """Surface of the unit (D-1)-sphere: 2 pi^(D/2) / Gamma(D/2)."""
+    D = make_state(D, 1, 0, 1.0).D  # checked as a state's D is
     num, den, two_pi = gamma_ratio_doubled((), (D,))
     return ExactValue.reduced(Fraction(2 * num, den), D + two_pi)
 

@@ -17,7 +17,7 @@ Only `series_or_quadrature` compares a bound with CANCELLATION_LIMIT.  An
 exact position moment states its cost, the rising product (a plain integer
 `specfun.pochhammer`), the scale's power and the series, to
 `specfun.require_cost` before it builds them, and raises ExactTooLarge past
-the one budget.
+the one budget; at the ground state `gamma_ratio_doubled` states the product.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ class Method(enum.Enum):
     CLOSED_FORM = "closed_form"
     REFLECTION = "reflection"
     QUADRATURE = "quadrature"
-    ASYMPTOTIC = "asymptotic"
 
 
 @dataclass(frozen=True)
@@ -242,10 +241,10 @@ def r_moment_ground(D: int, Z: float, alpha, mode: str = "auto") -> MomentResult
     alpha_f = require_order(state, alpha, Space.POSITION)
     if resolve_mode(alpha, mode) == "exact":
         a = int(round(alpha_f))
-        # the rising product's |a| doubled factors, of mean below 2D+a and each
-        # with a 2 below it, and the scale's power; the order check keeps D+a >= 1
-        bits = abs(a) * (4 * D + 2 * a).bit_length() + state.scale_bits(a)
-        require_cost(bits, 6 * abs(a) + 11 * (bits >> 6), 'mode="float"')
+        # the scale's power; `gamma_ratio_doubled` states the rising product,
+        # and the order check keeps D+a >= 1
+        bits = state.scale_bits(a)
+        require_cost(bits, 11 * (bits >> 6), 'mode="float"')
         ratio = gamma_ratio_doubled((2 * (D + a),), (2 * D,))
         return exact(*ratio, Method.CLOSED_FORM, Space.POSITION, a, state)
     logs = [log_gamma(D + alpha_f), -log_gamma(D)]

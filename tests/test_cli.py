@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from hydromoments import ExactValue, cli, make_state, momom, verify
+from hydromoments import ExactValue, asympt, cli, make_state, momom, verify
 from hydromoments.momom import _momentum_prefactor
 
 
@@ -66,6 +66,26 @@ def test_compute_human_and_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == cli.CSV_COLUMNS
     assert rows[1][cli.CSV_COLUMNS.index("status")] == "ok"
+
+
+def test_compute_float_human(capsys):
+    code, out, _ = run(capsys, [
+        "compute", "--space", "p", "--alpha", "1.5", "--D", "3", "--n", "2", "--l", "0", "--mode", "float",
+    ])
+    assert code == 0
+    assert out == "<p^1.5> = 0.265625 (+- 8.01e-15, single_sum)\n"
+
+
+@pytest.mark.parametrize("alpha", ["1e160", "1e200", "1e300"])
+def test_compute_at_a_huge_float_position_order_is_a_numerical_failure(capsys, alpha):
+    # it printed "value": "nan" and exited 0
+    code, out, err = run(capsys, [
+        "compute", "--space", "r", "--D", "3", "--n", "5", "--l", "0", "--alpha", alpha, "--mode", "float",
+        "--format", "json",
+    ])
+    assert code == cli.EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("error:") and "double range" in err
 
 
 def test_compute_oracle_mode(capsys):
@@ -314,6 +334,17 @@ def test_oracle_suite_counts_only_independent_comparisons():
     assert (res.checks, res.fails, res.findings) == (630, 0, ())
 
 
+def test_verify_prints_each_finding_after_the_suites(capsys, monkeypatch):
+    found = verify.SuiteResult(3, 0, 0.0, ("soft violation: one", "soft violation: two"))
+    monkeypatch.setitem(verify.SUITES, "uncertainty", lambda states: found)
+    code, out, _ = run(capsys, ["verify", "--suite", "uncertainty", "--grid", "small"])
+    assert code == 0
+    assert out == (
+        "uncertainty: PASS (3 checks, 0 failures, worst deviation 0)\n"
+        "finding: soft violation: one\nfinding: soft violation: two\n"
+    )
+
+
 def test_verify_reports_a_wrong_route(capsys, monkeypatch):
     exact, float_route, method = momom._ROUTES["double"]
 
@@ -360,6 +391,22 @@ def test_limits_rydberg(capsys):
     assert len(rows) == 3
     # alpha = 2 momentum is reproduced exactly by the leading form
     assert abs(float(rows[1][4])) < 1e-12
+
+
+def test_limits_rydberg_circular(capsys):
+    code, out, _ = run(capsys, [
+        "limits", "--regime", "rydberg", "--alpha", "1.5", "--space", "p", "--family", "circular",
+        "--n-seq", "10,20",
+    ])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [row[0] for row in rows] == ["parameter", "10", "20"]
+    for row in rows[1:]:
+        state = make_state(3, int(row[0]), int(row[0]) - 1, 1.0)
+        est = asympt.rydberg_circular_p(state, 1.5)
+        assert float(row[1]) == momom.p_moment(state, 1.5, mode="float").as_float()
+        assert (float(row[2]), float(row[3])) == (est.leading, est.corrected)
+    assert abs(float(rows[2][4])) < abs(float(rows[1][4]))
 
 
 def test_limits_highd(capsys):

@@ -1,7 +1,8 @@
 """One cost model: every exact route, `double` in both modes, the
 Gauss-Jacobi rule and the Gauss-Laguerre rule pair state their cost to
 `specfun.require_cost` before they build anything, and that function is the
-only reader of the one budget.
+only reader of the one budget.  Every Gamma ratio is stated once, by
+`specfun.gamma_ratio_doubled`, and a route states only what it builds itself.
 A call either answers or raises a HydromomentsError at once, with a message
 that names a cheaper route or mode."""
 
@@ -23,9 +24,10 @@ from hydromoments import (
     quad_p_moment,
     quad_r_moment,
     r_moment,
+    r_moment_ground,
     reflect,
 )
-from hydromoments import momom, oracle
+from hydromoments import momom, oracle, posmom, specfun
 from hydromoments.errors import ExactTooLarge, QuadratureFailure
 from hydromoments.specfun import ExactValue
 
@@ -34,20 +36,29 @@ SRC = Path(hydromoments.__file__).parent
 
 def test_one_function_reads_the_budget():
     """COST_BUDGET is read inside `specfun.require_cost` and nowhere else in
-    the package, and the size limits it replaced are gone."""
-    readers, leftovers = [], []
+    the package, and the size limits it replaced are gone.  Gamma's cost
+    has one statement: `gamma_bits` is called by `gamma_ratio_doubled` and,
+    for the inner sums' products with the Gamma numerator, by
+    `momom._double_sum_size`; `gamma_exact` only by `gamma_ratio_doubled`."""
+    uses = {"COST_BUDGET": [], "gamma_bits": [], "gamma_exact": []}
+    leftovers = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
         for f in functions:
-            if any(isinstance(node, (ast.Name, ast.Attribute)) and "COST_BUDGET" in (
-                    getattr(node, "id", None), getattr(node, "attr", None)) for node in ast.walk(f)):
-                readers.append(f"{path.name}:{f.name}")
+            names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(f)
+                     if isinstance(node, (ast.Name, ast.Attribute))}
+            for name in uses.keys() & names:
+                uses[name].append(f"{path.name}:{f.name}")
         for node in ast.walk(tree):
             name = getattr(node, "id", None) or getattr(node, "attr", None)
-            if name in ("EXACT_BITS", "maxsize", "_require_exact_size"):
+            if name in ("EXACT_BITS", "maxsize", "_require_exact_size", "_quotient_bits"):
                 leftovers.append(f"{path.name}:{node.lineno} {name}")
-    assert readers == ["specfun.py:require_cost"]
+    assert uses == {
+        "COST_BUDGET": ["specfun.py:require_cost"],
+        "gamma_bits": ["momom.py:_double_sum_size", "specfun.py:gamma_ratio_doubled"],
+        "gamma_exact": ["specfun.py:gamma_ratio_doubled"],
+    }
     assert leftovers == []
 
 
@@ -126,19 +137,107 @@ def test_double_estimate_bounds_what_its_inner_sums_build(D):
     assert built <= bits <= 1.25 * built
 
 
+def _record_statements(monkeypatch, modules):
+    """module name -> the bits each call to its `require_cost` states, in order."""
+    stated = {}
+    for module in modules:
+        monkeypatch.setattr(module, "require_cost", lambda bits, products, instead, name=module.__name__:
+                            stated.setdefault(name, []).append(bits))
+    return stated
+
+
 @pytest.mark.parametrize("D", [30_000, 30_001])
 def test_exact_double_states_at_least_what_it_builds(monkeypatch, D):
-    """Exact mode prices k! and its prefactor's Gammas as if they were built
-    apart from the inner sums' ratio; built in it, where one Gamma(A)
-    cancels, they still cost no more than that statement."""
+    """Exact `double` makes two statements, each at least what its own
+    builder builds: momom's covers k! and the inner sums, measured on a unit
+    Gamma ratio, and `gamma_ratio_doubled`'s covers the one ratio of the
+    prefactor's Gammas and the inner sums' Gamma(A)^2/Gamma(B)^2, in which
+    one Gamma(A) cancels.  Together they cover the inner sums as built."""
     s = make_state(D, 5, 0, 1.0)
-    stated = []
-    monkeypatch.setattr(momom, "require_cost", lambda bits, products, instead: stated.append(bits))
+    stated = _record_statements(monkeypatch, (momom, specfun))
+    ratio = momom.gamma_ratio_doubled
+    ratios = []
+    monkeypatch.setattr(momom, "gamma_ratio_doubled", lambda *args: ratios.append(ratio(*args)) or ratios[-1])
     momom._double_sum_exact(s, 3)
+    [own], [gamma] = stated.pop("hydromoments.momom"), stated.pop("hydromoments.specfun")
+    assert stated == {}
+    [(gn, gd, _)] = ratios
+    assert gamma >= gn.bit_length() + gd.bit_length()
     x, two_a = 2 * s.l + D, 2 * (s.n + s.l + D - 2)
     nums, den, _ = momom._double_sum_parts(s, (x - 1, x + 3), (two_a,))
     built = max(v.bit_length() for v in nums) + den.bit_length() + math.factorial(s.k).bit_length()
-    assert stated[0] >= built
+    assert own + gamma >= built
+    monkeypatch.setattr(momom, "gamma_ratio_doubled", lambda *args: (1, 1, 0))
+    nums, den, _ = momom._double_sum_parts(s, (x - 1, x + 3), (two_a,))
+    assert own >= max(v.bit_length() for v in nums) + den.bit_length() + math.factorial(s.k).bit_length()
+
+
+def _built_bits(v: int) -> int:
+    """The bits of a built integer; a 1 is no build."""
+    return v.bit_length() if v > 1 else 0
+
+
+def test_each_gamma_ratio_states_its_build_once(monkeypatch):
+    """Each `gamma_ratio_doubled` call makes exactly one `specfun.require_cost`
+    call, before it builds, and `gamma_exact` makes none.  The bits stated
+    are at least those of the rising products and factorials it builds, over
+    every exact caller: the single, circular and double momentum routes at
+    every integer order in the domain, odd and even, the ground-state
+    position moment, the appendix constants and the oracle's references,
+    on D 2-12 and n <= 11."""
+    ratio, gamma_exact, prod = specfun.gamma_ratio_doubled, specfun.gamma_exact, math.prod
+    stated = _record_statements(monkeypatch, (specfun,)).setdefault("hydromoments.specfun", [])
+    built, reached = [], {"product": 0, "factorial": 0}
+
+    def exact(z2):
+        calls = len(stated)
+        num, den, two_pi = gamma_exact(z2)
+        assert len(stated) == calls, z2  # gamma_exact states nothing
+        built.append((len(stated), _built_bits(num * den)))  # (m-1)! at z2 = 2m, (2m)!/m! at z2 = 2m+1
+        reached["factorial"] += 1
+        return num, den, two_pi
+
+    def product(factors):
+        value = prod(factors)
+        built.append((len(stated), _built_bits(value)))
+        reached["product"] += 1
+        return value
+
+    checked = []
+
+    def checked_ratio(top2, bottom2, *instead):
+        stated.clear()
+        built.clear()
+        value = ratio(top2, bottom2, *instead)
+        assert len(stated) == 1, (top2, bottom2)
+        assert all(before == 1 for before, _ in built), (top2, bottom2)  # stated before each build
+        assert stated[0] >= sum(bits for _, bits in built), (top2, bottom2, stated[0], built)
+        checked.append(stated[0])
+        return value
+
+    monkeypatch.setattr(specfun, "gamma_exact", exact)
+    monkeypatch.setattr(math, "prod", product)
+    for module in (momom, posmom, oracle):
+        monkeypatch.setattr(module, "gamma_ratio_doubled", checked_ratio)
+    for D in range(2, 13):
+        oracle.solid_angle(D)
+        for a in range(1 - D, 16):
+            r_moment_ground(D, 1.0, a, mode="exact")
+        for n in range(1, 12):
+            for l in range(n):
+                s = make_state(D, n, l, 1.0)
+                momom.appendix_constants(s)
+                oracle.position_norm_sq(s)
+                oracle.momentum_norm_sq(s)
+                lo, hi = s.momentum_interval()
+                for a in range(lo + 1, hi):
+                    p_moment(s, a, mode="exact")
+                    p_moment(s, a, mode="exact", route="double")
+                    if s.is_circular:
+                        p_moment_circular(s, a, mode="exact")
+                if s.is_circular:
+                    momom.appendix_integral_circular_exact(s)
+    assert len(checked) > 40_000 and min(reached.values()) > 40_000
 
 
 def _no_rule_is_built(monkeypatch):
@@ -155,6 +254,15 @@ def test_a_gauss_jacobi_rule_beyond_the_budget_raises_before_it_is_built(monkeyp
     t0 = time.perf_counter()
     with pytest.raises(QuadratureFailure, match=f"{m}-node.*budget"):
         oracle.gauss_jacobi(m, 0.5, 1.5)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_a_momentum_fallback_prices_its_rule_pair_before_either_is_built(monkeypatch):
+    # at 3D nS n = 2,401 the 2,401-node rule took 0.47 s before the 2,402-node rule raised
+    monkeypatch.setattr(oracle, "_golub_welsch", lambda *args: pytest.fail("a rule was built"))
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureFailure, match="2402-node Gauss-Jacobi.*budget"):
+        quad_p_moment(_nS(2_401), 0.3)
     assert time.perf_counter() - t0 < 0.1
 
 

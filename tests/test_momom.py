@@ -227,6 +227,17 @@ def test_even_closed_rejects_odd_order():
         p_moment_even_closed(make_state(3, 2, 0, 1.0), 3)
 
 
+def test_every_integer_momentum_order_reflects_into_the_domain():
+    """The momentum interval (lo, hi) is symmetric about 1, lo + hi = 2, so
+    2 - alpha lies in it whenever alpha does: `verify.reflection` checks
+    every integer order in the domain."""
+    for D in range(2, 13):
+        for n in range(1, 8):
+            for l in range(n):
+                lo, hi = make_state(D, n, l, 1.0).momentum_interval()
+                assert lo + hi == 2
+
+
 def test_reflection_float_mode():
     s = make_state(4, 3, 1, 1.0)
     r = reflect(s, 0.75, mode="float")

@@ -29,7 +29,8 @@ from hydromoments import (
     solid_angle,
 )
 from hydromoments.errors import (
-    FloatOverflow, FloatUnderflow, NonpositiveParameters, NotSWave, QuadratureFailure, UnsupportedArgument,
+    DimensionTooSmall, FloatOverflow, FloatUnderflow, NonpositiveParameters, NotSWave, QuadratureFailure,
+    UnsupportedArgument,
 )
 from hydromoments.oracle import (
     _jacobi_recurrence,
@@ -308,6 +309,19 @@ def test_solid_angle():
     assert solid_angle(2).to_float() == pytest.approx(2 * math.pi)
     assert solid_angle(3).to_float() == pytest.approx(4 * math.pi)
     assert solid_angle(4).to_float() == pytest.approx(2 * math.pi ** 2)
+    assert solid_angle(np.int64(5)) == solid_angle(5)
+
+
+@pytest.mark.parametrize("D, error", [
+    (2.5, UnsupportedArgument), ("3", UnsupportedArgument), (True, UnsupportedArgument),
+    (3.0, UnsupportedArgument), (1, DimensionTooSmall), (0, DimensionTooSmall), (-4, DimensionTooSmall),
+])
+def test_solid_angle_checks_D_as_make_state_does(D, error):
+    # 2.5 raised AttributeError, '3' TypeError, and True returned 2
+    with pytest.raises(error):
+        solid_angle(D)
+    with pytest.raises(error):
+        make_state(D, 1, 0, 1.0)
 
 
 def test_entropic_moments_ground_state():

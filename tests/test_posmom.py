@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -26,6 +27,7 @@ from hydromoments.errors import (
     FloatOverflow,
     FloatUnderflow,
     OrderOutOfDomain,
+    QuadratureFailure,
     UnsupportedArgument,
 )
 from hydromoments.posmom import CANCELLATION_LIMIT, series_or_quadrature
@@ -306,6 +308,19 @@ def test_one_fallback_rule_for_both_spaces(monkeypatch, space, evaluate, falls_b
         assert calls == []
 
 
+@pytest.mark.parametrize("alpha", [1e100, 1e160, 1e300, 1.7e308])
+def test_float_position_at_a_huge_order_raises_without_a_warning(alpha):
+    # the float 3F2 hands these orders to the Gauss-Laguerre pair (a term
+    # overflows), whose nodes near alpha overflowed the recurrence: 1e160
+    # returned nan +- nan, and 1e100 warned
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((QuadratureFailure, FloatOverflow), match="double range"):
+            r_moment(make_state(3, 5, 0, 1.0), alpha, mode="float")
+        with pytest.raises((QuadratureFailure, FloatOverflow), match="double range"):
+            oracle.quad_r_moment(make_state(3, 5, 0, 1.0), alpha)
+
+
 def test_position_domain_is_checked_before_the_mode():
     s = make_state(3, 2, 0, 1.0)
     with pytest.raises(OrderOutOfDomain):
@@ -328,19 +343,30 @@ def test_exact_order_beyond_the_size_budget_raises_at_once(call):
 
 
 def _stated_cost_bounds_what_is_built(monkeypatch, call, built):
-    """The bits the call states to `specfun.require_cost` are at least
-    `built` and at most 1.25 times as many, and the one budget is compared
-    with exactly the cost it states: one bit-pass less raises."""
-    stated = []
-    monkeypatch.setattr(posmom, "require_cost", lambda *args: stated.append(args[:2]))
+    """The call makes one statement to `specfun.require_cost` from each module
+    that builds, posmom for itself and specfun for `gamma_ratio_doubled`'s
+    Gamma ratio.  `built` maps each module's name to the bits its own builder
+    builds; each statement is at least those and at most 1.25 times as many,
+    and the one budget is compared with exactly the costs stated: one
+    bit-pass under the larger raises, at it the value builds."""
+    real = specfun.require_cost
+    stated = {}
+    for module in (posmom, specfun):
+        monkeypatch.setattr(module, "require_cost", lambda bits, products, instead, name=module.__name__:
+                            stated.setdefault(name, []).append((bits, products)))
     assert call().is_exact
-    [(bits, products)] = stated
-    assert built <= bits <= 1.25 * built
-    monkeypatch.setattr(posmom, "require_cost", specfun.require_cost)
-    monkeypatch.setattr(specfun, "COST_BUDGET", bits * products - 1)
+    assert stated.keys() == {f"hydromoments.{name}" for name in built}
+    costs = []
+    for name, bits_built in built.items():
+        [(bits, products)] = stated[f"hydromoments.{name}"]
+        assert bits_built <= bits <= 1.25 * bits_built, name
+        costs.append(bits * products)
+    monkeypatch.setattr(posmom, "require_cost", real)
+    monkeypatch.setattr(specfun, "require_cost", real)
+    monkeypatch.setattr(specfun, "COST_BUDGET", max(costs) - 1)
     with pytest.raises(ExactTooLarge, match='mode="float"'):
         call()
-    monkeypatch.setattr(specfun, "COST_BUDGET", bits * products)
+    monkeypatch.setattr(specfun, "COST_BUDGET", max(costs))
     assert call().is_exact
 
 
@@ -355,16 +381,16 @@ def test_exact_size_estimate_bounds_the_factors_it_counts(monkeypatch, D, n, l, 
     num, den, _ = posmom._r_series_exact(s, a)
     sn, sd = s.scale(a, Space.POSITION)
     built = sum(x.bit_length() for x in (num, den, sn, sd))
-    _stated_cost_bounds_what_is_built(monkeypatch, lambda: r_moment(s, a), built)
+    _stated_cost_bounds_what_is_built(monkeypatch, lambda: r_moment(s, a), {"posmom": built})
 
 
 @pytest.mark.parametrize("D, Z, a", [(6, 0.1, 900), (3, 1.0, 3000), (5, 1e-300, -4)])
 def test_ground_state_size_estimate_bounds_the_factors_it_counts(monkeypatch, D, Z, a):
-    """r_moment_ground builds the rising product Gamma(D+a)/Gamma(D) and the
-    scale's power."""
+    """r_moment_ground builds the scale's power, and `gamma_ratio_doubled`
+    the rising product Gamma(D+a)/Gamma(D)."""
     num, den, _ = gamma_ratio_doubled((2 * (D + a),), (2 * D,))
     sn, sd = make_state(D, 1, 0, Z).scale(a, Space.POSITION)
-    built = sum(x.bit_length() for x in (num, den, sn, sd))
+    built = {"posmom": sn.bit_length() + sd.bit_length(), "specfun": num.bit_length() + den.bit_length()}
     _stated_cost_bounds_what_is_built(monkeypatch, lambda: r_moment_ground(D, Z, a), built)
 
 

@@ -163,15 +163,17 @@ class TestGamma:
             gamma_ratio_doubled(top, bottom)
 
     def test_a_plain_int_reads_as_its_fraction(self):
+        # gamma_exact checks nothing: its one caller checks every argument
         for z2 in (0, -3, -6):
-            with pytest.raises(NonpositiveArgument):
-                gamma_exact(z2)
+            for top, bottom in (((z2,), ()), ((), (z2,))):
+                with pytest.raises(NonpositiveArgument):
+                    gamma_ratio_doubled(top, bottom)
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(NonpositiveArgument):
-            gamma_exact(0)
-        with pytest.raises(NonpositiveArgument):
-            gamma_exact(-1)
+        for z2 in (0, -1):
+            for top, bottom in (((z2,), ()), ((), (z2,))):
+                with pytest.raises(NonpositiveArgument):
+                    gamma_ratio_doubled(top, bottom)
 
 
 class TestDigamma:
@@ -500,26 +502,29 @@ def test_ground_state_beyond_the_double_range_is_a_library_error():
 def test_gamma_beyond_the_factorial_limit_is_a_library_error():
     # math.factorial raised a bare OverflowError past sys.maxsize, reached by
     # exact momentum at huge D, and ran for seconds at 10^6; the one budget
-    # prices the factorial first
+    # prices the factorial first, in `gamma_ratio_doubled`, gamma_exact's one caller
     for z2 in (2 * (sys.maxsize + 2), sys.maxsize + 2, 2 * 10 ** 6, 10 ** 6 + 1):
-        t0 = time.perf_counter()
-        with pytest.raises(ExactTooLarge, match='budget.*mode="float"'):
-            gamma_exact(z2)
-        assert time.perf_counter() - t0 < 0.1
+        for top, bottom in (((z2,), ()), ((), (z2,))):
+            t0 = time.perf_counter()
+            with pytest.raises(ExactTooLarge, match='budget.*mode="float"'):
+                gamma_ratio_doubled(top, bottom)
+            assert time.perf_counter() - t0 < 0.1
     with pytest.raises(ExactTooLarge, match="budget"):
         p_moment(make_state(2 * 10 ** 19, 1, 0, 1.0), 1)
 
 
 def test_gamma_exact_is_priced_by_its_factorial(monkeypatch):
-    """gamma_exact's cost is the bits of its factorial, read against the one
-    budget: at one bit-pass below it a value raises, at it the value builds."""
+    """An unpaired Gamma costs the bits of its factorial, 8 passes per 64 of
+    them, stated by `gamma_ratio_doubled` against the one budget, on top or
+    bottom: at one bit-pass below it a value raises, at it the value builds."""
     bits = 20_000 * ((40_001).bit_length() + 1)  # (2m-1)!! < (2m+1)^m over 2^m, m = 20,000
     cost = bits * 8 * (bits >> 6)
-    monkeypatch.setattr(specfun, "COST_BUDGET", cost - 1)
-    with pytest.raises(ExactTooLarge):
-        gamma_exact(40_001)
-    monkeypatch.setattr(specfun, "COST_BUDGET", cost)
-    assert gamma_exact(40_001)[2] == 1
+    for top, bottom, two_pi in (((40_001,), (), 1), ((), (40_001,), -1)):
+        monkeypatch.setattr(specfun, "COST_BUDGET", cost - 1)
+        with pytest.raises(ExactTooLarge):
+            gamma_ratio_doubled(top, bottom)
+        monkeypatch.setattr(specfun, "COST_BUDGET", cost)
+        assert gamma_ratio_doubled(top, bottom)[2] == two_pi
 
 
 _CACHES = {"lru_cache", "cache", "cached_property"}
