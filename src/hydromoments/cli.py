@@ -140,16 +140,25 @@ def cmd_compute(args) -> int:
 
 # argparse `type=` parsers: argparse turns their ValueError into a usage error
 
+def _nonempty(values: list, spec: str) -> list:
+    """values, or an argparse usage error if the list is empty, since a sweep
+    over no cells would print only its header."""
+    if not values:
+        raise argparse.ArgumentTypeError(f"{spec!r} gives an empty list")
+    return values
+
+
 def int_list(spec: str) -> list[int]:
-    """"lo:hi" (inclusive) or comma-separated integers."""
+    """"lo:hi" (inclusive) or comma-separated integers, at least one."""
     if ":" in spec:
         lo, hi = spec.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",") if x]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), spec)
+    return _nonempty([int(x) for x in spec.split(",") if x], spec)
 
 
 def float_list(spec: str) -> list[float]:
-    return [float(x) for x in spec.split(",") if x]
+    """Comma-separated floats, at least one."""
+    return _nonempty([float(x) for x in spec.split(",") if x], spec)
 
 
 def l_or_all(spec: str):

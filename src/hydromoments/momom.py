@@ -10,14 +10,16 @@ written out on t = 2nu and a, `hyp5f4` with the generic exact
 `specfun.hyp_sum` on the doubled parameters of `_hyp5f4_doubled`, checked
 as a `HypSumSpec`.  Comparing the two checks one kernel against the other,
 not the 5F4's parameters or the prefactor; `double` is the independent exact
-cross-check.  Its inner sums are the square of one integer polynomial
-(`_double_sum_parts`), recomputed per call without a cache, and it calls
-neither 5F4 kernel entry.  Each exact route builds one Gamma ratio, whose
-same-parity pairs cancel before anything is multiplied out: the single
-sum's rational part is the binomial (2k+2nu) C(2nu+k-1, k) / (2nu), so
-`gamma_ratio_doubled` sees only the four Gammas of its quotient, built per
-call with no cache, and exact `double` hands its prefactor's Gammas to its
-inner sums' ratio, where one Gamma(n+l+D-2) cancels.  Every exact route, and `double` in both modes,
+cross-check.  Its inner sums are the square of one integer polynomial,
+packed into one integer and squared in one product (`_double_sum_parts`),
+recomputed per call without a cache; its outer sum runs by Horner's rule
+and takes the Gamma ratio's numerator once, and it calls neither 5F4 kernel
+entry.  Each exact route builds one Gamma ratio, whose same-parity pairs
+cancel before anything is multiplied out: the single sum's rational part is
+the binomial (2k+2nu) C(2nu+k-1, k) / (2nu), so `gamma_ratio_doubled` sees
+only the four Gammas of its quotient, built per call with no cache, and
+exact `double` passes it its prefactor's Gammas with the inner sums'
+Gamma(A)^2/Gamma(B)^2, one Gamma(A = n+l+D-2) cancelled at the call.  Every exact route, and `double` in both modes,
 states its cost to `specfun.require_cost` before it builds anything
 (`_momentum_prefactor` for the single sum, `_double_sum_size` for the
 double sum) and raises ExactTooLarge past the one budget; `gamma_ratio_doubled`
@@ -216,65 +218,71 @@ def _hyp5f4_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     return num * s_num, den * s_den, two_pi
 
 
-def _double_sum_parts(state: HydrogenicState, top=(), bottom=()) -> tuple[list[int], int, int]:
-    """The inner sums P(s), s = 0..2k, of the double-sum form times the
-    Gammas at the doubled arguments top over bottom, as integer numerators
-    over one common denominator, with twice their pi power.
+def _double_sum_parts(state: HydrogenicState) -> tuple[list[int], int]:
+    """The square of the inner sums' integer polynomial: its coefficients
+    (h*h)_s, s = 0..2k, and W^2, the square of its common denominator.
 
     The inner sum over i+j = s squares one polynomial,
     P(s) = (-1)^s (g*g)_s / Gamma(C+s), with g_i = C(k,i) Gamma(A+i)/Gamma(B+i),
     A = n+l+D-2, B = l+D/2 and C = 2l+D+1.  Over W = 2^k (B)_k, which is the
     integer prod_{m<k} (2B+2m), g_i = Gamma(A)/Gamma(B) h_i / W with the integer
-    h_i = C(k,i) (A)_i 2^i prod_{i<=m<k} (2B+2m).  Gamma(A)^2/Gamma(B)^2 and the
-    extra Gammas are one `gamma_ratio_doubled` call, so what cancels between
-    them is never built."""
+    h_i = C(k,i) (A)_i 2^i prod_{i<=m<k} (2B+2m) >= 0: h_0 = W, and each next
+    one by its ratio h_i / h_{i-1} = (k-i+1) 2(A+i-1) / (i (2B+2i-2)), an exact
+    division.  The h_i are packed into one integer, a slot of w bits each, and
+    squared in one product (Kronecker substitution): each (h*h)_s is below
+    (k+1) max(h)^2 < 2^w, so slot s of the square holds it alone."""
     k = state.k
-    A, two_b, C = state.n + state.l + state.D - 2, 2 * state.l + state.D, 2 * state.l + state.D + 1
-    gn, gd, two_pi = gamma_ratio_doubled((2 * A, 2 * A, *top), (two_b, two_b, *bottom), 'route="single"')
-    suffix = [1] * (k + 1)
-    for m in range(k - 1, -1, -1):
-        suffix[m] = suffix[m + 1] * (two_b + 2 * m)
-    h, rising = [], 1
-    for i in range(k + 1):
-        h.append(math.comb(k, i) * rising * suffix[i])
-        rising *= 2 * (A + i)
-    # over the common Gamma(C+2k), P(s) carries (C+s)_{2k-s}
-    nums, tail = [0] * (2 * k + 1), gn
-    for s in range(2 * k, -1, -1):
-        half = sum(h[i] * h[s - i] for i in range(max(0, s - k), (s + 1) // 2))
-        conv = 2 * half + (h[s // 2] ** 2 if s % 2 == 0 else 0)
-        nums[s] = (-1) ** s * conv * tail
-        tail *= C + s - 1
-    return nums, gd * suffix[0] ** 2 * math.factorial(C + 2 * k - 1), two_pi
+    A, two_b = state.n + state.l + state.D - 2, 2 * state.l + state.D
+    W = math.prod(range(two_b, two_b + 2 * k, 2))
+    h = [W]
+    for i in range(1, k + 1):
+        h.append(h[-1] * ((k - i + 1) * 2 * (A + i - 1)) // (i * (two_b + 2 * i - 2)))
+    w = 2 * max(h).bit_length() + (k + 1).bit_length()
+    packed = 0
+    for v in reversed(h):
+        packed = packed << w | v
+    square, mask = packed * packed, (1 << w) - 1
+    return [square >> (w * s) & mask for s in range(2 * k + 1)], W * W
 
 
 def _double_sum_size(state: HydrogenicState, x_num: int, x_exp: int) -> tuple[int, int]:
-    """(bits, products) of `_double_sum_series` at x = x_num / 2^x_exp: two of
-    the h_i < 2^k (2A+2k)^k and their (k+1)^2/2 products; their products with
-    Gamma(A)^2/Gamma(B)^2's numerator, two pairs of A-B factors at even D and
-    four factorials at odd D, where 2A and 2B differ in parity; (C+2k-1)! with
-    the tail and suffix squared (C+6k-1 factors below C+2k); the outer (x)_s
-    with its shifts."""
+    """(bits, products) of `_double_sum_series` at x = x_num / 2^x_exp.  The
+    bits: a slot of w bits, for h_i < 2^k (2A+2k)^k; Gamma(A)^2/Gamma(B)^2's
+    numerator, which multiplies the sum once, two pairs of A-B factors at
+    even D and four factorials at odd D, where 2A and 2B differ in parity;
+    (C+2k-1)!, W^2 and Horner's q_s (C+6k-1 factors below C+2k); the outer
+    (x)_s with its shifts.  The products: 6k steps and three products over
+    those bits, then the one square of the k+1 packed slots at its
+    schoolbook cost and the 2k+1 shifts that read it back."""
     D, k, A, C = state.D, state.k, state.n + state.l + state.D - 2, 2 * state.l + state.D + 1
-    h = k * ((2 * A + 2 * k).bit_length() + 1)
+    slot = 2 * k * ((2 * A + 2 * k).bit_length() + 1) + (k + 1).bit_length()
+    packed = (k + 1) * slot
     ratio = 2 * gamma_bits(2 * A) + 2 * gamma_bits(C - 1) if D & 1 else (2 * A - C + 1) * (2 * A + C - 1).bit_length()
-    bits = 2 * h + ratio + (C + 6 * k - 1) * (C + 2 * k).bit_length()
+    bits = slot + ratio + (C + 6 * k - 1) * (C + 2 * k).bit_length()
     bits += 2 * k * ((x_num + (2 * k << x_exp)).bit_length() + x_exp)
-    return bits, 6 * k + 3 * (bits >> 6) + (k + 1) ** 2 * h * h // (4 * bits)
+    return bits, 6 * k + 3 * (bits >> 6) + packed * (packed // 64 + 2 * k + 1) // bits
 
 
-def _double_sum_series(state: HydrogenicState, x_num: int, x_exp: int, top=(), bottom=()) -> tuple[int, int, int]:
+def _double_sum_series(
+    state: HydrogenicState, x_num: int, x_exp: int, ratio: tuple[int, int, int]
+) -> tuple[int, int, int]:
     """sum_s P(s) (x)_s exactly at the dyadic rational x = x_num / 2^x_exp,
-    times the Gammas at the doubled arguments top over bottom, as an
-    unreduced (numerator, denominator, twice the pi power)."""
-    k = state.k
-    nums, den, two_pi = _double_sum_parts(state, top, bottom)
-    # (x)_s = prod_{m<s} (x_num + m 2^x_exp) / 2^(s x_exp), scaled by 2^(2k x_exp)
-    total, rising = 0, 1
-    for s, num in enumerate(nums):
-        total += (num * rising) << (x_exp * (2 * k - s))
-        rising *= x_num + (s << x_exp)
-    return total, den << (2 * k * x_exp), two_pi
+    times `ratio`, a `gamma_ratio_doubled` triple holding
+    Gamma(A)^2/Gamma(B)^2 and the caller's own Gammas, as an unreduced
+    (numerator, denominator, twice the pi power).
+
+    Over Gamma(C+2k) 2^(2k x_exp) W^2, term s is (h*h)_s times
+    prod_{m<s} -(x_num + m 2^x_exp) and q_s = prod_{s<=m<2k} 2^x_exp (C+m),
+    so Horner's rule sums it from s = 2k down; the ratio's numerator
+    multiplies the sum once."""
+    k, C = state.k, 2 * state.l + state.D + 1
+    squares, w2 = _double_sum_parts(state)
+    total, q = squares[2 * k], 1
+    for s in range(2 * k - 1, -1, -1):
+        q = q * (C + s) << x_exp
+        total = squares[s] * q - (x_num + (s << x_exp)) * total
+    gn, gd, two_pi = ratio
+    return gn * total, gd * w2 * math.factorial(C + 2 * k - 1) << (2 * k * x_exp), two_pi
 
 
 def _double_sum_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
@@ -282,27 +290,30 @@ def _double_sum_exact(state: HydrogenicState, a: int) -> tuple[int, int, int]:
     with x = l+(D+a)/2 and A = n+l+D-2, the double sum without (Z/eta)^a, as
     an unreduced (numerator, denominator, twice the pi power).  The
     prefactor's Gammas join the inner sums' Gamma(A)^2/Gamma(B)^2 in one
-    ratio, where one Gamma(A) cancels before it is built."""
+    ratio, with one Gamma(A) cancelled here, before it is built."""
     x, two_a = 2 * state.l + state.D, 2 * (state.n + state.l + state.D - 2)
     x2 = x + a
     pre = state.k * state.k.bit_length()  # k!; `gamma_ratio_doubled` states the Gammas
     bits, products = _double_sum_size(state, x2, 1)
     require_cost(bits + pre, products + 2 * (pre >> 6), 'route="single"')
-    total, den, two_pi = _double_sum_series(state, x2, 1, (x - a + 2, x2), (two_a,))
+    ratio = gamma_ratio_doubled((two_a, x - a + 2, x2), (x, x), 'route="single"')
+    total, den, two_pi = _double_sum_series(state, x2, 1, ratio)
     return 2 * state.two_eta * total, math.factorial(state.k) * den, two_pi
 
 
 def _double_sum_float(state: HydrogenicState, alpha: float) -> tuple[list[float], float, float]:
     """Float double-sum route as (logs of its prefactor without (Z/eta)^alpha,
-    quotient, 0): the outer sum is exact at the dyadic rational alpha is
-    stored as, and its quotient by the denominator is rounded once, which
-    exp_sum's model covers."""
+    quotient, 0): the outer sum times Gamma(A)^2/Gamma(B)^2 is exact at the
+    dyadic rational alpha is stored as, and its quotient by the denominator
+    is rounded once, which exp_sum's model covers."""
     D, n, l = state.D, state.n, state.l
     p, q = alpha.as_integer_ratio()  # q = 2^e
     # x = l + (D+alpha)/2 = ((2l+D) q + p) / 2^(e+1)
     x_num, x_exp = (2 * l + D) * q + p, q.bit_length()
     require_cost(*_double_sum_size(state, x_num, x_exp), 'route="single"')
-    total, den, two_pi = _double_sum_series(state, x_num, x_exp)
+    two_a, two_b = 2 * (n + l + D - 2), 2 * l + D
+    ratio = gamma_ratio_doubled((two_a, two_a), (two_b, two_b), 'route="single"')
+    total, den, two_pi = _double_sum_series(state, x_num, x_exp, ratio)
     quotient, shift = round_quotient(total, den)
     logs = [
         math.log(2 * state.two_eta),  # 4 eta

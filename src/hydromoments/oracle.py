@@ -38,6 +38,8 @@ by `gamma_ratio_doubled`; the first two state their scale's power first.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from fractions import Fraction
 from numbers import Real
 
@@ -320,12 +322,37 @@ def _log_amplitude(state: HydrogenicState, space: Space) -> float:
 def _log_radial(state: HydrogenicState, x):
     """The sign and ln|R_{n,l}| at x = 2Zr/eta.  The orthonormal p~_k has a
     positive leading coefficient and L_k^(2L+1) the sign (-1)^k, so R's sign
-    is (-1)^k that of p~_k."""
-    q, s = laguerre_orthonormal(state.k, 2 * state.l + state.D - 2, x)
+    is (-1)^k that of p~_k.
+
+    Past X = _X_FAR, beyond every zero z_i of p~_k, the recurrence runs at X
+    and ln|p~_k| goes on as k ln(x/X): the rest, sum_i ln((1 - z_i/x) /
+    (1 - z_i/X)), is below k z_k/X.  Only the entropic tail at tiny q reaches
+    such x, where a step of the recurrence would overflow."""
+    k = state.k
+    q, s = laguerre_orthonormal(k, 2 * state.l + state.D - 2, np.minimum(x, _X_FAR))
     log_amp = _log_amplitude(state, Space.POSITION)
     with np.errstate(divide="ignore"):  # 0 * log 0 would be nan: l log x enters only for l > 0
         log_r = log_amp - x / 2 + np.log(np.abs(q)) + s + (state.l * np.log(x) if state.l else 0)
-    return (-np.sign(q) if state.k & 1 else np.sign(q)), log_r
+    if k:
+        log_r += k * np.log(np.maximum(x, _X_FAR) / _X_FAR)
+    return (-np.sign(q) if k & 1 else np.sign(q)), log_r
+
+
+def _real_points(v, what: str) -> np.ndarray:
+    """v as a float array: UnsupportedArgument for a value that is not a
+    real number, a bool or nan included.  An int or Fraction is compared
+    with the double range before float() could overflow."""
+    a = np.asarray(v)
+    real = a.dtype.kind in "iuf" or a.dtype.kind == "O" and all(
+        isinstance(e, float) or isinstance(e, Real) and not isinstance(e, bool) and abs(e) <= sys.float_info.max
+        for e in a.flat
+    )
+    if not real:
+        raise UnsupportedArgument(f"{what} must be real numbers in the double range, got {reprlib.repr(v)}")
+    a = a.astype(float)
+    if np.isnan(a).any():
+        raise UnsupportedArgument(f"{what} must not be nan")
+    return a
 
 
 def _signed_exp(sign, log_v):
@@ -343,7 +370,7 @@ def radial_position(state: HydrogenicState, r):
 
     The values carry no error bound.  The Laguerre recurrence drifts with k:
     at 3D nS n = 200,000, |R(0)| is 3e-9 relative off 2 n^(-3/2)."""
-    r = np.asarray(r, dtype=float)
+    r = _real_points(r, "a radius")
     if (r < 0).any():
         raise UnsupportedArgument("a radius must be nonnegative")
     with np.errstate(divide="ignore", over="ignore"):  # x = 0 at r = 0, inf past the range
@@ -360,11 +387,12 @@ def radial_momentum(state: HydrogenicState, p):
     The values carry no error bound.  The Gegenbauer recurrence drifts with
     k, most near y = 1: at 3D nS n = 200,000, |M(0)| is 1.7e-7 relative off
     sqrt(32/pi) n^(5/2)."""
-    p = np.asarray(p, dtype=float)
+    p = _real_points(p, "a momentum")
     nu, l = state.two_nu / 2, state.l
     log_amp = _log_amplitude(state, Space.MOMENTUM)
     with np.errstate(divide="ignore"):  # y = 1 at p = 0; 0 * ln 0 would be nan, so l ln t only for l > 0
-        log_t = np.log(np.abs(p)) + math.fsum(state.scale_logs(-1, Space.MOMENTUM))
+        # ln t is clipped at 2^64, where M < e^(log_amp - 2^64) underflows, so p = +-inf gives 0
+        log_t = np.minimum(np.log(np.abs(p)) + math.fsum(state.scale_logs(-1, Space.MOMENTUM)), _X_FAR)
         q, s = gegenbauer_orthonormal(state.k, nu, -np.tanh(log_t))
         log_m = log_amp - (l + (state.D + 1) / 2) * np.logaddexp(0.0, 2 * log_t) + np.log(np.abs(q)) + s \
             + (l * log_t if l else 0)

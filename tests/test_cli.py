@@ -456,9 +456,13 @@ def test_limits_underflow_is_a_numerical_failure(capsys):
     (["table", "--space", "r", "--D-range", "3", "--n-range", "2", "--alpha-list", "1,abc"], "--alpha-list"),
     (["table", "--space", "r", "--D-range", "3", "--n-range", "2", "--alpha-list", "1", "--l", "q"], "--l"),
     (["limits", "--regime", "rydberg", "--alpha", "2", "--n-seq", "20,x"], "--n-seq"),
+    (["table", "--space", "r", "--D-range", "3:2", "--n-range", "2", "--alpha-list", "1"], "--D-range"),
+    (["table", "--space", "r", "--D-range", "3", "--n-range", "2", "--alpha-list", ","], "--alpha-list"),
+    (["limits", "--regime", "rydberg", "--alpha", "2", "--n-seq", "5:3"], "--n-seq"),
 ])
 def test_a_malformed_list_is_a_usage_error(capsys, argv, option):
-    # each exited 1 with a bare ValueError traceback
+    # the first four exited 1 with a bare ValueError traceback; the empty
+    # lists of the last three printed only a header and exited 0
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

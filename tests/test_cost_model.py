@@ -126,14 +126,16 @@ def test_appendix_constants_at_a_million_answer_at_once():
 
 @pytest.mark.parametrize("D", [30_000, 30_001])
 def test_double_estimate_bounds_what_its_inner_sums_build(D):
-    """The `double` route states at least the bits that `_double_sum_parts`
-    builds and at most 1.25 times as many, at even D, where Gamma(A)^2 /
+    """The `double` route states at least the bits that `_double_sum_series`
+    builds, its sum times Gamma(A)^2/Gamma(B)^2's numerator over its
+    denominator, and at most 1.25 times as many, at even D, where Gamma(A)^2 /
     Gamma(B)^2 pairs into rising products, and at odd D, where nothing
     pairs and both Gammas are factorials."""
     s = make_state(D, 5, 0, 1.0)
-    bits, _ = momom._double_sum_size(s, 2 * s.l + D + 3, 1)
-    nums, den, _ = momom._double_sum_parts(s)
-    built = max(x.bit_length() for x in nums) + den.bit_length()
+    x, two_a = 2 * s.l + D, 2 * (s.n + s.l + D - 2)
+    bits, _ = momom._double_sum_size(s, x + 3, 1)
+    total, den, _ = momom._double_sum_series(s, x + 3, 1, specfun.gamma_ratio_doubled((two_a, two_a), (x, x)))
+    built = total.bit_length() + den.bit_length()
     assert built <= bits <= 1.25 * built
 
 
@@ -149,27 +151,33 @@ def _record_statements(monkeypatch, modules):
 @pytest.mark.parametrize("D", [30_000, 30_001])
 def test_exact_double_states_at_least_what_it_builds(monkeypatch, D):
     """Exact `double` makes two statements, each at least what its own
-    builder builds: momom's covers k! and the inner sums, measured on a unit
-    Gamma ratio, and `gamma_ratio_doubled`'s covers the one ratio of the
-    prefactor's Gammas and the inner sums' Gamma(A)^2/Gamma(B)^2, in which
-    one Gamma(A) cancels.  Together they cover the inner sums as built."""
+    function builds: momom's covers k! and the sum, measured on a unit Gamma
+    ratio, and `gamma_ratio_doubled`'s covers the one ratio of the
+    prefactor's Gammas and the inner sums' Gamma(A)^2/Gamma(B)^2, from which
+    one Gamma(A) is cancelled at the call.  Together they cover the sum as
+    built, its numerator multiplied by the ratio's once."""
     s = make_state(D, 5, 0, 1.0)
     stated = _record_statements(monkeypatch, (momom, specfun))
     ratio = momom.gamma_ratio_doubled
     ratios = []
-    monkeypatch.setattr(momom, "gamma_ratio_doubled", lambda *args: ratios.append(ratio(*args)) or ratios[-1])
+
+    def recorded(*args):
+        ratios.append((args, ratio(*args)))
+        return ratios[-1][1]
+
+    monkeypatch.setattr(momom, "gamma_ratio_doubled", recorded)
     momom._double_sum_exact(s, 3)
     [own], [gamma] = stated.pop("hydromoments.momom"), stated.pop("hydromoments.specfun")
     assert stated == {}
-    [(gn, gd, _)] = ratios
-    assert gamma >= gn.bit_length() + gd.bit_length()
     x, two_a = 2 * s.l + D, 2 * (s.n + s.l + D - 2)
-    nums, den, _ = momom._double_sum_parts(s, (x - 1, x + 3), (two_a,))
-    built = max(v.bit_length() for v in nums) + den.bit_length() + math.factorial(s.k).bit_length()
-    assert own + gamma >= built
-    monkeypatch.setattr(momom, "gamma_ratio_doubled", lambda *args: (1, 1, 0))
-    nums, den, _ = momom._double_sum_parts(s, (x - 1, x + 3), (two_a,))
-    assert own >= max(v.bit_length() for v in nums) + den.bit_length() + math.factorial(s.k).bit_length()
+    [((top, bottom, _), (gn, gd, two_pi))] = ratios
+    assert (sorted(top), sorted(bottom)) == (sorted((two_a, x - 1, x + 3)), [x, x])
+    assert gamma >= gn.bit_length() + gd.bit_length()
+    k_factorial = math.factorial(s.k).bit_length()
+    total, den, _ = momom._double_sum_series(s, x + 3, 1, (gn, gd, two_pi))
+    assert own + gamma >= total.bit_length() + den.bit_length() + k_factorial
+    total, den, _ = momom._double_sum_series(s, x + 3, 1, (1, 1, 0))
+    assert own >= total.bit_length() + den.bit_length() + k_factorial
 
 
 def _built_bits(v: int) -> int:

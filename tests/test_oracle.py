@@ -203,6 +203,20 @@ def test_momentum_wavefunction_near_p_0_at_large_k_is_finite():
     assert np.isfinite(radial_momentum(make_state(3, 2000, 800, 1.0), [1e-4])).all()
 
 
+@pytest.mark.parametrize("state", [(3, 4, 1), (5, 3, 0)])
+def test_wavefunctions_vanish_at_infinity_and_refuse_nan_and_non_reals(state):
+    # radial_momentum returned nan with RuntimeWarnings at p = +-inf for l > 0;
+    # both wavefunctions took nan silently, and raised a bare ValueError on "a"
+    # and a bare OverflowError on 10**400
+    s = make_state(*state, 1.0)
+    assert radial_momentum(s, [-np.inf, np.inf]).tolist() == [0.0, 0.0]
+    assert radial_position(s, [np.inf]).tolist() == [0.0]
+    for wavefunction in (radial_position, radial_momentum):
+        for bad in (math.nan, [1.0, math.nan], "a", 1j, True, 10 ** 400):
+            with pytest.raises(UnsupportedArgument):
+                wavefunction(s, bad)
+
+
 @pytest.mark.parametrize("alpha", [-602.999999, 604.999999])
 def test_overflowing_gauss_sum_raises_without_a_warning(alpha):
     # unscaled, the Gauss sums overflowed in np.dot and both cells raised
@@ -482,6 +496,25 @@ def test_entropic_moment_normalizes_a_state_of_large_dimension(D, n):
 def test_entropic_moment_past_the_rule_budget_still_raises():
     with pytest.raises(QuadratureFailure, match="5028-node.*budget"):
         entropic_moment(make_state(10_001, 2, 0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("D, n, Z, q", [
+    (3, 3, 1.0, 1e-60), (3, 5, 1.0, 1e-100), (2, 4, 1.0, 1e-153), (2, 6, 2.0, 1e-153),
+])
+def test_entropic_moment_at_tiny_q_is_its_leading_term(D, n, Z, q):
+    # W_q -> Omega_D (eta/2Z)^D Gamma(D) / q^D as q -> 0, up to relative terms
+    # of order q ln q; at q = 1e-153 the tail's nodes pass 1e154, where a step
+    # of the Laguerre recurrence overflowed and W was nan, with RuntimeWarnings
+    s = make_state(D, n, 0, Z)
+    lead = 2 * math.pi ** (D / 2) / math.gamma(D / 2) * (float(s.eta) / (2 * Z)) ** D * math.gamma(D) / q ** D
+    assert entropic_moment(s, q) == pytest.approx(lead, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("q", [1e-300, 1e-200])
+def test_entropic_moment_beyond_the_range_at_tiny_q_raises_without_a_warning(q):
+    # W_q is about e^2076 and e^1385; numpy warned of overflow in the recurrence first
+    with pytest.raises(FloatOverflow):
+        entropic_moment(make_state(3, 2, 0, 1.0), q)
 
 
 def test_entropic_moment_states_its_domain():
